@@ -15,21 +15,24 @@ The package splits into layers that mirror the workflow:
     Two-component daily conditional variance: a slow monthly part
     driven by covariate lags and a fast unit-mean GARCH part, with
     maximum-likelihood estimation, filtering and simulation.
-``autodiff`` / ``transformer``
-    A small reverse-mode tape and the windowed attention regressor
-    built on it.
+``transformer``
+    The windowed attention regressor: one head-stacked plain-numpy
+    forward pass and its hand-derived backward pass.
 ``evaluation``
     Forecast loss suite, persistence baseline and report files.
 ``simlab``
     End-to-end synthetic scenarios with exact ground truth.
 ``cli``
     The ``mfvol`` command built from all of the above.
+
+``autodiff``, a small reverse-mode tape, is no longer used by any of
+the modules above; it stays for its own tests and the benchmark's
+tracer.
 """
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "autodiff",
     "cli",
     "errors",
     "evaluation",

@@ -1,11 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Internal plumbing for the attention regressor. A :class:`Tensor` wraps
-an ndarray and remembers how it was produced; calling ``backward`` on
-a scalar result accumulates exact gradients into every tensor created
-with ``requires_grad=True``. Only the operations the model needs are
-implemented. Broadcasting follows numpy semantics; gradients of
-broadcast operands are summed back to the operand's shape.
+No module of the package uses it any more: :mod:`mfvol.transformer`
+has its own hand-derived backward pass. It stays because the
+benchmark's tracer counts :class:`Tensor` constructions per training
+step.
+
+A :class:`Tensor` wraps an ndarray and remembers how it was produced;
+calling ``backward`` on a scalar result accumulates exact gradients
+into every tensor created with ``requires_grad=True``. Only the
+operations the encoder used are implemented. Broadcasting follows
+numpy semantics; gradients of broadcast operands are summed back to
+the operand's shape.
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import garch_midas as gm
-from . import evaluation, features, marketdata, realized_vol, simlab
+from . import evaluation, features, marketdata, realized_vol
 from . import transformer as tfm
 from .errors import (
     InputError,
@@ -298,6 +297,8 @@ def _load_windows(opts: Options, feature_names: tuple[str, ...],
 # ----------------------------------------------------------------------
 
 def cmd_simulate(opts: Options) -> int:
+    from . import simlab     # loads scipy through garch_midas
+
     out_dir = opts.require("out")
     spec = simlab.ScenarioSpec(
         seed=opts.get("seed", 0, int),
@@ -400,6 +401,10 @@ def cmd_pca(opts: Options) -> int:
 
 
 def cmd_midas_fit(opts: Options) -> int:
+    # garch_midas needs scipy, whose import costs more than most
+    # subcommands' whole run; only this one and simulate load it
+    from . import garch_midas as gm
+
     table = read_factors(opts.require("factors"))
     mode = opts.get("mode", "exogenous")
     spec_kwargs = {

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTruth,
+    InputError,
     LengthMismatch,
     NonPositiveInput,
     NonPositiveTruth,
@@ -186,7 +187,7 @@ def persistence_baseline(rv) -> tuple[np.ndarray, np.ndarray]:
 
 def ablation_features(group: str) -> tuple[str, ...]:
     if group not in ABLATION_GROUPS:
-        raise KeyError(
+        raise InputError(
             f"unknown ablation group {group!r}; pick from "
             f"{sorted(ABLATION_GROUPS)}")
     return ABLATION_GROUPS[group]

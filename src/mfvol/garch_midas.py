@@ -290,6 +290,12 @@ def long_run_tau(spec: MidasSpec, params: MidasParams,
         raise LengthMismatch(
             f"lag block {lagged.shape} does not match "
             f"(K={spec.n_lags}, J={spec.n_covariates})")
+    return _long_run_tau(spec, params, lagged)
+
+
+def _long_run_tau(spec: MidasSpec, params: MidasParams,
+                  lagged: np.ndarray) -> np.ndarray:
+    """:func:`long_run_tau` for validated parameters and lag block."""
     acc = np.full(lagged.shape[0], params.m)
     for j in range(spec.n_covariates):
         phi = beta_weights(spec.n_lags, float(params.w1[j]),
@@ -329,12 +335,18 @@ def short_run_g(params: MidasParams, returns: np.ndarray,
 
 
 def filter_volatility(spec: MidasSpec, params: MidasParams,
-                      data: MidasData) -> MidasFiltered:
-    """Run the full two-component filter over the modeled days."""
+                      data: MidasData,
+                      lagged: np.ndarray | None = None) -> MidasFiltered:
+    """Run the full two-component filter over the modeled days.
+
+    ``lagged`` is the covariate lag block of ``data`` for ``spec``
+    when the caller has built it already; it depends on neither the
+    parameters nor the call, so :func:`fit` builds it once.
+    """
     params.validate(spec)
-    X = _covariate_matrix(spec, data)
-    lagged = _stacked_lags(X, spec.n_lags)
-    tau_monthly = long_run_tau(spec, params, lagged)
+    if lagged is None:
+        lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
+    tau_monthly = _long_run_tau(spec, params, lagged)
     start = int(np.searchsorted(data.month_index, spec.n_lags))
     if start >= len(data.returns):
         raise InsufficientLags("no days left after the lag warm-up")
@@ -365,9 +377,10 @@ def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
 
 
 def log_likelihood(spec: MidasSpec, params: MidasParams,
-                   data: MidasData) -> float:
-    """Gaussian log likelihood summed over the modeled days."""
-    filtered = filter_volatility(spec, params, data)
+                   data: MidasData, lagged: np.ndarray | None = None) -> float:
+    """Gaussian log likelihood summed over the modeled days; ``lagged``
+    is passed on to :func:`filter_volatility`."""
+    filtered = filter_volatility(spec, params, data, lagged)
     r = data.returns[filtered.day_slice]
     h = filtered.h
     ll = -0.5 * np.sum(LOG_2PI + np.log(h) + (r - params.mu) ** 2 / h)
@@ -448,8 +461,9 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     """
     if float(np.ptp(data.returns)) == 0.0:
         raise DegenerateData("returns have zero variance")
-    # surfaces InsufficientLags early, before any optimizer work
-    _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
+    # built once for every evaluation; surfaces InsufficientLags before
+    # any optimizer work
+    lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
 
     start = _pack(init if init is not None else _default_init(spec, data),
                   spec, theta_zero)
@@ -457,7 +471,7 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     def objective(u: np.ndarray) -> float:
         try:
             params = _unpack(u, spec, theta_zero)
-            return -log_likelihood(spec, params, data)
+            return -log_likelihood(spec, params, data, lagged)
         except (BadParameter, NonPositiveTau, NonFiniteLikelihood,
                 FloatingPointError, OverflowError):
             return PENALTY
@@ -482,7 +496,7 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
     params = _unpack(best.x, spec, theta_zero)
     params.validate(spec)
-    filtered = filter_volatility(spec, params, data)
+    filtered = filter_volatility(spec, params, data, lagged)
     fsim = best.final_simplex[1]
     return MidasFit(
         spec=spec,

@@ -22,8 +22,15 @@ the smooth ramp ln(1 + e^x).
 
 Training is plain mini-batch gradient descent (an adaptive variant is
 available behind a flag) on mean squared error, with features and
-target z-scored by training statistics. Gradients come from the exact
-reverse-mode machinery in :mod:`mfvol.autodiff`.
+target z-scored by training statistics.
+
+One plain-numpy forward pass serves prediction and training. It stacks
+every head's query, key and value projections into one (d, 3d) matrix
+per layer, runs attention as batched (n, H, T, d_k) products, and keeps
+the activations that the hand-derived backward pass in
+:func:`gradient` reads. The weights keep one array per head, which is
+also how ``weights.json`` stores them; the stacking happens inside each
+call, and the stacked gradient is split back per head.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import (
     BadShape,
     DivergedLoss,
@@ -59,7 +64,8 @@ class ModelConfig:
     d_ff: int = 24
 
     def __post_init__(self):
-        if self.n_features < 1 or self.d_model < 1 or self.n_layers < 1:
+        if min(self.n_features, self.d_model, self.n_heads, self.n_layers,
+               self.d_ff) < 1:
             raise BadShape("model dimensions must be positive")
         if self.d_model % self.n_heads != 0:
             raise BadShape(
@@ -83,7 +89,7 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self):
-        if self.window < 1 or self.batch_size < 1 or self.max_epochs < 0:
+        if self.window < 1 or self.batch_size < 1 or self.max_epochs < 1:
             raise BadShape("window, batch_size and max_epochs must be positive")
         if self.optimizer not in ("sgd", "adam"):
             raise BadShape(f"unknown optimizer {self.optimizer!r}")
@@ -164,60 +170,191 @@ def init_weights(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return weights
 
 
-def _param_tensors(weights: Mapping[str, np.ndarray],
-                   requires_grad: bool) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=requires_grad)
-            for k, v in weights.items()}
+def _stacked_qkv(weights: Mapping[str, np.ndarray], layer: int,
+                 n_heads: int) -> np.ndarray:
+    """One (d, 3d) matrix: every head's W_q, then every W_k, then W_v."""
+    return np.concatenate(
+        [weights[f"layer{layer}.head{j}.{w}"]
+         for w in ("wq", "wk", "wv") for j in range(n_heads)], axis=1)
 
 
 # ----------------------------------------------------------------------
-# Forward graph
+# Forward pass
 # ----------------------------------------------------------------------
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = ad.tmean(x, axis=-1, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tmean(ad.power(centered, 2.0), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, LN_EPS), -0.5)
-    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+def _softplus(x: np.ndarray):
+    """The smooth ramp ln(1 + e^x) and e^-|x|, from which the backward
+    forms its derivative without a second exponential."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e), e
 
 
-def _attention_t(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    d_k = q.shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.transpose_last(k)),
-                    1.0 / math.sqrt(d_k))
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
+def _softplus_slope(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d/dx ln(1 + e^x) = 1 / (1 + e^-x), given e = e^-|x|."""
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _encoder_t(params: Mapping[str, Tensor], x: Tensor,
-               config: ModelConfig) -> Tensor:
-    """(..., T, F) -> (...,) regression output."""
-    h = ad.add(ad.matmul(x, params["embed.w"]), params["embed.b"])
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept as a trailing axis of length one.
+
+    A matrix-vector product: numpy's own reduction runs one short inner
+    loop per row, which is several times slower on rows this short.
+    """
+    n = x.shape[-1]
+    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalized ``x`` and the (x_hat, 1/sigma) pair its backward needs."""
+    d = x.shape[-1]
+    centered = x - _row_sum(x) / d
+    inv = 1.0 / np.sqrt(_row_sum(centered * centered) / d + LN_EPS)
+    xhat = centered * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's maximum."""
+    top = scores[..., 0]
+    for j in range(1, scores.shape[-1]):
+        top = np.maximum(top, scores[..., j])
+    e = np.exp(scores - top[..., None])
+    return e / _row_sum(e)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """softmax(Q K^T / sqrt(d_k)) V over the last two axes, and the
+    softmax weights."""
+    probs = _softmax((q @ np.swapaxes(k, -1, -2))
+                     * (1.0 / math.sqrt(q.shape[-1])))
+    return probs @ v, probs
+
+
+def _self_attention(x: np.ndarray, wqkv: np.ndarray, n_heads: int):
+    """Multi-head self-attention of (n, T, d) blocks through one stacked
+    projection; returns the concatenated heads (n, T, H d_k) and the
+    (q, k, v, probs) each of shape (n, H, T, .) for the backward."""
+    n, T, d = x.shape
+    dk = wqkv.shape[1] // (3 * n_heads)
+    q, k, v = (x.reshape(n * T, d) @ wqkv).reshape(
+        n, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
+    out, probs = _attend(q, k, v)
+    return out.transpose(0, 2, 1, 3).reshape(n, T, n_heads * dk), \
+        (q, k, v, probs)
+
+
+def _forward(weights: Mapping[str, np.ndarray], config: ModelConfig,
+             x: np.ndarray):
+    """(n, T, F) -> (n,) outputs and the activations the backward reads."""
+    n, T, _ = x.shape
+    d = config.d_model
+    h = (x.reshape(n * T, -1) @ weights["embed.w"]
+         + weights["embed.b"]).reshape(n, T, d)
+    layers = []
     for i in range(config.n_layers):
-        normed = _layer_norm(h, params[f"layer{i}.ln1.gain"],
-                             params[f"layer{i}.ln1.bias"])
-        heads = []
-        for j in range(config.n_heads):
-            q = ad.matmul(normed, params[f"layer{i}.head{j}.wq"])
-            k = ad.matmul(normed, params[f"layer{i}.head{j}.wk"])
-            v = ad.matmul(normed, params[f"layer{i}.head{j}.wv"])
-            heads.append(_attention_t(q, k, v))
-        attn = ad.matmul(ad.concat(heads, axis=-1),
-                         params[f"layer{i}.attn.wo"])
-        h = ad.add(h, attn)
-        normed = _layer_norm(h, params[f"layer{i}.ln2.gain"],
-                             params[f"layer{i}.ln2.bias"])
-        ff = ad.softplus(ad.add(ad.matmul(normed, params[f"layer{i}.ff1.w"]),
-                                params[f"layer{i}.ff1.b"]))
-        ff = ad.add(ad.matmul(ff, params[f"layer{i}.ff2.w"]),
-                    params[f"layer{i}.ff2.b"])
-        h = ad.add(h, ff)
-    h = _layer_norm(h, params["final_ln.gain"], params["final_ln.bias"])
-    pooled = ad.tmean(h, axis=-2)
-    hidden = ad.softplus(ad.add(ad.matmul(pooled, params["mlp1.w"]),
-                                params["mlp1.b"]))
-    out = ad.add(ad.matmul(hidden, params["mlp2.w"]), params["mlp2.b"])
-    return ad.reshape(out, out.shape[:-1])
+        p = f"layer{i}."
+        normed1, ln1 = _layer_norm(h, weights[p + "ln1.gain"],
+                                   weights[p + "ln1.bias"])
+        wqkv = _stacked_qkv(weights, i, config.n_heads)
+        heads, attn = _self_attention(normed1, wqkv, config.n_heads)
+        h = h + (heads.reshape(n * T, d)
+                 @ weights[p + "attn.wo"]).reshape(n, T, d)
+        normed2, ln2 = _layer_norm(h, weights[p + "ln2.gain"],
+                                   weights[p + "ln2.bias"])
+        pre = normed2.reshape(n * T, d) @ weights[p + "ff1.w"] \
+            + weights[p + "ff1.b"]
+        ff, e_ff = _softplus(pre)
+        h = h + (ff @ weights[p + "ff2.w"]
+                 + weights[p + "ff2.b"]).reshape(n, T, d)
+        layers.append((normed1, ln1, wqkv, heads, attn, normed2, ln2, pre,
+                       ff, e_ff))
+    h, ln_final = _layer_norm(h, weights["final_ln.gain"],
+                              weights["final_ln.bias"])
+    pooled = h.sum(axis=1) / T
+    pre_head = pooled @ weights["mlp1.w"] + weights["mlp1.b"]
+    hidden, e_head = _softplus(pre_head)
+    out = hidden @ weights["mlp2.w"] + weights["mlp2.b"]
+    return out[:, 0], (layers, ln_final, pooled, pre_head, hidden, e_head)
+
+
+# ----------------------------------------------------------------------
+# Backward pass
+# ----------------------------------------------------------------------
+
+def _layer_norm_back(dy: np.ndarray, gain: np.ndarray, cache):
+    """(d input, d gain, d bias) of :func:`_layer_norm` from d output."""
+    xhat, inv = cache
+    dxhat = dy * gain
+    d = dy.shape[-1]
+    dx = inv * (dxhat - _row_sum(dxhat) / d
+                - xhat * (_row_sum(dxhat * xhat) / d))
+    return (dx, (dy * xhat).reshape(-1, d).sum(axis=0),
+            dy.reshape(-1, d).sum(axis=0))
+
+
+def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
+              x: np.ndarray, cache, dout: np.ndarray
+              ) -> dict[str, np.ndarray]:
+    """Gradient of every weight array given d loss / d output (n,)."""
+    layers, ln_final, pooled, pre_head, hidden, e_head = cache
+    n, T, F = x.shape
+    d, H, dk = config.d_model, config.n_heads, config.d_head
+    grads: dict[str, np.ndarray] = {}
+
+    grads["mlp2.w"] = hidden.T @ dout[:, None]
+    grads["mlp2.b"] = np.sum(dout, keepdims=True)
+    dpre = np.outer(dout, weights["mlp2.w"][:, 0]) \
+        * _softplus_slope(pre_head, e_head)
+    grads["mlp1.w"] = pooled.T @ dpre
+    grads["mlp1.b"] = dpre.sum(axis=0)
+    dpooled = np.broadcast_to((dpre @ weights["mlp1.w"].T)[:, None, :] / T,
+                              (n, T, d))
+    dh, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_back(
+        dpooled, weights["final_ln.gain"], ln_final)
+
+    scale = 1.0 / math.sqrt(dk)
+    for i in reversed(range(config.n_layers)):
+        p = f"layer{i}."
+        (normed1, ln1, wqkv, heads, (q, k, v, probs), normed2, ln2, pre,
+         ff, e_ff) = layers[i]
+        # feed-forward block
+        dh2 = dh.reshape(n * T, d)
+        grads[p + "ff2.w"] = ff.T @ dh2
+        grads[p + "ff2.b"] = dh2.sum(axis=0)
+        dpre = (dh2 @ weights[p + "ff2.w"].T) * _softplus_slope(pre, e_ff)
+        grads[p + "ff1.w"] = normed2.reshape(n * T, d).T @ dpre
+        grads[p + "ff1.b"] = dpre.sum(axis=0)
+        dx, grads[p + "ln2.gain"], grads[p + "ln2.bias"] = _layer_norm_back(
+            (dpre @ weights[p + "ff1.w"].T).reshape(n, T, d),
+            weights[p + "ln2.gain"], ln2)
+        dh = dh + dx
+        # attention block
+        dh2 = dh.reshape(n * T, d)
+        grads[p + "attn.wo"] = heads.reshape(n * T, d).T @ dh2
+        dheads = (dh2 @ weights[p + "attn.wo"].T).reshape(
+            n, T, H, dk).transpose(0, 2, 1, 3)
+        dprobs = dheads @ np.swapaxes(v, -1, -2)
+        dv = np.swapaxes(probs, -1, -2) @ dheads
+        dscores = probs * (dprobs - _row_sum(dprobs * probs)) * scale
+        dqkv = np.empty((n, T, 3, H, dk))
+        by_head = dqkv.transpose(2, 0, 3, 1, 4)
+        by_head[0] = dscores @ k
+        by_head[1] = np.swapaxes(dscores, -1, -2) @ q
+        by_head[2] = dv
+        dqkv = dqkv.reshape(n * T, 3 * d)
+        dwqkv = normed1.reshape(n * T, d).T @ dqkv
+        for s, w in enumerate(("wq", "wk", "wv")):
+            for j in range(H):
+                lo = s * d + j * dk
+                grads[f"{p}head{j}.{w}"] = dwqkv[:, lo:lo + dk]
+        dx, grads[p + "ln1.gain"], grads[p + "ln1.bias"] = _layer_norm_back(
+            (dqkv @ wqkv.T).reshape(n, T, d), weights[p + "ln1.gain"], ln1)
+        dh = dh + dx
+
+    dh2 = dh.reshape(n * T, d)
+    grads["embed.w"] = x.reshape(n * T, F).T @ dh2
+    grads["embed.b"] = dh2.sum(axis=0)
+    return grads
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +372,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     for a in (q, k, v):
         if not np.all(np.isfinite(a)):
             raise NonFiniteInput("attention inputs must be finite")
-    return _attention_t(Tensor(q), Tensor(k), Tensor(v)).data
+    return _attend(q, k, v)[0]
 
 
 def multi_head(x: np.ndarray,
@@ -246,14 +383,11 @@ def multi_head(x: np.ndarray,
     ``heads`` lists (W_q, W_k, W_v) per head; concatenated head outputs
     pass through ``w_out``.
     """
-    xt = Tensor(np.asarray(x, dtype=float))
-    outs = []
-    for wq, wk, wv in heads:
-        q = ad.matmul(xt, Tensor(wq))
-        k = ad.matmul(xt, Tensor(wk))
-        v = ad.matmul(xt, Tensor(wv))
-        outs.append(_attention_t(q, k, v))
-    return ad.matmul(ad.concat(outs, axis=-1), Tensor(w_out)).data
+    x = np.asarray(x, dtype=float)
+    wqkv = np.concatenate([np.asarray(head[s], dtype=float)
+                           for s in range(3) for head in heads], axis=1)
+    out, _ = _self_attention(x[None], wqkv, len(heads))
+    return out[0] @ w_out
 
 
 def encoder_forward(x: np.ndarray, weights: Mapping[str, np.ndarray],
@@ -264,15 +398,15 @@ def encoder_forward(x: np.ndarray, weights: Mapping[str, np.ndarray],
         raise BadShape(f"expected (T, {config.n_features}), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("window contains non-finite values")
-    out = _encoder_t(_param_tensors(weights, False), Tensor(x), config)
-    return float(out.data)
+    return float(_forward(weights, config, x[None])[0][0])
 
 
 def forward_batch(x: np.ndarray, weights: Mapping[str, np.ndarray],
                   config: ModelConfig) -> np.ndarray:
-    """(n, T, F) -> (n,) predictions without building gradients."""
-    out = _encoder_t(_param_tensors(weights, False), Tensor(x), config)
-    return out.data
+    """(..., T, F) -> (...,) predictions without building gradients."""
+    x = np.asarray(x, dtype=float)
+    out, _ = _forward(weights, config, x.reshape((-1,) + x.shape[-2:]))
+    return out.reshape(x.shape[:-2])
 
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -294,18 +428,17 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
         raise BadShape(f"expected (n, T, F) and (n,), got {x.shape}, {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NonFiniteInput("batch contains non-finite values")
-    params = _param_tensors(weights, True)
-    pred = _encoder_t(params, Tensor(x), config)
-    loss = ad.tmean(ad.power(ad.sub(pred, Tensor(y)), 2.0))
-    loss.backward()
-    grads: dict[str, np.ndarray] = {}
-    for name, tensor in params.items():
-        g = tensor.grad if tensor.grad is not None \
-            else np.zeros_like(tensor.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient for {name!r}")
-        grads[name] = g
-    return float(loss.data), grads
+    pred, cache = _forward(weights, config, x)
+    err = pred - y
+    grads = _backward(weights, config, x, cache, (2.0 / len(y)) * err)
+    grads = {name: grads[name] for name in weights}
+    # one pass over every entry; the per-array scan only names the culprit
+    if not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])
+                       ).all():
+        bad = next(name for name, g in grads.items()
+                   if not np.isfinite(g).all())
+        raise NonFiniteGradient(f"non-finite gradient for {bad!r}")
+    return float(np.mean(err ** 2.0)), grads
 
 
 # ----------------------------------------------------------------------

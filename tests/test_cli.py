@@ -320,6 +320,25 @@ class TestExitCodes:
                     "--ratio", "1.0",
                     "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--heads", "0"],
+        ["train", "--d-ff", "0"],
+        ["train", "--epochs", "0"],
+        ["ablate", "--groups", "G1,G9"],
+    ], ids=["heads-0", "d-ff-0", "epochs-0", "group-G9"])
+    def test_bad_model_option(self, pipeline, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        outputs = (["--out-model", str(out), "--out-history",
+                    str(tmp_path / "hist.csv")] if argv[0] == "train"
+                   else ["--out", str(out)])
+        code = run(argv + outputs + [
+            "--factors", str(pipeline / "factors.csv"),
+            "--h-file", str(pipeline / "h.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_help_via_module_entry(self):
         proc = subprocess.run([sys.executable, "-m", "mfvol", "--help"],
                               capture_output=True, text=True)
@@ -331,3 +350,14 @@ class TestExitCodes:
                     "--seed", "2", "--months", "8", "--days-per-month", "6",
                     "--bars-per-day", "8", "--n-lags", "4"]) == 0
         assert (tmp_path / "scen" / "truth.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # only midas-fit and simulate need scipy; the rest skip its import
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mfvol.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfvol import evaluation as ev
-from mfvol.errors import (DegenerateTruth, LengthMismatch, NonPositiveInput,
-                          NonPositiveTruth, TooShort)
+from mfvol.errors import (DegenerateTruth, InputError, LengthMismatch,
+                          NonPositiveInput, NonPositiveTruth, TooShort)
 
 from oracles import losses_naive
 
@@ -145,7 +145,7 @@ class TestBaselineAndGroups:
                                               "bd1", "h")
         assert set(ev.ablation_features("G3")) - set(
             ev.ablation_features("G1")) == {"h"}
-        with pytest.raises(KeyError):
+        with pytest.raises(InputError):
             ev.ablation_features("G9")
 
 

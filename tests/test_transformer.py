@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from mfvol import transformer as tf
 from mfvol.errors import BadShape, DivergedLoss, EmptyDataset, ZeroVariance
 from mfvol.transformer import ModelConfig, TrainConfig
 
-from oracles import attention_naive, fd_gradient, rel_err
+from oracles import attention_naive, encoder_naive, fd_gradient, rel_err
 
 RNG = np.random.default_rng(11)
 
@@ -38,6 +39,15 @@ class TestConfigs:
     def test_bad_optimizer(self):
         with pytest.raises(BadShape):
             TrainConfig(optimizer="lbfgs")
+
+    @pytest.mark.parametrize("field", ["n_heads", "d_ff", "n_layers"])
+    def test_zero_dimension(self, field):
+        with pytest.raises(BadShape):
+            ModelConfig(n_features=3, **{field: 0})
+
+    def test_zero_epochs(self):
+        with pytest.raises(BadShape):
+            TrainConfig(max_epochs=0)
 
 
 class TestWeights:
@@ -145,6 +155,42 @@ class TestGradient:
                 assert np.abs(grads[name] - fd).max() <= 1e-6 * (scale + 1.0), \
                     name
 
+    # (n_features, d_model, n_heads, n_layers, d_ff), batch, window
+    @pytest.mark.parametrize("dims, n, T", [
+        ((3, 4, 1, 1, 5), 4, 3),     # one head, one layer
+        ((2, 6, 3, 3, 4), 3, 3),     # three layers
+        ((3, 6, 2, 2, 8), 5, 1),     # a window of one day
+        ((3, 6, 2, 2, 8), 1, 4),     # a batch of one window
+    ], ids=["one-head", "three-layers", "T1", "batch1"])
+    def test_geometries_match_oracle(self, dims, n, T):
+        # finite differences of the independent loop forward in oracles,
+        # never of the code under test
+        cfg = ModelConfig(*dims)
+        rng = np.random.default_rng(sum(dims) + 7 * n + T)
+        X = rng.standard_normal((n, T, cfg.n_features))
+        y = rng.standard_normal(n)
+        weights = tf.init_weights(cfg, seed=2)
+        for name in weights:
+            if len(weights[name].shape) == 1:    # leave no bias at zero
+                weights[name] = weights[name] \
+                    + 0.1 * rng.standard_normal(weights[name].shape)
+        loss, grads = tf.gradient(weights, cfg, X, y)
+        assert loss == pytest.approx(
+            float(np.mean((encoder_naive(weights, dims, X) - y) ** 2)),
+            rel=1e-12)
+        assert list(grads) == list(weights)
+        for name in weights:
+            def loss_of(arr, _name=name):
+                trial = dict(weights)
+                trial[_name] = arr
+                return float(np.mean((encoder_naive(trial, dims, X) - y) ** 2))
+
+            fd = fd_gradient(loss_of, weights[name].copy())
+            assert grads[name].shape == weights[name].shape
+            scale = np.abs(grads[name]).max() + np.abs(fd).max()
+            assert np.abs(grads[name] - fd).max() <= 1e-6 * (scale + 1.0), \
+                name
+
     def test_loss_value_matches_forward(self):
         weights = tf.init_weights(TINY, seed=4)
         X = RNG.standard_normal((6, 2, TINY.n_features))
@@ -209,6 +255,18 @@ class TestTraining:
         for name in m1.weights:
             assert np.array_equal(m1.weights[name], m2.weights[name])
 
+    def test_deterministic_rerun_default_geometry(self):
+        # the quick-start geometry and batch size, with the adam path
+        ds = toy_dataset(n=70, n_features=5, window=5)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3,
+                          optimizer="adam", shuffle=True, seed=1)
+        m1, h1 = tf.train(ds, train_config=cfg)
+        m2, h2 = tf.train(ds, train_config=cfg)
+        assert h1 == h2
+        assert m1.config == ModelConfig(n_features=5)
+        for name in m1.weights:
+            assert np.array_equal(m1.weights[name], m2.weights[name]), name
+
     def test_shuffle_changes_path(self):
         ds = toy_dataset()
         base = TrainConfig(learning_rate=0.01, max_epochs=5)
@@ -265,3 +323,28 @@ class TestPersistence:
         for name in model.weights:
             assert np.array_equal(loaded.weights[name], model.weights[name])
         assert np.array_equal(tf.predict(loaded, ds), tf.predict(model, ds))
+
+    def test_reads_per_head_model_file(self, tmp_path):
+        # written by the earlier tape-based encoder with toy windows built
+        # as below: one W_q/W_k/W_v array per head and layer
+        path = Path(__file__).parent / "data" / "model_per_head.json"
+        model = tf.load_model(str(path))
+        cfg = model.config
+        assert (cfg.n_heads, cfg.n_layers) == (2, 2)
+        assert "layer1.head1.wv" in model.weights
+
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((24, 3))
+        target = 0.8 * feats[:, 0] + 0.3 * np.tanh(feats[:, 1]) + 2.0
+        ds = tf.build_windows([f"d{i:02d}" for i in range(24)], feats,
+                              target, 4)
+        xn = (ds.X - model.feature_mean) / model.feature_std
+        dims = (cfg.n_features, cfg.d_model, cfg.n_heads, cfg.n_layers,
+                cfg.d_ff)
+        want = encoder_naive(model.weights, dims, xn) * model.target_std \
+            + model.target_mean
+        assert rel_err(tf.predict(model, ds), want) < 1e-12
+
+        # saving writes the same per-head layout, byte for byte
+        tf.save_model(model, str(tmp_path / "again.json"))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
