@@ -239,16 +239,16 @@ def _self_attention(x: np.ndarray, wqkv: np.ndarray, n_heads: int):
     q, k, v = (x.reshape(n * T, d) @ wqkv).reshape(
         n, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
     out, probs = _attend(q, k, v)
-    return out.transpose(0, 2, 1, 3).reshape(n, T, n_heads * dk), \
-        (q, k, v, probs)
+    heads = out.transpose(0, 2, 1, 3).reshape(n, T, n_heads * dk)
+    return heads, (q, k, v, probs)
 
 
 def _forward(weights: Mapping[str, np.ndarray], config: ModelConfig,
              x: np.ndarray):
     """(n, T, F) -> (n,) outputs and the activations the backward reads."""
-    n, T, _ = x.shape
+    n, T, F = x.shape
     d = config.d_model
-    h = (x.reshape(n * T, -1) @ weights["embed.w"]
+    h = (x.reshape(n * T, F) @ weights["embed.w"]
          + weights["embed.b"]).reshape(n, T, d)
     layers = []
     for i in range(config.n_layers):
@@ -426,6 +426,8 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
     y = np.asarray(y, dtype=float)
     if x.ndim != 3 or x.shape[0] != y.shape[0]:
         raise BadShape(f"expected (n, T, F) and (n,), got {x.shape}, {y.shape}")
+    if len(y) == 0:
+        raise EmptyDataset("empty batch")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NonFiniteInput("batch contains non-finite values")
     pred, cache = _forward(weights, config, x)

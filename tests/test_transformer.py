@@ -138,6 +138,8 @@ class TestForward:
 
 class TestGradient:
     def test_matches_finite_differences(self):
+        dims = (TINY.n_features, TINY.d_model, TINY.n_heads, TINY.n_layers,
+                TINY.d_ff)
         X = RNG.standard_normal((4, 3, TINY.n_features))
         y = RNG.standard_normal(4)
         for seed in range(3):
@@ -148,7 +150,7 @@ class TestGradient:
                 def loss_of(arr, _name=name):
                     trial = dict(weights)
                     trial[_name] = arr
-                    return tf.loss_mse(tf.forward_batch(X, trial, TINY), y)
+                    return tf.loss_mse(encoder_naive(trial, dims, X), y)
 
                 fd = fd_gradient(loss_of, weights[name].copy())
                 scale = np.abs(grads[name]).max() + np.abs(fd).max()
@@ -198,6 +200,12 @@ class TestGradient:
         loss, _ = tf.gradient(weights, TINY, X, y)
         assert loss == pytest.approx(
             tf.loss_mse(tf.forward_batch(X, weights, TINY), y), abs=1e-14)
+
+    def test_empty_batch(self):
+        weights = tf.init_weights(TINY)
+        with pytest.raises(EmptyDataset):
+            tf.gradient(weights, TINY, np.empty((0, 3, TINY.n_features)),
+                        np.empty(0))
 
     def test_every_weight_receives_gradient(self):
         weights = tf.init_weights(TINY, seed=6)
