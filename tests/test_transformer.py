@@ -136,26 +136,31 @@ class TestForward:
                                weights, TINY)
 
 
+def assert_gradient_matches_oracle(weights, cfg, X, y):
+    """Central differences of the loop forward in ``oracles``, never of
+    the code under test, against every array of ``tf.gradient``."""
+    dims = (cfg.n_features, cfg.d_model, cfg.n_heads, cfg.n_layers, cfg.d_ff)
+    _, grads = tf.gradient(weights, cfg, X, y)
+    assert list(grads) == list(weights)
+    for name in weights:
+        def loss_of(arr, _name=name):
+            trial = dict(weights)
+            trial[_name] = arr
+            return tf.loss_mse(encoder_naive(trial, dims, X), y)
+
+        fd = fd_gradient(loss_of, weights[name].copy())
+        assert grads[name].shape == weights[name].shape
+        scale = np.abs(grads[name]).max() + np.abs(fd).max()
+        assert np.abs(grads[name] - fd).max() <= 1e-6 * (scale + 1.0), name
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
-        dims = (TINY.n_features, TINY.d_model, TINY.n_heads, TINY.n_layers,
-                TINY.d_ff)
         X = RNG.standard_normal((4, 3, TINY.n_features))
         y = RNG.standard_normal(4)
         for seed in range(3):
-            weights = tf.init_weights(TINY, seed=seed)
-            _, grads = tf.gradient(weights, TINY, X, y)
-
-            for name in weights:
-                def loss_of(arr, _name=name):
-                    trial = dict(weights)
-                    trial[_name] = arr
-                    return tf.loss_mse(encoder_naive(trial, dims, X), y)
-
-                fd = fd_gradient(loss_of, weights[name].copy())
-                scale = np.abs(grads[name]).max() + np.abs(fd).max()
-                assert np.abs(grads[name] - fd).max() <= 1e-6 * (scale + 1.0), \
-                    name
+            assert_gradient_matches_oracle(tf.init_weights(TINY, seed=seed),
+                                           TINY, X, y)
 
     # (n_features, d_model, n_heads, n_layers, d_ff), batch, window
     @pytest.mark.parametrize("dims, n, T", [
@@ -165,8 +170,6 @@ class TestGradient:
         ((3, 6, 2, 2, 8), 1, 4),     # a batch of one window
     ], ids=["one-head", "three-layers", "T1", "batch1"])
     def test_geometries_match_oracle(self, dims, n, T):
-        # finite differences of the independent loop forward in oracles,
-        # never of the code under test
         cfg = ModelConfig(*dims)
         rng = np.random.default_rng(sum(dims) + 7 * n + T)
         X = rng.standard_normal((n, T, cfg.n_features))
@@ -176,22 +179,10 @@ class TestGradient:
             if len(weights[name].shape) == 1:    # leave no bias at zero
                 weights[name] = weights[name] \
                     + 0.1 * rng.standard_normal(weights[name].shape)
-        loss, grads = tf.gradient(weights, cfg, X, y)
+        loss, _ = tf.gradient(weights, cfg, X, y)
         assert loss == pytest.approx(
-            float(np.mean((encoder_naive(weights, dims, X) - y) ** 2)),
-            rel=1e-12)
-        assert list(grads) == list(weights)
-        for name in weights:
-            def loss_of(arr, _name=name):
-                trial = dict(weights)
-                trial[_name] = arr
-                return float(np.mean((encoder_naive(trial, dims, X) - y) ** 2))
-
-            fd = fd_gradient(loss_of, weights[name].copy())
-            assert grads[name].shape == weights[name].shape
-            scale = np.abs(grads[name]).max() + np.abs(fd).max()
-            assert np.abs(grads[name] - fd).max() <= 1e-6 * (scale + 1.0), \
-                name
+            tf.loss_mse(encoder_naive(weights, dims, X), y), rel=1e-12)
+        assert_gradient_matches_oracle(weights, cfg, X, y)
 
     def test_loss_value_matches_forward(self):
         weights = tf.init_weights(TINY, seed=4)
