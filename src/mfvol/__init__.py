@@ -2,9 +2,12 @@
 
 The package splits into layers that mirror the workflow:
 
+``tables``
+    The one CSV reader and writer that every file of the pipeline
+    goes through.
 ``marketdata``
-    CSV loaders, mixed-frequency alignment, filling, normalization
-    and the chronological train/test split.
+    Input-file loaders, mixed-frequency alignment, filling,
+    normalization and the chronological train/test split.
 ``realized_vol``
     Five-minute realized variance and its scale adjustment to the
     close-to-close return level.
@@ -41,5 +44,6 @@ __all__ = [
     "marketdata",
     "realized_vol",
     "simlab",
+    "tables",
     "transformer",
 ]

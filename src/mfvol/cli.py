@@ -25,7 +25,6 @@ command runs first.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import json
 import os
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation, features, marketdata, realized_vol
+from . import evaluation, features, marketdata, realized_vol, tables
 from . import transformer as tfm
 from .errors import (
     InputError,
@@ -48,6 +47,8 @@ from .errors import (
 log = logging.getLogger("mfvol")
 
 FACTORS_FIXED = ["date", "split", "ret", "rv"]
+H_HEADER = ["date", "tau", "g", "h"]
+PRED_HEADER = ["date", "rv_true", "rv_pred"]
 
 
 # ----------------------------------------------------------------------
@@ -141,80 +142,35 @@ class FactorTable:
 
 
 def write_factors(table: FactorTable, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(FACTORS_FIXED[:2] + table.col_order) + "\n")
-        for i in range(table.n_rows):
-            cells = [table.dates[i], table.split[i]]
-            cells += [repr(float(table.columns[c][i]))
-                      for c in table.col_order]
-            fh.write(",".join(cells) + "\n")
+    tables.write(path, FACTORS_FIXED[:2] + table.col_order,
+                 [table.dates, table.split]
+                 + [table.columns[c] for c in table.col_order])
 
 
 def read_factors(path: str) -> FactorTable:
-    if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:4] != FACTORS_FIXED:
-            raise MalformedRow(
-                path, 1,
-                f"bad header, expected it to start with {FACTORS_FIXED}")
-        col_order = [h.strip() for h in header[2:]]
-        dates: list[str] = []
-        split: list[str] = []
-        values: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(path, line_no,
-                                   f"expected {len(header)} fields")
-            if row[1] not in ("train", "test"):
-                raise MalformedRow(path, line_no,
-                                   f"split must be train or test, got {row[1]!r}")
-            if dates and row[0] <= dates[-1]:
-                raise MalformedRow(path, line_no,
-                                   "dates must be strictly increasing")
-            dates.append(row[0])
-            split.append(row[1])
-            try:
-                values.append([float(c) for c in row[2:]])
-            except ValueError:
-                raise MalformedRow(path, line_no, "bad number")
-    if not dates:
+    header, rows = tables.read(path, FACTORS_FIXED, open_ended=True)
+    if not rows:
         raise MalformedRow(path, 1, "no data rows")
-    matrix = np.array(values, dtype=float)
-    columns = {name: matrix[:, j].copy()
-               for j, name in enumerate(col_order)}
+    dates = [cells[0] for _, cells in rows]
+    split = [cells[1] for _, cells in rows]
+    for i, (line_no, cells) in enumerate(rows):
+        if cells[1] not in ("train", "test"):
+            raise MalformedRow(path, line_no,
+                               f"split must be train or test, got {cells[1]!r}")
+        if i and dates[i] <= dates[i - 1]:
+            raise MalformedRow(path, line_no,
+                               "dates must be strictly increasing")
+    col_order = header[2:]
+    columns = {name: tables.floats(path, rows, j)
+               for j, name in enumerate(col_order, start=2)}
     return FactorTable(dates=dates, split=split, columns=columns,
                        col_order=col_order)
 
 
-def read_h_file(path: str) -> tuple[list[str], np.ndarray]:
-    if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
-    dates: list[str] = []
-    h: list[float] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "date,tau,g,h":
-            raise MalformedRow(path, 1, f"bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise MalformedRow(path, line_no, "expected 4 fields")
-            dates.append(parts[0])
-            try:
-                h.append(float(parts[3]))
-            except ValueError:
-                raise MalformedRow(path, line_no, "bad number")
-    if not dates:
-        raise MalformedRow(path, 1, "no data rows")
-    return dates, np.array(h, dtype=float)
+def write_h(dates: list[str], filtered, path: str) -> None:
+    """``date,tau,g,h`` rows for the days a GARCH-MIDAS filter models."""
+    tables.write(path, H_HEADER, [dates[filtered.day_slice], filtered.tau,
+                                  filtered.g, filtered.h])
 
 
 def join_h(table: FactorTable, h_path: str) -> FactorTable:
@@ -224,7 +180,11 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
     of the panel (the warm-up months carry no value); anything else
     means the two files came from different runs.
     """
-    h_dates, h_values = read_h_file(h_path)
+    _, rows = tables.read(h_path, H_HEADER)
+    if not rows:
+        raise MalformedRow(h_path, 1, "no data rows")
+    h_dates = [cells[0] for _, cells in rows]
+    h_values = tables.floats(h_path, rows, 3)
     pos = {d: i for i, d in enumerate(table.dates)}
     missing = [d for d in h_dates if d not in pos]
     if missing:
@@ -238,7 +198,7 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
             f"{h_path} does not cover a trailing contiguous block of the "
             "factor panel")
     columns = {name: col[lo:].copy() for name, col in table.columns.items()}
-    columns["h"] = h_values.copy()
+    columns["h"] = h_values
     return FactorTable(
         dates=table.dates[lo:],
         split=table.split[lo:],
@@ -277,6 +237,20 @@ def subset(dataset: tfm.WindowedDataset, mask: np.ndarray
         y=dataset.y[idx].copy(),
         dates=[dataset.dates[i] for i in idx],
         feature_names=list(dataset.feature_names),
+    )
+
+
+def _train_config(opts: Options) -> tfm.TrainConfig:
+    """The training options that ``train`` and ``ablate`` share."""
+    return tfm.TrainConfig(
+        window=opts.get("window", 5, int),
+        learning_rate=opts.get("lr", 0.05, float),
+        batch_size=opts.get("batch", 32, int),
+        max_epochs=opts.get("epochs", 200, int),
+        seed=opts.get("seed", 0, int),
+        shuffle=opts.get("shuffle", False, _parse_bool),
+        patience=opts.get("patience", None, int),
+        optimizer=opts.get("optimizer", "sgd"),
     )
 
 
@@ -416,20 +390,12 @@ def cmd_midas_fit(opts: Options) -> int:
     if link is not None:
         spec_kwargs["tau_link"] = link
 
-    months: list[str] = []
-    month_index = np.empty(table.n_rows, dtype=np.int64)
-    for i, d in enumerate(table.dates):
-        m = d[:7]
-        if not months or months[-1] != m:
-            months.append(m)
-        month_index[i] = len(months) - 1
-
+    _, month_index, first_rows = marketdata.month_ids(table.dates)
     if mode == "exogenous":
         cov_names = _parse_names(opts.get("covariates", "pcm1,pcm2"))
         missing = [c for c in cov_names if c not in table.columns]
         if missing:
             raise MissingColumn(f"factor panel lacks columns {missing}")
-        first_rows = np.searchsorted(month_index, np.arange(len(months)))
         covariates = np.column_stack(
             [table.columns[c][first_rows] for c in cov_names])
         spec_kwargs["n_covariates"] = len(cov_names)
@@ -454,7 +420,7 @@ def cmd_midas_fit(opts: Options) -> int:
     gm.write_fit(result, out_fit)
     filtered = gm.filter_volatility(spec, result.params, data)
     out_h = opts.get("out_h", "h.csv")
-    gm.write_h(table.dates, filtered, out_h)
+    write_h(table.dates, filtered, out_h)
 
     p = result.params
     print(f"fit on {n_train} train rows ({mode}, K={spec.n_lags}, "
@@ -471,16 +437,7 @@ def cmd_midas_fit(opts: Options) -> int:
 def cmd_train(opts: Options) -> int:
     feature_names = _parse_names(
         opts.get("features", "tech1,tech2,tech3,bd1,h"))
-    train_config = tfm.TrainConfig(
-        window=opts.get("window", 5, int),
-        learning_rate=opts.get("lr", 0.05, float),
-        batch_size=opts.get("batch", 32, int),
-        max_epochs=opts.get("epochs", 200, int),
-        seed=opts.get("seed", 0, int),
-        shuffle=opts.get("shuffle", False, _parse_bool),
-        patience=opts.get("patience", None, int),
-        optimizer=opts.get("optimizer", "sgd"),
-    )
+    train_config = _train_config(opts)
     dataset, sample_split = _load_windows(opts, feature_names,
                                           train_config.window)
     train_ds = subset(dataset, sample_split == "train")
@@ -499,10 +456,8 @@ def cmd_train(opts: Options) -> int:
     out_model = opts.get("out_model", "weights.json")
     tfm.save_model(model, out_model)
     out_history = opts.get("out_history", "loss_history.csv")
-    with open(out_history, "w", newline="") as fh:
-        fh.write("epoch,loss\n")
-        for i, value in enumerate(history):
-            fh.write(f"{i + 1},{value!r}\n")
+    tables.write(out_history, ["epoch", "loss"],
+                 [range(1, len(history) + 1), history])
 
     print(f"trained on {len(train_ds)} samples, features "
           f"{','.join(feature_names)}")
@@ -527,41 +482,18 @@ def cmd_predict(opts: Options) -> int:
     pred = tfm.predict(model, dataset)
 
     out = opts.get("out", "pred.csv")
-    with open(out, "w", newline="") as fh:
-        fh.write("date,rv_true,rv_pred\n")
-        for i, d in enumerate(dataset.dates):
-            fh.write(f"{d},{float(dataset.y[i])!r},{float(pred[i])!r}\n")
+    tables.write(out, PRED_HEADER, [dataset.dates, dataset.y, pred])
     print(f"{len(dataset)} {which} predictions")
     print(f"  wrote {out}")
     return 0
 
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
-    dates: list[str] = []
-    truth: list[float] = []
-    pred: list[float] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "date,rv_true,rv_pred":
-            raise MalformedRow(path, 1, f"bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise MalformedRow(path, line_no, "expected 3 fields")
-            dates.append(parts[0])
-            try:
-                truth.append(float(parts[1]))
-                pred.append(float(parts[2]))
-            except ValueError:
-                raise MalformedRow(path, line_no, "bad number")
-    if not dates:
+    _, rows = tables.read(path, PRED_HEADER)
+    if not rows:
         raise MalformedRow(path, 1, "no data rows")
-    return dates, np.array(truth), np.array(pred)
+    return ([cells[0] for _, cells in rows], tables.floats(path, rows, 1),
+            tables.floats(path, rows, 2))
 
 
 def cmd_evaluate(opts: Options) -> int:
@@ -592,16 +524,7 @@ def cmd_ablate(opts: Options) -> int:
     table = read_factors(opts.require("factors"))
     table_h = join_h(table, opts.require("h_file"))
     group_names = _parse_names(opts.get("groups", "G1,G2,G3,G4"))
-    train_config = tfm.TrainConfig(
-        window=opts.get("window", 5, int),
-        learning_rate=opts.get("lr", 0.05, float),
-        batch_size=opts.get("batch", 32, int),
-        max_epochs=opts.get("epochs", 200, int),
-        seed=opts.get("seed", 0, int),
-        shuffle=opts.get("shuffle", False, _parse_bool),
-        patience=opts.get("patience", None, int),
-        optimizer=opts.get("optimizer", "sgd"),
-    )
+    train_config = _train_config(opts)
 
     rows = []
     test_dates: list[str] | None = None

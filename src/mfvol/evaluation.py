@@ -26,10 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import (
     DegenerateTruth,
     InputError,
     LengthMismatch,
+    MalformedRow,
     NonPositiveInput,
     NonPositiveTruth,
     TooShort,
@@ -37,6 +39,7 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
+# also the field names of EvalRow, in order
 REPORT_HEADER = ["model", "group", "n", "mse", "hmse", "mae", "mape",
                  "qlike", "r2log"]
 
@@ -142,10 +145,6 @@ class EvalRow:
     qlike: float
     r2log: float
 
-    def as_list(self) -> list:
-        return [self.model, self.group, self.n, self.mse, self.hmse,
-                self.mae, self.mape, self.qlike, self.r2log]
-
 
 def evaluate(pred, truth, model: str = "transformer",
              group: str = "G4") -> EvalRow:
@@ -199,34 +198,24 @@ def ablation_features(group: str) -> tuple[str, ...]:
 
 def write_report(rows: Sequence[EvalRow], path: str,
                  footer: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(REPORT_HEADER) + "\n")
-        for row in rows:
-            cells = [row.model, row.group, str(row.n)]
-            cells += [repr(v) for v in row.as_list()[3:]]
-            fh.write(",".join(cells) + "\n")
-        if footer:
-            for line in FORMULA_FOOTER:
-                fh.write(line + "\n")
+    tables.write(path, REPORT_HEADER,
+                 [[getattr(row, name) for row in rows]
+                  for name in REPORT_HEADER])
+    if footer:
+        with open(path, "a") as fh:
+            fh.write("\n".join(FORMULA_FOOTER) + "\n")
 
 
 def read_report(path: str) -> list[EvalRow]:
-    rows: list[EvalRow] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(REPORT_HEADER):
-            from .errors import MalformedRow
-
-            raise MalformedRow(path, 1, f"bad header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            rows.append(EvalRow(
-                model=cells[0], group=cells[1], n=int(cells[2]),
-                mse=float(cells[3]), hmse=float(cells[4]),
-                mae=float(cells[5]), mape=float(cells[6]),
-                qlike=float(cells[7]), r2log=float(cells[8]),
-            ))
-    return rows
+    _, rows = tables.read(path, REPORT_HEADER, comment="#")
+    losses = zip(*(tables.floats(path, rows, j).tolist()
+                   for j in range(3, len(REPORT_HEADER))))
+    out: list[EvalRow] = []
+    for (line_no, cells), values in zip(rows, losses):
+        try:
+            n = int(cells[2])
+        except ValueError:
+            raise MalformedRow(path, line_no,
+                               f"bad count {cells[2]!r}") from None
+        out.append(EvalRow(cells[0], cells[1], n, *values))
+    return out

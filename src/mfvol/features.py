@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import BadShape, MissingColumn, RankDeficient
-from .marketdata import AlignedPanel
+from .marketdata import AlignedPanel, month_ids
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -216,8 +216,7 @@ def extract_factor_panel(
                 f"group {spec.name!r} lacks columns {missing}")
         full = panel.matrix(spec.columns)
         if spec.granularity == "monthly":
-            first_rows = np.searchsorted(panel.month_index,
-                                         np.arange(len(panel.months)))
+            _, _, first_rows = month_ids(panel.dates)
             month_matrix = full[first_rows]
             train_months = int(panel.month_index[n_train - 1]) + 1
             model = fit_pca(month_matrix[:train_months], spec.retain,

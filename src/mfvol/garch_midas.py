@@ -700,42 +700,3 @@ def read_fit(path: str) -> tuple[MidasSpec, MidasParams, dict]:
     spec = MidasSpec(**doc["spec"])
     params = MidasParams.from_json(doc["params"])
     return spec, params, doc
-
-
-def write_h(dates: list[str], filtered: MidasFiltered, path: str) -> None:
-    """Write ``date,tau,g,h`` rows for the modeled days."""
-    modeled_dates = dates[filtered.day_slice]
-    with open(path, "w", newline="") as fh:
-        fh.write("date,tau,g,h\n")
-        for i, d in enumerate(modeled_dates):
-            fh.write(f"{d},{float(filtered.tau[i])!r},{float(filtered.g[i])!r},"
-                     f"{float(filtered.h[i])!r}\n")
-
-
-def read_h(path: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    from .errors import MalformedRow, MissingFile
-    import os
-
-    if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
-    dates: list[str] = []
-    tau, g, h = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "date,tau,g,h":
-            raise MalformedRow(path, 1, f"bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise MalformedRow(path, line_no, "expected 4 fields")
-            dates.append(parts[0])
-            try:
-                tau.append(float(parts[1]))
-                g.append(float(parts[2]))
-                h.append(float(parts[3]))
-            except ValueError:
-                raise MalformedRow(path, line_no, "bad number")
-    return dates, np.array(tau), np.array(g), np.array(h)

@@ -14,22 +14,20 @@ arithmetic is performed on dates.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import (
     AllMissingColumn,
     DuplicateBar,
     EmptyPanel,
     InputError,
     MalformedRow,
-    MissingFile,
     NonPositivePrice,
     UncoveredMonth,
     ZeroVariance,
@@ -167,34 +165,8 @@ class AlignedPanel:
 
 
 # ----------------------------------------------------------------------
-# CSV parsing helpers
+# Cell parsing
 # ----------------------------------------------------------------------
-
-def _open_rows(path: str, expected_header: list[str]):
-    if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(path, 1, "empty file, expected header")
-        header = [h.strip() for h in header]
-        if header != expected_header:
-            raise MalformedRow(
-                path, 1,
-                f"bad header {header!r}, expected {expected_header!r}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise MalformedRow(
-                    path, line_no,
-                    f"expected {len(expected_header)} fields, got {len(row)}")
-            rows.append((line_no, [c.strip() for c in row]))
-    return rows
-
 
 def _parse_date(path: str, line: int, text: str) -> str:
     try:
@@ -231,10 +203,6 @@ def _parse_float(path: str, line: int, text: str, col: str,
     return value
 
 
-def _month_of(date_str: str) -> str:
-    return date_str[:7]
-
-
 # ----------------------------------------------------------------------
 # Loaders
 # ----------------------------------------------------------------------
@@ -246,7 +214,7 @@ def load_intraday(path: str, instrument: str = "default") -> IntradaySeries:
     grid 0, 5, ..., 235 (minutes into the trading day). Bars may be
     unordered on disk; the returned series is sorted by (date, time).
     """
-    rows = _open_rows(path, INTRADAY_HEADER)
+    _, rows = tables.read(path, INTRADAY_HEADER)
     bars: list[Bar] = []
     seen: set[tuple[str, int]] = set()
     per_day: dict[str, int] = {}
@@ -283,7 +251,7 @@ def load_daily(path: str) -> list[DailyRecord]:
     (low <= open, close <= high); the indicator columns may have
     missing cells, which become NaN.
     """
-    rows = _open_rows(path, DAILY_HEADER)
+    _, rows = tables.read(path, DAILY_HEADER)
     records: list[DailyRecord] = []
     seen: set[str] = set()
     for line_no, row in rows:
@@ -313,7 +281,7 @@ def load_daily(path: str) -> list[DailyRecord]:
 
 def load_monthly(path: str) -> list[MonthlyRecord]:
     """Load monthly macro indicators; months must be contiguous."""
-    rows = _open_rows(path, MONTHLY_HEADER)
+    _, rows = tables.read(path, MONTHLY_HEADER)
     records: list[MonthlyRecord] = []
     for line_no, row in rows:
         m = _parse_month(path, line_no, row[0])
@@ -340,7 +308,7 @@ def load_monthly(path: str) -> list[MonthlyRecord]:
 
 def load_attention(path: str) -> list[AttentionRecord]:
     """Load daily search-attention counts (one record per trading date)."""
-    rows = _open_rows(path, ATTENTION_HEADER)
+    _, rows = tables.read(path, ATTENTION_HEADER)
     records: list[AttentionRecord] = []
     seen: set[str] = set()
     for line_no, row in rows:
@@ -372,6 +340,19 @@ def _next_month(month: str) -> str:
 # Alignment and panel transforms
 # ----------------------------------------------------------------------
 
+def month_ids(dates: Sequence[str]
+              ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Months of consecutive ``dates`` (their ``YYYY-MM`` prefixes) in
+    order of appearance, each date's index into them, and the row at
+    which each of them starts."""
+    keys = [d[:7] for d in dates]
+    starts = [i for i, m in enumerate(keys) if i == 0 or m != keys[i - 1]]
+    first_rows = np.array(starts, dtype=np.int64)
+    counts = np.diff(first_rows, append=len(keys))
+    month_index = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
+    return [keys[i] for i in starts], month_index, first_rows
+
+
 def align_mixed_frequency(
     daily: Sequence[DailyRecord],
     attention: Sequence[AttentionRecord],
@@ -399,20 +380,11 @@ def align_mixed_frequency(
         raise EmptyPanel("no trading dates left after alignment")
 
     monthly_by_month = {rec.month: rec for rec in monthly}
-    months: list[str] = []
-    month_index = np.empty(len(dates), dtype=np.int64)
-    day_of_month = np.empty(len(dates), dtype=np.int64)
-    for i, d in enumerate(dates):
-        m = _month_of(d)
+    months, month_index, first_rows = month_ids(dates)
+    for m in months:
         if m not in monthly_by_month:
             raise UncoveredMonth(f"no monthly record for {m}")
-        if not months or months[-1] != m:
-            months.append(m)
-            day_in = 1
-        else:
-            day_in += 1
-        month_index[i] = len(months) - 1
-        day_of_month[i] = day_in
+    day_of_month = np.arange(1, len(dates) + 1) - first_rows[month_index]
 
     att_by_date = {rec.date: rec for rec in attention}
     columns: dict[str, np.ndarray] = {}

@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import (
     EmptyMonth,
     InputError,
     InsufficientBars,
     LengthMismatch,
-    MalformedRow,
     MissingFile,
     NonPositiveLambda,
     ZeroRvSum,
@@ -162,13 +162,13 @@ def compute_rv_series(series: IntradaySeries) -> RvSeries:
 # Persistence
 # ----------------------------------------------------------------------
 
+RV_HEADER = ["date", "ret", "rv", "rv_adj"]
+
+
 def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
     """Write ``date,ret,rv,rv_adj`` rows plus the lambda sidecar JSON."""
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("date,ret,rv,rv_adj\n")
-        for i, d in enumerate(series.dates):
-            fh.write(f"{d},{float(series.ret[i])!r},{float(series.rv[i])!r},"
-                     f"{float(series.rv_adj[i])!r}\n")
+    tables.write(csv_path, RV_HEADER,
+                 [series.dates, series.ret, series.rv, series.rv_adj])
     with open(sidecar_path, "w") as fh:
         json.dump({"lambda": series.lam, "n_days": series.n_days}, fh)
         fh.write("\n")
@@ -176,28 +176,7 @@ def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
 
 def read_rv(csv_path: str, sidecar_path: str | None = None) -> RvSeries:
     """Read back a series written by :func:`write_rv`."""
-    if not os.path.exists(csv_path):
-        raise MissingFile(f"no such file: {csv_path}")
-    dates: list[str] = []
-    cols: dict[str, list[float]] = {"ret": [], "rv": [], "rv_adj": []}
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != "date,ret,rv,rv_adj":
-            raise MalformedRow(csv_path, 1, f"bad header {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise MalformedRow(csv_path, line_no, "expected 4 fields")
-            dates.append(parts[0])
-            try:
-                cols["ret"].append(float(parts[1]))
-                cols["rv"].append(float(parts[2]))
-                cols["rv_adj"].append(float(parts[3]))
-            except ValueError:
-                raise MalformedRow(csv_path, line_no, "bad number")
+    _, rows = tables.read(csv_path, RV_HEADER)
     lam = math.nan
     if sidecar_path is not None:
         if not os.path.exists(sidecar_path):
@@ -205,9 +184,9 @@ def read_rv(csv_path: str, sidecar_path: str | None = None) -> RvSeries:
         with open(sidecar_path) as fh:
             lam = float(json.load(fh)["lambda"])
     return RvSeries(
-        dates=dates,
-        ret=np.array(cols["ret"]),
-        rv=np.array(cols["rv"]),
-        rv_adj=np.array(cols["rv_adj"]),
+        dates=[cells[0] for _, cells in rows],
+        ret=tables.floats(csv_path, rows, 1),
+        rv=tables.floats(csv_path, rows, 2),
+        rv_adj=tables.floats(csv_path, rows, 3),
         lam=lam,
     )

@@ -31,9 +31,17 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import BadSpec, LengthMismatch
 from .garch_midas import MidasParams, MidasSpec, simulate
-from .marketdata import Bar, IntradaySeries
+from .marketdata import (
+    ATTENTION_HEADER,
+    DAILY_HEADER,
+    INTRADAY_HEADER,
+    MONTHLY_HEADER,
+    Bar,
+    IntradaySeries,
+)
 
 # loadings of the ten macro columns on the two latent monthly factors
 _MACRO_MEANS = np.array(
@@ -302,34 +310,15 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         "truth": os.path.join(out_dir, "truth.json"),
     }
 
-    with open(paths["intraday"], "w", newline="") as fh:
-        fh.write("date,time_min,price\n")
-        for bar in intraday.bars:
-            fh.write(f"{bar.date},{bar.time_min},{bar.price!r}\n")
-
+    bars = intraday.bars
+    tables.write(paths["intraday"], INTRADAY_HEADER,
+                 [[b.date for b in bars], [b.time_min for b in bars],
+                  [b.price for b in bars]])
     cols = _daily_columns(intraday, volume)
-    with open(paths["daily"], "w", newline="") as fh:
-        fh.write("date,open,high,low,close,volume,turn,boll,ma5,ma20,"
-                 "macd,rsi,sobv,roc\n")
-        for i, d in enumerate(dates):
-            cells = [d] + [repr(float(cols[c][i])) for c in
-                           ("open", "high", "low", "close", "volume", "turn",
-                            "boll", "ma5", "ma20", "macd", "rsi", "sobv",
-                            "roc")]
-            fh.write(",".join(cells) + "\n")
-
-    with open(paths["monthly"], "w", newline="") as fh:
-        fh.write("month,meci,melei,melai,cpi,retailsale,rpi,ppi,m2,"
-                 "finvest,iop\n")
-        for t, label in enumerate(month_labels):
-            cells = [label] + [repr(float(v)) for v in macro[t]]
-            fh.write(",".join(cells) + "\n")
-
-    with open(paths["attention"], "w", newline="") as fh:
-        fh.write("date,csi300,csi500,sse50,hsparts,hsetf\n")
-        for i, d in enumerate(dates):
-            cells = [d] + [repr(float(v)) for v in att[i]]
-            fh.write(",".join(cells) + "\n")
+    tables.write(paths["daily"], DAILY_HEADER,
+                 [dates] + [cols[c] for c in DAILY_HEADER[1:]])
+    tables.write(paths["monthly"], MONTHLY_HEADER, [month_labels, *macro.T])
+    tables.write(paths["attention"], ATTENTION_HEADER, [dates, *att.T])
 
     truth = {
         "seed": spec.seed,

@@ -1,0 +1,82 @@
+"""CSV tables, the one format every pipeline stage reads and writes.
+
+:func:`read` holds the structural rules shared by every table: a
+missing file raises :class:`MissingFile`; the header must match; blank
+rows are skipped; every other row carries as many fields as the
+header. A broken rule raises :class:`MalformedRow` with the line
+number. What the cells mean (dates, split tokens, price order, ...)
+stays with the module that owns the table.
+
+:func:`write` formats column by column: an ndarray column goes through
+``tolist()`` and every cell through ``str``, which for a float is its
+shortest round-trip ``repr``. So :func:`floats` reads back every
+written float bit for bit.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+from typing import Sequence
+
+import numpy as np
+
+from .errors import MalformedRow, MissingFile
+
+Row = tuple[int, list[str]]
+
+
+def read(path: str, header: Sequence[str], *, open_ended: bool = False,
+         comment: str | None = None) -> tuple[list[str], list[Row]]:
+    """The file's header and its ``(line_no, cells)`` data rows.
+
+    Header cells and data cells come back stripped. ``open_ended``
+    accepts further header columns after ``header``; every row must
+    then match the file's own header. Rows whose first cell starts
+    with ``comment`` are skipped.
+    """
+    if not os.path.exists(path):
+        raise MissingFile(f"no such file: {path}")
+    header = list(header)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = [h.strip() for h in next(reader, [])]
+        if (found[:len(header)] if open_ended else found) != header:
+            expected = "to start with " if open_ended else ""
+            raise MalformedRow(
+                path, 1,
+                f"bad header {found!r}, expected {expected}{header!r}")
+        width = len(found)
+        rows: list[Row] = []
+        for line_no, row in enumerate(reader, start=2):
+            cells = [c.strip() for c in row]
+            if not any(cells) or (comment and cells[0].startswith(comment)):
+                continue
+            if len(cells) != width:
+                raise MalformedRow(
+                    path, line_no, f"expected {width} fields, got {len(cells)}")
+            rows.append((line_no, cells))
+    return found, rows
+
+
+def floats(path: str, rows: Sequence[Row], j: int) -> np.ndarray:
+    """Cell ``j`` of every row as a float array; ``nan`` and ``inf``
+    parse, anything else that is not a number raises MalformedRow."""
+    out: list[float] = []
+    for line_no, cells in rows:
+        try:
+            out.append(float(cells[j]))
+        except ValueError:
+            raise MalformedRow(path, line_no,
+                               f"bad number {cells[j]!r}") from None
+    return np.array(out, dtype=float)
+
+
+def write(path: str, header: Sequence[str], columns: Sequence) -> None:
+    """One header line, then one line per row of the equal-length
+    ``columns`` (ndarrays or lists)."""
+    text = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+            for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*text, strict=True))]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

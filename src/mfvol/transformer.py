@@ -46,6 +46,7 @@ from .errors import (
     BadShape,
     DivergedLoss,
     EmptyDataset,
+    InputError,
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteInput,
@@ -611,20 +612,31 @@ def save_model(model: TransformerModel, path: str) -> None:
 
 
 def load_model(path: str) -> TransformerModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    weights = {
-        name: np.array(spec["data"], dtype=float).reshape(spec["shape"])
-        for name, spec in doc["weights"].items()
-    }
-    return TransformerModel(
-        config=ModelConfig(**doc["model_config"]),
-        weights=weights,
-        feature_names=list(doc["feature_names"]),
-        feature_mean=np.array(doc["feature_mean"], dtype=float),
-        feature_std=np.array(doc["feature_std"], dtype=float),
-        target_mean=float(doc["target_mean"]),
-        target_std=float(doc["target_std"]),
-        train_config=None if doc["train_config"] is None
-        else TrainConfig(**doc["train_config"]),
-    )
+    """Read a model written by :func:`save_model`; a file that is not
+    one raises InputError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        config = ModelConfig(**doc["model_config"])
+        model = TransformerModel(
+            config=config,
+            weights={name: np.array(spec["data"], dtype=float)
+                     .reshape(spec["shape"])
+                     for name, spec in doc["weights"].items()},
+            feature_names=list(doc["feature_names"]),
+            feature_mean=np.array(doc["feature_mean"], dtype=float),
+            feature_std=np.array(doc["feature_std"], dtype=float),
+            target_mean=float(doc["target_mean"]),
+            target_std=float(doc["target_std"]),
+            train_config=None if doc["train_config"] is None
+            else TrainConfig(**doc["train_config"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: not a model file ({exc!r})") from None
+    n = (config.n_features,)
+    shapes = {name: w.shape for name, w in model.weights.items()}
+    if shapes != weight_shapes(config) or model.feature_mean.shape != n \
+            or model.feature_std.shape != n or len(model.feature_names) != n[0]:
+        raise InputError(f"{path}: weights or feature statistics do not "
+                         "fit the model configuration")
+    return model

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import subprocess
 import sys
 
@@ -271,6 +273,31 @@ class TestPipeline:
                 == (pipeline / name).read_bytes(), name
 
 
+class TestFreeW1:
+    def test_flag_and_config_fit_free_w1(self, pipeline, tmp_path):
+        from mfvol import garch_midas as gm
+
+        common = ["midas-fit", "--factors", str(pipeline / "factors.csv"),
+                  "--n-lags", "6", "--restarts", "1",
+                  "--out-h", str(tmp_path / "h.csv")]
+        by_flag = tmp_path / "flag.json"
+        assert run(common + ["--free-w1", "--out-fit", str(by_flag)]) == 0
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("free_w1 = true\n")
+        by_config = tmp_path / "config.json"
+        assert run(common + ["--config", str(cfg),
+                             "--out-fit", str(by_config)]) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+        spec, params, doc = gm.read_fit(str(by_flag))
+        assert doc["spec"]["free_w1"] is True
+        assert np.all(params.w1 >= 1.0)
+        # _pack floors w1 - 1 at 1e-10, so a w1 fitted onto its bound
+        # of 1 comes back 1e-10 above it
+        back = gm._unpack(gm._pack(params, spec, False), spec, False)
+        np.testing.assert_allclose(back.w1, params.w1, rtol=1e-9)
+
+
 class TestAblate:
     def test_ladder_runs_and_reports(self, pipeline, tmp_path):
         report = tmp_path / "report.csv"
@@ -338,6 +365,58 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "model,group,n,mse,hmse,mae,mape,qlike,r2log\ntransformer,G4,84\n",
+        "model,group,n,mse,hmse,mae,mape,qlike,r2log\n"
+        "transformer,G4,many,1,1,1,1,1,1\n",
+    ], ids=["too-few-fields", "non-numeric-n"])
+    def test_append_onto_malformed_report(self, tmp_path, capsys, text):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("date,rv_true,rv_pred\n"
+                        + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
+                                  for d in range(1, 6)))
+        report = tmp_path / "report.csv"
+        report.write_text(text)
+        code = run(["evaluate", "--pred", str(pred), "--append",
+                    "--out", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {report}:2: ")
+        assert "Traceback" not in err
+        assert report.read_text() == text
+
+    @pytest.mark.parametrize("text", [
+        "not json at all\n",
+        "[1, 2, 3]\n",
+        '{"model_config": {"n_features": 1}, "train_config": null}\n',
+    ], ids=["not-json", "not-an-object", "no-weights"])
+    def test_predict_with_malformed_model(self, pipeline, tmp_path, capsys,
+                                          text):
+        model = tmp_path / "weights.json"
+        model.write_text(text)
+        out = tmp_path / "pred.csv"
+        code = run(["predict", "--factors", str(pipeline / "factors.csv"),
+                    "--model", str(model), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {model}: not a model file")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_predict_with_mismatched_weights(self, pipeline, tmp_path,
+                                             capsys):
+        doc = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "model_per_head.json").read_text())
+        del doc["weights"]["mlp2.b"]
+        model = tmp_path / "weights.json"
+        model.write_text(json.dumps(doc))
+        code = run(["predict", "--factors", str(pipeline / "factors.csv"),
+                    "--model", str(model), "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "do not fit the model configuration" in err
+        assert "Traceback" not in err
 
     def test_help_via_module_entry(self):
         proc = subprocess.run([sys.executable, "-m", "mfvol", "--help"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvol import errors
+from mfvol import cli, errors, tables
 from mfvol import garch_midas as gm
 
 from oracles import (
@@ -357,8 +357,8 @@ class TestPersistenceFiles:
         dates = [f"d{i:04d}" for i in range(len(data.returns))]
         filt = gm.filter_volatility(spec, make_params(), data)
         path = str(tmp_path / "h.csv")
-        gm.write_h(dates, filt, path)
-        got_dates, tau, g, h = gm.read_h(path)
-        assert got_dates == dates[filt.day_slice]
-        assert np.array_equal(h, filt.h)
-        assert np.array_equal(tau, filt.tau)
+        cli.write_h(dates, filt, path)
+        _, rows = tables.read(path, cli.H_HEADER)
+        assert [cells[0] for _, cells in rows] == dates[filt.day_slice]
+        for j, column in enumerate((filt.tau, filt.g, filt.h), start=1):
+            assert np.array_equal(tables.floats(path, rows, j), column)
