@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
+
+from .transformer import _softplus_slope
 
 
 class Tensor:
@@ -199,7 +200,8 @@ def softplus(a) -> Tensor:
     """Smooth ramp ln(1 + e^x), the network nonlinearity."""
     a = as_tensor(a)
     return _make(np.logaddexp(0.0, a.data), (a,),
-                 lambda g: (g * expit(a.data),))
+                 lambda g: (g * _softplus_slope(a.data,
+                                                np.exp(-np.abs(a.data))),))
 
 
 def _expand(grad, shape, axis, keepdims):

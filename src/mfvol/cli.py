@@ -271,7 +271,7 @@ def _load_windows(opts: Options, feature_names: tuple[str, ...],
 # ----------------------------------------------------------------------
 
 def cmd_simulate(opts: Options) -> int:
-    from . import simlab     # loads scipy through garch_midas
+    from . import simlab     # only this subcommand loads the simulator
 
     out_dir = opts.require("out")
     spec = simlab.ScenarioSpec(
@@ -375,9 +375,7 @@ def cmd_pca(opts: Options) -> int:
 
 
 def cmd_midas_fit(opts: Options) -> int:
-    # garch_midas needs scipy, whose import costs more than most
-    # subcommands' whole run; only this one and simulate load it
-    from . import garch_midas as gm
+    from . import garch_midas as gm     # loaded only where it is used
 
     table = read_factors(opts.require("factors"))
     mode = opts.get("mode", "exogenous")

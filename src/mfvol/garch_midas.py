@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .errors import (
     BadParameter,
@@ -116,11 +114,11 @@ class MidasParams:
         if self.alpha + self.beta >= 1:
             raise BadParameter(
                 f"alpha + beta = {self.alpha + self.beta} must be < 1")
-        if np.any(self.w1 < 1) or np.any(self.w2 < 1):
-            raise BadParameter("weight shape parameters must be >= 1")
         J = len(self.theta)
         if len(self.w2) != J or len(self.w1) != J:
             raise BadParameter("theta, w1 and w2 must have equal length")
+        if J and min(self.w1.min(), self.w2.min()) < 1:
+            raise BadParameter("weight shape parameters must be >= 1")
         if spec is not None:
             if J != spec.n_covariates:
                 raise BadParameter(
@@ -224,6 +222,25 @@ class MidasFit:
 # Weight scheme and components
 # ----------------------------------------------------------------------
 
+def _lag_grid(n_lags: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``k/K`` and ``1 - k/K`` for k = 1..K, the bases of the
+    beta weights. A single lag gets ``(1, 1)``, so it weighs one."""
+    k = np.arange(1, n_lags + 1, dtype=float)[:, None] / n_lags
+    return k, (1.0 - k if n_lags > 1 else k)
+
+
+def _weights(grid: tuple[np.ndarray, np.ndarray], w1: np.ndarray,
+             w2: np.ndarray) -> np.ndarray:
+    """(K, J) beta weights, one column per ``(w1[j], w2[j])`` pair."""
+    k, rest = grid
+    raw = k ** (w1 - 1.0) * rest ** (w2 - 1.0)
+    total = raw.sum(axis=0)
+    if not total.min() > 0:
+        raise BadParameter(f"degenerate weights for K={len(k)}, "
+                           f"w1={w1.tolist()}, w2={w2.tolist()}")
+    return raw / total
+
+
 def beta_weights(n_lags: int, w1: float = 1.0, w2: float = 1.0) -> np.ndarray:
     """Normalized beta-polynomial lag weights.
 
@@ -236,31 +253,8 @@ def beta_weights(n_lags: int, w1: float = 1.0, w2: float = 1.0) -> np.ndarray:
         raise BadParameter(f"n_lags must be >= 1, got {n_lags}")
     if w1 < 1 or w2 < 1:
         raise BadParameter(f"need w1 >= 1 and w2 >= 1, got ({w1}, {w2})")
-    if n_lags == 1:
-        return np.ones(1)
-    k = np.arange(1, n_lags + 1, dtype=float) / n_lags
-    with np.errstate(divide="ignore"):
-        raw = k ** (w1 - 1.0) * (1.0 - k) ** (w2 - 1.0)
-    total = raw.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise BadParameter(
-            f"degenerate weights for (K={n_lags}, w1={w1}, w2={w2})")
-    return raw / total
-
-
-def lag_matrix(x: np.ndarray, n_lags: int) -> np.ndarray:
-    """Row t holds [x_{t-1}, ..., x_{t-K}], NaN where t-k falls before
-    the start of the series (so only rows K.. are complete)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise LengthMismatch("lag_matrix expects a 1-d series")
-    if n_lags < 1:
-        raise BadParameter(f"n_lags must be >= 1, got {n_lags}")
-    M = len(x)
-    out = np.full((M, n_lags), np.nan)
-    for k in range(1, n_lags + 1):
-        out[k:, k - 1] = x[:M - k]
-    return out
+    return _weights(_lag_grid(n_lags), np.array([w1], dtype=float),
+                    np.array([w2], dtype=float))[:, 0]
 
 
 def _stacked_lags(covariates: np.ndarray, n_lags: int) -> np.ndarray:
@@ -274,40 +268,93 @@ def _stacked_lags(covariates: np.ndarray, n_lags: int) -> np.ndarray:
         axis=1)
 
 
-def long_run_tau(spec: MidasSpec, params: MidasParams,
-                 lagged: np.ndarray) -> np.ndarray:
-    """Monthly long-run variance from covariate lags.
+@dataclass(frozen=True)
+class _Panel:
+    """What the filter needs of a panel that no parameter changes.
 
-    ``lagged`` has shape (n_months, K, J) with lag 1 first. Under the
-    identity link any non-positive tau raises
-    :class:`NonPositiveTau`; the log link exponentiates instead.
+    ``lagged`` is the lag block flattened to (n_modeled_months, K * J),
+    lag-major; ``start`` is the first modeled day; ``returns`` and
+    ``month`` are the modeled days' returns and months, the latter
+    counted from month K; ``grid`` is the beta weights' lag grid.
     """
-    params.validate(spec)
-    lagged = np.asarray(lagged, dtype=float)
-    if lagged.ndim == 2:
-        lagged = lagged[:, :, None]
-    if lagged.shape[1] != spec.n_lags or lagged.shape[2] != spec.n_covariates:
-        raise LengthMismatch(
-            f"lag block {lagged.shape} does not match "
-            f"(K={spec.n_lags}, J={spec.n_covariates})")
-    return _long_run_tau(spec, params, lagged)
+
+    lagged: np.ndarray
+    start: int
+    returns: np.ndarray
+    month: np.ndarray
+    grid: tuple[np.ndarray, np.ndarray]
+
+
+def _panel(spec: MidasSpec, data: MidasData) -> _Panel:
+    lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
+    start = int(np.searchsorted(data.month_index, spec.n_lags))
+    if start >= len(data.returns):
+        raise InsufficientLags("no days left after the lag warm-up")
+    return _Panel(lagged=lagged.reshape(len(lagged), -1), start=start,
+                  returns=data.returns[start:],
+                  month=data.month_index[start:] - spec.n_lags,
+                  grid=_lag_grid(spec.n_lags))
 
 
 def _long_run_tau(spec: MidasSpec, params: MidasParams,
-                  lagged: np.ndarray) -> np.ndarray:
-    """:func:`long_run_tau` for validated parameters and lag block."""
-    acc = np.full(lagged.shape[0], params.m)
-    for j in range(spec.n_covariates):
-        phi = beta_weights(spec.n_lags, float(params.w1[j]),
-                           float(params.w2[j]))
-        acc = acc + params.theta[j] * (lagged[:, :, j] @ phi)
+                  panel: _Panel) -> np.ndarray:
+    """Monthly long-run variance of the modeled months. Under the
+    identity link any non-positive tau raises :class:`NonPositiveTau`;
+    the log link exponentiates instead."""
+    phi = _weights(panel.grid, params.w1, params.w2)
+    acc = panel.lagged @ (phi * params.theta).ravel() + params.m
     if spec.tau_link == "log":
         return np.exp(acc)
-    if np.any(acc <= 0):
+    if (acc <= 0).any():
         bad = int(np.flatnonzero(acc <= 0)[0])
         raise NonPositiveTau(
             f"tau non-positive at modeled month {bad} ({acc[bad]:.6g})")
     return acc
+
+
+# The short-run scan runs on blocks of B days. It raises beta to the
+# powers 0..B and one more, whose entry it sets to zero; entry [s, t]
+# of the index is the lag t - s on and above the diagonal and points
+# at that zero below it.
+_SCAN_BLOCK = 64
+_SCAN_POWERS = np.arange(_SCAN_BLOCK + 2, dtype=float)
+_SCAN_LAG = np.arange(_SCAN_BLOCK)[None, :] - np.arange(_SCAN_BLOCK)[:, None]
+_SCAN_INDEX = np.where(_SCAN_LAG >= 0, _SCAN_LAG, _SCAN_BLOCK + 1)
+
+
+def _linear_scan(x: np.ndarray, beta: float) -> np.ndarray:
+    """y_i = x_i + beta * y_{i-1} with y_{-1} = 0, for 0 <= beta < 1,
+    over whole blocks of B days; the caller pads the last block with
+    zeros after the last day, so no output depends on a later input.
+
+    Each block is one product with the upper-triangular Toeplitz
+    matrix of beta's powers, [s, t] = beta^(t - s); one pass then
+    carries each block's last value into the next block, scaled by
+    beta^(t + 1).
+    """
+    p = beta ** _SCAN_POWERS
+    p[-1] = 0.0
+    y = x.reshape(-1, _SCAN_BLOCK) @ p.take(_SCAN_INDEX)
+    if len(y) > 1:
+        step = float(p[_SCAN_BLOCK])
+        carries = np.empty(len(y) - 1)
+        carry = 0.0
+        for b, last in enumerate(y[:-1, -1].tolist()):
+            carry = last + step * carry
+            carries[b] = carry
+        y[1:] += carries[:, None] * p[1:_SCAN_BLOCK + 1]
+    return y.reshape(-1)
+
+
+def _short_run(alpha: float, beta: float, shocks: np.ndarray) -> np.ndarray:
+    """g over consecutive days from each day's standardized squared
+    innovation: g_0 = 1, then the previous day's shock drives it."""
+    n = len(shocks)
+    x = np.zeros(-(-n // _SCAN_BLOCK) * _SCAN_BLOCK)
+    x[0] = 1.0
+    np.multiply(shocks[:-1], alpha, out=x[1:n])
+    x[1:n] += 1.0 - alpha - beta
+    return _linear_scan(x, beta)[:n]
 
 
 def short_run_g(params: MidasParams, returns: np.ndarray,
@@ -321,43 +368,37 @@ def short_run_g(params: MidasParams, returns: np.ndarray,
     tau_daily = np.asarray(tau_daily, dtype=float)
     if returns.shape != tau_daily.shape or returns.ndim != 1:
         raise LengthMismatch("returns and tau_daily differ in shape")
-    n = len(returns)
-    g = np.empty(n)
-    g[0] = 1.0
-    if n > 1:
-        omega = 1.0 - params.alpha - params.beta
-        shocks = (returns - params.mu) ** 2 / tau_daily
-        drive = omega + params.alpha * shocks[:-1]
-        tail, _ = lfilter([1.0], [1.0, -params.beta], drive,
-                          zi=np.array([params.beta * g[0]]))
-        g[1:] = tail
-    return g
+    return _short_run(params.alpha, params.beta,
+                      (returns - params.mu) ** 2 / tau_daily)
+
+
+def _components(spec: MidasSpec, params: MidasParams, panel: _Panel):
+    """tau by month, tau and g by modeled day, and the modeled days'
+    squared innovations, for validated parameters."""
+    tau_monthly = _long_run_tau(spec, params, panel)
+    tau = tau_monthly[panel.month]
+    sq = (panel.returns - params.mu) ** 2
+    g = _short_run(params.alpha, params.beta, sq / tau)
+    return tau_monthly, tau, g, sq
 
 
 def filter_volatility(spec: MidasSpec, params: MidasParams,
                       data: MidasData,
-                      lagged: np.ndarray | None = None) -> MidasFiltered:
+                      panel: _Panel | None = None) -> MidasFiltered:
     """Run the full two-component filter over the modeled days.
 
-    ``lagged`` is the covariate lag block of ``data`` for ``spec``
-    when the caller has built it already; it depends on neither the
-    parameters nor the call, so :func:`fit` builds it once.
+    ``panel`` holds the parameter-free parts of ``data`` for ``spec``
+    when the caller has built them already, as :func:`fit` does.
     """
     params.validate(spec)
-    if lagged is None:
-        lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
-    tau_monthly = _long_run_tau(spec, params, lagged)
-    start = int(np.searchsorted(data.month_index, spec.n_lags))
-    if start >= len(data.returns):
-        raise InsufficientLags("no days left after the lag warm-up")
-    day_slice = slice(start, len(data.returns))
-    tau_daily = tau_monthly[data.month_index[day_slice] - spec.n_lags]
-    g = short_run_g(params, data.returns[day_slice], tau_daily)
+    if panel is None:
+        panel = _panel(spec, data)
+    tau_monthly, tau, g, _ = _components(spec, params, panel)
     return MidasFiltered(
-        day_slice=day_slice,
-        tau=tau_daily,
+        day_slice=slice(panel.start, len(data.returns)),
+        tau=tau,
         g=g,
-        h=tau_daily * g,
+        h=tau * g,
         tau_monthly=tau_monthly,
         first_month=spec.n_lags,
     )
@@ -377,14 +418,16 @@ def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
 
 
 def log_likelihood(spec: MidasSpec, params: MidasParams,
-                   data: MidasData, lagged: np.ndarray | None = None) -> float:
-    """Gaussian log likelihood summed over the modeled days; ``lagged``
-    is passed on to :func:`filter_volatility`."""
-    filtered = filter_volatility(spec, params, data, lagged)
-    r = data.returns[filtered.day_slice]
-    h = filtered.h
-    ll = -0.5 * np.sum(LOG_2PI + np.log(h) + (r - params.mu) ** 2 / h)
-    ll = float(ll)
+                   data: MidasData, panel: _Panel | None = None) -> float:
+    """Gaussian log likelihood summed over the modeled days; ``panel``
+    is as in :func:`filter_volatility`."""
+    params.validate(spec)
+    if panel is None:
+        panel = _panel(spec, data)
+    _, tau, g, sq = _components(spec, params, panel)
+    h = tau * g
+    ll = -0.5 * (len(h) * LOG_2PI + float(np.log(h).sum())
+                 + float((sq / h).sum()))
     if not math.isfinite(ll):
         raise NonFiniteLikelihood(f"log likelihood is {ll}")
     return ll
@@ -413,22 +456,24 @@ def _pack(params: MidasParams, spec: MidasSpec, theta_zero: bool) -> np.ndarray:
 
 def _unpack(u: np.ndarray, spec: MidasSpec, theta_zero: bool) -> MidasParams:
     J = spec.n_covariates
-    p = 1.0 / (1.0 + math.exp(-min(max(u[1], -40.0), 40.0)))
+    mu, persistence, share, m = u[:4].tolist()
+    p = 1.0 / (1.0 + math.exp(-min(max(persistence, -40.0), 40.0)))
     p = min(max(p, MIN_PERSISTENCE), MAX_PERSISTENCE)
-    share = 1.0 / (1.0 + math.exp(-min(max(u[2], -40.0), 40.0)))
-    m = math.exp(min(u[3], 60.0)) if spec.tau_link == "identity" else u[3]
+    share = 1.0 / (1.0 + math.exp(-min(max(share, -40.0), 40.0)))
+    if spec.tau_link == "identity":
+        m = math.exp(min(m, 60.0))
     if theta_zero:
         theta = np.zeros(J)
         w2 = np.ones(J)
         w1 = np.ones(J)
     else:
-        theta = np.array(u[4:4 + J])
+        theta = u[4:4 + J].copy()
         w2 = 1.0 + np.exp(np.minimum(u[4 + J:4 + 2 * J], 30.0))
         if spec.free_w1:
             w1 = 1.0 + np.exp(np.minimum(u[4 + 2 * J:4 + 3 * J], 30.0))
         else:
             w1 = np.ones(J)
-    return MidasParams(mu=float(u[0]), alpha=p * share, beta=p * (1 - share),
+    return MidasParams(mu=mu, alpha=p * share, beta=p * (1 - share),
                        m=m, theta=theta, w2=w2, w1=w1)
 
 
@@ -439,6 +484,124 @@ def _default_init(spec: MidasSpec, data: MidasData) -> MidasParams:
     J = spec.n_covariates
     return MidasParams(mu=float(np.mean(r)), alpha=0.05, beta=0.90, m=m,
                        theta=np.full(J, 0.1), w2=np.full(J, 3.0))
+
+
+class _Exhausted(Exception):
+    """The objective was asked for more than ``maxfev`` evaluations."""
+
+
+@dataclass
+class _SimplexResult:
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    final_simplex: tuple[np.ndarray, np.ndarray]
+
+
+def _nelder_mead(fun, x0: np.ndarray, *, maxiter: int, maxfev: int,
+                 xatol: float, fatol: float) -> _SimplexResult:
+    """Minimize ``fun`` by the Nelder-Mead simplex method.
+
+    A port of ``scipy.optimize.minimize(method="Nelder-Mead")`` without
+    bounds and with the standard coefficients (``adaptive=False``): the
+    same first simplex, the same moves in the same order, the same
+    stopping rule and counts. Given the same ``fun`` it returns the
+    same ``x``, ``fun``, ``nit``, ``nfev``, ``success`` and final simplex,
+    bit for bit. ``fun`` must not modify its argument.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return fun(x)
+
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _Exhausted:
+        pass
+    # scipy sorts twice here, and an unstable sort may move ties twice
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:      # contract outside
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:                   # contract inside
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _Exhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return _SimplexResult(
+        x=sim[0], fun=np.min(fsim), nit=nit, nfev=nfev,
+        success=nfev < maxfev and nit < maxiter,
+        final_simplex=(sim, fsim))
+
+
+def _objective(spec: MidasSpec, data: MidasData, panel: _Panel,
+               theta_zero: bool):
+    """The function the fit minimizes: the negative log likelihood of
+    the unconstrained vector ``u``, or PENALTY where it is undefined."""
+    def objective(u: np.ndarray) -> float:
+        try:
+            params = _unpack(u, spec, theta_zero)
+            return -log_likelihood(spec, params, data, panel)
+        except (BadParameter, NonPositiveTau, NonFiniteLikelihood,
+                FloatingPointError, OverflowError):
+            return PENALTY
+    return objective
 
 
 def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
@@ -463,30 +626,19 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
         raise DegenerateData("returns have zero variance")
     # built once for every evaluation; surfaces InsufficientLags before
     # any optimizer work
-    lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
+    panel = _panel(spec, data)
 
     start = _pack(init if init is not None else _default_init(spec, data),
                   spec, theta_zero)
-
-    def objective(u: np.ndarray) -> float:
-        try:
-            params = _unpack(u, spec, theta_zero)
-            return -log_likelihood(spec, params, data, lagged)
-        except (BadParameter, NonPositiveTau, NonFiniteLikelihood,
-                FloatingPointError, OverflowError):
-            return PENALTY
-
+    objective = _objective(spec, data, panel, theta_zero)
     rng = np.random.default_rng(seed)
     scale = 0.25 * np.ones_like(start)
     scale[1:3] = 1.0
     results = []
     for r_idx in range(max(1, n_restarts)):
         u0 = start if r_idx == 0 else start + rng.normal(0.0, scale)
-        res = minimize(
-            objective, u0, method="Nelder-Mead",
-            options={"maxiter": max_iter, "maxfev": 2 * max_iter,
-                     "fatol": 1e-8, "xatol": 1e-8, "adaptive": False},
-        )
+        res = _nelder_mead(objective, u0, maxiter=max_iter,
+                           maxfev=2 * max_iter, xatol=1e-8, fatol=1e-8)
         results.append((r_idx, res))
 
     usable = [(i, r) for i, r in results if r.success and r.fun < PENALTY / 2]
@@ -496,7 +648,7 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
     params = _unpack(best.x, spec, theta_zero)
     params.validate(spec)
-    filtered = filter_volatility(spec, params, data, lagged)
+    filtered = filter_volatility(spec, params, data, panel)
     fsim = best.final_simplex[1]
     return MidasFit(
         spec=spec,

@@ -10,7 +10,9 @@ stays with the module that owns the table.
 :func:`write` formats column by column: an ndarray column goes through
 ``tolist()`` and every cell through ``str``, which for a float is its
 shortest round-trip ``repr``. So :func:`floats` reads back every
-written float bit for bit.
+written float bit for bit. It refuses a text cell that holds a comma
+or a line break rather than quote it, so every written row has the
+header's field count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedRow, MissingFile
+from .errors import InputError, MalformedRow, MissingFile
 
 Row = tuple[int, list[str]]
 
@@ -74,9 +76,25 @@ def floats(path: str, rows: Sequence[Row], j: int) -> np.ndarray:
 
 def write(path: str, header: Sequence[str], columns: Sequence) -> None:
     """One header line, then one line per row of the equal-length
-    ``columns`` (ndarrays or lists)."""
-    text = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
-            for c in columns]
+    ``columns`` (ndarrays or lists).
+
+    A cell of a text column that holds a comma or a line break would
+    shift the row's fields, so it raises :class:`InputError` before the
+    file is opened. Each such column is checked as one joined string.
+    """
+    text = []
+    for name, column in zip(header, columns, strict=True):
+        if isinstance(column, np.ndarray):
+            if column.dtype.kind in "biuf":
+                text.append(map(str, column.tolist()))
+                continue
+            column = column.tolist()
+        cells = list(map(str, column))
+        joined = "".join(cells)
+        if "," in joined or "\n" in joined or "\r" in joined:
+            raise InputError(f"cannot write {path}: a {name!r} cell holds "
+                             "a comma or a line break")
+        text.append(cells)
     lines = [",".join(header), *map(",".join, zip(*text, strict=True))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -386,6 +386,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert report.read_text() == text
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--model-name", "a,b"),
+        ("--group", "G\n4"),
+        ("--model-name", "a\rb"),
+    ], ids=["comma-in-model", "newline-in-group", "return-in-model"])
+    def test_name_that_would_break_the_report(self, tmp_path, capsys, flag,
+                                              value):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("date,rv_true,rv_pred\n"
+                        + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
+                                  for d in range(1, 6)))
+        report = tmp_path / "report.csv"
+        code = run(["evaluate", "--pred", str(pred), "--persistence",
+                    flag, value, "--out", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "comma or a line break" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("text", [
         "not json at all\n",
         "[1, 2, 3]\n",
@@ -432,10 +452,10 @@ class TestExitCodes:
 
 
 def test_cli_import_loads_no_scipy():
-    # only midas-fit and simulate need scipy; the rest skip its import
+    # numpy is the one runtime dependency, for every subcommand
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mfvol.cli; "
+         "import sys, mfvol.cli, mfvol.garch_midas, mfvol.simlab; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

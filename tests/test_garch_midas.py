@@ -76,15 +76,6 @@ class TestBetaWeights:
 
 
 class TestLagStructure:
-    def test_lag_matrix_layout(self):
-        x = np.arange(1.0, 7.0)
-        lm = gm.lag_matrix(x, 3)
-        # unavailable lags are NaN, available ones fill in from lag 1
-        assert np.isnan(lm[0]).all()
-        assert lm[1, 0] == 1.0 and np.isnan(lm[1, 1:]).all()
-        assert lm[3].tolist() == [3.0, 2.0, 1.0]
-        assert lm[5].tolist() == [5.0, 4.0, 3.0]
-
     def test_too_few_months_rejected(self):
         data = make_data(months=5, K=6)
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
@@ -146,6 +137,121 @@ class TestFilter:
         spec = gm.MidasSpec(n_lags=6, mode="rv-window", tau_link="identity")
         with pytest.raises(errors.NonPositiveTau):
             gm.filter_volatility(spec, params, data)
+
+
+class TestShortRunScan:
+    # fixed before the scan was written: the blocked scan may differ
+    # from the sequential loop by rounding only
+    RTOL = 1e-13
+    B = gm._SCAN_BLOCK
+
+    @staticmethod
+    def loop(params, returns, tau):
+        g = [1.0]
+        omega = 1.0 - params.alpha - params.beta
+        for i in range(1, len(returns)):
+            shock = (returns[i - 1] - params.mu) ** 2 / tau[i - 1]
+            g.append(omega + params.alpha * shock + params.beta * g[-1])
+        return np.array(g)
+
+    @staticmethod
+    def panel(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(0.05, 1.0, n), np.exp(rng.normal(0.0, 0.5, n))
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-12, 0.5, 0.999, 1.0 - 1e-8])
+    def test_matches_plain_loop(self, beta):
+        params = make_params(J=1, alpha=min(0.05, 0.5 * (1.0 - beta)),
+                             beta=beta)
+        for n in (1, 2, self.B - 1, self.B, self.B + 1, 2300):
+            returns, tau = self.panel(n)
+            got = gm.short_run_g(params, returns, tau)
+            want = self.loop(params, returns.tolist(), tau.tolist())
+            assert got.shape == (n,)
+            assert got[0] == 1.0
+            np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.999])
+    def test_no_output_depends_on_a_later_input(self, beta):
+        params = make_params(J=1, alpha=min(0.05, 0.5 * (1.0 - beta)),
+                             beta=beta)
+        returns, tau = self.panel(2300, seed=4)
+        full = gm.short_run_g(params, returns, tau)
+        for n in (1, 2, self.B - 1, self.B, self.B + 1, 1000, 2299):
+            # changing later days leaves every earlier output's bits ...
+            moved = returns.copy()
+            moved[n:] *= 40.0
+            assert gm.short_run_g(params, moved, tau)[:n + 1].tobytes() \
+                == full[:n + 1].tobytes(), n
+            # ... and extending the input moves none by more than rounding
+            # (BLAS may take a different route for a single block)
+            head = gm.short_run_g(params, returns[:n], tau[:n])
+            np.testing.assert_allclose(head, full[:n], rtol=1e-15, atol=0)
+
+
+class TestNelderMead:
+    """The in-package simplex search against scipy's, bit for bit."""
+
+    @staticmethod
+    def same_as_scipy(fun, x0, **options):
+        from scipy.optimize import minimize
+
+        ours = gm._nelder_mead(fun, x0, **options)
+        ref = minimize(fun, x0, method="Nelder-Mead",
+                       options=dict(options, adaptive=False))
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert np.float64(ours.fun).tobytes() == \
+            np.float64(ref.fun).tobytes()
+        assert (ours.nit, ours.nfev, ours.success) == \
+            (ref.nit, ref.nfev, ref.success)
+        for a, b in zip(ours.final_simplex, ref.final_simplex):
+            assert a.tobytes() == b.tobytes()
+        return ours
+
+    @staticmethod
+    def rosen(x):
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                            + (1.0 - x[:-1]) ** 2))
+
+    TIGHT = {"maxiter": 5000, "maxfev": 10000, "xatol": 1e-8, "fatol": 1e-8}
+
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.0]])
+    def test_rosenbrock_2d(self, x0):
+        res = self.same_as_scipy(self.rosen, np.array(x0), **self.TIGHT)
+        assert res.success
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+
+    def test_rosenbrock_8d(self):
+        x0 = np.array([1.3, 0.7, 0.8, 1.9, 1.2, 0.0, -0.5, 1.1])
+        self.same_as_scipy(self.rosen, x0, **self.TIGHT)
+
+    def test_penalty_region(self):
+        # a wall of equal PENALTY values, hit by the first simplex too
+        def walled(x):
+            return gm.PENALTY if x[0] + x[1] > 1.02 else self.rosen(x)
+        res = self.same_as_scipy(walled, np.array([0.5, 0.5]), **self.TIGHT)
+        assert res.fun < gm.PENALTY
+
+    def test_midas_objective(self):
+        spec = gm.MidasSpec(n_lags=3, n_covariates=1)
+        true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
+                              theta=np.array([0.7]), w2=np.array([4.0]))
+        data = gm.simulate(spec, true, months=14, days_per_month=15,
+                           seed=2).to_data(spec)
+        objective = gm._objective(spec, data, gm._panel(spec, data), False)
+        start = gm._pack(gm._default_init(spec, data), spec, False)
+        res = self.same_as_scipy(objective, start, maxiter=3000,
+                                 maxfev=6000, xatol=1e-8, fatol=1e-8)
+        assert res.success
+
+    @pytest.mark.parametrize("maxiter,maxfev", [(40, 10000), (5000, 37),
+                                                (5000, 2), (1, 100)])
+    def test_budget_exhausted(self, maxiter, maxfev):
+        x0 = np.array([-1.2, 1.0, 0.5])
+        res = self.same_as_scipy(self.rosen, x0, maxiter=maxiter,
+                                 maxfev=maxfev, xatol=1e-8, fatol=1e-8)
+        assert not res.success
+        assert res.nit == maxiter or res.nfev == maxfev
 
 
 class TestLikelihood:

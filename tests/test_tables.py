@@ -10,23 +10,31 @@ from hypothesis import strategies as st
 
 import mfvol
 from mfvol import tables
-from mfvol.errors import MalformedRow, MissingFile
+from mfvol.errors import InputError, MalformedRow, MissingFile
+
+
+def package_imports():
+    """(module file name, absolutely imported module) of every import
+    statement in the package, at any depth."""
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield path.name, alias.name
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield path.name, node.module
 
 
 def test_only_tables_imports_csv():
     # a second CSV parser is how the per-table rules drifted apart
-    offenders = []
-    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if "csv" in names and path.name != "tables.py":
-                offenders.append(path.name)
-    assert offenders == []
+    assert [name for name, module in package_imports()
+            if module == "csv" and name != "tables.py"] == []
+
+
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy is for the tests only
+    assert [name for name, module in package_imports()
+            if module.split(".")[0] == "scipy"] == []
 
 
 def bits(x: float) -> bytes:
@@ -81,3 +89,12 @@ def test_read_options(tmp_path):
     assert rows == [(4, ["1", "2", "3"])]
     with pytest.raises(MissingFile):
         tables.read(str(tmp_path / "absent.csv"), ["a"])
+
+
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+def test_write_refuses_a_cell_that_breaks_the_row(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    for column in ([cell, "ok"], np.array([cell, "ok"])):
+        with pytest.raises(InputError, match="comma or a line break"):
+            tables.write(str(path), ["name", "x"], [column, [1.0, 2.0]])
+    assert not path.exists()
