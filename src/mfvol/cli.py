@@ -522,13 +522,14 @@ def cmd_ablate(opts: Options) -> int:
     table = read_factors(opts.require("factors"))
     table_h = join_h(table, opts.require("h_file"))
     group_names = _parse_names(opts.get("groups", "G1,G2,G3,G4"))
+    # every name is resolved before the first group trains
+    group_feats = [evaluation.ablation_features(name) for name in group_names]
     train_config = _train_config(opts)
 
     rows = []
     test_dates: list[str] | None = None
     mse_by_group: dict[str, float] = {}
-    for name in group_names:
-        feats = evaluation.ablation_features(name)
+    for name, feats in zip(group_names, group_feats):
         source = table_h if "h" in feats else table
         dataset, sample_split = windowed_split(source, feats,
                                                train_config.window)

@@ -10,9 +10,6 @@ Except for r2log, lower is better:
     qlike = mean(ln h + rv/h)
     r2log = R^2 of the OLS regression of ln rv on ln h (higher better)
 
-``r2log_loss`` offers the lower-is-better alternative
-mean((ln rv - ln h)^2) for rankings that want a single direction.
-
 The ablation grid fixes four nested feature sets for the regressor:
 technical factors alone (G1), plus the attention factor (G2), plus the
 conditional-volatility input (G3), or both additions (G4).
@@ -121,16 +118,6 @@ def r2log(pred, truth) -> float:
     resid = y - (y.mean() + slope * (x - x.mean()))
     sst = float(np.sum((y - y.mean()) ** 2))
     return 1.0 - float(np.sum(resid ** 2)) / sst
-
-
-def r2log_loss(pred, truth) -> float:
-    """Lower-is-better companion: mean squared log error."""
-    pred, truth = _pair(pred, truth)
-    if np.any(pred <= 0):
-        raise NonPositiveInput("needs positive forecasts")
-    if np.any(truth <= 0):
-        raise NonPositiveTruth("needs positive realized values")
-    return float(np.mean((np.log(truth) - np.log(pred)) ** 2))
 
 
 @dataclass

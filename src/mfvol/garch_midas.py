@@ -109,15 +109,19 @@ class MidasParams:
             self.w1 = np.atleast_1d(np.asarray(self.w1, dtype=float))
 
     def validate(self, spec: MidasSpec | None = None) -> None:
+        theta, w1, w2 = self.theta.tolist(), self.w1.tolist(), self.w2.tolist()
+        if not all(map(math.isfinite, (self.mu, self.alpha, self.beta, self.m,
+                                       *theta, *w1, *w2))):
+            raise BadParameter("every parameter must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise BadParameter("alpha and beta must be nonnegative")
         if self.alpha + self.beta >= 1:
             raise BadParameter(
                 f"alpha + beta = {self.alpha + self.beta} must be < 1")
-        J = len(self.theta)
-        if len(self.w2) != J or len(self.w1) != J:
+        J = len(theta)
+        if len(w2) != J or len(w1) != J:
             raise BadParameter("theta, w1 and w2 must have equal length")
-        if J and min(self.w1.min(), self.w2.min()) < 1:
+        if min(w1 + w2, default=1.0) < 1:
             raise BadParameter("weight shape parameters must be >= 1")
         if spec is not None:
             if J != spec.n_covariates:

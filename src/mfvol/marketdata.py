@@ -6,10 +6,11 @@ Three native frequencies flow into one daily panel:
 * daily technical/OHLC records plus daily search-attention counts,
 * monthly macroeconomic indicators.
 
-Monthly values are repeated across every trading day of their month so
-that downstream models can treat the panel as a plain daily matrix.
-Trading-day identity is the exact ISO date string; no calendar
-arithmetic is performed on dates.
+Loaders return columns, never one object per row: a sorted key column
+(dates or months) beside numpy columns. Monthly values are repeated
+across every trading day of their month so that downstream models can
+treat the panel as a plain daily matrix. Trading-day identity is the
+exact ISO date string; no calendar arithmetic is performed on dates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date as _date
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
     EmptyPanel,
     InputError,
     MalformedRow,
+    MissingColumn,
     NonPositivePrice,
     UncoveredMonth,
     ZeroVariance,
@@ -46,76 +48,31 @@ ATTENTION_HEADER = ["date", "csi300", "csi500", "sse50", "hsparts", "hsetf"]
 
 MAX_BARS_PER_DAY = 48
 BAR_MINUTES = 5
+BAR_DTYPE = np.dtype([("day", np.int64), ("time_min", np.int64),
+                      ("price", np.float64)])
 
-
-@dataclass(frozen=True)
-class Bar:
-    date: str
-    time_min: int
-    price: float
+# sorted keys (dates or months) and one float column per other field
+Keyed = tuple[list[str], dict[str, np.ndarray]]
 
 
 @dataclass
 class IntradaySeries:
-    """Validated, time-sorted intraday bars for one instrument."""
+    """Validated 5-minute bars as columns.
 
-    instrument: str
-    bars: list[Bar]
+    ``dates`` lists the distinct trading days in chronological order.
+    ``bars`` is one structured array of :data:`BAR_DTYPE`: each bar's
+    ``day`` (an index into ``dates``), ``time_min`` and ``price``,
+    sorted by day and then by minute.
+    """
 
-    def days(self) -> list[tuple[str, list[Bar]]]:
-        """Group bars by trading date, preserving chronological order."""
-        out: dict[str, list[Bar]] = {}
-        for bar in self.bars:
-            out.setdefault(bar.date, []).append(bar)
-        return list(out.items())
+    dates: list[str]
+    bars: np.ndarray
 
-
-@dataclass(frozen=True)
-class DailyRecord:
-    date: str
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-    turn: float
-    boll: float
-    ma5: float
-    ma20: float
-    macd: float
-    rsi: float
-    sobv: float
-    roc: float
-
-
-@dataclass(frozen=True)
-class MonthlyRecord:
-    month: str
-    meci: float
-    melei: float
-    melai: float
-    cpi: float
-    retailsale: float
-    rpi: float
-    ppi: float
-    m2: float
-    finvest: float
-    iop: float
-
-
-@dataclass(frozen=True)
-class AttentionRecord:
-    date: str
-    csi300: float
-    csi500: float
-    sse50: float
-    hsparts: float
-    hsetf: float
-
-
-DAILY_FEATURE_COLUMNS = DAILY_HEADER[1:]
-MONTHLY_FEATURE_COLUMNS = MONTHLY_HEADER[1:]
-ATTENTION_FEATURE_COLUMNS = ATTENTION_HEADER[1:]
+    def day_starts(self) -> np.ndarray:
+        """Each day's first row, then ``len(bars)``: day ``k`` holds
+        ``bars[starts[k]:starts[k + 1]]``."""
+        return np.searchsorted(self.bars["day"],
+                               np.arange(len(self.dates) + 1))
 
 
 @dataclass
@@ -126,20 +83,15 @@ class AlignedPanel:
     ----------
     dates : list of str
         Trading dates, strictly increasing.
-    months : list of str
-        Unique months covering ``dates``, in chronological order.
     month_index : ndarray of int
-        For each row, the index of its month in ``months``.
-    day_of_month : ndarray of int
-        1-based position of the row within its trading month.
+        For each row, the 0-based index of its month (its ``YYYY-MM``
+        prefix) among the panel's months in chronological order.
     columns : dict of str -> ndarray
         All numeric columns, each of length ``len(dates)``.
     """
 
     dates: list[str]
-    months: list[str]
     month_index: np.ndarray
-    day_of_month: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -147,8 +99,6 @@ class AlignedPanel:
         return len(self.dates)
 
     def matrix(self, cols: Sequence[str]) -> np.ndarray:
-        from .errors import MissingColumn
-
         missing = [c for c in cols if c not in self.columns]
         if missing:
             raise MissingColumn(f"panel lacks columns {missing}")
@@ -157,9 +107,7 @@ class AlignedPanel:
     def copy(self) -> "AlignedPanel":
         return AlignedPanel(
             dates=list(self.dates),
-            months=list(self.months),
             month_index=self.month_index.copy(),
-            day_of_month=self.day_of_month.copy(),
             columns={k: v.copy() for k, v in self.columns.items()},
         )
 
@@ -203,23 +151,33 @@ def _parse_float(path: str, line: int, text: str, col: str,
     return value
 
 
+def _columns(names: Sequence[str], rows: Sequence[list[float]]
+             ) -> dict[str, np.ndarray]:
+    """Row-wise values as one contiguous float column per name."""
+    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return dict(zip(names, table.T.copy()))
+
+
 # ----------------------------------------------------------------------
 # Loaders
 # ----------------------------------------------------------------------
 
-def load_intraday(path: str, instrument: str = "default") -> IntradaySeries:
+def load_intraday(path: str) -> IntradaySeries:
     """Load and validate a 5-minute bar file.
 
-    The file must contain at most 48 bars per date, on the 5-minute
-    grid 0, 5, ..., 235 (minutes into the trading day). Bars may be
-    unordered on disk; the returned series is sorted by (date, time).
+    Every bar lies on the 5-minute grid 0, 5, ..., 235 (minutes into
+    the trading day) and no (date, time) pair repeats. Bars may be
+    unordered on disk; the series is sorted by (date, time).
     """
     _, rows = tables.read(path, INTRADAY_HEADER)
-    bars: list[Bar] = []
-    seen: set[tuple[str, int]] = set()
-    per_day: dict[str, int] = {}
+    day_of: dict[str, int] = {}      # each distinct date, validated once
+    seen: set[int] = set()
+    day, time_min, price = [], [], []
     for line_no, (d_text, t_text, p_text) in rows:
-        d = _parse_date(path, line_no, d_text)
+        k = day_of.get(d_text)
+        if k is None:
+            _parse_date(path, line_no, d_text)
+            k = day_of[d_text] = len(day_of)
         try:
             t = int(t_text)
         except ValueError:
@@ -228,103 +186,104 @@ def load_intraday(path: str, instrument: str = "default") -> IntradaySeries:
             raise MalformedRow(
                 path, line_no,
                 f"time_min {t} outside 5-minute grid 0..235")
-        price = _parse_float(path, line_no, p_text, "price", allow_missing=False)
-        if price <= 0:
-            raise NonPositivePrice(path, line_no, price)
-        key = (d, t)
+        p = _parse_float(path, line_no, p_text, "price", allow_missing=False)
+        if p <= 0:
+            raise NonPositivePrice(path, line_no, p)
+        # a day has 48 grid slots, so without repeats it holds <= 48 bars
+        key = k * MAX_BARS_PER_DAY + t // BAR_MINUTES
         if key in seen:
-            raise DuplicateBar(d, t)
+            raise DuplicateBar(d_text, t)
         seen.add(key)
-        per_day[d] = per_day.get(d, 0) + 1
-        if per_day[d] > MAX_BARS_PER_DAY:
-            raise MalformedRow(
-                path, line_no, f"more than {MAX_BARS_PER_DAY} bars for {d}")
-        bars.append(Bar(d, t, price))
-    bars.sort(key=lambda b: (b.date, b.time_min))
-    return IntradaySeries(instrument=instrument, bars=bars)
+        day.append(k)
+        time_min.append(t)
+        price.append(p)
+    # day_of numbers the dates as they first appear; renumber them in order
+    dates = sorted(day_of)
+    rank = {d: i for i, d in enumerate(dates)}
+    bars = np.empty(len(day), dtype=BAR_DTYPE)
+    bars["day"] = np.array([rank[d] for d in day_of], dtype=np.int64)[day]
+    bars["time_min"] = time_min
+    bars["price"] = price
+    return IntradaySeries(
+        dates=dates, bars=bars[np.lexsort((bars["time_min"], bars["day"]))])
 
 
-def load_daily(path: str) -> list[DailyRecord]:
-    """Load daily OHLC plus technical-indicator records.
+def _load_dated(path: str, header: Sequence[str], required: Sequence[str],
+                check: Callable[[int, dict[str, float]], None]) -> Keyed:
+    """A table keyed by distinct ISO dates, sorted by date.
+
+    Blank cells become NaN, except in ``required`` columns.
+    ``check(line_no, values)`` vets each parsed row.
+    """
+    _, rows = tables.read(path, header)
+    names = header[1:]
+    by_date: dict[str, list[float]] = {}
+    for line_no, row in rows:
+        d = _parse_date(path, line_no, row[0])
+        if d in by_date:
+            raise MalformedRow(path, line_no, f"duplicate date {d}")
+        values = {col: _parse_float(path, line_no, text, col,
+                                    allow_missing=col not in required)
+                  for col, text in zip(names, row[1:])}
+        check(line_no, values)
+        by_date[d] = list(values.values())
+    dates = sorted(by_date)
+    return dates, _columns(names, [by_date[d] for d in dates])
+
+
+def load_daily(path: str) -> Keyed:
+    """Load daily OHLC plus technical-indicator columns.
 
     Open/high/low/close must be present, positive and ordered
     (low <= open, close <= high); the indicator columns may have
     missing cells, which become NaN.
     """
-    _, rows = tables.read(path, DAILY_HEADER)
-    records: list[DailyRecord] = []
-    seen: set[str] = set()
-    for line_no, row in rows:
-        d = _parse_date(path, line_no, row[0])
-        if d in seen:
-            raise MalformedRow(path, line_no, f"duplicate date {d}")
-        seen.add(d)
-        values: dict[str, float] = {}
-        for col, text in zip(DAILY_HEADER[1:], row[1:]):
-            required = col in ("open", "high", "low", "close")
-            values[col] = _parse_float(path, line_no, text, col,
-                                       allow_missing=not required)
-        for col in ("open", "high", "low", "close"):
-            if values[col] <= 0:
-                raise NonPositivePrice(path, line_no, values[col])
-        if values["low"] > min(values["open"], values["close"]) or \
-                values["high"] < max(values["open"], values["close"]):
+    ohlc = ("open", "high", "low", "close")
+
+    def check(line_no: int, v: dict[str, float]) -> None:
+        for col in ohlc:
+            if v[col] <= 0:
+                raise NonPositivePrice(path, line_no, v[col])
+        if v["low"] > min(v["open"], v["close"]) or \
+                v["high"] < max(v["open"], v["close"]):
             raise MalformedRow(
                 path, line_no,
                 "OHLC out of order (need low <= open,close <= high)")
-        if not math.isnan(values["volume"]) and values["volume"] < 0:
+        if v["volume"] < 0:
             raise MalformedRow(path, line_no, "negative volume")
-        records.append(DailyRecord(date=d, **values))
-    records.sort(key=lambda r: r.date)
-    return records
+
+    return _load_dated(path, DAILY_HEADER, ohlc, check)
 
 
-def load_monthly(path: str) -> list[MonthlyRecord]:
+def load_attention(path: str) -> Keyed:
+    """Load daily search-attention counts (one row per trading date)."""
+    def check(line_no: int, v: dict[str, float]) -> None:
+        for col, count in v.items():
+            if count < 0:
+                raise MalformedRow(path, line_no,
+                                   f"negative count for {col!r}")
+
+    return _load_dated(path, ATTENTION_HEADER, (), check)
+
+
+def load_monthly(path: str) -> Keyed:
     """Load monthly macro indicators; months must be contiguous."""
     _, rows = tables.read(path, MONTHLY_HEADER)
-    records: list[MonthlyRecord] = []
-    for line_no, row in rows:
-        m = _parse_month(path, line_no, row[0])
-        values = {
-            col: _parse_float(path, line_no, text, col)
-            for col, text in zip(MONTHLY_HEADER[1:], row[1:])
-        }
-        records.append((line_no, MonthlyRecord(month=m, **values)))
-    records.sort(key=lambda pair: pair[1].month)
-    out: list[MonthlyRecord] = []
-    prev: MonthlyRecord | None = None
-    for line_no, rec in records:
-        if prev is not None:
-            if rec.month == prev.month:
-                raise MalformedRow(path, line_no, f"duplicate month {rec.month}")
-            if _next_month(prev.month) != rec.month:
-                raise MalformedRow(
-                    path, line_no,
-                    f"months not contiguous: {prev.month} -> {rec.month}")
-        out.append(rec)
-        prev = rec
-    return out
-
-
-def load_attention(path: str) -> list[AttentionRecord]:
-    """Load daily search-attention counts (one record per trading date)."""
-    _, rows = tables.read(path, ATTENTION_HEADER)
-    records: list[AttentionRecord] = []
-    seen: set[str] = set()
-    for line_no, row in rows:
-        d = _parse_date(path, line_no, row[0])
-        if d in seen:
-            raise MalformedRow(path, line_no, f"duplicate date {d}")
-        seen.add(d)
-        values: dict[str, float] = {}
-        for col, text in zip(ATTENTION_HEADER[1:], row[1:]):
-            v = _parse_float(path, line_no, text, col)
-            if not math.isnan(v) and v < 0:
-                raise MalformedRow(path, line_no, f"negative count for {col!r}")
-            values[col] = v
-        records.append(AttentionRecord(date=d, **values))
-    records.sort(key=lambda r: r.date)
-    return records
+    names = MONTHLY_HEADER[1:]
+    # (month, line, values), sorted by month and then by file position
+    parsed = sorted(
+        (_parse_month(path, line_no, row[0]), line_no,
+         [_parse_float(path, line_no, text, col)
+          for col, text in zip(names, row[1:])])
+        for line_no, row in rows)
+    for (prev, _, _), (month, line_no, _) in zip(parsed, parsed[1:]):
+        if month == prev:
+            raise MalformedRow(path, line_no, f"duplicate month {month}")
+        if _next_month(prev) != month:
+            raise MalformedRow(
+                path, line_no, f"months not contiguous: {prev} -> {month}")
+    return ([m for m, _, _ in parsed],
+            _columns(names, [v for _, _, v in parsed]))
 
 
 def _next_month(month: str) -> str:
@@ -354,62 +313,51 @@ def month_ids(dates: Sequence[str]
 
 
 def align_mixed_frequency(
-    daily: Sequence[DailyRecord],
-    attention: Sequence[AttentionRecord],
-    monthly: Sequence[MonthlyRecord],
+    daily: Keyed,
+    attention: Keyed,
+    monthly: Keyed,
     extra: Mapping[str, Mapping[str, float]] | None = None,
 ) -> AlignedPanel:
     """Merge daily, attention and monthly data into one daily panel.
 
-    The trading calendar is taken from ``daily``. Attention values are
-    joined by date (absent dates become NaN cells). Every monthly value
-    is repeated across all trading days of its month; a trading month
+    Each argument is a loader's ``(keys, columns)`` pair. The trading
+    calendar is taken from ``daily``. Attention values are joined by
+    date (absent dates become NaN cells). Every monthly value is
+    repeated across all trading days of its month; a trading month
     absent from ``monthly`` raises :class:`UncoveredMonth`.
 
     ``extra`` maps additional daily column names to ``{date: value}``
     mappings (the realized-volatility outputs use this). When given,
     the panel is restricted to dates covered by every extra column.
     """
-    if not daily:
+    daily_dates, daily_cols = daily
+    if not daily_dates:
         raise EmptyPanel("no daily records")
-    dates = [rec.date for rec in daily]
-    daily_by_date = {rec.date: rec for rec in daily}
-    if extra:
-        dates = [d for d in dates if all(d in col for col in extra.values())]
-    if not dates:
+    rows = [i for i, d in enumerate(daily_dates)
+            if not extra or all(d in col for col in extra.values())]
+    if not rows:
         raise EmptyPanel("no trading dates left after alignment")
+    dates = [daily_dates[i] for i in rows]
 
-    monthly_by_month = {rec.month: rec for rec in monthly}
-    months, month_index, first_rows = month_ids(dates)
+    months, month_index, _ = month_ids(dates)
+    month_row = {m: i for i, m in enumerate(monthly[0])}
     for m in months:
-        if m not in monthly_by_month:
+        if m not in month_row:
             raise UncoveredMonth(f"no monthly record for {m}")
-    day_of_month = np.arange(1, len(dates) + 1) - first_rows[month_index]
+    day_month_row = np.array([month_row[m] for m in months],
+                             dtype=np.int64)[month_index]
+    att_row = {d: i for i, d in enumerate(attention[0])}
+    # -1 picks the NaN appended to every attention column
+    day_att_row = np.array([att_row.get(d, -1) for d in dates],
+                           dtype=np.int64)
 
-    att_by_date = {rec.date: rec for rec in attention}
-    columns: dict[str, np.ndarray] = {}
-    for col in DAILY_FEATURE_COLUMNS:
-        columns[col] = np.array(
-            [getattr(daily_by_date[d], col) for d in dates], dtype=float)
-    for col in ATTENTION_FEATURE_COLUMNS:
-        columns[col] = np.array(
-            [getattr(att_by_date[d], col) if d in att_by_date else math.nan
-             for d in dates], dtype=float)
-    for col in MONTHLY_FEATURE_COLUMNS:
-        per_month = np.array(
-            [getattr(monthly_by_month[m], col) for m in months], dtype=float)
-        columns[col] = per_month[month_index]
-    if extra:
-        for name, mapping in extra.items():
-            columns[name] = np.array([mapping[d] for d in dates], dtype=float)
-
-    return AlignedPanel(
-        dates=dates,
-        months=months,
-        month_index=month_index,
-        day_of_month=day_of_month,
-        columns=columns,
-    )
+    columns = {col: v[rows] for col, v in daily_cols.items()}
+    columns.update((col, np.append(v, math.nan)[day_att_row])
+                   for col, v in attention[1].items())
+    columns.update((col, v[day_month_row]) for col, v in monthly[1].items())
+    for name, mapping in (extra or {}).items():
+        columns[name] = np.array([mapping[d] for d in dates], dtype=float)
+    return AlignedPanel(dates=dates, month_index=month_index, columns=columns)
 
 
 def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
@@ -458,8 +406,6 @@ def normalize(
     used: dict[str, tuple[float, float]] = {}
     for name in cols:
         if name not in out.columns:
-            from .errors import MissingColumn
-
             raise MissingColumn(f"panel lacks column {name!r}")
         col = out.columns[name]
         if stats is None:
@@ -493,19 +439,9 @@ def chronological_split(
 
 
 def _slice(panel: AlignedPanel, lo: int, hi: int) -> AlignedPanel:
-    dates = panel.dates[lo:hi]
-    sub_idx = panel.month_index[lo:hi]
-    months: list[str] = []
-    remap: dict[int, int] = {}
-    for mi in sub_idx:
-        if int(mi) not in remap:
-            remap[int(mi)] = len(months)
-            months.append(panel.months[int(mi)])
-    month_index = np.array([remap[int(mi)] for mi in sub_idx], dtype=np.int64)
+    month_index = panel.month_index[lo:hi]
     return AlignedPanel(
-        dates=dates,
-        months=months,
-        month_index=month_index,
-        day_of_month=panel.day_of_month[lo:hi].copy(),
+        dates=panel.dates[lo:hi],
+        month_index=month_index - (month_index[0] if hi > lo else 0),
         columns={k: v[lo:hi].copy() for k, v in panel.columns.items()},
     )

@@ -19,21 +19,19 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import tables
 from .errors import (
     EmptyMonth,
-    InputError,
     InsufficientBars,
     LengthMismatch,
     MissingFile,
     NonPositiveLambda,
     ZeroRvSum,
 )
-from .marketdata import Bar, IntradaySeries
+from .marketdata import IntradaySeries
 
 RET_SCALE = 100.0
 
@@ -55,32 +53,6 @@ class RvSeries:
     @property
     def n_days(self) -> int:
         return len(self.dates)
-
-
-def daily_return(price: float, prev_price: float) -> float:
-    """Percent log return between consecutive daily prices."""
-    if price <= 0 or prev_price <= 0:
-        raise InputError("prices must be positive")
-    return RET_SCALE * (math.log(price) - math.log(prev_price))
-
-
-def intraday_returns(bars: Sequence[Bar]) -> np.ndarray:
-    """Percent log returns between consecutive bars of a single day."""
-    if len(bars) < 2:
-        raise InsufficientBars(
-            f"need at least 2 bars, got {len(bars)}"
-            + (f" on {bars[0].date}" if bars else ""))
-    prices = np.array([b.price for b in bars], dtype=float)
-    if np.any(prices <= 0):
-        raise InputError("prices must be positive")
-    logp = np.log(prices)
-    return RET_SCALE * np.diff(logp)
-
-
-def realized_variance(bars: Sequence[Bar]) -> float:
-    """Sum of squared intraday percent log returns for one day."""
-    r = intraday_returns(bars)
-    return float(np.sum(r * r))
 
 
 def scale_parameter(daily_returns: np.ndarray, rv: np.ndarray) -> float:
@@ -137,25 +109,28 @@ def compute_rv_series(series: IntradaySeries) -> RvSeries:
     Daily prices are the last bar of each day. Every day must carry at
     least two bars. The first day is dropped (no previous close).
     """
-    days = series.days()
-    if len(days) < 2:
+    if len(series.dates) < 2:
         raise InsufficientBars("need at least 2 trading days")
-    closes = []
-    rvs = []
-    for day_date, bars in days:
-        if len(bars) < 2:
-            raise InsufficientBars(
-                f"day {day_date} has {len(bars)} bar(s), need at least 2")
-        closes.append(bars[-1].price)
-        rvs.append(realized_variance(bars))
-    dates = [d for d, _ in days][1:]
-    ret = np.array([
-        daily_return(closes[i + 1], closes[i]) for i in range(len(closes) - 1)
-    ])
-    rv = np.array(rvs[1:])
+    starts = series.day_starts()
+    counts = np.diff(starts)
+    if np.any(counts < 2):
+        k = int(np.argmax(counts < 2))
+        raise InsufficientBars(
+            f"day {series.dates[k]} has {counts[k]} bar(s), need at least 2")
+    prices = series.bars["price"]
+    # step i is bar i -> i + 1; a day's last step crosses into the next day
+    steps = RET_SCALE * np.diff(np.log(prices))
+    squared = steps * steps
+    bounds = starts.tolist()
+    rv = np.array([np.sum(squared[lo:hi - 1])
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])])
+    # math.log and np.log differ in the last bit now and then; returns
+    # take math.log so that rv.csv keeps its bytes
+    closes = prices[starts[1:] - 1].tolist()
+    ret = RET_SCALE * np.diff([math.log(c) for c in closes])
     lam = scale_parameter(ret, rv)
-    return RvSeries(dates=dates, ret=ret, rv=rv, rv_adj=adjust_rv(rv, lam),
-                    lam=lam)
+    return RvSeries(dates=series.dates[1:], ret=ret, rv=rv,
+                    rv_adj=adjust_rv(rv, lam), lam=lam)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .marketdata import (
     DAILY_HEADER,
     INTRADAY_HEADER,
     MONTHLY_HEADER,
-    Bar,
+    BAR_DTYPE,
     IntradaySeries,
 )
 
@@ -159,9 +159,9 @@ def gen_intraday(dates: Sequence[str], day_variance: np.ndarray,
     if n_inc < 1:
         raise BadSpec("need at least 2 bars per day")
 
-    bars: list[Bar] = []
+    prices = np.empty((len(dates), bars_per_day))
     log_close = math.log(start_price)
-    for i, date in enumerate(dates):
+    for i in range(len(dates)):
         v_log = day_variance[i] / 1e4          # percent^2 -> log units
         if i == 0 or overnight_frac == 0.0:
             gap = 0.0
@@ -174,10 +174,14 @@ def gen_intraday(dates: Sequence[str], day_variance: np.ndarray,
             steps = steps + (want - steps.sum()) / n_inc
         log_open = log_close + gap
         levels = log_open + np.concatenate([[0.0], np.cumsum(steps)])
-        for j in range(bars_per_day):
-            bars.append(Bar(date, j * 5, math.exp(levels[j])))
+        # math.exp, not np.exp: the two differ in the last bit now and then
+        prices[i] = [math.exp(level) for level in levels.tolist()]
         log_close = log_open + steps.sum()
-    return IntradaySeries(instrument="sim", bars=bars)
+    bars = np.empty(prices.size, dtype=BAR_DTYPE)
+    bars["day"] = np.repeat(np.arange(len(dates)), bars_per_day)
+    bars["time_min"] = np.tile(np.arange(bars_per_day) * 5, len(dates))
+    bars["price"] = prices.ravel()
+    return IntradaySeries(dates=list(dates), bars=bars)
 
 
 # ----------------------------------------------------------------------
@@ -219,19 +223,14 @@ def _rsi(close: np.ndarray, window: int = 14) -> np.ndarray:
 
 def _daily_columns(series: IntradaySeries, volume: np.ndarray
                    ) -> dict[str, np.ndarray]:
-    opens, highs, lows, closes = [], [], [], []
-    for _, bars in series.days():
-        prices = [b.price for b in bars]
-        opens.append(prices[0])
-        highs.append(max(prices))
-        lows.append(min(prices))
-        closes.append(prices[-1])
-    close = np.array(closes)
+    price = series.bars["price"]
+    starts = series.day_starts()
+    close = price[starts[1:] - 1]
     sign = np.sign(np.diff(close, prepend=close[0]))
     return {
-        "open": np.array(opens),
-        "high": np.array(highs),
-        "low": np.array(lows),
+        "open": price[starts[:-1]],
+        "high": np.maximum.reduceat(price, starts[:-1]),
+        "low": np.minimum.reduceat(price, starts[:-1]),
         "close": close,
         "volume": volume,
         "turn": volume / 5e6,
@@ -312,8 +311,8 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
 
     bars = intraday.bars
     tables.write(paths["intraday"], INTRADAY_HEADER,
-                 [[b.date for b in bars], [b.time_min for b in bars],
-                  [b.price for b in bars]])
+                 [np.array(dates)[bars["day"]], bars["time_min"],
+                  bars["price"]])
     cols = _daily_columns(intraday, volume)
     tables.write(paths["daily"], DAILY_HEADER,
                  [dates] + [cols[c] for c in DAILY_HEADER[1:]])

@@ -376,21 +376,6 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _attend(q, k, v)[0]
 
 
-def multi_head(x: np.ndarray,
-               heads: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-               w_out: np.ndarray) -> np.ndarray:
-    """Multi-head self-attention of a (T, d) block.
-
-    ``heads`` lists (W_q, W_k, W_v) per head; concatenated head outputs
-    pass through ``w_out``.
-    """
-    x = np.asarray(x, dtype=float)
-    wqkv = np.concatenate([np.asarray(head[s], dtype=float)
-                           for s in range(3) for head in heads], axis=1)
-    out, _ = _self_attention(x[None], wqkv, len(heads))
-    return out[0] @ w_out
-
-
 def encoder_forward(x: np.ndarray, weights: Mapping[str, np.ndarray],
                     config: ModelConfig) -> float:
     """Scalar prediction for one (T, F) window."""

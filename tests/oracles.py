@@ -212,6 +212,21 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def fd_gradient_stacked(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """:func:`fd_gradient` with every perturbed copy of ``x`` in one call.
+
+    ``f`` takes a (2 * x.size, *x.shape) stack, the +eps copies first,
+    and returns one value per copy. The differences are those of the
+    loop, bit for bit, when ``f`` evaluates each copy as the loop's
+    ``f`` would.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    step = (eps * np.eye(n)).reshape((n,) + x.shape)
+    values = f(np.concatenate([x + step, x - step]))
+    return ((values[:n] - values[n:]) / (2.0 * eps)).reshape(x.shape)
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric relative disagreement of two arrays."""
     a = np.asarray(a, dtype=float).ravel()
@@ -278,6 +293,8 @@ def encoder_naive(weights, dims, X):
             w = np.exp(scores)
             w = w / w.sum(axis=-1, keepdims=True)
             heads.append(w @ v)
+        # a perturbation axis on one head's weights leads only its output
+        heads = np.broadcast_arrays(*heads)
         h = h + np.concatenate(heads, axis=-1) @ weights[f"layer{i}.attn.wo"]
         normed = _ln_naive(h, weights[f"layer{i}.ln2.gain"],
                            weights[f"layer{i}.ln2.bias"])
@@ -289,6 +306,22 @@ def encoder_naive(weights, dims, X):
     hidden = np.logaddexp(0.0, pooled @ weights["mlp1.w"] + weights["mlp1.b"])
     out = hidden @ weights["mlp2.w"] + weights["mlp2.b"]
     return out.reshape(out.shape[:-1])
+
+
+def encoder_mse_stacked(weights, dims, X, y, name, stack):
+    """MSE of :func:`encoder_naive` on the batch ``X`` (n, T, F) for
+    every copy of weight ``name`` in ``stack``, in one forward.
+
+    The copy axis goes in front of the batch axis: a weight read before
+    the mean pooling meets (n, T, d) activations, one read after it
+    (n, d) activations.
+    """
+    shape = weights[name].shape
+    rank = X.ndim - 1 if name.startswith("mlp") else X.ndim
+    trial = dict(weights)
+    trial[name] = stack.reshape(
+        (len(stack),) + (1,) * (rank - len(shape)) + shape)
+    return np.mean((encoder_naive(trial, dims, X) - y) ** 2, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +349,5 @@ def losses_naive(pred, truth) -> dict:
                      for i in range(n))
         ss_tot = sum((yi - ybar) ** 2 for yi in y)
         r2 = 1.0 - ss_res / ss_tot
-    msle = sum((y[i] - x[i]) ** 2 for i in range(n)) / n
     return {"mse": mse, "hmse": hmse, "mae": mae, "mape": mape,
-            "qlike": ql, "r2log": r2, "r2log_loss": msle}
+            "qlike": ql, "r2log": r2}

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,9 @@ from mfvol import transformer as tfm
 
 from oracles import (
     beta_weights_naive,
+    encoder_mse_stacked,
     encoder_naive,
-    fd_gradient,
+    fd_gradient_stacked,
     garch11_filter,
     loglik_naive,
 )
@@ -263,12 +265,9 @@ def test_criterion_07_gradient_check():
 
         _, grads = tfm.gradient(weights, cfg, X, y)
         for name in weights:
-            def loss_of(arr, _n=name):
-                trial = dict(weights)
-                trial[_n] = arr
-                return float(np.mean((encoder_naive(trial, dims, X) - y) ** 2))
-
-            fd = fd_gradient(loss_of, weights[name].copy(), eps=1e-5)
+            fd = fd_gradient_stacked(
+                partial(encoder_mse_stacked, weights, dims, X, y, name),
+                weights[name], eps=1e-5)
             rel = np.abs(grads[name] - fd) / (np.abs(grads[name])
                                               + np.abs(fd) + 1e-8)
             worst = max(worst, float(rel.max()))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfvol import cli, evaluation
+from mfvol import transformer as tfm
 from mfvol.cli import FactorTable
 from mfvol.errors import LengthMismatch, MalformedRow, MissingColumn
 
@@ -310,6 +311,18 @@ class TestAblate:
         assert [r.group for r in rows] == ["G1", "G3", "-"]
         assert rows[0].n == rows[1].n
         assert rows[2].model == "persistence"
+
+    def test_unknown_group_rejected_before_training(self, pipeline, tmp_path,
+                                                    monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a group trained before G9 was rejected")
+
+        monkeypatch.setattr(tfm, "train", no_training)
+        report = tmp_path / "report.csv"
+        assert run(["ablate", "--factors", str(pipeline / "factors.csv"),
+                    "--h-file", str(pipeline / "h.csv"),
+                    "--groups", "G1,G9", "--out", str(report)]) == 2
+        assert not report.exists()
 
 
 class TestExitCodes:

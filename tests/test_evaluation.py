@@ -33,13 +33,10 @@ class TestLossValues:
             assert ev.mape(pred, truth) == pytest.approx(want["mape"], rel=1e-12)
             assert ev.qlike(pred, truth) == pytest.approx(want["qlike"], rel=1e-12)
             assert ev.r2log(pred, truth) == pytest.approx(want["r2log"], rel=1e-10)
-            assert ev.r2log_loss(pred, truth) == pytest.approx(
-                want["r2log_loss"], rel=1e-12)
 
     def test_returns_python_floats(self):
         pred, truth = random_pair()
-        for fn in (ev.mse, ev.hmse, ev.mae, ev.mape, ev.qlike, ev.r2log,
-                   ev.r2log_loss):
+        for fn in (ev.mse, ev.hmse, ev.mae, ev.mape, ev.qlike, ev.r2log):
             assert type(fn(pred, truth)) is float
 
     def test_perfect_forecast(self):
@@ -49,7 +46,6 @@ class TestLossValues:
         assert ev.mae(truth, truth) == 0.0
         assert ev.mape(truth, truth) == 0.0
         assert ev.r2log(truth, truth) == pytest.approx(1.0)
-        assert ev.r2log_loss(truth, truth) == 0.0
 
     def test_qlike_is_minimized_at_truth(self):
         # for each observation, h -> ln h + rv/h has its minimum at h = rv
@@ -83,12 +79,12 @@ class TestValidation:
             ev.mae(np.array([]), np.array([]))
 
     def test_nonpositive_truth(self):
-        for fn in (ev.hmse, ev.mape, ev.r2log, ev.r2log_loss):
+        for fn in (ev.hmse, ev.mape, ev.r2log):
             with pytest.raises(NonPositiveTruth):
                 fn(np.ones(4), np.array([1.0, 2.0, 0.0, 3.0]))
 
     def test_nonpositive_forecast(self):
-        for fn in (ev.qlike, ev.r2log, ev.r2log_loss):
+        for fn in (ev.qlike, ev.r2log):
             with pytest.raises(NonPositiveInput):
                 fn(np.array([1.0, -0.5, 2.0]), np.ones(3))
 

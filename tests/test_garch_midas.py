@@ -139,6 +139,21 @@ class TestFilter:
             gm.filter_volatility(spec, params, data)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("beta", math.nan), ("mu", math.nan),
+        ("m", math.inf), ("theta", [math.nan, 0.1]), ("w1", [1.0, math.inf]),
+        ("w2", [math.nan]),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        J = 1 if field == "w2" else 2
+        params = make_params(J=J)
+        setattr(params, field, np.atleast_1d(value) if isinstance(value, list)
+                else value)
+        with pytest.raises(errors.BadParameter):
+            gm.filter_volatility(gm.MidasSpec(n_lags=6, n_covariates=J),
+                                 params, make_data(J=J))
+
+
 class TestShortRunScan:
     # fixed before the scan was written: the blocked scan may differ
     # from the sequential loop by rounding only

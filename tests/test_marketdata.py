@@ -41,9 +41,11 @@ def attention_line(date, base=500.0):
 class TestLoadIntraday:
     def test_sorts_by_date_then_time(self, tmp_path):
         series = md.load_intraday(write(tmp_path / "i.csv", INTRADAY_OK))
-        got = [(b.date, b.time_min) for b in series.bars]
+        assert series.dates == ["2021-03-01", "2021-03-02"]
+        got = [(series.dates[d], t) for d, t, _ in series.bars.tolist()]
         assert got == sorted(got)
-        assert series.bars[0].price == 9.9
+        assert series.bars["price"][0] == 9.9
+        assert series.day_starts().tolist() == [0, 2, 4]
 
     def test_duplicate_bar_rejected(self, tmp_path):
         text = INTRADAY_OK + "2021-03-02,5,10.3\n"
@@ -69,6 +71,20 @@ class TestLoadIntraday:
         with pytest.raises(errors.MalformedRow):
             md.load_intraday(write(tmp_path / "i.csv", "a,b,c\n1,2,3\n"))
 
+    def test_error_names_first_offending_line(self, tmp_path):
+        # a bad date seen twice is reported at its first line, ahead of
+        # a later line's other fault
+        text = ("date,time_min,price\n2021-03-01,0,10.0\n"
+                "2021-02-30,0,10.0\n2021-02-30,5,10.0\n2021-03-01,7,1.0\n")
+        with pytest.raises(errors.MalformedRow) as info:
+            md.load_intraday(write(tmp_path / "i.csv", text))
+        assert info.value.line == 3
+        text = ("date,time_min,price\n2021-03-01,0,10.0\n"
+                "2021-03-01,5,-1.0\n2021-03-01,7,1.0\n")
+        with pytest.raises(errors.NonPositivePrice) as info:
+            md.load_intraday(write(tmp_path / "i.csv", text))
+        assert info.value.line == 3
+
     def test_full_day_accepted(self, tmp_path):
         lines = ["date,time_min,price"]
         lines += [f"2021-03-01,{5 * j},10.0" for j in range(48)]
@@ -82,16 +98,17 @@ class TestLoadDaily:
         text = "\n".join([",".join(md.DAILY_HEADER),
                           daily_line("2021-03-02", 11.0),
                           daily_line("2021-03-01", 10.0)]) + "\n"
-        recs = md.load_daily(write(tmp_path / "d.csv", text))
-        assert [r.date for r in recs] == ["2021-03-01", "2021-03-02"]
-        assert recs[1].close == 11.0
+        dates, cols = md.load_daily(write(tmp_path / "d.csv", text))
+        assert dates == ["2021-03-01", "2021-03-02"]
+        assert cols["close"].tolist() == [10.0, 11.0]
+        assert list(cols) == md.DAILY_HEADER[1:]
 
     def test_missing_indicator_becomes_nan(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
         line[md.DAILY_HEADER.index("rsi")] = ""
         text = ",".join(md.DAILY_HEADER) + "\n" + ",".join(line) + "\n"
-        recs = md.load_daily(write(tmp_path / "d.csv", text))
-        assert math.isnan(recs[0].rsi)
+        _, cols = md.load_daily(write(tmp_path / "d.csv", text))
+        assert math.isnan(cols["rsi"][0])
 
     def test_missing_close_rejected(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
@@ -114,6 +131,16 @@ class TestLoadDaily:
             md.load_daily(write(tmp_path / "d.csv", text))
 
 
+    def test_error_names_first_offending_line(self, tmp_path):
+        text = "\n".join([",".join(md.DAILY_HEADER),
+                          daily_line("2021-03-01"),
+                          daily_line("2021-03-02", volume=-1.0),
+                          daily_line("2021-03-03", low=99.0)]) + "\n"
+        with pytest.raises(errors.MalformedRow) as info:
+            md.load_daily(write(tmp_path / "d.csv", text))
+        assert info.value.line == 3
+
+
 class TestLoadMonthly:
     def test_contiguity_enforced(self, tmp_path):
         text = "\n".join([",".join(md.MONTHLY_HEADER),
@@ -126,8 +153,9 @@ class TestLoadMonthly:
         text = "\n".join([",".join(md.MONTHLY_HEADER),
                           monthly_line("2020-12"),
                           monthly_line("2021-01")]) + "\n"
-        recs = md.load_monthly(write(tmp_path / "m.csv", text))
-        assert [r.month for r in recs] == ["2020-12", "2021-01"]
+        months, cols = md.load_monthly(write(tmp_path / "m.csv", text))
+        assert months == ["2020-12", "2021-01"]
+        assert cols["meci"].tolist() == [100.0, 100.0]
 
     def test_bad_month_format(self, tmp_path):
         text = ",".join(md.MONTHLY_HEADER) + "\n" \
@@ -136,12 +164,33 @@ class TestLoadMonthly:
             md.load_monthly(write(tmp_path / "m.csv", text))
 
 
+    def test_duplicate_month_names_later_line(self, tmp_path):
+        text = "\n".join([",".join(md.MONTHLY_HEADER),
+                          monthly_line("2021-02"),
+                          monthly_line("2021-01"),
+                          monthly_line("2021-02")]) + "\n"
+        with pytest.raises(errors.MalformedRow) as info:
+            md.load_monthly(write(tmp_path / "m.csv", text))
+        assert info.value.line == 4
+
+
 class TestLoadAttention:
     def test_negative_count_rejected(self, tmp_path):
         text = ",".join(md.ATTENTION_HEADER) + "\n" \
             + attention_line("2021-03-01", -10.0) + "\n"
-        with pytest.raises(errors.MalformedRow):
+        with pytest.raises(errors.MalformedRow) as info:
             md.load_attention(write(tmp_path / "a.csv", text))
+        assert info.value.line == 2
+
+    def test_sorted_columns_and_missing_cells(self, tmp_path):
+        text = "\n".join([",".join(md.ATTENTION_HEADER),
+                          attention_line("2021-03-02", 600.0),
+                          "2021-03-01,1,,3,4,5"]) + "\n"
+        dates, cols = md.load_attention(write(tmp_path / "a.csv", text))
+        assert dates == ["2021-03-01", "2021-03-02"]
+        assert list(cols) == md.ATTENTION_HEADER[1:]
+        assert cols["csi300"].tolist() == [1.0, 600.0]
+        assert math.isnan(cols["csi500"][0])
 
 
 def build_panel(tmp_path, dates, months, att_dates=None, extra=None):
@@ -173,9 +222,7 @@ class TestAlign:
     def test_monthly_values_repeat_within_month(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         assert panel.dates == DATES
-        assert panel.months == MONTHS
         assert panel.month_index.tolist() == [0, 0, 1, 1, 1]
-        assert panel.day_of_month.tolist() == [1, 2, 1, 2, 3]
         assert panel.columns["meci"].tolist() == [100.0, 100.0, 110.0,
                                                   110.0, 110.0]
 
@@ -192,7 +239,7 @@ class TestAlign:
         extra = {"rv": {d: float(i) for i, d in enumerate(DATES[2:])}}
         panel = build_panel(tmp_path, DATES, MONTHS, extra=extra)
         assert panel.dates == DATES[2:]
-        assert panel.months == ["2021-02"]
+        assert panel.month_index.tolist() == [0, 0, 0]
         assert panel.columns["rv"].tolist() == [0.0, 1.0, 2.0]
 
     def test_matrix_column_order(self, tmp_path):
@@ -259,9 +306,7 @@ class TestSplit:
     def test_month_index_remapped(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         _, test = md.chronological_split(panel, 0.5)
-        assert test.months == ["2021-02"]
         assert test.month_index.tolist() == [0, 0, 0]
-        assert test.day_of_month.tolist() == [1, 2, 3]
 
     def test_bad_ratio(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
@@ -275,9 +320,7 @@ class TestSplit:
     def test_split_partitions_rows(self, n, ratio):
         panel = md.AlignedPanel(
             dates=[f"2021-01-{i + 1:02d}" for i in range(min(n, 28))],
-            months=["2021-01"],
             month_index=np.zeros(min(n, 28), dtype=np.int64),
-            day_of_month=np.arange(1, min(n, 28) + 1, dtype=np.int64),
             columns={"x": np.arange(min(n, 28), dtype=float)},
         )
         train, test = md.chronological_split(panel, ratio)

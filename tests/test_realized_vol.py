@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from mfvol import errors
 from mfvol import realized_vol as rvmod
-from mfvol.marketdata import Bar, IntradaySeries
+from mfvol.marketdata import BAR_DTYPE, IntradaySeries
 
 from oracles import lambda_naive, rv_naive
 
 
 def series_from_days(day_prices):
-    bars = []
-    for i, prices in enumerate(day_prices):
-        date = f"2021-01-{i + 1:02d}"
-        for j, p in enumerate(prices):
-            bars.append(Bar(date, 5 * j, p))
-    return IntradaySeries(instrument="t", bars=bars)
+    bars = [(i, 5 * j, p) for i, prices in enumerate(day_prices)
+            for j, p in enumerate(prices)]
+    return IntradaySeries(
+        dates=[f"2021-01-{i + 1:02d}" for i in range(len(day_prices))],
+        bars=np.array(bars, dtype=BAR_DTYPE))
 
 
 DAYS = [
@@ -86,15 +85,6 @@ class TestComputeRvSeries:
 
 
 class TestPieces:
-    def test_daily_return_sign_and_scale(self):
-        up = rvmod.daily_return(11.0, 10.0)
-        assert up == pytest.approx(100.0 * math.log(1.1), abs=1e-12)
-        assert rvmod.daily_return(10.0, 11.0) == pytest.approx(-up)
-
-    def test_intraday_returns_need_two_bars(self):
-        with pytest.raises(errors.InsufficientBars):
-            rvmod.intraday_returns([Bar("2021-01-01", 0, 10.0)])
-
     def test_scale_parameter_zero_rv_rejected(self):
         with pytest.raises(errors.ZeroRvSum):
             rvmod.scale_parameter(np.array([1.0, -1.0]),

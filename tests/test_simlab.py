@@ -60,8 +60,7 @@ class TestIntraday:
         series = simlab.gen_intraday(dates, var, rng, bars_per_day=10,
                                      overnight_frac=0.2,
                                      target_returns=target)
-        days = series.days()
-        closes = [bars[-1].price for _, bars in days]
+        closes = series.bars["price"][series.day_starts()[1:] - 1]
         for i in range(1, n):
             got = 100.0 * (math.log(closes[i]) - math.log(closes[i - 1]))
             assert got == pytest.approx(target[i], abs=1e-9)
@@ -70,17 +69,17 @@ class TestIntraday:
         rng = np.random.default_rng(0)
         series = simlab.gen_intraday(["2020-01-01"], np.array([1.0]), rng,
                                      bars_per_day=48)
-        assert [b.time_min for b in series.bars] == list(range(0, 240, 5))
+        assert series.bars["time_min"].tolist() == list(range(0, 240, 5))
+        assert series.bars["day"].tolist() == [0] * 48
 
     def test_zero_overnight_keeps_open_at_prior_close(self):
         rng = np.random.default_rng(2)
         dates = ["2020-01-01", "2020-01-02", "2020-01-03"]
         series = simlab.gen_intraday(dates, np.ones(3), rng, bars_per_day=6,
                                      overnight_frac=0.0)
-        days = series.days()
+        prices = series.bars["price"].reshape(3, 6)
         for i in range(1, 3):
-            assert days[i][1][0].price == pytest.approx(
-                days[i - 1][1][-1].price, rel=1e-12)
+            assert prices[i, 0] == pytest.approx(prices[i - 1, -1], rel=1e-12)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(0)
@@ -110,9 +109,10 @@ class TestFullScenario:
         att = md.load_attention(scen.paths["attention"])
         n_days = SMALL["months"] * SMALL["days_per_month"]
         assert len(intraday.bars) == n_days * SMALL["bars_per_day"]
-        assert len(daily) == n_days
-        assert len(monthly) == SMALL["months"]
-        assert len(att) == n_days
+        assert intraday.dates == scen.dates
+        assert daily[0] == scen.dates
+        assert monthly[0] == scen.months
+        assert att[0] == scen.dates
 
     def test_truth_json_refilters_to_same_h(self, scen):
         with open(scen.paths["truth"]) as fh:
@@ -185,8 +185,8 @@ class TestFullScenario:
         # subtracting mean and factor loadings must leave only the
         # macro_noise-scaled innovations
         X = np.array(scen.truth["covariates"])
-        monthly = md.load_monthly(scen.paths["monthly"])
-        meci = np.array([m.meci for m in monthly])
+        _, monthly = md.load_monthly(scen.paths["monthly"])
+        meci = monthly["meci"]
         resid = meci - simlab._MACRO_MEANS[0] \
             - simlab._MACRO_LOAD_1[0] * X[:, 0] \
             - simlab._MACRO_LOAD_2[0] * X[:, 1]

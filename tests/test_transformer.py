@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ from mfvol import transformer as tf
 from mfvol.errors import BadShape, DivergedLoss, EmptyDataset, ZeroVariance
 from mfvol.transformer import ModelConfig, TrainConfig
 
-from oracles import attention_naive, encoder_naive, fd_gradient, rel_err
+from oracles import (
+    attention_naive,
+    encoder_mse_stacked,
+    encoder_naive,
+    fd_gradient,
+    fd_gradient_stacked,
+    rel_err,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -97,18 +105,6 @@ class TestAttention:
         with pytest.raises(BadShape):
             tf.attention(np.ones(3), np.ones((3, 3)), np.ones((3, 3)))
 
-    def test_multi_head_is_concat_then_project(self):
-        d, dk = 6, 3
-        x = RNG.standard_normal((5, d))
-        heads = [tuple(RNG.standard_normal((d, dk)) for _ in range(3))
-                 for _ in range(2)]
-        w_out = RNG.standard_normal((d, d))
-        got = tf.multi_head(x, heads, w_out)
-        parts = [attention_naive(x @ wq, x @ wk, x @ wv)
-                 for wq, wk, wv in heads]
-        want = np.concatenate(parts, axis=1) @ w_out
-        assert rel_err(got, want) < 1e-12
-
 
 class TestForward:
     def test_batch_agrees_with_single_windows(self):
@@ -183,6 +179,27 @@ class TestGradient:
         assert loss == pytest.approx(
             tf.loss_mse(encoder_naive(weights, dims, X), y), rel=1e-12)
         assert_gradient_matches_oracle(weights, cfg, X, y)
+
+    def test_stacked_differences_equal_the_loop(self):
+        # criterion 07's geometry, data and eps on its first seed
+        cfg = ModelConfig(n_features=5, d_model=12, n_heads=3, n_layers=2,
+                          d_ff=24)
+        dims = (5, 12, 3, 2, 24)
+        rng = np.random.default_rng(100)
+        weights = tf.init_weights(cfg, seed=0)
+        X = rng.standard_normal((3, 5, cfg.n_features))
+        y = rng.standard_normal(3)
+        for name in weights:
+            def loss_of(arr, _name=name):
+                trial = dict(weights)
+                trial[_name] = arr
+                return float(np.mean((encoder_naive(trial, dims, X) - y) ** 2))
+
+            loop = fd_gradient(loss_of, weights[name].copy(), eps=1e-5)
+            stacked = fd_gradient_stacked(
+                partial(encoder_mse_stacked, weights, dims, X, y, name),
+                weights[name], eps=1e-5)
+            assert np.array_equal(stacked, loop), name
 
     def test_loss_value_matches_forward(self):
         weights = tf.init_weights(TINY, seed=4)
