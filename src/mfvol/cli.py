@@ -1,20 +1,12 @@
-"""Command-line pipeline.
-
-Eight subcommands cover the full workflow::
-
-    mfvol simulate   synthetic scenario with a truth sidecar
-    mfvol rv         realized variance from 5-minute bars
-    mfvol pca        aligned factor panel with a train/test stamp
-    mfvol midas-fit  daily conditional variance from monthly factors
-    mfvol train      windowed attention regressor on the factor panel
-    mfvol predict    out-of-sample forecasts from a trained model
-    mfvol evaluate   loss table for one forecast file
-    mfvol ablate     feature-group comparison on one panel
+"""Command-line pipeline: eight subcommands, from ``simulate`` to
+``ablate``, each declared with its options in :data:`OPTIONS`.
 
 Every option can also come from a ``key = value`` config file passed
 as ``--config``; an explicit flag wins over the file, the file wins
-over the built-in default. Exit status is 0 on success, 2 on input
-problems and 3 on numerical failures.
+over the built-in default. Flag and file values pass the same casts
+and choices, and a key the subcommand does not take, or one given
+twice, is an error. Exit status is 0 on success, 2 on input problems
+and 3 on numerical failures.
 
 The pca step stamps each row of ``factors.csv`` as train or test.
 Downstream commands reuse that stamp instead of re-deriving their own
@@ -52,8 +44,11 @@ PRED_HEADER = ["date", "rv_true", "rv_pred"]
 
 
 # ----------------------------------------------------------------------
-# Config file and option resolution
+# Options: one table, cast and checked the same way from flag or file
 # ----------------------------------------------------------------------
+
+REQUIRED = object()     # the default of an option that must be given
+
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -61,14 +56,81 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise InputError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
-        raise InputError(f"expected a comma-separated list, got {text!r}")
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
     return names
+
+
+TRAINING = {
+    "window": (int, "5"), "lr": (float, "0.05"), "batch": (int, "32"),
+    "epochs": (int, "200"), "seed": (int, "0"),
+    "shuffle": (_parse_bool, "false"), "patience": (int, None),
+    "optimizer": (("sgd", "adam"), "sgd"),
+}
+
+# Each subcommand's options in flag order, as name -> (cast or tuple of
+# choices, default text). A default of None leaves the option unset.
+# The options cast by _parse_bool are switches.
+OPTIONS = {
+    "simulate": {
+        "out": (str, REQUIRED), "seed": (int, "0"), "months": (int, "40"),
+        "days_per_month": (int, "21"), "bars_per_day": (int, "48"),
+        "n_lags": (int, "6"), "cov_rho": (float, "0.8"),
+        "attention_coef": (float, "0.35"), "overnight_frac": (float, "0.15"),
+        "start_price": (float, "100.0"), "start_month": (str, "2015-01"),
+    },
+    "rv": {
+        "intraday": (str, REQUIRED), "out_csv": (str, "rv.csv"),
+        "out_sidecar": (str, "rv_lambda.json"),
+    },
+    "pca": {
+        "daily": (str, REQUIRED), "attention": (str, REQUIRED),
+        "monthly": (str, REQUIRED), "rv": (str, REQUIRED),
+        "ratio": (float, "0.9"), "fill": (("ffill", "linear"), "ffill"),
+        "out_dir": (str, "."),
+    },
+    "midas-fit": {
+        "factors": (str, REQUIRED),
+        "mode": (("exogenous", "rv-window"), "exogenous"),
+        "covariates": (_parse_names, "pcm1,pcm2"),
+        "link": (("log", "identity"), None), "n_lags": (int, "12"),
+        "free_w1": (_parse_bool, "false"), "restarts": (int, "5"),
+        "seed": (int, "0"), "max_iter": (int, "5000"),
+        "out_fit": (str, "midas_fit.json"), "out_h": (str, "h.csv"),
+    },
+    "train": {
+        "factors": (str, REQUIRED), "h_file": (str, None),
+        "features": (_parse_names, "tech1,tech2,tech3,bd1,h"), **TRAINING,
+        "d_model": (int, "12"), "heads": (int, "3"), "layers": (int, "2"),
+        "d_ff": (int, "24"), "out_model": (str, "weights.json"),
+        "out_history": (str, "loss_history.csv"),
+    },
+    "predict": {
+        "factors": (str, REQUIRED), "h_file": (str, None),
+        "model": (str, REQUIRED), "split": (("train", "test", "all"), "test"),
+        "out": (str, "pred.csv"),
+    },
+    "evaluate": {
+        "pred": (str, REQUIRED), "model_name": (str, "transformer"),
+        "group": (str, "G4"), "persistence": (_parse_bool, "false"),
+        "append": (_parse_bool, "false"), "no_footer": (_parse_bool, "false"),
+        "out": (str, "report.csv"),
+    },
+    "ablate": {
+        "factors": (str, REQUIRED), "h_file": (str, REQUIRED),
+        "groups": (_parse_names, "G1,G2,G3,G4"), **TRAINING,
+        "out": (str, "report.csv"),
+    },
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -88,31 +150,42 @@ def load_config(path: str) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if not key:
                 raise MalformedRow(path, line_no, "empty key")
+            if key in out:
+                raise MalformedRow(path, line_no, f"repeated key {key!r}")
             out[key] = value.strip()
     return out
 
 
-class Options:
-    """Flag > config-file > default resolution for one subcommand."""
+def _cast(kind, text: str, name: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise InputError(f"{_flag(name)} must be one of "
+                             f"{', '.join(kind)}, got {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"bad value {text!r} for {_flag(name)}") from None
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = load_config(args.config) if args.config else {}
 
-    def get(self, name: str, default=None, cast=str):
-        value = getattr(self.args, name)
-        if value is not None:
-            return value
-        if name in self.config:
-            return cast(self.config[name])
-        return default
-
-    def require(self, name: str, cast=str):
-        value = self.get(name, default=None, cast=cast)
-        if value is None:
-            flag = "--" + name.replace("_", "-")
-            raise InputError(f"missing required option {flag}")
-        return value
+def resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
+    """Every option of ``command``, typed: the flag's text, else the
+    config file's, else the default, through one cast and check."""
+    table = OPTIONS[command]
+    config = load_config(args.config) if args.config else {}
+    for key in config:
+        if key not in table:
+            raise InputError(f"{args.config}: {command} takes no option "
+                             f"{key!r}")
+    values = {}
+    for name, (kind, default) in table.items():
+        text = getattr(args, name)
+        if text is None:
+            text = config.get(name, default)
+        if text is REQUIRED:
+            raise InputError(f"missing required option {_flag(name)}")
+        values[name] = None if text is None else _cast(kind, text, name)
+    return argparse.Namespace(**values)
 
 
 # ----------------------------------------------------------------------
@@ -240,53 +313,43 @@ def subset(dataset: tfm.WindowedDataset, mask: np.ndarray
     )
 
 
-def _train_config(opts: Options) -> tfm.TrainConfig:
+def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
     """The training options that ``train`` and ``ablate`` share."""
     return tfm.TrainConfig(
-        window=opts.get("window", 5, int),
-        learning_rate=opts.get("lr", 0.05, float),
-        batch_size=opts.get("batch", 32, int),
-        max_epochs=opts.get("epochs", 200, int),
-        seed=opts.get("seed", 0, int),
-        shuffle=opts.get("shuffle", False, _parse_bool),
-        patience=opts.get("patience", None, int),
-        optimizer=opts.get("optimizer", "sgd"),
-    )
+        window=o.window, learning_rate=o.lr, batch_size=o.batch,
+        max_epochs=o.epochs, seed=o.seed, shuffle=o.shuffle,
+        patience=o.patience, optimizer=o.optimizer)
 
 
-def _load_windows(opts: Options, feature_names: tuple[str, ...],
+def _load_windows(o: argparse.Namespace, feature_names: tuple[str, ...],
                   window: int) -> tuple[tfm.WindowedDataset, np.ndarray]:
-    table = read_factors(opts.require("factors"))
-    h_file = opts.get("h_file")
-    if h_file is not None:
-        table = join_h(table, h_file)
+    table = read_factors(o.factors)
+    if o.h_file is not None:
+        table = join_h(table, o.h_file)
     elif "h" in feature_names:
         raise InputError(
             "feature list includes 'h' but no --h-file was given")
     return windowed_split(table, feature_names, window)
 
 
+def _print_rows(rows: list[evaluation.EvalRow]) -> None:
+    for row in rows:
+        print(f"{row.model}/{row.group}: n={row.n} mse={row.mse:.6f} "
+              f"qlike={row.qlike:.6f} r2log={row.r2log:.4f}")
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_simulate(opts: Options) -> int:
+def cmd_simulate(o: argparse.Namespace) -> int:
+    """write a synthetic scenario with known truth"""
     from . import simlab     # only this subcommand loads the simulator
 
-    out_dir = opts.require("out")
-    spec = simlab.ScenarioSpec(
-        seed=opts.get("seed", 0, int),
-        months=opts.get("months", 40, int),
-        days_per_month=opts.get("days_per_month", 21, int),
-        bars_per_day=opts.get("bars_per_day", 48, int),
-        n_lags=opts.get("n_lags", 6, int),
-        cov_rho=opts.get("cov_rho", 0.8, float),
-        attention_coef=opts.get("attention_coef", 0.35, float),
-        overnight_frac=opts.get("overnight_frac", 0.15, float),
-        start_price=opts.get("start_price", 100.0, float),
-        start_month=opts.get("start_month", "2015-01"),
-    )
-    result = simlab.gen_full_scenario(spec, out_dir)
+    # every option but --out is a field of the scenario spec
+    spec = simlab.ScenarioSpec(**{name: value for name, value
+                                  in vars(o).items() if name != "out"})
+    result = simlab.gen_full_scenario(spec, o.out)
     print(f"scenario seed={spec.seed}: {spec.months} months x "
           f"{spec.days_per_month} days, {spec.bars_per_day} bars/day")
     for name in ("intraday", "daily", "monthly", "attention", "truth"):
@@ -294,27 +357,24 @@ def cmd_simulate(opts: Options) -> int:
     return 0
 
 
-def cmd_rv(opts: Options) -> int:
-    series = marketdata.load_intraday(opts.require("intraday"))
+def cmd_rv(o: argparse.Namespace) -> int:
+    """realized variance from 5-minute bars"""
+    series = marketdata.load_intraday(o.intraday)
     rv = realized_vol.compute_rv_series(series)
-    out_csv = opts.get("out_csv", "rv.csv")
-    out_sidecar = opts.get("out_sidecar", "rv_lambda.json")
-    realized_vol.write_rv(rv, out_csv, out_sidecar)
+    realized_vol.write_rv(rv, o.out_csv, o.out_sidecar)
     print(f"{rv.n_days} days, lambda = {rv.lam:.6f}")
-    print(f"  wrote {out_csv}")
-    print(f"  wrote {out_sidecar}")
+    print(f"  wrote {o.out_csv}")
+    print(f"  wrote {o.out_sidecar}")
     return 0
 
 
-def cmd_pca(opts: Options) -> int:
-    daily = marketdata.load_daily(opts.require("daily"))
-    attention = marketdata.load_attention(opts.require("attention"))
-    monthly = marketdata.load_monthly(opts.require("monthly"))
-    rv = realized_vol.read_rv(opts.require("rv"))
-    ratio = opts.get("ratio", 0.9, float)
-    fill = opts.get("fill", "ffill")
-    out_dir = opts.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_pca(o: argparse.Namespace) -> int:
+    """aligned factor panel with train/test stamps"""
+    daily = marketdata.load_daily(o.daily)
+    attention = marketdata.load_attention(o.attention)
+    monthly = marketdata.load_monthly(o.monthly)
+    rv = realized_vol.read_rv(o.rv)
+    os.makedirs(o.out_dir, exist_ok=True)
 
     extra = {
         "ret": dict(zip(rv.dates, rv.ret)),
@@ -322,12 +382,12 @@ def cmd_pca(opts: Options) -> int:
     }
     panel = marketdata.align_mixed_frequency(daily, attention, monthly,
                                              extra=extra)
-    panel = marketdata.fill_missing(panel, policy=fill)
-    train_panel, _ = marketdata.chronological_split(panel, ratio)
+    panel = marketdata.fill_missing(panel, policy=o.fill)
+    train_panel, _ = marketdata.chronological_split(panel, o.ratio)
     n_train = train_panel.n_rows
     if n_train < 2 or n_train == panel.n_rows:
         raise InputError(
-            f"ratio {ratio} leaves {n_train} training rows out of "
+            f"ratio {o.ratio} leaves {n_train} training rows out of "
             f"{panel.n_rows}; nothing to fit or nothing to test")
 
     member_cols = [c for spec in features.DEFAULT_GROUPS
@@ -348,13 +408,13 @@ def cmd_pca(opts: Options) -> int:
                  for c in ["ret", "rv"] + factor_names},
         col_order=["ret", "rv"] + factor_names,
     )
-    factors_path = os.path.join(out_dir, "factors.csv")
+    factors_path = os.path.join(o.out_dir, "factors.csv")
     write_factors(table, factors_path)
 
-    stats_path = os.path.join(out_dir, "norm_stats.json")
+    stats_path = os.path.join(o.out_dir, "norm_stats.json")
     with open(stats_path, "w") as fh:
         json.dump({
-            "ratio": ratio,
+            "ratio": o.ratio,
             "n_train": n_train,
             "boundary_date": panel.dates[n_train - 1],
             "stats": {k: list(v) for k, v in stats.items()},
@@ -367,41 +427,33 @@ def cmd_pca(opts: Options) -> int:
     print(f"  wrote {stats_path}")
     for spec in features.DEFAULT_GROUPS:
         model = models[spec.name]
-        path = os.path.join(out_dir, f"pca_{spec.name}.json")
+        path = os.path.join(o.out_dir, f"pca_{spec.name}.json")
         features.save_model(model, path)
         shares = ", ".join(f"{c:.1%}" for c in model.contributions)
         print(f"  wrote {path} (variance shares: {shares})")
     return 0
 
 
-def cmd_midas_fit(opts: Options) -> int:
+def cmd_midas_fit(o: argparse.Namespace) -> int:
+    """daily conditional variance from monthly factors"""
     from . import garch_midas as gm     # loaded only where it is used
 
-    table = read_factors(opts.require("factors"))
-    mode = opts.get("mode", "exogenous")
-    spec_kwargs = {
-        "n_lags": opts.get("n_lags", 12, int),
-        "mode": mode,
-        "free_w1": opts.get("free_w1", False, _parse_bool),
-    }
-    link = opts.get("link")
-    if link is not None:
-        spec_kwargs["tau_link"] = link
-
+    table = read_factors(o.factors)
     _, month_index, first_rows = marketdata.month_ids(table.dates)
-    if mode == "exogenous":
-        cov_names = _parse_names(opts.get("covariates", "pcm1,pcm2"))
+    if o.mode == "exogenous":
+        cov_names = o.covariates
         missing = [c for c in cov_names if c not in table.columns]
         if missing:
             raise MissingColumn(f"factor panel lacks columns {missing}")
         covariates = np.column_stack(
             [table.columns[c][first_rows] for c in cov_names])
-        spec_kwargs["n_covariates"] = len(cov_names)
     else:
         cov_names = ("rv-window",)
         covariates = None
 
-    spec = gm.MidasSpec(**spec_kwargs)
+    spec = gm.MidasSpec(n_lags=o.n_lags, mode=o.mode,
+                        n_covariates=len(cov_names), tau_link=o.link or "",
+                        free_w1=o.free_w1)
     data = gm.MidasData(returns=table.columns["ret"],
                         month_index=month_index,
                         covariates=covariates,
@@ -409,80 +461,65 @@ def cmd_midas_fit(opts: Options) -> int:
     n_train = table.n_train
     if n_train < 1:
         raise InputError("factor panel has no training rows")
-    result = gm.fit(spec, data.prefix(n_train),
-                    n_restarts=opts.get("restarts", 5, int),
-                    seed=opts.get("seed", 0, int),
-                    max_iter=opts.get("max_iter", 5000, int))
+    result = gm.fit(spec, data.prefix(n_train), n_restarts=o.restarts,
+                    seed=o.seed, max_iter=o.max_iter)
 
-    out_fit = opts.get("out_fit", "midas_fit.json")
-    gm.write_fit(result, out_fit)
+    gm.write_fit(result, o.out_fit)
     filtered = gm.filter_volatility(spec, result.params, data)
-    out_h = opts.get("out_h", "h.csv")
-    write_h(table.dates, filtered, out_h)
+    write_h(table.dates, filtered, o.out_h)
 
     p = result.params
-    print(f"fit on {n_train} train rows ({mode}, K={spec.n_lags}, "
+    print(f"fit on {n_train} train rows ({o.mode}, K={spec.n_lags}, "
           f"link={spec.tau_link}), log-likelihood {result.log_lik:.4f}")
     print(f"  mu={p.mu:.6f} alpha={p.alpha:.6f} beta={p.beta:.6f} "
           f"m={p.m:.6f}")
     for j, name in enumerate(cov_names):
         print(f"  {name}: theta={p.theta[j]:.6f} w2={p.w2[j]:.6f}")
-    print(f"  wrote {out_fit}")
-    print(f"  wrote {out_h} ({len(filtered.h)} modeled days)")
+    print(f"  wrote {o.out_fit}")
+    print(f"  wrote {o.out_h} ({len(filtered.h)} modeled days)")
     return 0
 
 
-def cmd_train(opts: Options) -> int:
-    feature_names = _parse_names(
-        opts.get("features", "tech1,tech2,tech3,bd1,h"))
-    train_config = _train_config(opts)
-    dataset, sample_split = _load_windows(opts, feature_names,
-                                          train_config.window)
+def cmd_train(o: argparse.Namespace) -> int:
+    """fit the attention regressor on stamped factors"""
+    train_config = _train_config(o)
+    dataset, sample_split = _load_windows(o, o.features, train_config.window)
     train_ds = subset(dataset, sample_split == "train")
     if len(train_ds) == 0:
         raise InputError("no training samples after windowing")
 
     model_config = tfm.ModelConfig(
-        n_features=len(feature_names),
-        d_model=opts.get("d_model", 12, int),
-        n_heads=opts.get("heads", 3, int),
-        n_layers=opts.get("layers", 2, int),
-        d_ff=opts.get("d_ff", 24, int),
-    )
+        n_features=len(o.features), d_model=o.d_model, n_heads=o.heads,
+        n_layers=o.layers, d_ff=o.d_ff)
     model, history = tfm.train(train_ds, model_config, train_config)
 
-    out_model = opts.get("out_model", "weights.json")
-    tfm.save_model(model, out_model)
-    out_history = opts.get("out_history", "loss_history.csv")
-    tables.write(out_history, ["epoch", "loss"],
+    tfm.save_model(model, o.out_model)
+    tables.write(o.out_history, ["epoch", "loss"],
                  [range(1, len(history) + 1), history])
 
     print(f"trained on {len(train_ds)} samples, features "
-          f"{','.join(feature_names)}")
+          f"{','.join(o.features)}")
     print(f"  final loss {history[-1]:.6f} after {len(history)} epochs")
-    print(f"  wrote {out_model}")
-    print(f"  wrote {out_history}")
+    print(f"  wrote {o.out_model}")
+    print(f"  wrote {o.out_history}")
     return 0
 
 
-def cmd_predict(opts: Options) -> int:
-    model = tfm.load_model(opts.require("model"))
+def cmd_predict(o: argparse.Namespace) -> int:
+    """forecasts from a trained model"""
+    model = tfm.load_model(o.model)
     window = model.train_config.window if model.train_config else 5
-    feature_names = tuple(model.feature_names)
-    dataset, sample_split = _load_windows(opts, feature_names, window)
-    which = opts.get("split", "test")
-    if which not in ("train", "test", "all"):
-        raise InputError(f"--split must be train, test or all, got {which!r}")
-    if which != "all":
-        dataset = subset(dataset, sample_split == which)
+    dataset, sample_split = _load_windows(o, tuple(model.feature_names),
+                                          window)
+    if o.split != "all":
+        dataset = subset(dataset, sample_split == o.split)
     if len(dataset) == 0:
-        raise InputError(f"no {which} samples to predict")
+        raise InputError(f"no {o.split} samples to predict")
     pred = tfm.predict(model, dataset)
 
-    out = opts.get("out", "pred.csv")
-    tables.write(out, PRED_HEADER, [dataset.dates, dataset.y, pred])
-    print(f"{len(dataset)} {which} predictions")
-    print(f"  wrote {out}")
+    tables.write(o.out, PRED_HEADER, [dataset.dates, dataset.y, pred])
+    print(f"{len(dataset)} {o.split} predictions")
+    print(f"  wrote {o.out}")
     return 0
 
 
@@ -494,42 +531,37 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
             tables.floats(path, rows, 2))
 
 
-def cmd_evaluate(opts: Options) -> int:
-    _, truth, pred = read_predictions(opts.require("pred"))
-    model_name = opts.get("model_name", "transformer")
-    group = opts.get("group", "G4")
-    new_rows = [evaluation.evaluate(pred, truth, model=model_name,
-                                    group=group)]
-    if opts.get("persistence", False, _parse_bool):
+def cmd_evaluate(o: argparse.Namespace) -> int:
+    """loss table for one forecast file"""
+    _, truth, pred = read_predictions(o.pred)
+    new_rows = [evaluation.evaluate(pred, truth, model=o.model_name,
+                                    group=o.group)]
+    if o.persistence:
         base_pred, base_truth = evaluation.persistence_baseline(truth)
         new_rows.append(evaluation.evaluate(base_pred, base_truth,
-                                            model="persistence", group=group))
-    out = opts.get("out", "report.csv")
+                                            model="persistence",
+                                            group=o.group))
     rows = new_rows
-    if opts.get("append", False, _parse_bool) and os.path.exists(out):
-        rows = evaluation.read_report(out) + new_rows
-    evaluation.write_report(rows, out,
-                            footer=not opts.get("no_footer", False,
-                                                _parse_bool))
-    for row in new_rows:
-        print(f"{row.model}/{row.group}: n={row.n} mse={row.mse:.6f} "
-              f"qlike={row.qlike:.6f} r2log={row.r2log:.4f}")
-    print(f"  wrote {out}")
+    if o.append and os.path.exists(o.out):
+        rows = evaluation.read_report(o.out) + new_rows
+    evaluation.write_report(rows, o.out, footer=not o.no_footer)
+    _print_rows(new_rows)
+    print(f"  wrote {o.out}")
     return 0
 
 
-def cmd_ablate(opts: Options) -> int:
-    table = read_factors(opts.require("factors"))
-    table_h = join_h(table, opts.require("h_file"))
-    group_names = _parse_names(opts.get("groups", "G1,G2,G3,G4"))
+def cmd_ablate(o: argparse.Namespace) -> int:
+    """train and score the feature-group ladder"""
+    table = read_factors(o.factors)
+    table_h = join_h(table, o.h_file)
     # every name is resolved before the first group trains
-    group_feats = [evaluation.ablation_features(name) for name in group_names]
-    train_config = _train_config(opts)
+    group_feats = [evaluation.ablation_features(name) for name in o.groups]
+    train_config = _train_config(o)
 
     rows = []
     test_dates: list[str] | None = None
     mse_by_group: dict[str, float] = {}
-    for name, feats in zip(group_names, group_feats):
+    for name, feats in zip(o.groups, group_feats):
         source = table_h if "h" in feats else table
         dataset, sample_split = windowed_split(source, feats,
                                                train_config.window)
@@ -543,7 +575,7 @@ def cmd_ablate(opts: Options) -> int:
         elif test_ds.dates != test_dates:
             raise InputError(
                 f"group {name} evaluates different test dates than "
-                f"{group_names[0]}; the h file does not cover the test span")
+                f"{o.groups[0]}; the h file does not cover the test span")
         pred = tfm.predict(model, test_ds)
         row = evaluation.evaluate(pred, test_ds.y, model="transformer",
                                   group=name)
@@ -559,126 +591,16 @@ def cmd_ablate(opts: Options) -> int:
     rows.append(evaluation.evaluate(base_pred, base_truth,
                                     model="persistence", group="-"))
 
-    out = opts.get("out", "report.csv")
-    evaluation.write_report(rows, out)
-    for row in rows:
-        print(f"{row.model}/{row.group}: n={row.n} mse={row.mse:.6f} "
-              f"qlike={row.qlike:.6f} r2log={row.r2log:.4f}")
+    evaluation.write_report(rows, o.out)
+    _print_rows(rows)
     if "G1" in mse_by_group:
         for name in ("G3", "G4"):
             if name in mse_by_group:
                 verdict = "<" if mse_by_group[name] < mse_by_group["G1"] \
                     else ">="
                 print(f"  mse({name}) {verdict} mse(G1)")
-    print(f"  wrote {out}")
+    print(f"  wrote {o.out}")
     return 0
-
-
-# ----------------------------------------------------------------------
-# Parser
-# ----------------------------------------------------------------------
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mfvol",
-        description="Mixed-frequency stock-volatility forecasting pipeline.")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log progress to stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value options file")
-        return p
-
-    p = add("simulate", "write a synthetic scenario with known truth")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--months", type=int)
-    p.add_argument("--days-per-month", type=int, dest="days_per_month")
-    p.add_argument("--bars-per-day", type=int, dest="bars_per_day")
-    p.add_argument("--n-lags", type=int, dest="n_lags")
-    p.add_argument("--cov-rho", type=float, dest="cov_rho")
-    p.add_argument("--attention-coef", type=float, dest="attention_coef")
-    p.add_argument("--overnight-frac", type=float, dest="overnight_frac")
-    p.add_argument("--start-price", type=float, dest="start_price")
-    p.add_argument("--start-month", dest="start_month")
-
-    p = add("rv", "realized variance from 5-minute bars")
-    p.add_argument("--intraday", help="intraday.csv path")
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--out-sidecar", dest="out_sidecar")
-
-    p = add("pca", "aligned factor panel with train/test stamps")
-    p.add_argument("--daily")
-    p.add_argument("--attention")
-    p.add_argument("--monthly")
-    p.add_argument("--rv", help="rv.csv from the rv step")
-    p.add_argument("--ratio", type=float, help="train fraction (default 0.9)")
-    p.add_argument("--fill", choices=["ffill", "linear"])
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = add("midas-fit", "daily conditional variance from monthly factors")
-    p.add_argument("--factors", help="factors.csv from the pca step")
-    p.add_argument("--mode", choices=["exogenous", "rv-window"])
-    p.add_argument("--covariates", help="comma-separated factor columns")
-    p.add_argument("--link", choices=["log", "identity"])
-    p.add_argument("--n-lags", type=int, dest="n_lags")
-    p.add_argument("--free-w1", action="store_const", const=True,
-                   dest="free_w1")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--out-fit", dest="out_fit")
-    p.add_argument("--out-h", dest="out_h")
-
-    def add_train_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--window", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--shuffle", action="store_const", const=True)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--optimizer", choices=["sgd", "adam"])
-
-    p = add("train", "fit the attention regressor on stamped factors")
-    p.add_argument("--factors")
-    p.add_argument("--h-file", dest="h_file")
-    p.add_argument("--features", help="comma-separated feature columns")
-    add_train_flags(p)
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--d-ff", type=int, dest="d_ff")
-    p.add_argument("--out-model", dest="out_model")
-    p.add_argument("--out-history", dest="out_history")
-
-    p = add("predict", "forecasts from a trained model")
-    p.add_argument("--factors")
-    p.add_argument("--h-file", dest="h_file")
-    p.add_argument("--model", help="weights.json from the train step")
-    p.add_argument("--split", choices=["train", "test", "all"])
-    p.add_argument("--out")
-
-    p = add("evaluate", "loss table for one forecast file")
-    p.add_argument("--pred", help="pred.csv from the predict step")
-    p.add_argument("--model-name", dest="model_name")
-    p.add_argument("--group")
-    p.add_argument("--persistence", action="store_const", const=True)
-    p.add_argument("--append", action="store_const", const=True)
-    p.add_argument("--no-footer", action="store_const", const=True,
-                   dest="no_footer")
-    p.add_argument("--out")
-
-    p = add("ablate", "train and score the feature-group ladder")
-    p.add_argument("--factors")
-    p.add_argument("--h-file", dest="h_file")
-    p.add_argument("--groups", help="comma-separated subset of G1..G4")
-    add_train_flags(p)
-    p.add_argument("--out")
-
-    return parser
 
 
 COMMANDS = {
@@ -693,23 +615,45 @@ COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """One flag per option of :data:`OPTIONS`. A flag keeps its text (a
+    switch stores "true") for :func:`resolve` to cast."""
+    parser = argparse.ArgumentParser(
+        prog="mfvol",
+        description="Mixed-frequency stock-volatility forecasting pipeline.")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress to stderr")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        p.add_argument("--config", help="key = value options file")
+        for name, (kind, default) in OPTIONS[command].items():
+            shown = ("required" if default is REQUIRED else "optional"
+                     if default is None else f"default: {default}")
+            if kind is _parse_bool:
+                p.add_argument(_flag(name), dest=name, help=shown,
+                               action="store_const", const="true")
+            else:
+                metavar = ("{" + ",".join(kind) + "}"
+                           if isinstance(kind, tuple) else None)
+                p.add_argument(_flag(name), dest=name, help=shown,
+                               metavar=metavar)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        opts = Options(args)
-        return COMMANDS[args.command](opts)
-    except InputError as exc:
+        return COMMANDS[args.command](resolve(args.command, args))
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -209,8 +209,6 @@ class MidasFiltered:
     tau: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    tau_monthly: np.ndarray
-    first_month: int
 
 
 @dataclass
@@ -218,7 +216,6 @@ class MidasFit:
     spec: MidasSpec
     params: MidasParams
     log_lik: float
-    filtered: MidasFiltered
     convergence: dict = field(default_factory=dict)
 
 
@@ -377,35 +374,22 @@ def short_run_g(params: MidasParams, returns: np.ndarray,
 
 
 def _components(spec: MidasSpec, params: MidasParams, panel: _Panel):
-    """tau by month, tau and g by modeled day, and the modeled days'
-    squared innovations, for validated parameters."""
-    tau_monthly = _long_run_tau(spec, params, panel)
-    tau = tau_monthly[panel.month]
+    """tau and g by modeled day, and the modeled days' squared
+    innovations, for validated parameters."""
+    tau = _long_run_tau(spec, params, panel)[panel.month]
     sq = (panel.returns - params.mu) ** 2
     g = _short_run(params.alpha, params.beta, sq / tau)
-    return tau_monthly, tau, g, sq
+    return tau, g, sq
 
 
 def filter_volatility(spec: MidasSpec, params: MidasParams,
-                      data: MidasData,
-                      panel: _Panel | None = None) -> MidasFiltered:
-    """Run the full two-component filter over the modeled days.
-
-    ``panel`` holds the parameter-free parts of ``data`` for ``spec``
-    when the caller has built them already, as :func:`fit` does.
-    """
+                      data: MidasData) -> MidasFiltered:
+    """Run the full two-component filter over the modeled days."""
     params.validate(spec)
-    if panel is None:
-        panel = _panel(spec, data)
-    tau_monthly, tau, g, _ = _components(spec, params, panel)
-    return MidasFiltered(
-        day_slice=slice(panel.start, len(data.returns)),
-        tau=tau,
-        g=g,
-        h=tau * g,
-        tau_monthly=tau_monthly,
-        first_month=spec.n_lags,
-    )
+    panel = _panel(spec, data)
+    tau, g, _ = _components(spec, params, panel)
+    return MidasFiltered(day_slice=slice(panel.start, len(data.returns)),
+                         tau=tau, g=g, h=tau * g)
 
 
 def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
@@ -423,12 +407,13 @@ def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
 
 def log_likelihood(spec: MidasSpec, params: MidasParams,
                    data: MidasData, panel: _Panel | None = None) -> float:
-    """Gaussian log likelihood summed over the modeled days; ``panel``
-    is as in :func:`filter_volatility`."""
+    """Gaussian log likelihood summed over the modeled days. ``panel``
+    holds the parameter-free parts of ``data`` for ``spec`` when the
+    caller has built them already, as :func:`fit` does."""
     params.validate(spec)
     if panel is None:
         panel = _panel(spec, data)
-    _, tau, g, sq = _components(spec, params, panel)
+    tau, g, sq = _components(spec, params, panel)
     h = tau * g
     ll = -0.5 * (len(h) * LOG_2PI + float(np.log(h).sum())
                  + float((sq / h).sum()))
@@ -608,14 +593,14 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel,
     return objective
 
 
-def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
-        n_restarts: int = 5, seed: int = 0, max_iter: int = 5000,
+def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
+        seed: int = 0, max_iter: int = 5000,
         theta_zero: bool = False) -> MidasFit:
     """Maximum-likelihood estimation by seeded Nelder-Mead restarts.
 
-    The first start is ``init`` (or a moment-based default); the
-    remaining ``n_restarts - 1`` starts perturb it in the unconstrained
-    space with a seeded generator. The best converged restart wins;
+    The first start is a moment-based default; the remaining
+    ``n_restarts - 1`` starts perturb it in the unconstrained space
+    with a seeded generator. The best converged restart wins;
     ties go to the earlier restart. ``theta_zero`` pins the covariate
     slopes to zero, leaving a plain GARCH(1,1) with free level.
 
@@ -632,8 +617,7 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     # any optimizer work
     panel = _panel(spec, data)
 
-    start = _pack(init if init is not None else _default_init(spec, data),
-                  spec, theta_zero)
+    start = _pack(_default_init(spec, data), spec, theta_zero)
     objective = _objective(spec, data, panel, theta_zero)
     rng = np.random.default_rng(seed)
     scale = 0.25 * np.ones_like(start)
@@ -652,13 +636,11 @@ def fit(spec: MidasSpec, data: MidasData, init: MidasParams | None = None,
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
     params = _unpack(best.x, spec, theta_zero)
     params.validate(spec)
-    filtered = filter_volatility(spec, params, data, panel)
     fsim = best.final_simplex[1]
     return MidasFit(
         spec=spec,
         params=params,
         log_lik=-float(best.fun),
-        filtered=filtered,
         convergence={
             "restarts": len(results),
             "converged_restarts": len(usable),
@@ -691,10 +673,6 @@ class SimulatedMidas:
     g: np.ndarray
     h: np.ndarray
     day_variance: np.ndarray
-
-    @property
-    def modeled_returns(self) -> np.ndarray:
-        return self.returns[self.modeled_start:]
 
     def to_data(self, spec: MidasSpec) -> MidasData:
         return MidasData(
@@ -848,11 +826,3 @@ def write_fit(fit_result: MidasFit, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def read_fit(path: str) -> tuple[MidasSpec, MidasParams, dict]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    spec = MidasSpec(**doc["spec"])
-    params = MidasParams.from_json(doc["params"])
-    return spec, params, doc

@@ -16,6 +16,7 @@ exact ISO date string; no calendar arithmetic is performed on dates.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date as _date
 from typing import Callable, Mapping, Sequence
@@ -116,8 +117,15 @@ class AlignedPanel:
 # Cell parsing
 # ----------------------------------------------------------------------
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_date(path: str, line: int, text: str) -> str:
+    # fromisoformat also takes 20210301 and 2021-W09-1, but a trading
+    # day is its exact text and its month is the text's first 7 chars
     try:
+        if not _ISO_DATE.fullmatch(text):
+            raise ValueError
         _date.fromisoformat(text)
     except ValueError:
         raise MalformedRow(path, line, f"bad date {text!r}")

@@ -1,15 +1,19 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfvol import cli, evaluation
 from mfvol import transformer as tfm
 from mfvol.cli import FactorTable
-from mfvol.errors import LengthMismatch, MalformedRow, MissingColumn
+from mfvol.errors import (InputError, LengthMismatch, MalformedRow,
+                          MissingColumn)
 
 
 def run(argv):
@@ -171,6 +175,111 @@ class TestConfigFile:
         assert run(["rv", "--config", str(tmp_path / "absent.cfg"),
                     "--intraday", "whatever.csv"]) == 2
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("simulate", "months = ten\n", "bad value 'ten' for --months"),
+        ("pca", "ratio = 0.x\n", "bad value '0.x' for --ratio"),
+        ("pca", "fill = cubic\n",
+         "--fill must be one of ffill, linear, got 'cubic'"),
+        ("train", "shuffle = maybe\n", "bad value 'maybe' for --shuffle"),
+        ("simulate", "monhts = 5\n", "simulate takes no option 'monhts'"),
+        ("simulate", "months = 9\nmonths = 8\n",
+         "bad.cfg:2: repeated key 'months'"),
+    ], ids=["bad-int", "bad-float", "bad-choice", "bad-switch",
+            "unknown-key", "repeated-key"])
+    def test_bad_config_exits_2(self, scenario_dir, pipeline, tmp_path,
+                                capsys, command, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        inputs = {
+            "simulate": ["--out", str(out)],
+            "pca": ["--daily", str(scenario_dir / "daily.csv"),
+                    "--attention", str(scenario_dir / "attention.csv"),
+                    "--monthly", str(scenario_dir / "monthly.csv"),
+                    "--rv", str(pipeline / "rv.csv"), "--out-dir", str(out)],
+            "train": ["--factors", str(pipeline / "factors.csv"),
+                      "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
+                      "--out-model", str(out),
+                      "--out-history", str(tmp_path / "hist.csv")],
+        }[command]
+        code = run([command, "--config", str(cfg)] + inputs)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_shows_each_default(self, capsys):
+        for command, table in cli.OPTIONS.items():
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            shown = " ".join(capsys.readouterr().out.split())
+            for name, (_, default) in table.items():
+                text = ("required" if default is cli.REQUIRED else
+                        "optional" if default is None
+                        else f"default: {default}")
+                # the flag's own entry: flag, metavar if any, then text
+                entry = (re.escape(cli._flag(name)) + r"(?: \S+)? "
+                         + re.escape(text) + r"(?: |$)")
+                assert re.search(entry, shown), (command, name)
+
+
+def declared(kind, value):
+    """Whether ``value`` has the type an option of ``kind`` declares."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind is cli._parse_names:
+        return (isinstance(value, tuple) and len(value) > 0
+                and all(isinstance(v, str) and v for v in value))
+    return type(value) is {cli._parse_bool: bool}.get(kind, kind)
+
+
+def resolve_with(cfg_dir, command, name, text, by_flag):
+    """``cli.resolve`` with option ``name`` given ``text`` by flag or
+    by config file, and every other required option given by flag."""
+    kind, _ = cli.OPTIONS[command][name]
+    argv = [command] + [f"{cli._flag(n)}=x"
+                        for n, (_, d) in cli.OPTIONS[command].items()
+                        if d is cli.REQUIRED and n != name]
+    if not by_flag:
+        cfg = cfg_dir / "opts.cfg"
+        cfg.write_text(f"{name} = {text}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    elif kind is cli._parse_bool:
+        argv.append(cli._flag(name))
+    else:
+        argv.append(f"{cli._flag(name)}={text}")
+    return cli.resolve(command, cli.build_parser().parse_args(argv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([(c, n) for c, table in cli.OPTIONS.items()
+                             for n in table]),
+       text=st.one_of(st.text(), st.sampled_from(
+           ["1", "-2", "0.5", "nan", "1e400", "true", "off", "a,b", " , ",
+            "log", "test", "sgd", "ffill", "rv-window", "x # y", "a\nb"])))
+def test_any_option_text_resolves_or_is_an_input_error(tmp_path_factory,
+                                                       case, text):
+    command, name = case
+    outcomes = []
+    for by_flag in (True, False):
+        try:
+            o = resolve_with(tmp_path_factory.getbasetemp(), command, name,
+                             text, by_flag)
+        except InputError:
+            outcomes.append(None)
+            continue
+        for n, (kind, default) in cli.OPTIONS[command].items():
+            value = getattr(o, n)
+            assert (value is None and default is None) \
+                or declared(kind, value), (n, value)
+        outcomes.append(getattr(o, name))
+    # a file value is stripped and cut at '#' and at line ends; any other
+    # text means the same given by flag or by file, switches aside
+    plain = text == text.strip() and not set(text) & set("#\r\n")
+    if plain and cli.OPTIONS[command][name][0] is not cli._parse_bool:
+        assert repr(outcomes[0]) == repr(outcomes[1])
+
 
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
@@ -290,7 +399,9 @@ class TestFreeW1:
                              "--out-fit", str(by_config)]) == 0
         assert by_config.read_bytes() == by_flag.read_bytes()
 
-        spec, params, doc = gm.read_fit(str(by_flag))
+        doc = json.loads(by_flag.read_text())
+        spec = gm.MidasSpec(**doc["spec"])
+        params = gm.MidasParams.from_json(doc["params"])
         assert doc["spec"]["free_w1"] is True
         assert np.all(params.w1 >= 1.0)
         # _pack floors w1 - 1 at 1e-10, so a w1 fitted onto its bound

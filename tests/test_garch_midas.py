@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -466,7 +467,10 @@ class TestPersistenceFiles:
         fit = gm.fit(spec, data, n_restarts=1, seed=0)
         path = str(tmp_path / "fit.json")
         gm.write_fit(fit, path)
-        spec2, params2, doc = gm.read_fit(path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        spec2 = gm.MidasSpec(**doc["spec"])
+        params2 = gm.MidasParams.from_json(doc["params"])
         assert spec2 == spec
         assert params2.alpha == fit.params.alpha
         assert params2.theta.tolist() == fit.params.theta.tolist()

@@ -141,6 +141,26 @@ class TestLoadDaily:
         assert info.value.line == 3
 
 
+@pytest.mark.parametrize("bad", ["20210302", "2021-W09-2"],
+                         ids=["basic-form", "week-date"])
+@pytest.mark.parametrize("kind", ["intraday", "daily", "attention"])
+def test_date_must_be_yyyy_mm_dd(tmp_path, kind, bad):
+    # both forms name 2021-03-02 to date.fromisoformat
+    header, line, load = {
+        "intraday": ("date,time_min,price", lambda d: f"{d},0,10.0",
+                     md.load_intraday),
+        "daily": (",".join(md.DAILY_HEADER), daily_line, md.load_daily),
+        "attention": (",".join(md.ATTENTION_HEADER), attention_line,
+                      md.load_attention),
+    }[kind]
+    text = "\n".join([header, line("2021-03-01"), line(bad),
+                      line("2021-03-03")]) + "\n"
+    with pytest.raises(errors.MalformedRow) as info:
+        load(write(tmp_path / "f.csv", text))
+    assert info.value.line == 3
+    assert repr(bad) in info.value.reason
+
+
 class TestLoadMonthly:
     def test_contiguity_enforced(self, tmp_path):
         text = "\n".join([",".join(md.MONTHLY_HEADER),
