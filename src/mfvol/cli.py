@@ -59,6 +59,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_names(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     if not names:
@@ -68,7 +75,7 @@ def _parse_names(text: str) -> tuple[str, ...]:
 
 TRAINING = {
     "window": (int, "5"), "lr": (float, "0.05"), "batch": (int, "32"),
-    "epochs": (int, "200"), "seed": (int, "0"),
+    "epochs": (int, "200"), "seed": (_parse_seed, "0"),
     "shuffle": (_parse_bool, "false"), "patience": (int, None),
     "optimizer": (("sgd", "adam"), "sgd"),
 }
@@ -78,9 +85,10 @@ TRAINING = {
 # The options cast by _parse_bool are switches.
 OPTIONS = {
     "simulate": {
-        "out": (str, REQUIRED), "seed": (int, "0"), "months": (int, "40"),
-        "days_per_month": (int, "21"), "bars_per_day": (int, "48"),
-        "n_lags": (int, "6"), "cov_rho": (float, "0.8"),
+        "out": (str, REQUIRED), "seed": (_parse_seed, "0"),
+        "months": (int, "40"), "days_per_month": (int, "21"),
+        "bars_per_day": (int, "48"), "n_lags": (int, "6"),
+        "cov_rho": (float, "0.8"),
         "attention_coef": (float, "0.35"), "overnight_frac": (float, "0.15"),
         "start_price": (float, "100.0"), "start_month": (str, "2015-01"),
     },
@@ -100,7 +108,7 @@ OPTIONS = {
         "covariates": (_parse_names, "pcm1,pcm2"),
         "link": (("log", "identity"), None), "n_lags": (int, "12"),
         "free_w1": (_parse_bool, "false"), "restarts": (int, "5"),
-        "seed": (int, "0"), "max_iter": (int, "5000"),
+        "seed": (_parse_seed, "0"), "max_iter": (int, "5000"),
         "out_fit": (str, "midas_fit.json"), "out_h": (str, "h.csv"),
     },
     "train": {
@@ -137,22 +145,26 @@ def load_config(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; ``#`` starts a comment."""
     if not os.path.exists(path):
         raise MissingFile(f"no such config file: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise tables.utf8_error(path) from None
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MalformedRow(path, line_no,
-                                   f"expected key = value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if not key:
-                raise MalformedRow(path, line_no, "empty key")
-            if key in out:
-                raise MalformedRow(path, line_no, f"repeated key {key!r}")
-            out[key] = value.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise MalformedRow(path, line_no,
+                               f"expected key = value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if not key:
+            raise MalformedRow(path, line_no, "empty key")
+        if key in out:
+            raise MalformedRow(path, line_no, f"repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -456,8 +468,7 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
                         free_w1=o.free_w1)
     data = gm.MidasData(returns=table.columns["ret"],
                         month_index=month_index,
-                        covariates=covariates,
-                        dates=list(table.dates))
+                        covariates=covariates)
     n_train = table.n_train
     if n_train < 1:
         raise InputError("factor panel has no training rows")
@@ -508,9 +519,8 @@ def cmd_train(o: argparse.Namespace) -> int:
 def cmd_predict(o: argparse.Namespace) -> int:
     """forecasts from a trained model"""
     model = tfm.load_model(o.model)
-    window = model.train_config.window if model.train_config else 5
     dataset, sample_split = _load_windows(o, tuple(model.feature_names),
-                                          window)
+                                          model.train_config.window)
     if o.split != "all":
         dataset = subset(dataset, sample_split == o.split)
     if len(dataset) == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,27 +91,11 @@ class PcaModel:
             "contributions": self.contributions.tolist(),
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "PcaModel":
-        return cls(
-            group=doc["group"],
-            columns=tuple(doc["columns"]),
-            means=np.array(doc["means"], dtype=float),
-            loadings=np.array(doc["loadings"], dtype=float),
-            variances=np.array(doc["variances"], dtype=float),
-            contributions=np.array(doc["contributions"], dtype=float),
-        )
-
 
 def save_model(model: PcaModel, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(model.to_json(), fh, indent=1)
         fh.write("\n")
-
-
-def load_model(path: str) -> PcaModel:
-    with open(path) as fh:
-        return PcaModel.from_json(json.load(fh))
 
 
 def fit_pca(data: np.ndarray, retain: int, group: str = "",
@@ -191,19 +175,15 @@ def inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
 
 
 def extract_factor_panel(
-    panel: AlignedPanel,
-    groups: Sequence[GroupSpec] = DEFAULT_GROUPS,
-    n_train: int | None = None,
+    panel: AlignedPanel, groups: Sequence[GroupSpec], n_train: int
 ) -> tuple[AlignedPanel, dict[str, PcaModel]]:
     """Append factor columns for every group to a copy of the panel.
 
-    Loadings are fitted on the first ``n_train`` rows only (all rows
-    when omitted), so held-out rows never shape the factors. Monthly
-    groups are fitted on one row per month; the months considered are
-    those that contribute at least one training row.
+    Loadings are fitted on the first ``n_train`` rows only, so held-out
+    rows never shape the factors. Monthly groups are fitted on one row
+    per month; the months considered are those that contribute at
+    least one training row.
     """
-    if n_train is None:
-        n_train = panel.n_rows
     if not (0 < n_train <= panel.n_rows):
         raise BadShape(f"n_train must lie in 1..{panel.n_rows}, got {n_train}")
 

@@ -20,6 +20,7 @@ mean one and the level of variance is carried by tau alone.
 Two tau links are supported: ``exp`` of the affine combination (the
 default for exogenous covariates, sign-unconstrained) and the identity
 (classic realized-volatility windows, where positivity must hold).
+Both filter and fit; :func:`simulate` draws the exogenous model only.
 
 Estimation is maximum likelihood over an unconstrained
 reparameterization, optimized with Nelder-Mead simplex search from
@@ -31,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class MidasParams:
         else:
             self.w1 = np.atleast_1d(np.asarray(self.w1, dtype=float))
 
-    def validate(self, spec: MidasSpec | None = None) -> None:
+    def validate(self, spec: MidasSpec) -> None:
         theta, w1, w2 = self.theta.tolist(), self.w1.tolist(), self.w2.tolist()
         if not all(map(math.isfinite, (self.mu, self.alpha, self.beta, self.m,
                                        *theta, *w1, *w2))):
@@ -123,13 +123,11 @@ class MidasParams:
             raise BadParameter("theta, w1 and w2 must have equal length")
         if min(w1 + w2, default=1.0) < 1:
             raise BadParameter("weight shape parameters must be >= 1")
-        if spec is not None:
-            if J != spec.n_covariates:
-                raise BadParameter(
-                    f"expected {spec.n_covariates} covariates, got {J}")
-            if spec.tau_link == "identity" and self.m <= 0:
-                raise BadParameter(
-                    "identity link requires a positive intercept m")
+        if J != spec.n_covariates:
+            raise BadParameter(
+                f"expected {spec.n_covariates} covariates, got {J}")
+        if spec.tau_link == "identity" and self.m <= 0:
+            raise BadParameter("identity link requires a positive intercept m")
 
     def to_json(self) -> dict:
         return {
@@ -137,12 +135,6 @@ class MidasParams:
             "m": self.m, "theta": self.theta.tolist(),
             "w1": self.w1.tolist(), "w2": self.w2.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "MidasParams":
-        return cls(mu=doc["mu"], alpha=doc["alpha"], beta=doc["beta"],
-                   m=doc["m"], theta=np.array(doc["theta"]),
-                   w2=np.array(doc["w2"]), w1=np.array(doc["w1"]))
 
 
 @dataclass
@@ -157,7 +149,6 @@ class MidasData:
     returns: np.ndarray
     month_index: np.ndarray
     covariates: np.ndarray | None = None
-    dates: list[str] | None = None
 
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float)
@@ -193,7 +184,6 @@ class MidasData:
             month_index=idx.copy(),
             covariates=None if self.covariates is None
             else self.covariates[:n_months].copy(),
-            dates=None if self.dates is None else self.dates[:n_days],
         )
 
 
@@ -356,21 +346,6 @@ def _short_run(alpha: float, beta: float, shocks: np.ndarray) -> np.ndarray:
     np.multiply(shocks[:-1], alpha, out=x[1:n])
     x[1:n] += 1.0 - alpha - beta
     return _linear_scan(x, beta)[:n]
-
-
-def short_run_g(params: MidasParams, returns: np.ndarray,
-                tau_daily: np.ndarray) -> np.ndarray:
-    """Unit-mean short-run recursion over consecutive modeled days.
-
-    g_0 = 1; afterwards the previous day's squared demeaned return,
-    standardized by that day's tau, drives the update.
-    """
-    returns = np.asarray(returns, dtype=float)
-    tau_daily = np.asarray(tau_daily, dtype=float)
-    if returns.shape != tau_daily.shape or returns.ndim != 1:
-        raise LengthMismatch("returns and tau_daily differ in shape")
-    return _short_run(params.alpha, params.beta,
-                      (returns - params.mu) ** 2 / tau_daily)
 
 
 def _components(spec: MidasSpec, params: MidasParams, panel: _Panel):
@@ -675,25 +650,22 @@ class SimulatedMidas:
     day_variance: np.ndarray
 
     def to_data(self, spec: MidasSpec) -> MidasData:
-        return MidasData(
-            returns=self.returns,
-            month_index=self.month_index,
-            covariates=None if spec.mode == "rv-window" else self.covariates,
-        )
+        """The panel as filter or fit input under ``spec``, the spec it
+        was simulated under; every simulated panel is exogenous."""
+        return MidasData(returns=self.returns, month_index=self.month_index,
+                         covariates=self.covariates)
 
 
 def simulate(spec: MidasSpec, params: MidasParams, months: int,
              days_per_month: int = 21, seed: int = 0, cov_rho: float = 0.8,
              day_var_multiplier: np.ndarray | None = None) -> SimulatedMidas:
-    """Draw a panel from the model.
+    """Draw a panel from the exogenous log-link model.
 
     The first ``spec.n_lags`` months are warm-up: their returns are
-    drawn at the covariate-free variance level (m, or exp(m) under the
-    log link) and exist so that every modeled month has a full lag
-    window. Exogenous covariates follow stationary AR(1) processes
-    with coefficient ``cov_rho`` and unit variance; in rv-window mode
-    the covariate is the realized within-month variance of the
-    simulated returns themselves.
+    drawn at the covariate-free variance level exp(m) and exist so
+    that every modeled month has a full lag window. The covariates
+    follow stationary AR(1) processes with coefficient ``cov_rho`` and
+    unit variance.
 
     ``day_var_multiplier`` scales the variance used to draw each day's
     return (length = total days). It models volatility sources outside
@@ -701,6 +673,8 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
     implied by the realized returns, so refiltering the returns
     reproduces them exactly.
     """
+    if spec.mode != "exogenous":
+        raise BadSpec(f"only exogenous mode is simulated, got {spec.mode!r}")
     params.validate(spec)
     if months <= spec.n_lags:
         raise InsufficientLags(
@@ -724,17 +698,14 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
             raise BadSpec("variance multipliers must be positive")
 
     J = spec.n_covariates
-    if spec.mode == "exogenous":
-        innov_sd = math.sqrt(1.0 - cov_rho ** 2)
-        X = np.empty((months, J))
-        X[0] = rng.standard_normal(J)
-        for t in range(1, months):
-            X[t] = cov_rho * X[t - 1] + innov_sd * rng.standard_normal(J)
-    else:
-        X = np.zeros((months, 1))
+    innov_sd = math.sqrt(1.0 - cov_rho ** 2)
+    X = np.empty((months, J))
+    X[0] = rng.standard_normal(J)
+    for t in range(1, months):
+        X[t] = cov_rho * X[t - 1] + innov_sd * rng.standard_normal(J)
 
     eps = rng.standard_normal(n_days)
-    base_var = params.m if spec.tau_link == "identity" else math.exp(params.m)
+    base_var = math.exp(params.m)
     K = spec.n_lags
     start = K * days_per_month
     returns = np.empty(n_days)
@@ -744,43 +715,25 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
     returns[warm] = params.mu + np.sqrt(
         base_var * day_var_multiplier[warm]) * eps[warm]
 
-    if spec.mode == "rv-window":
-        for t in range(K):
-            day = slice(t * days_per_month, (t + 1) * days_per_month)
-            X[t, 0] = float(np.sum((returns[day]) ** 2))
+    # tau of each modeled month from its K lagged covariates, lag 1 first
+    phi = [beta_weights(K, float(params.w1[j]), float(params.w2[j]))
+           for j in range(J)]
+    month_tau = np.empty(months)
+    for t in range(K, months):
+        acc = params.m
+        for j in range(J):
+            acc += params.theta[j] * float(X[t - K:t, j][::-1] @ phi[j])
+        month_tau[t] = math.exp(acc)
 
     omega = 1.0 - params.alpha - params.beta
+    tau = month_tau[month_index[start:]]
     n_model = n_days - start
-    tau = np.empty(n_model)
     g = np.empty(n_model)
     h = np.empty(n_model)
     day_var = np.empty(n_days)
     day_var[warm] = base_var * day_var_multiplier[warm]
-    phi = [beta_weights(K, float(params.w1[j]), float(params.w2[j]))
-           for j in range(J)]
-
-    def tau_of_month(t: int) -> float:
-        acc = params.m
-        for j in range(J):
-            lags = X[t - K:t, j][::-1]     # lag 1 first
-            acc += params.theta[j] * float(lags @ phi[j])
-        if spec.tau_link == "log":
-            return math.exp(acc)
-        if acc <= 0:
-            raise NonPositiveTau(f"simulated tau non-positive in month {t}")
-        return acc
-
-    month_tau = np.empty(months)
-    month_tau[:K] = np.nan
     for i in range(n_model):
         day = start + i
-        t = int(month_index[day])
-        if i == 0 or month_index[day - 1] != t:
-            if spec.mode == "rv-window" and t > K:
-                prev = slice((t - 1) * days_per_month, t * days_per_month)
-                X[t - 1, 0] = float(np.sum(returns[prev] ** 2))
-            month_tau[t] = tau_of_month(t)
-        tau[i] = month_tau[t]
         if i == 0:
             g[i] = 1.0
         else:
@@ -789,10 +742,6 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
         h[i] = tau[i] * g[i]
         day_var[day] = h[i] * day_var_multiplier[day]
         returns[day] = params.mu + math.sqrt(day_var[day]) * eps[day]
-
-    if spec.mode == "rv-window":
-        last = slice((months - 1) * days_per_month, n_days)
-        X[months - 1, 0] = float(np.sum(returns[last] ** 2))
 
     return SimulatedMidas(
         returns=returns,

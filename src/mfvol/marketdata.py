@@ -324,7 +324,7 @@ def align_mixed_frequency(
     daily: Keyed,
     attention: Keyed,
     monthly: Keyed,
-    extra: Mapping[str, Mapping[str, float]] | None = None,
+    extra: Mapping[str, Mapping[str, float]],
 ) -> AlignedPanel:
     """Merge daily, attention and monthly data into one daily panel.
 
@@ -335,14 +335,14 @@ def align_mixed_frequency(
     absent from ``monthly`` raises :class:`UncoveredMonth`.
 
     ``extra`` maps additional daily column names to ``{date: value}``
-    mappings (the realized-volatility outputs use this). When given,
-    the panel is restricted to dates covered by every extra column.
+    mappings (the realized-volatility outputs use this). The panel is
+    restricted to dates covered by every extra column.
     """
     daily_dates, daily_cols = daily
     if not daily_dates:
         raise EmptyPanel("no daily records")
     rows = [i for i, d in enumerate(daily_dates)
-            if not extra or all(d in col for col in extra.values())]
+            if all(d in col for col in extra.values())]
     if not rows:
         raise EmptyPanel("no trading dates left after alignment")
     dates = [daily_dates[i] for i in rows]
@@ -363,7 +363,7 @@ def align_mixed_frequency(
     columns.update((col, np.append(v, math.nan)[day_att_row])
                    for col, v in attention[1].items())
     columns.update((col, v[day_month_row]) for col, v in monthly[1].items())
-    for name, mapping in (extra or {}).items():
+    for name, mapping in extra.items():
         columns[name] = np.array([mapping[d] for d in dates], dtype=float)
     return AlignedPanel(dates=dates, month_index=month_index, columns=columns)
 
@@ -398,7 +398,7 @@ def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
 
 def normalize(
     panel: AlignedPanel,
-    cols: Sequence[str] | None = None,
+    cols: Sequence[str],
     stats: Mapping[str, tuple[float, float]] | None = None,
 ) -> tuple[AlignedPanel, dict[str, tuple[float, float]]]:
     """Z-score columns in place of their raw values.
@@ -408,8 +408,6 @@ def normalize(
     identical transform can be applied to held-out data later. A
     constant column raises :class:`ZeroVariance`.
     """
-    if cols is None:
-        cols = list(panel.columns.keys())
     out = panel.copy()
     used: dict[str, tuple[float, float]] = {}
     for name in cols:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
     EmptyMonth,
     InsufficientBars,
     LengthMismatch,
-    MissingFile,
     NonPositiveLambda,
     ZeroRvSum,
 )
@@ -149,19 +147,14 @@ def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
         fh.write("\n")
 
 
-def read_rv(csv_path: str, sidecar_path: str | None = None) -> RvSeries:
-    """Read back a series written by :func:`write_rv`."""
+def read_rv(csv_path: str) -> RvSeries:
+    """Read back the CSV rows written by :func:`write_rv`; the sidecar
+    is not read, so ``lam`` is NaN."""
     _, rows = tables.read(csv_path, RV_HEADER)
-    lam = math.nan
-    if sidecar_path is not None:
-        if not os.path.exists(sidecar_path):
-            raise MissingFile(f"no such file: {sidecar_path}")
-        with open(sidecar_path) as fh:
-            lam = float(json.load(fh)["lambda"])
     return RvSeries(
         dates=[cells[0] for _, cells in rows],
         ret=tables.floats(csv_path, rows, 1),
         rv=tables.floats(csv_path, rows, 2),
         rv_adj=tables.floats(csv_path, rows, 3),
-        lam=lam,
+        lam=math.nan,
     )

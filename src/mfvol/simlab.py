@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,28 +57,25 @@ _ATT_BASE = np.array([520.0, 480.0, 310.0, 260.0, 150.0])
 _ATT_SCALE = np.array([60.0, 55.0, 40.0, 30.0, 22.0])
 _ATT_LOAD = np.array([0.90, 0.85, 0.75, 0.60, 0.50])
 
-
-def _default_params() -> MidasParams:
-    return MidasParams(mu=0.05, alpha=0.07, beta=0.85, m=0.10,
-                       theta=np.array([0.90, -0.45]),
-                       w2=np.array([4.0, 2.0]))
+# the GARCH-MIDAS parameters of every world, one theta per latent factor
+_PARAMS = MidasParams(mu=0.05, alpha=0.07, beta=0.85, m=0.10,
+                      theta=np.array([0.90, -0.45]), w2=np.array([4.0, 2.0]))
+_ATTENTION_RHO = 0.8        # AR(1) coefficient of the latent attention
+_ATTENTION_NOISE = 0.25     # noise of the attention columns, in loadings
+_MACRO_NOISE = 0.30         # noise of the macro columns, in factor units
 
 
 @dataclass
 class ScenarioSpec:
-    """Everything that defines one synthetic world."""
+    """What varies between synthetic worlds; the rest is fixed above."""
 
     seed: int = 0
     months: int = 40
     days_per_month: int = 21
     bars_per_day: int = 48
     n_lags: int = 6
-    params: MidasParams = field(default_factory=_default_params)
     cov_rho: float = 0.8
     attention_coef: float = 0.35
-    attention_rho: float = 0.8
-    attention_noise: float = 0.25
-    macro_noise: float = 0.30
     overnight_frac: float = 0.15
     start_price: float = 100.0
     start_month: str = "2015-01"
@@ -92,10 +90,13 @@ class ScenarioSpec:
             raise BadSpec("bars_per_day must lie in 2..48")
         if not (0.0 <= self.overnight_frac < 1.0):
             raise BadSpec("overnight_frac must lie in [0, 1)")
-        if self.start_price <= 0:
-            raise BadSpec("start_price must be positive")
-        if len(self.params.theta) not in (1, 2):
-            raise BadSpec("scenario supports 1 or 2 latent macro factors")
+        if not (0.0 < self.start_price < math.inf):
+            raise BadSpec("start_price must be positive and finite")
+        if not math.isfinite(self.attention_coef):
+            raise BadSpec("attention_coef must be finite")
+        if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", self.start_month):
+            raise BadSpec(f"start_month must be YYYY-MM with a month from "
+                          f"01 to 12, got {self.start_month!r}")
 
     @property
     def n_days(self) -> int:
@@ -103,7 +104,7 @@ class ScenarioSpec:
 
     def midas_spec(self) -> MidasSpec:
         return MidasSpec(n_lags=self.n_lags, mode="exogenous",
-                         n_covariates=len(self.params.theta), tau_link="log")
+                         n_covariates=len(_PARAMS.theta), tau_link="log")
 
 
 @dataclass
@@ -227,6 +228,8 @@ def _daily_columns(series: IntradaySeries, volume: np.ndarray
     starts = series.day_starts()
     close = price[starts[1:] - 1]
     sign = np.sign(np.diff(close, prepend=close[0]))
+    # the close 12 days back; the first 12 days look back to day 0
+    back_12 = close[np.maximum(np.arange(len(close)) - 12, 0)]
     return {
         "open": price[starts[:-1]],
         "high": np.maximum.reduceat(price, starts[:-1]),
@@ -240,8 +243,7 @@ def _daily_columns(series: IntradaySeries, volume: np.ndarray
         "macd": _ema(close, 12) - _ema(close, 26),
         "rsi": _rsi(close),
         "sobv": np.cumsum(sign * volume) / 1e6,
-        "roc": 100.0 * (close / np.concatenate(
-            [np.full(12, close[0]), close[:-12]]) - 1.0),
+        "roc": 100.0 * (close / back_12 - 1.0),
     }
 
 
@@ -257,7 +259,7 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
 
     n_days = spec.n_days
     rng_att = np.random.default_rng(s_att)
-    rho = spec.attention_rho
+    rho = _ATTENTION_RHO
     latent = np.empty(n_days)
     latent[0] = rng_att.standard_normal()
     innov_sd = math.sqrt(1.0 - rho * rho)
@@ -269,7 +271,7 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
     multiplier = np.exp(coef * lagged - 0.5 * coef * coef)
 
     midas_spec = spec.midas_spec()
-    sim = simulate(midas_spec, spec.params, spec.months,
+    sim = simulate(midas_spec, _PARAMS, spec.months,
                    spec.days_per_month, seed=s_mid, cov_rho=spec.cov_rho,
                    day_var_multiplier=multiplier)
 
@@ -286,16 +288,14 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
     for t in range(spec.months):
         noise = rng_macro.standard_normal(10)
         macro[t] = _MACRO_MEANS + _MACRO_LOAD_1 * X[t, 0] \
-            + spec.macro_noise * noise
-        if X.shape[1] > 1:
-            macro[t] += _MACRO_LOAD_2 * X[t, 1]
+            + _MACRO_NOISE * noise + _MACRO_LOAD_2 * X[t, 1]
 
     rng_attcols = np.random.default_rng(s_attcols)
     att = np.empty((n_days, 5))
     for i in range(n_days):
         noise = rng_attcols.standard_normal(5)
         att[i] = _ATT_BASE + _ATT_SCALE * (
-            _ATT_LOAD * latent[i] + spec.attention_noise * noise)
+            _ATT_LOAD * latent[i] + _ATTENTION_NOISE * noise)
     att = np.maximum(att, 0.0)
 
     rng_vol = np.random.default_rng(s_vol)
@@ -327,7 +327,7 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         "n_lags": spec.n_lags,
         "mode": midas_spec.mode,
         "tau_link": midas_spec.tau_link,
-        "params": spec.params.to_json(),
+        "params": _PARAMS.to_json(),
         "cov_rho": spec.cov_rho,
         "attention_coef": spec.attention_coef,
         "overnight_frac": spec.overnight_frac,

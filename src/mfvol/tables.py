@@ -40,25 +40,42 @@ def read(path: str, header: Sequence[str], *, open_ended: bool = False,
     if not os.path.exists(path):
         raise MissingFile(f"no such file: {path}")
     header = list(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = [h.strip() for h in next(reader, [])]
-        if (found[:len(header)] if open_ended else found) != header:
-            expected = "to start with " if open_ended else ""
-            raise MalformedRow(
-                path, 1,
-                f"bad header {found!r}, expected {expected}{header!r}")
-        width = len(found)
-        rows: list[Row] = []
-        for line_no, row in enumerate(reader, start=2):
-            cells = [c.strip() for c in row]
-            if not any(cells) or (comment and cells[0].startswith(comment)):
-                continue
-            if len(cells) != width:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = [h.strip() for h in next(reader, [])]
+            if (found[:len(header)] if open_ended else found) != header:
+                expected = "to start with " if open_ended else ""
                 raise MalformedRow(
-                    path, line_no, f"expected {width} fields, got {len(cells)}")
-            rows.append((line_no, cells))
+                    path, 1,
+                    f"bad header {found!r}, expected {expected}{header!r}")
+            width = len(found)
+            rows: list[Row] = []
+            for line_no, row in enumerate(reader, start=2):
+                cells = [c.strip() for c in row]
+                if not any(cells) or (comment
+                                      and cells[0].startswith(comment)):
+                    continue
+                if len(cells) != width:
+                    raise MalformedRow(path, line_no, f"expected {width} "
+                                       f"fields, got {len(cells)}")
+                rows.append((line_no, cells))
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return found, rows
+
+
+def utf8_error(path: str) -> MalformedRow:
+    """The error for a file that failed to decode as UTF-8, at the line
+    of its first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return MalformedRow(path, data.count(b"\n", 0, exc.start) + 1,
+                            f"not valid UTF-8 (byte {data[exc.start]:#04x})")
+    return MalformedRow(path, 1, "not valid UTF-8")
 
 
 def floats(path: str, rows: Sequence[Row], j: int) -> np.ndarray:

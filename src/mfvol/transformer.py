@@ -118,7 +118,7 @@ class TransformerModel:
     feature_std: np.ndarray
     target_mean: float
     target_std: float
-    train_config: TrainConfig | None = None
+    train_config: TrainConfig
 
 
 # ----------------------------------------------------------------------
@@ -362,20 +362,6 @@ def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
 # Public numeric operations
 # ----------------------------------------------------------------------
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V."""
-    q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise BadShape("attention expects matrices")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise BadShape(
-            f"incompatible shapes q{q.shape} k{k.shape} v{v.shape}")
-    for a in (q, k, v):
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput("attention inputs must be finite")
-    return _attend(q, k, v)[0]
-
-
 def encoder_forward(x: np.ndarray, weights: Mapping[str, np.ndarray],
                     config: ModelConfig) -> float:
     """Scalar prediction for one (T, F) window."""
@@ -579,8 +565,7 @@ def predict(model: TransformerModel, dataset: WindowedDataset) -> np.ndarray:
 def save_model(model: TransformerModel, path: str) -> None:
     doc = {
         "model_config": asdict(model.config),
-        "train_config": None if model.train_config is None
-        else asdict(model.train_config),
+        "train_config": asdict(model.train_config),
         "feature_names": model.feature_names,
         "feature_mean": model.feature_mean.tolist(),
         "feature_std": model.feature_std.tolist(),
@@ -613,8 +598,7 @@ def load_model(path: str) -> TransformerModel:
             feature_std=np.array(doc["feature_std"], dtype=float),
             target_mean=float(doc["target_mean"]),
             target_std=float(doc["target_std"]),
-            train_config=None if doc["train_config"] is None
-            else TrainConfig(**doc["train_config"]),
+            train_config=TrainConfig(**doc["train_config"]),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: not a model file ({exc!r})") from None

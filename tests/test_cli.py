@@ -184,12 +184,28 @@ class TestConfigFile:
         ("simulate", "monhts = 5\n", "simulate takes no option 'monhts'"),
         ("simulate", "months = 9\nmonths = 8\n",
          "bad.cfg:2: repeated key 'months'"),
+        ("simulate", b"months = \xff\n",
+         "bad.cfg:1: not valid UTF-8 (byte 0xff)"),
+        ("simulate", "seed = -1\n", "bad value '-1' for --seed"),
+        ("midas-fit", "seed = -1\n", "bad value '-1' for --seed"),
+        ("train", "seed = -1\n", "bad value '-1' for --seed"),
+        ("ablate", "seed = -1\n", "bad value '-1' for --seed"),
+        ("simulate", "start_month = abc\n", "start_month must be YYYY-MM"),
+        ("simulate", "start_month = 2015-13\n",
+         "start_month must be YYYY-MM with a month from 01 to 12"),
+        ("simulate", "start_price = nan\n",
+         "start_price must be positive and finite"),
+        ("simulate", "attention_coef = nan\n",
+         "attention_coef must be finite"),
     ], ids=["bad-int", "bad-float", "bad-choice", "bad-switch",
-            "unknown-key", "repeated-key"])
+            "unknown-key", "repeated-key", "not-utf8", "simulate-seed",
+            "midas-fit-seed", "train-seed", "ablate-seed",
+            "start-month-text", "start-month-13", "start-price-nan",
+            "attention-coef-nan"])
     def test_bad_config_exits_2(self, scenario_dir, pipeline, tmp_path,
                                 capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "out"
         inputs = {
             "simulate": ["--out", str(out)],
@@ -197,10 +213,16 @@ class TestConfigFile:
                     "--attention", str(scenario_dir / "attention.csv"),
                     "--monthly", str(scenario_dir / "monthly.csv"),
                     "--rv", str(pipeline / "rv.csv"), "--out-dir", str(out)],
+            "midas-fit": ["--factors", str(pipeline / "factors.csv"),
+                          "--n-lags", "6", "--out-fit", str(out),
+                          "--out-h", str(tmp_path / "h.csv")],
             "train": ["--factors", str(pipeline / "factors.csv"),
                       "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
                       "--out-model", str(out),
                       "--out-history", str(tmp_path / "hist.csv")],
+            "ablate": ["--factors", str(pipeline / "factors.csv"),
+                       "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
+                       "--out", str(out)],
         }[command]
         code = run([command, "--config", str(cfg)] + inputs)
         err = capsys.readouterr().err
@@ -231,7 +253,8 @@ def declared(kind, value):
     if kind is cli._parse_names:
         return (isinstance(value, tuple) and len(value) > 0
                 and all(isinstance(v, str) and v for v in value))
-    return type(value) is {cli._parse_bool: bool}.get(kind, kind)
+    return type(value) is {cli._parse_bool: bool,
+                           cli._parse_seed: int}.get(kind, kind)
 
 
 def resolve_with(cfg_dir, command, name, text, by_flag):
@@ -401,7 +424,7 @@ class TestFreeW1:
 
         doc = json.loads(by_flag.read_text())
         spec = gm.MidasSpec(**doc["spec"])
-        params = gm.MidasParams.from_json(doc["params"])
+        params = gm.MidasParams(**doc["params"])
         assert doc["spec"]["free_w1"] is True
         assert np.all(params.w1 >= 1.0)
         # _pack floors w1 - 1 at 1e-10, so a w1 fitted onto its bound
@@ -476,7 +499,10 @@ class TestExitCodes:
         ["train", "--d-ff", "0"],
         ["train", "--epochs", "0"],
         ["ablate", "--groups", "G1,G9"],
-    ], ids=["heads-0", "d-ff-0", "epochs-0", "group-G9"])
+        ["train", "--seed", "-1"],
+        ["ablate", "--seed", "-1"],
+    ], ids=["heads-0", "d-ff-0", "epochs-0", "group-G9", "train-seed",
+            "ablate-seed"])
     def test_bad_model_option(self, pipeline, tmp_path, capsys, argv):
         out = tmp_path / "out"
         outputs = (["--out-model", str(out), "--out-history",
@@ -494,21 +520,24 @@ class TestExitCodes:
         "model,group,n,mse,hmse,mae,mape,qlike,r2log\ntransformer,G4,84\n",
         "model,group,n,mse,hmse,mae,mape,qlike,r2log\n"
         "transformer,G4,many,1,1,1,1,1,1\n",
-    ], ids=["too-few-fields", "non-numeric-n"])
+        b"model,group,n,mse,hmse,mae,mape,qlike,r2log\n"
+        b"transformer,G\xff,84,1,1,1,1,1,1\n",
+    ], ids=["too-few-fields", "non-numeric-n", "not-utf8"])
     def test_append_onto_malformed_report(self, tmp_path, capsys, text):
         pred = tmp_path / "pred.csv"
         pred.write_text("date,rv_true,rv_pred\n"
                         + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
                                   for d in range(1, 6)))
         report = tmp_path / "report.csv"
-        report.write_text(text)
+        text = text if isinstance(text, bytes) else text.encode()
+        report.write_bytes(text)
         code = run(["evaluate", "--pred", str(pred), "--append",
                     "--out", str(report)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {report}:2: ")
         assert "Traceback" not in err
-        assert report.read_text() == text
+        assert report.read_bytes() == text
 
     @pytest.mark.parametrize("flag, value", [
         ("--model-name", "a,b"),

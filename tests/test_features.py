@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,12 +119,12 @@ class TestRoundtrip:
                                  columns=["a", "b", "c", "d", "e", "f"])
         path = str(tmp_path / "m.json")
         features.save_model(model, path)
-        back = features.load_model(path)
-        assert back.group == "g"
-        assert back.columns == model.columns
-        assert np.array_equal(back.loadings, model.loadings)
-        assert np.array_equal(back.means, model.means)
-        assert np.array_equal(back.variances, model.variances)
+        with open(path) as fh:
+            back = json.load(fh)
+        assert back["group"] == "g"
+        assert back["columns"] == list(model.columns)
+        for name in ("means", "loadings", "variances", "contributions"):
+            assert np.array_equal(back[name], getattr(model, name)), name
 
 
 def panel_with_groups(n_months=6, days=4, seed=3):
@@ -150,7 +152,8 @@ def panel_with_groups(n_months=6, days=4, seed=3):
 class TestExtractFactorPanel:
     def test_adds_expected_columns(self):
         panel = panel_with_groups()
-        out, models = features.extract_factor_panel(panel)
+        out, models = features.extract_factor_panel(
+            panel, features.DEFAULT_GROUPS, panel.n_rows)
         for name in ("pcm1", "pcm2", "tech1", "tech2", "tech3", "bd1"):
             assert name in out.columns
         assert set(models) == {"macro", "tech", "attention"}
@@ -158,7 +161,8 @@ class TestExtractFactorPanel:
 
     def test_monthly_factor_constant_within_month(self):
         panel = panel_with_groups()
-        out, _ = features.extract_factor_panel(panel)
+        out, _ = features.extract_factor_panel(
+            panel, features.DEFAULT_GROUPS, panel.n_rows)
         for m in range(int(out.month_index[-1]) + 1):
             vals = out.columns["pcm1"][out.month_index == m]
             assert np.ptp(vals) == 0.0
@@ -166,12 +170,13 @@ class TestExtractFactorPanel:
     def test_train_only_fit_ignores_tail_rows(self):
         panel = panel_with_groups()
         n_train = 16
-        out, models = features.extract_factor_panel(panel, n_train=n_train)
+        out, models = features.extract_factor_panel(
+            panel, features.DEFAULT_GROUPS, n_train)
         tampered = panel.copy()
         for c in features.TECH_GROUP.columns:
             tampered.columns[c][n_train:] += 100.0
-        out2, models2 = features.extract_factor_panel(tampered,
-                                                      n_train=n_train)
+        out2, models2 = features.extract_factor_panel(
+            tampered, features.DEFAULT_GROUPS, n_train)
         assert np.array_equal(models["tech"].loadings,
                               models2["tech"].loadings)
         assert np.array_equal(out.columns["tech1"][:n_train],
@@ -180,7 +185,8 @@ class TestExtractFactorPanel:
     def test_monthly_fit_sees_partial_final_month(self):
         panel = panel_with_groups()
         # n_train lands mid-month: the broken month still contributes
-        out, models = features.extract_factor_panel(panel, n_train=14)
+        out, models = features.extract_factor_panel(
+            panel, features.DEFAULT_GROUPS, 14)
         month_rows = panel.matrix(features.MACRO_GROUP.columns)[
             np.searchsorted(panel.month_index, np.arange(6))]
         direct = features.fit_pca(month_rows[:4], 2, group="macro",
@@ -191,4 +197,5 @@ class TestExtractFactorPanel:
         panel = panel_with_groups()
         del panel.columns["rsi"]
         with pytest.raises(errors.MissingColumn):
-            features.extract_factor_panel(panel)
+            features.extract_factor_panel(panel, features.DEFAULT_GROUPS,
+                                         panel.n_rows)

@@ -120,14 +120,7 @@ class TestFilter:
 
     def test_g_converges_to_unit_mean_without_shocks(self):
         params = make_params(J=1, mu=0.0)
-        n = 4000
-        data = gm.MidasData(
-            returns=np.zeros(n),
-            month_index=np.repeat(np.arange(40), 100),
-            covariates=np.zeros((40, 1)),
-        )
-        tau_daily = np.full(n - 100, math.exp(params.m))
-        g = gm.short_run_g(params, np.zeros(n - 100), tau_daily)
+        g = gm._short_run(params.alpha, params.beta, np.zeros(3900))
         omega = 1.0 - params.alpha - params.beta
         assert g[-1] == pytest.approx(omega / (1.0 - params.beta), rel=1e-9)
 
@@ -171,6 +164,11 @@ class TestShortRunScan:
         return np.array(g)
 
     @staticmethod
+    def scan(params, returns, tau):
+        return gm._short_run(params.alpha, params.beta,
+                             (returns - params.mu) ** 2 / tau)
+
+    @staticmethod
     def panel(n, seed=0):
         rng = np.random.default_rng(seed)
         return rng.normal(0.05, 1.0, n), np.exp(rng.normal(0.0, 0.5, n))
@@ -181,7 +179,7 @@ class TestShortRunScan:
                              beta=beta)
         for n in (1, 2, self.B - 1, self.B, self.B + 1, 2300):
             returns, tau = self.panel(n)
-            got = gm.short_run_g(params, returns, tau)
+            got = self.scan(params, returns, tau)
             want = self.loop(params, returns.tolist(), tau.tolist())
             assert got.shape == (n,)
             assert got[0] == 1.0
@@ -192,16 +190,16 @@ class TestShortRunScan:
         params = make_params(J=1, alpha=min(0.05, 0.5 * (1.0 - beta)),
                              beta=beta)
         returns, tau = self.panel(2300, seed=4)
-        full = gm.short_run_g(params, returns, tau)
+        full = self.scan(params, returns, tau)
         for n in (1, 2, self.B - 1, self.B, self.B + 1, 1000, 2299):
             # changing later days leaves every earlier output's bits ...
             moved = returns.copy()
             moved[n:] *= 40.0
-            assert gm.short_run_g(params, moved, tau)[:n + 1].tobytes() \
+            assert self.scan(params, moved, tau)[:n + 1].tobytes() \
                 == full[:n + 1].tobytes(), n
             # ... and extending the input moves none by more than rounding
             # (BLAS may take a different route for a single block)
-            head = gm.short_run_g(params, returns[:n], tau[:n])
+            head = self.scan(params, returns[:n], tau[:n])
             np.testing.assert_allclose(head, full[:n], rtol=1e-15, atol=0)
 
 
@@ -365,22 +363,11 @@ class TestSimulate:
         assert np.allclose(filt.g, sim.g, rtol=0, atol=1e-12)
         assert np.allclose(filt.h, sim.h, rtol=0, atol=1e-12)
 
-    def test_truth_equals_refilter_rv_window(self):
+    def test_rv_window_spec_rejected(self):
         spec = gm.MidasSpec(n_lags=5, mode="rv-window", tau_link="identity")
         params = make_params(J=1, m=0.9)
-        params.theta = np.array([0.05])
-        sim = gm.simulate(spec, params, months=18, days_per_month=15, seed=2)
-        filt = gm.filter_volatility(spec, params, sim.to_data(spec))
-        assert np.allclose(filt.h, sim.h, rtol=0, atol=1e-12)
-
-    def test_rv_window_covariates_are_monthly_sums(self):
-        spec = gm.MidasSpec(n_lags=5, mode="rv-window", tau_link="identity")
-        params = make_params(J=1, m=0.9)
-        params.theta = np.array([0.05])
-        sim = gm.simulate(spec, params, months=12, days_per_month=8, seed=4)
-        want = monthly_rv_naive(sim.returns.tolist(),
-                                sim.month_index.tolist())
-        assert np.allclose(sim.covariates[:, 0], want, rtol=0, atol=1e-12)
+        with pytest.raises(errors.BadSpec):
+            gm.simulate(spec, params, months=12, days_per_month=8, seed=4)
 
     def test_same_seed_reproduces(self):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
@@ -470,7 +457,7 @@ class TestPersistenceFiles:
         with open(path) as fh:
             doc = json.load(fh)
         spec2 = gm.MidasSpec(**doc["spec"])
-        params2 = gm.MidasParams.from_json(doc["params"])
+        params2 = gm.MidasParams(**doc["params"])
         assert spec2 == spec
         assert params2.alpha == fit.params.alpha
         assert params2.theta.tolist() == fit.params.theta.tolist()

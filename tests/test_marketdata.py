@@ -230,7 +230,7 @@ def build_panel(tmp_path, dates, months, att_dates=None, extra=None):
         ",".join(md.ATTENTION_HEADER) + "\n"
         + "\n".join(attention_line(d, 500.0 + i)
                     for i, d in enumerate(att_dates)) + "\n"))
-    return md.align_mixed_frequency(daily, attention, monthly, extra=extra)
+    return md.align_mixed_frequency(daily, attention, monthly, extra or {})
 
 
 DATES = ["2021-01-04", "2021-01-05", "2021-02-01", "2021-02-02",

@@ -111,15 +111,14 @@ class TestPersistence:
         csv_path = str(tmp_path / "rv.csv")
         sidecar = str(tmp_path / "rv_lambda.json")
         rvmod.write_rv(series, csv_path, sidecar)
-        back = rvmod.read_rv(csv_path, sidecar)
+        back = rvmod.read_rv(csv_path)
         assert back.dates == series.dates
         assert np.array_equal(back.ret, series.ret)
         assert np.array_equal(back.rv, series.rv)
         assert np.array_equal(back.rv_adj, series.rv_adj)
-        assert back.lam == series.lam
         with open(sidecar) as fh:
             doc = json.load(fh)
-        assert doc["n_days"] == series.n_days
+        assert doc == {"lambda": series.lam, "n_days": series.n_days}
 
     def test_read_without_sidecar(self, tmp_path):
         series = rvmod.compute_rv_series(series_from_days(DAYS))

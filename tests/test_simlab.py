@@ -32,14 +32,13 @@ class TestSpecValidation:
             ScenarioSpec(bars_per_day=1)
         with pytest.raises(BadSpec):
             ScenarioSpec(overnight_frac=1.0)
-        with pytest.raises(BadSpec):
-            ScenarioSpec(start_price=0.0)
-
-    def test_covariate_count_capped(self):
-        params = gm.MidasParams(mu=0.0, alpha=0.05, beta=0.9, m=0.1,
-                                theta=[0.5, 0.4, 0.3], w2=[2.0, 2.0, 2.0])
-        with pytest.raises(BadSpec):
-            ScenarioSpec(params=params)
+        for bad in (dict(start_price=0.0), dict(start_price=math.nan),
+                    dict(start_price=math.inf),
+                    dict(attention_coef=math.nan),
+                    dict(start_month="abc"), dict(start_month="2015-13"),
+                    dict(start_month="2015-00"), dict(start_month="2015-1")):
+            with pytest.raises(BadSpec):
+                ScenarioSpec(**bad)
 
 
 class TestCalendar:
@@ -120,7 +119,7 @@ class TestFullScenario:
         spec = gm.MidasSpec(n_lags=truth["n_lags"], mode=truth["mode"],
                             n_covariates=len(truth["params"]["theta"]),
                             tau_link=truth["tau_link"])
-        params = gm.MidasParams.from_json(truth["params"])
+        params = gm.MidasParams(**truth["params"])
         n_dpm = truth["days_per_month"]
         data = gm.MidasData(
             returns=np.array(truth["returns"]),
@@ -183,13 +182,25 @@ class TestFullScenario:
 
     def test_monthly_columns_follow_known_loadings(self, scen):
         # subtracting mean and factor loadings must leave only the
-        # macro_noise-scaled innovations
+        # _MACRO_NOISE-scaled innovations
         X = np.array(scen.truth["covariates"])
         _, monthly = md.load_monthly(scen.paths["monthly"])
         meci = monthly["meci"]
         resid = meci - simlab._MACRO_MEANS[0] \
             - simlab._MACRO_LOAD_1[0] * X[:, 0] \
             - simlab._MACRO_LOAD_2[0] * X[:, 1]
-        noise = scen.spec.macro_noise
+        noise = simlab._MACRO_NOISE
         assert np.all(np.abs(resid) < 6.0 * noise)
         assert np.std(resid) < 3.0 * noise
+
+
+@pytest.mark.parametrize("days", [8, 30])
+def test_roc_lag_is_twelve_days_or_back_to_the_first_close(days):
+    series = simlab.gen_intraday(
+        [f"2020-01-{d + 1:02d}" for d in range(days)], np.ones(days),
+        np.random.default_rng(0), bars_per_day=4)
+    close = series.bars["price"][3::4]
+    roc = simlab._daily_columns(series, np.ones(days))["roc"]
+    want = [100.0 * (close[i] / close[max(i - 12, 0)] - 1.0)
+            for i in range(days)]
+    assert roc.tolist() == want
