@@ -38,9 +38,13 @@ from .errors import (
 
 log = logging.getLogger("mfvol")
 
-FACTORS_FIXED = ["date", "split", "ret", "rv"]
-H_HEADER = ["date", "tau", "g", "h"]
-PRED_HEADER = ["date", "rv_true", "rv_pred"]
+# each table's columns and their kinds; factors.csv's further ones are FLOAT
+FACTORS_COLUMNS = {"date": tables.KEY, "split": ("train", "test"),
+                   "ret": tables.FLOAT, "rv": tables.FLOAT}
+H_COLUMNS = {"date": tables.KEY, **dict.fromkeys(["tau", "g", "h"],
+                                                 tables.FLOAT)}
+PRED_COLUMNS = {"date": tables.KEY, "rv_true": tables.FLOAT,
+                "rv_pred": tables.FLOAT}
 
 
 # ----------------------------------------------------------------------
@@ -227,35 +231,25 @@ class FactorTable:
 
 
 def write_factors(table: FactorTable, path: str) -> None:
-    tables.write(path, FACTORS_FIXED[:2] + table.col_order,
+    tables.write(path, list(FACTORS_COLUMNS)[:2] + table.col_order,
                  [table.dates, table.split]
                  + [table.columns[c] for c in table.col_order])
 
 
 def read_factors(path: str) -> FactorTable:
-    header, rows = tables.read(path, FACTORS_FIXED, open_ended=True)
-    if not rows:
+    columns = tables.read(path, FACTORS_COLUMNS, rest=tables.FLOAT)
+    dates, split = columns.pop("date"), columns.pop("split")
+    if not dates:
         raise MalformedRow(path, 1, "no data rows")
-    dates = [cells[0] for _, cells in rows]
-    split = [cells[1] for _, cells in rows]
-    for i, (line_no, cells) in enumerate(rows):
-        if cells[1] not in ("train", "test"):
-            raise MalformedRow(path, line_no,
-                               f"split must be train or test, got {cells[1]!r}")
-        if i and dates[i] <= dates[i - 1]:
-            raise MalformedRow(path, line_no,
-                               "dates must be strictly increasing")
-    col_order = header[2:]
-    columns = {name: tables.floats(path, rows, j)
-               for j, name in enumerate(col_order, start=2)}
     return FactorTable(dates=dates, split=split, columns=columns,
-                       col_order=col_order)
+                       col_order=list(columns))
 
 
 def write_h(dates: list[str], filtered, path: str) -> None:
     """``date,tau,g,h`` rows for the days a GARCH-MIDAS filter models."""
-    tables.write(path, H_HEADER, [dates[filtered.day_slice], filtered.tau,
-                                  filtered.g, filtered.h])
+    tables.write(path, list(H_COLUMNS),
+                 [dates[filtered.day_slice], filtered.tau, filtered.g,
+                  filtered.h])
 
 
 def join_h(table: FactorTable, h_path: str) -> FactorTable:
@@ -265,25 +259,16 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
     of the panel (the warm-up months carry no value); anything else
     means the two files came from different runs.
     """
-    _, rows = tables.read(h_path, H_HEADER)
-    if not rows:
+    h = tables.read(h_path, H_COLUMNS)
+    if not h["date"]:
         raise MalformedRow(h_path, 1, "no data rows")
-    h_dates = [cells[0] for _, cells in rows]
-    h_values = tables.floats(h_path, rows, 3)
-    pos = {d: i for i, d in enumerate(table.dates)}
-    missing = [d for d in h_dates if d not in pos]
-    if missing:
-        raise LengthMismatch(
-            f"{len(missing)} dates of {h_path} are absent from the factor "
-            f"panel (first: {missing[0]})")
-    idx = [pos[d] for d in h_dates]
-    lo = idx[0]
-    if idx != list(range(lo, lo + len(idx))) or idx[-1] != table.n_rows - 1:
+    lo = table.n_rows - len(h["date"])
+    if lo < 0 or table.dates[lo:] != h["date"]:
         raise LengthMismatch(
             f"{h_path} does not cover a trailing contiguous block of the "
             "factor panel")
     columns = {name: col[lo:].copy() for name, col in table.columns.items()}
-    columns["h"] = h_values
+    columns["h"] = h["h"]
     return FactorTable(
         dates=table.dates[lo:],
         split=table.split[lo:],
@@ -308,8 +293,7 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
             f"(available: {sorted(table.columns)})")
     X = np.column_stack([table.columns[f] for f in feature_names])
     y = table.columns["rv"]
-    dataset = tfm.build_windows(table.dates, X, y, window,
-                                feature_names=feature_names)
+    dataset = tfm.build_windows(table.dates, X, y, window, feature_names)
     sample_split = np.array(table.split[window:])
     return dataset, sample_split
 
@@ -527,18 +511,17 @@ def cmd_predict(o: argparse.Namespace) -> int:
         raise InputError(f"no {o.split} samples to predict")
     pred = tfm.predict(model, dataset)
 
-    tables.write(o.out, PRED_HEADER, [dataset.dates, dataset.y, pred])
+    tables.write(o.out, list(PRED_COLUMNS), [dataset.dates, dataset.y, pred])
     print(f"{len(dataset)} {o.split} predictions")
     print(f"  wrote {o.out}")
     return 0
 
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _, rows = tables.read(path, PRED_HEADER)
-    if not rows:
+    cols = tables.read(path, PRED_COLUMNS)
+    if not cols["date"]:
         raise MalformedRow(path, 1, "no data rows")
-    return ([cells[0] for _, cells in rows], tables.floats(path, rows, 1),
-            tables.floats(path, rows, 2))
+    return cols["date"], cols["rv_true"], cols["rv_pred"]
 
 
 def cmd_evaluate(o: argparse.Namespace) -> int:

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateTruth,
     InputError,
     LengthMismatch,
-    MalformedRow,
     NonPositiveInput,
     NonPositiveTruth,
     TooShort,
@@ -37,8 +36,9 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 # also the field names of EvalRow, in order
-REPORT_HEADER = ["model", "group", "n", "mse", "hmse", "mae", "mape",
-                 "qlike", "r2log"]
+REPORT_COLUMNS = {"model": tables.TEXT, "group": tables.TEXT, "n": tables.INT,
+                  **dict.fromkeys(["mse", "hmse", "mae", "mape", "qlike",
+                                   "r2log"], tables.FLOAT)}
 
 FORMULA_FOOTER = [
     "# mse   = mean((rv - h)^2)",
@@ -185,24 +185,15 @@ def ablation_features(group: str) -> tuple[str, ...]:
 
 def write_report(rows: Sequence[EvalRow], path: str,
                  footer: bool = True) -> None:
-    tables.write(path, REPORT_HEADER,
+    tables.write(path, list(REPORT_COLUMNS),
                  [[getattr(row, name) for row in rows]
-                  for name in REPORT_HEADER])
+                  for name in REPORT_COLUMNS])
     if footer:
         with open(path, "a") as fh:
             fh.write("\n".join(FORMULA_FOOTER) + "\n")
 
 
 def read_report(path: str) -> list[EvalRow]:
-    _, rows = tables.read(path, REPORT_HEADER, comment="#")
-    losses = zip(*(tables.floats(path, rows, j).tolist()
-                   for j in range(3, len(REPORT_HEADER))))
-    out: list[EvalRow] = []
-    for (line_no, cells), values in zip(rows, losses):
-        try:
-            n = int(cells[2])
-        except ValueError:
-            raise MalformedRow(path, line_no,
-                               f"bad count {cells[2]!r}") from None
-        out.append(EvalRow(cells[0], cells[1], n, *values))
-    return out
+    cols = tables.read(path, REPORT_COLUMNS, comment="#")
+    return [EvalRow(*row) for row in zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in cols.values()))]

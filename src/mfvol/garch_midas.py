@@ -581,11 +581,16 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
 
     Raises
     ------
+    BadSpec
+        If ``n_restarts`` or ``max_iter`` is below 1.
     DegenerateData
         If the modeled returns have zero variance.
     NoConvergence
         If no restart converges to a finite optimum.
     """
+    if n_restarts < 1 or max_iter < 1:
+        raise BadSpec(f"n_restarts and max_iter must be at least 1, got "
+                      f"{n_restarts} and {max_iter}")
     if float(np.ptp(data.returns)) == 0.0:
         raise DegenerateData("returns have zero variance")
     # built once for every evaluation; surfaces InsufficientLags before
@@ -598,7 +603,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     scale = 0.25 * np.ones_like(start)
     scale[1:3] = 1.0
     results = []
-    for r_idx in range(max(1, n_restarts)):
+    for r_idx in range(n_restarts):
         u0 = start if r_idx == 0 else start + rng.normal(0.0, scale)
         res = _nelder_mead(objective, u0, maxiter=max_iter,
                            maxfev=2 * max_iter, xatol=1e-8, fatol=1e-8)
@@ -649,9 +654,9 @@ class SimulatedMidas:
     h: np.ndarray
     day_variance: np.ndarray
 
-    def to_data(self, spec: MidasSpec) -> MidasData:
-        """The panel as filter or fit input under ``spec``, the spec it
-        was simulated under; every simulated panel is exogenous."""
+    def to_data(self) -> MidasData:
+        """The panel as filter or fit input; every simulated panel is
+        exogenous."""
         return MidasData(returns=self.returns, month_index=self.month_index,
                          covariates=self.covariates)
 

@@ -16,9 +16,7 @@ exact ISO date string; no calendar arithmetic is performed on dates.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
-from datetime import date as _date
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,16 +34,18 @@ from .errors import (
     ZeroVariance,
 )
 
-INTRADAY_HEADER = ["date", "time_min", "price"]
-DAILY_HEADER = [
-    "date", "open", "high", "low", "close", "volume", "turn", "boll",
-    "ma5", "ma20", "macd", "rsi", "sobv", "roc",
-]
-MONTHLY_HEADER = [
-    "month", "meci", "melei", "melai", "cpi", "retailsale", "rpi", "ppi",
-    "m2", "finvest", "iop",
-]
-ATTENTION_HEADER = ["date", "csi300", "csi500", "sse50", "hsparts", "hsetf"]
+# each table's columns and their tables kinds; blank indicator cells are NaN
+INTRADAY_COLUMNS = {"date": tables.DATE, "time_min": tables.INT,
+                    "price": tables.FLOAT}
+DAILY_COLUMNS = {"date": tables.DATE, **dict.fromkeys(
+    ["open", "high", "low", "close"], tables.FLOAT), **dict.fromkeys(
+    ["volume", "turn", "boll", "ma5", "ma20", "macd", "rsi", "sobv", "roc"],
+    tables.OPTIONAL)}
+MONTHLY_COLUMNS = {"month": tables.MONTH, **dict.fromkeys(
+    ["meci", "melei", "melai", "cpi", "retailsale", "rpi", "ppi", "m2",
+     "finvest", "iop"], tables.OPTIONAL)}
+ATTENTION_COLUMNS = {"date": tables.DATE, **dict.fromkeys(
+    ["csi300", "csi500", "sse50", "hsparts", "hsetf"], tables.OPTIONAL)}
 
 MAX_BARS_PER_DAY = 48
 BAR_MINUTES = 5
@@ -114,59 +114,6 @@ class AlignedPanel:
 
 
 # ----------------------------------------------------------------------
-# Cell parsing
-# ----------------------------------------------------------------------
-
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-def _parse_date(path: str, line: int, text: str) -> str:
-    # fromisoformat also takes 20210301 and 2021-W09-1, but a trading
-    # day is its exact text and its month is the text's first 7 chars
-    try:
-        if not _ISO_DATE.fullmatch(text):
-            raise ValueError
-        _date.fromisoformat(text)
-    except ValueError:
-        raise MalformedRow(path, line, f"bad date {text!r}")
-    return text
-
-
-def _parse_month(path: str, line: int, text: str) -> str:
-    parts = text.split("-")
-    ok = (
-        len(parts) == 2 and len(parts[0]) == 4 and len(parts[1]) == 2
-        and parts[0].isdigit() and parts[1].isdigit()
-        and 1 <= int(parts[1]) <= 12
-    )
-    if not ok:
-        raise MalformedRow(path, line, f"bad month {text!r}, expected YYYY-MM")
-    return text
-
-
-def _parse_float(path: str, line: int, text: str, col: str,
-                 allow_missing: bool = True) -> float:
-    if text == "":
-        if allow_missing:
-            return math.nan
-        raise MalformedRow(path, line, f"missing required value for {col!r}")
-    try:
-        value = float(text)
-    except ValueError:
-        raise MalformedRow(path, line, f"bad number {text!r} for {col!r}")
-    if math.isnan(value) or math.isinf(value):
-        raise MalformedRow(path, line, f"non-finite value {text!r} for {col!r}")
-    return value
-
-
-def _columns(names: Sequence[str], rows: Sequence[list[float]]
-             ) -> dict[str, np.ndarray]:
-    """Row-wise values as one contiguous float column per name."""
-    table = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return dict(zip(names, table.T.copy()))
-
-
-# ----------------------------------------------------------------------
 # Loaders
 # ----------------------------------------------------------------------
 
@@ -177,66 +124,50 @@ def load_intraday(path: str) -> IntradaySeries:
     the trading day) and no (date, time) pair repeats. Bars may be
     unordered on disk; the series is sorted by (date, time).
     """
-    _, rows = tables.read(path, INTRADAY_HEADER)
-    day_of: dict[str, int] = {}      # each distinct date, validated once
+    day_of: dict[str, int] = {}      # each date's number, as it first appears
     seen: set[int] = set()
-    day, time_min, price = [], [], []
-    for line_no, (d_text, t_text, p_text) in rows:
-        k = day_of.get(d_text)
-        if k is None:
-            _parse_date(path, line_no, d_text)
-            k = day_of[d_text] = len(day_of)
-        try:
-            t = int(t_text)
-        except ValueError:
-            raise MalformedRow(path, line_no, f"bad time_min {t_text!r}")
+
+    def check(line_no: int, values: list) -> None:
+        d, t, p = values
         if t < 0 or t % BAR_MINUTES != 0 or t >= MAX_BARS_PER_DAY * BAR_MINUTES:
-            raise MalformedRow(
-                path, line_no,
-                f"time_min {t} outside 5-minute grid 0..235")
-        p = _parse_float(path, line_no, p_text, "price", allow_missing=False)
+            raise MalformedRow(path, line_no,
+                               f"time_min {t} outside 5-minute grid 0..235")
         if p <= 0:
             raise NonPositivePrice(path, line_no, p)
         # a day has 48 grid slots, so without repeats it holds <= 48 bars
-        key = k * MAX_BARS_PER_DAY + t // BAR_MINUTES
+        key = day_of.setdefault(d, len(day_of)) * MAX_BARS_PER_DAY \
+            + t // BAR_MINUTES
         if key in seen:
-            raise DuplicateBar(d_text, t)
+            raise DuplicateBar(d, t)
         seen.add(key)
-        day.append(k)
-        time_min.append(t)
-        price.append(p)
-    # day_of numbers the dates as they first appear; renumber them in order
+
+    cols = tables.read(path, INTRADAY_COLUMNS, check=check)
     dates = sorted(day_of)
     rank = {d: i for i, d in enumerate(dates)}
-    bars = np.empty(len(day), dtype=BAR_DTYPE)
-    bars["day"] = np.array([rank[d] for d in day_of], dtype=np.int64)[day]
-    bars["time_min"] = time_min
-    bars["price"] = price
+    bars = np.empty(len(cols["price"]), dtype=BAR_DTYPE)
+    bars["day"] = [rank[d] for d in cols["date"]]
+    bars["time_min"] = cols["time_min"]
+    bars["price"] = cols["price"]
     return IntradaySeries(
         dates=dates, bars=bars[np.lexsort((bars["time_min"], bars["day"]))])
 
 
-def _load_dated(path: str, header: Sequence[str], required: Sequence[str],
-                check: Callable[[int, dict[str, float]], None]) -> Keyed:
-    """A table keyed by distinct ISO dates, sorted by date.
+def _load_dated(path: str, columns: Mapping[str, object],
+                check: Callable[[int, list], None]) -> Keyed:
+    """A table keyed by distinct ISO dates, sorted by date;
+    ``check(line_no, values)`` vets each parsed row."""
+    seen: set[str] = set()
 
-    Blank cells become NaN, except in ``required`` columns.
-    ``check(line_no, values)`` vets each parsed row.
-    """
-    _, rows = tables.read(path, header)
-    names = header[1:]
-    by_date: dict[str, list[float]] = {}
-    for line_no, row in rows:
-        d = _parse_date(path, line_no, row[0])
-        if d in by_date:
-            raise MalformedRow(path, line_no, f"duplicate date {d}")
-        values = {col: _parse_float(path, line_no, text, col,
-                                    allow_missing=col not in required)
-                  for col, text in zip(names, row[1:])}
+    def vet(line_no: int, values: list) -> None:
+        if values[0] in seen:
+            raise MalformedRow(path, line_no, f"duplicate date {values[0]}")
+        seen.add(values[0])
         check(line_no, values)
-        by_date[d] = list(values.values())
-    dates = sorted(by_date)
-    return dates, _columns(names, [by_date[d] for d in dates])
+
+    cols = tables.read(path, columns, check=vet)
+    dates = cols.pop("date")
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return [dates[i] for i in order], {k: v[order] for k, v in cols.items()}
 
 
 def load_daily(path: str) -> Keyed:
@@ -246,61 +177,47 @@ def load_daily(path: str) -> Keyed:
     (low <= open, close <= high); the indicator columns may have
     missing cells, which become NaN.
     """
-    ohlc = ("open", "high", "low", "close")
-
-    def check(line_no: int, v: dict[str, float]) -> None:
-        for col in ohlc:
-            if v[col] <= 0:
-                raise NonPositivePrice(path, line_no, v[col])
-        if v["low"] > min(v["open"], v["close"]) or \
-                v["high"] < max(v["open"], v["close"]):
+    def check(line_no: int, values: list) -> None:
+        _, open_, high, low, close, volume = values[:6]
+        for price in (open_, high, low, close):
+            if price <= 0:
+                raise NonPositivePrice(path, line_no, price)
+        if low > min(open_, close) or high < max(open_, close):
             raise MalformedRow(
                 path, line_no,
                 "OHLC out of order (need low <= open,close <= high)")
-        if v["volume"] < 0:
+        if volume < 0:
             raise MalformedRow(path, line_no, "negative volume")
 
-    return _load_dated(path, DAILY_HEADER, ohlc, check)
+    return _load_dated(path, DAILY_COLUMNS, check)
 
 
 def load_attention(path: str) -> Keyed:
     """Load daily search-attention counts (one row per trading date)."""
-    def check(line_no: int, v: dict[str, float]) -> None:
-        for col, count in v.items():
+    def check(line_no: int, values: list) -> None:
+        for col, count in zip(list(ATTENTION_COLUMNS)[1:], values[1:]):
             if count < 0:
                 raise MalformedRow(path, line_no,
                                    f"negative count for {col!r}")
 
-    return _load_dated(path, ATTENTION_HEADER, (), check)
+    return _load_dated(path, ATTENTION_COLUMNS, check)
 
 
 def load_monthly(path: str) -> Keyed:
     """Load monthly macro indicators; months must be contiguous."""
-    _, rows = tables.read(path, MONTHLY_HEADER)
-    names = MONTHLY_HEADER[1:]
-    # (month, line, values), sorted by month and then by file position
-    parsed = sorted(
-        (_parse_month(path, line_no, row[0]), line_no,
-         [_parse_float(path, line_no, text, col)
-          for col, text in zip(names, row[1:])])
-        for line_no, row in rows)
-    for (prev, _, _), (month, line_no, _) in zip(parsed, parsed[1:]):
-        if month == prev:
-            raise MalformedRow(path, line_no, f"duplicate month {month}")
-        if _next_month(prev) != month:
-            raise MalformedRow(
-                path, line_no, f"months not contiguous: {prev} -> {month}")
-    return ([m for m, _, _ in parsed],
-            _columns(names, [v for _, _, v in parsed]))
-
-
-def _next_month(month: str) -> str:
-    year, mon = int(month[:4]), int(month[5:7])
-    mon += 1
-    if mon > 12:
-        mon = 1
-        year += 1
-    return f"{year:04d}-{mon:02d}"
+    lines: list[int] = []
+    cols = tables.read(path, MONTHLY_COLUMNS,
+                       check=lambda line_no, _: lines.append(line_no))
+    months = cols.pop("month")
+    ids = [int(m[:4]) * 12 + int(m[5:]) for m in months]
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # ties in file order
+    for prev, i in zip(order, order[1:]):
+        if ids[i] == ids[prev]:
+            raise MalformedRow(path, lines[i], f"duplicate month {months[i]}")
+        if ids[i] != ids[prev] + 1:
+            raise MalformedRow(path, lines[i], "months not contiguous: "
+                               f"{months[prev]} -> {months[i]}")
+    return [months[i] for i in order], {k: v[order] for k, v in cols.items()}
 
 
 # ----------------------------------------------------------------------

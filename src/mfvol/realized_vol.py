@@ -135,12 +135,13 @@ def compute_rv_series(series: IntradaySeries) -> RvSeries:
 # Persistence
 # ----------------------------------------------------------------------
 
-RV_HEADER = ["date", "ret", "rv", "rv_adj"]
+RV_COLUMNS = {"date": tables.KEY, "ret": tables.FLOAT, "rv": tables.FLOAT,
+              "rv_adj": tables.FLOAT}
 
 
 def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
     """Write ``date,ret,rv,rv_adj`` rows plus the lambda sidecar JSON."""
-    tables.write(csv_path, RV_HEADER,
+    tables.write(csv_path, list(RV_COLUMNS),
                  [series.dates, series.ret, series.rv, series.rv_adj])
     with open(sidecar_path, "w") as fh:
         json.dump({"lambda": series.lam, "n_days": series.n_days}, fh)
@@ -150,11 +151,6 @@ def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
 def read_rv(csv_path: str) -> RvSeries:
     """Read back the CSV rows written by :func:`write_rv`; the sidecar
     is not read, so ``lam`` is NaN."""
-    _, rows = tables.read(csv_path, RV_HEADER)
-    return RvSeries(
-        dates=[cells[0] for _, cells in rows],
-        ret=tables.floats(csv_path, rows, 1),
-        rv=tables.floats(csv_path, rows, 2),
-        rv_adj=tables.floats(csv_path, rows, 3),
-        lam=math.nan,
-    )
+    cols = tables.read(csv_path, RV_COLUMNS)
+    return RvSeries(dates=cols["date"], ret=cols["ret"], rv=cols["rv"],
+                    rv_adj=cols["rv_adj"], lam=math.nan)

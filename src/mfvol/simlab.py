@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,10 +35,10 @@ from . import tables
 from .errors import BadSpec, LengthMismatch
 from .garch_midas import MidasParams, MidasSpec, simulate
 from .marketdata import (
-    ATTENTION_HEADER,
-    DAILY_HEADER,
-    INTRADAY_HEADER,
-    MONTHLY_HEADER,
+    ATTENTION_COLUMNS,
+    DAILY_COLUMNS,
+    INTRADAY_COLUMNS,
+    MONTHLY_COLUMNS,
     BAR_DTYPE,
     IntradaySeries,
 )
@@ -94,9 +93,11 @@ class ScenarioSpec:
             raise BadSpec("start_price must be positive and finite")
         if not math.isfinite(self.attention_coef):
             raise BadSpec("attention_coef must be finite")
-        if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", self.start_month):
+        try:
+            tables.parse(tables.MONTH, self.start_month)
+        except ValueError:
             raise BadSpec(f"start_month must be YYYY-MM with a month from "
-                          f"01 to 12, got {self.start_month!r}")
+                          f"01 to 12, got {self.start_month!r}") from None
 
     @property
     def n_days(self) -> int:
@@ -310,14 +311,15 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
     }
 
     bars = intraday.bars
-    tables.write(paths["intraday"], INTRADAY_HEADER,
+    tables.write(paths["intraday"], list(INTRADAY_COLUMNS),
                  [np.array(dates)[bars["day"]], bars["time_min"],
                   bars["price"]])
     cols = _daily_columns(intraday, volume)
-    tables.write(paths["daily"], DAILY_HEADER,
-                 [dates] + [cols[c] for c in DAILY_HEADER[1:]])
-    tables.write(paths["monthly"], MONTHLY_HEADER, [month_labels, *macro.T])
-    tables.write(paths["attention"], ATTENTION_HEADER, [dates, *att.T])
+    daily = list(DAILY_COLUMNS)
+    tables.write(paths["daily"], daily, [dates] + [cols[c] for c in daily[1:]])
+    tables.write(paths["monthly"], list(MONTHLY_COLUMNS),
+                 [month_labels, *macro.T])
+    tables.write(paths["attention"], list(ATTENTION_COLUMNS), [dates, *att.T])
 
     truth = {
         "seed": spec.seed,

@@ -92,6 +92,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.window < 1 or self.batch_size < 1 or self.max_epochs < 1:
             raise BadShape("window, batch_size and max_epochs must be positive")
+        if not 0 <= self.learning_rate < math.inf:
+            raise BadShape(f"learning_rate must be finite and at least 0, "
+                           f"got {self.learning_rate}")
+        if self.patience is not None and self.patience < 0:
+            raise BadShape(f"patience must be at least 0, got {self.patience}")
         if self.optimizer not in ("sgd", "adam"):
             raise BadShape(f"unknown optimizer {self.optimizer!r}")
 
@@ -421,7 +426,7 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
 
 def build_windows(dates: Sequence[str], features: np.ndarray,
                   target: np.ndarray, window: int,
-                  feature_names: Sequence[str] | None = None) -> WindowedDataset:
+                  feature_names: Sequence[str]) -> WindowedDataset:
     """Slide a length-``window`` input block over consecutive rows.
 
     Sample i reads rows i..i+window-1 and predicts row i+window, so
@@ -440,8 +445,6 @@ def build_windows(dates: Sequence[str], features: np.ndarray,
             "plus a target")
     X = np.stack([features[i:i + window] for i in range(n)])
     y = target[window:].copy()
-    if feature_names is None:
-        feature_names = [f"f{j}" for j in range(features.shape[1])]
     return WindowedDataset(X=X, y=y, dates=list(dates[window:]),
                            feature_names=list(feature_names))
 

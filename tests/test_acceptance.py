@@ -195,7 +195,7 @@ def test_criterion_05_parameter_recovery():
     for seed in range(10):
         sim = gm.simulate(spec, true, months=155, days_per_month=21,
                           seed=seed)
-        result = gm.fit(spec, sim.to_data(spec), n_restarts=2, seed=seed)
+        result = gm.fit(spec, sim.to_data(), n_restarts=2, seed=seed)
         p = result.params
         hits += (abs(p.alpha - true.alpha) <= 0.05
                  and abs(p.beta - true.beta) <= 0.05
@@ -317,7 +317,8 @@ def test_criterion_09_overfit_capability():
     target = 1.5 * feats[:, 0] - 0.7 * feats[:, 1] * feats[:, 2] \
         + 0.4 * np.abs(feats[:, 3]) + 3.0
     dates = [f"d{i:03d}" for i in range(rows)]
-    ds = tfm.build_windows(dates, feats, target, window=5)
+    ds = tfm.build_windows(dates, feats, target, window=5,
+                           feature_names=[f"f{j}" for j in range(5)])
     assert len(ds) == 32
 
     cfg = tfm.TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=2000)

@@ -501,8 +501,11 @@ class TestExitCodes:
         ["ablate", "--groups", "G1,G9"],
         ["train", "--seed", "-1"],
         ["ablate", "--seed", "-1"],
+        ["train", "--lr", "nan"],
+        ["train", "--lr", "-1"],
+        ["train", "--patience", "-1"],
     ], ids=["heads-0", "d-ff-0", "epochs-0", "group-G9", "train-seed",
-            "ablate-seed"])
+            "ablate-seed", "lr-nan", "lr-negative", "patience-negative"])
     def test_bad_model_option(self, pipeline, tmp_path, capsys, argv):
         out = tmp_path / "out"
         outputs = (["--out-model", str(out), "--out-history",
@@ -514,6 +517,60 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--restarts", "-3", "n_restarts"),
+        ("--max-iter", "0", "max_iter"),
+    ], ids=["restarts-negative", "max-iter-0"])
+    def test_bad_fit_option(self, pipeline, tmp_path, capsys, flag, value,
+                            named):
+        out = tmp_path / "fit.json"
+        code = run(["midas-fit", "--factors", str(pipeline / "factors.csv"),
+                    flag, value, "--out-fit", str(out),
+                    "--out-h", str(tmp_path / "h.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, line, cell, value", [
+        ("rv.csv", 5, 3, "nan"),
+        ("rv.csv", 6, 0, None),
+        ("pred.csv", 4, 2, "nan"),
+        ("factors.csv", 4, 2, "inf"),
+    ], ids=["rv-nan", "rv-repeated-date", "pred-nan", "factors-inf"])
+    def test_bad_pipeline_file(self, scenario_dir, pipeline, tmp_path, capsys,
+                               name, line, cell, value):
+        """A non-finite number or a repeated date in a file that one
+        stage wrote for the next is a bad input, named by path and line."""
+        if name == "pred.csv":
+            text = "date,rv_true,rv_pred\n" + "".join(
+                f"2020-01-{d:02d},1.{d},1.0\n" for d in range(1, 8))
+        else:
+            text = (pipeline / name).read_text()
+        rows = [r.split(",") for r in text.splitlines()]
+        # no value: repeat the date of the line before
+        rows[line - 1][cell] = value or rows[line - 2][cell]
+        path = tmp_path / name
+        path.write_text("\n".join(map(",".join, rows)) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "rv.csv": ["pca", "--daily", str(scenario_dir / "daily.csv"),
+                       "--attention", str(scenario_dir / "attention.csv"),
+                       "--monthly", str(scenario_dir / "monthly.csv"),
+                       "--rv", str(path), "--out-dir", str(out)],
+            "pred.csv": ["evaluate", "--pred", str(path), "--out", str(out)],
+            "factors.csv": ["midas-fit", "--factors", str(path),
+                            "--n-lags", "6", "--out-fit", str(out),
+                            "--out-h", str(tmp_path / "h.csv")],
+        }[name]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [

@@ -153,7 +153,7 @@ class TestReportFiles:
         path = tmp_path / "report.csv"
         ev.write_report(rows, str(path))
         text = path.read_text()
-        assert text.startswith(",".join(ev.REPORT_HEADER))
+        assert text.startswith(",".join(ev.REPORT_COLUMNS))
         assert "# qlike" in text
         back = ev.read_report(str(path))
         assert back == rows

@@ -1,3 +1,4 @@
+import datetime
 import json
 import math
 
@@ -251,7 +252,7 @@ class TestNelderMead:
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
         data = gm.simulate(spec, true, months=14, days_per_month=15,
-                           seed=2).to_data(spec)
+                           seed=2).to_data()
         objective = gm._objective(spec, data, gm._panel(spec, data), False)
         start = gm._pack(gm._default_init(spec, data), spec, False)
         res = self.same_as_scipy(objective, start, maxiter=3000,
@@ -358,7 +359,7 @@ class TestSimulate:
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
         sim = gm.simulate(spec, make_params(), months=20, days_per_month=21,
                           seed=9)
-        filt = gm.filter_volatility(spec, make_params(), sim.to_data(spec))
+        filt = gm.filter_volatility(spec, make_params(), sim.to_data())
         assert np.allclose(filt.tau, sim.tau, rtol=0, atol=1e-12)
         assert np.allclose(filt.g, sim.g, rtol=0, atol=1e-12)
         assert np.allclose(filt.h, sim.h, rtol=0, atol=1e-12)
@@ -400,7 +401,7 @@ class TestFit:
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
         sim = gm.simulate(spec, true, months=120, days_per_month=21, seed=1)
-        fit = gm.fit(spec, sim.to_data(spec), n_restarts=2, seed=0)
+        fit = gm.fit(spec, sim.to_data(), n_restarts=2, seed=0)
         assert fit.convergence["restarts"] >= 1
         assert abs(fit.params.alpha - true.alpha) < 0.08
         assert abs(fit.params.beta - true.beta) < 0.10
@@ -412,7 +413,7 @@ class TestFit:
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
         sim = gm.simulate(spec, true, months=60, days_per_month=21, seed=8)
-        data = sim.to_data(spec)
+        data = sim.to_data()
         fit = gm.fit(spec, data, n_restarts=2, seed=0)
         assert fit.log_lik >= gm.log_likelihood(spec, true, data) - 1e-6
 
@@ -446,6 +447,14 @@ class TestFit:
         with pytest.raises(errors.DegenerateData):
             gm.fit(gm.MidasSpec(n_lags=2, n_covariates=1), data)
 
+    @pytest.mark.parametrize("option", [dict(n_restarts=0),
+                                        dict(n_restarts=-3),
+                                        dict(max_iter=0)])
+    def test_restarts_and_iterations_at_least_one(self, option):
+        data = make_data()
+        with pytest.raises(errors.BadSpec, match=next(iter(option))):
+            gm.fit(gm.MidasSpec(n_lags=6, n_covariates=2), data, **option)
+
 
 class TestPersistenceFiles:
     def test_fit_roundtrip(self, tmp_path):
@@ -466,11 +475,12 @@ class TestPersistenceFiles:
     def test_h_roundtrip(self, tmp_path):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
         data = make_data()
-        dates = [f"d{i:04d}" for i in range(len(data.returns))]
+        dates = [str(datetime.date(2000, 1, 1) + datetime.timedelta(days=i))
+                 for i in range(len(data.returns))]
         filt = gm.filter_volatility(spec, make_params(), data)
         path = str(tmp_path / "h.csv")
         cli.write_h(dates, filt, path)
-        _, rows = tables.read(path, cli.H_HEADER)
-        assert [cells[0] for _, cells in rows] == dates[filt.day_slice]
-        for j, column in enumerate((filt.tau, filt.g, filt.h), start=1):
-            assert np.array_equal(tables.floats(path, rows, j), column)
+        back = tables.read(path, cli.H_COLUMNS)
+        assert back["date"] == dates[filt.day_slice]
+        for name in ("tau", "g", "h"):
+            assert np.array_equal(back[name], getattr(filt, name))

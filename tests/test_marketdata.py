@@ -27,7 +27,7 @@ def daily_line(date, close=10.0, **over):
             "ma5": close, "ma20": close, "macd": 0.01, "rsi": 55.0,
             "sobv": 1.0, "roc": 0.5}
     vals.update(over)
-    return date + "," + ",".join(str(vals[c]) for c in md.DAILY_HEADER[1:])
+    return date + "," + ",".join(str(vals[c]) for c in list(md.DAILY_COLUMNS)[1:])
 
 
 def monthly_line(month, base=100.0):
@@ -95,36 +95,36 @@ class TestLoadIntraday:
 
 class TestLoadDaily:
     def test_roundtrip_and_sort(self, tmp_path):
-        text = "\n".join([",".join(md.DAILY_HEADER),
+        text = "\n".join([",".join(md.DAILY_COLUMNS),
                           daily_line("2021-03-02", 11.0),
                           daily_line("2021-03-01", 10.0)]) + "\n"
         dates, cols = md.load_daily(write(tmp_path / "d.csv", text))
         assert dates == ["2021-03-01", "2021-03-02"]
         assert cols["close"].tolist() == [10.0, 11.0]
-        assert list(cols) == md.DAILY_HEADER[1:]
+        assert list(cols) == list(md.DAILY_COLUMNS)[1:]
 
     def test_missing_indicator_becomes_nan(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
-        line[md.DAILY_HEADER.index("rsi")] = ""
-        text = ",".join(md.DAILY_HEADER) + "\n" + ",".join(line) + "\n"
+        line[list(md.DAILY_COLUMNS).index("rsi")] = ""
+        text = ",".join(md.DAILY_COLUMNS) + "\n" + ",".join(line) + "\n"
         _, cols = md.load_daily(write(tmp_path / "d.csv", text))
         assert math.isnan(cols["rsi"][0])
 
     def test_missing_close_rejected(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
-        line[md.DAILY_HEADER.index("close")] = ""
-        text = ",".join(md.DAILY_HEADER) + "\n" + ",".join(line) + "\n"
+        line[list(md.DAILY_COLUMNS).index("close")] = ""
+        text = ",".join(md.DAILY_COLUMNS) + "\n" + ",".join(line) + "\n"
         with pytest.raises(errors.MalformedRow):
             md.load_daily(write(tmp_path / "d.csv", text))
 
     def test_ohlc_order_enforced(self, tmp_path):
-        text = ",".join(md.DAILY_HEADER) + "\n" \
+        text = ",".join(md.DAILY_COLUMNS) + "\n" \
             + daily_line("2021-03-01", 10.0, low=10.5) + "\n"
         with pytest.raises(errors.MalformedRow):
             md.load_daily(write(tmp_path / "d.csv", text))
 
     def test_duplicate_date_rejected(self, tmp_path):
-        text = "\n".join([",".join(md.DAILY_HEADER),
+        text = "\n".join([",".join(md.DAILY_COLUMNS),
                           daily_line("2021-03-01"),
                           daily_line("2021-03-01")]) + "\n"
         with pytest.raises(errors.MalformedRow):
@@ -132,7 +132,7 @@ class TestLoadDaily:
 
 
     def test_error_names_first_offending_line(self, tmp_path):
-        text = "\n".join([",".join(md.DAILY_HEADER),
+        text = "\n".join([",".join(md.DAILY_COLUMNS),
                           daily_line("2021-03-01"),
                           daily_line("2021-03-02", volume=-1.0),
                           daily_line("2021-03-03", low=99.0)]) + "\n"
@@ -149,8 +149,8 @@ def test_date_must_be_yyyy_mm_dd(tmp_path, kind, bad):
     header, line, load = {
         "intraday": ("date,time_min,price", lambda d: f"{d},0,10.0",
                      md.load_intraday),
-        "daily": (",".join(md.DAILY_HEADER), daily_line, md.load_daily),
-        "attention": (",".join(md.ATTENTION_HEADER), attention_line,
+        "daily": (",".join(md.DAILY_COLUMNS), daily_line, md.load_daily),
+        "attention": (",".join(md.ATTENTION_COLUMNS), attention_line,
                       md.load_attention),
     }[kind]
     text = "\n".join([header, line("2021-03-01"), line(bad),
@@ -163,14 +163,14 @@ def test_date_must_be_yyyy_mm_dd(tmp_path, kind, bad):
 
 class TestLoadMonthly:
     def test_contiguity_enforced(self, tmp_path):
-        text = "\n".join([",".join(md.MONTHLY_HEADER),
+        text = "\n".join([",".join(md.MONTHLY_COLUMNS),
                           monthly_line("2021-01"),
                           monthly_line("2021-03")]) + "\n"
         with pytest.raises(errors.MalformedRow):
             md.load_monthly(write(tmp_path / "m.csv", text))
 
     def test_year_boundary_ok(self, tmp_path):
-        text = "\n".join([",".join(md.MONTHLY_HEADER),
+        text = "\n".join([",".join(md.MONTHLY_COLUMNS),
                           monthly_line("2020-12"),
                           monthly_line("2021-01")]) + "\n"
         months, cols = md.load_monthly(write(tmp_path / "m.csv", text))
@@ -178,14 +178,14 @@ class TestLoadMonthly:
         assert cols["meci"].tolist() == [100.0, 100.0]
 
     def test_bad_month_format(self, tmp_path):
-        text = ",".join(md.MONTHLY_HEADER) + "\n" \
+        text = ",".join(md.MONTHLY_COLUMNS) + "\n" \
             + monthly_line("2021-13") + "\n"
         with pytest.raises(errors.MalformedRow):
             md.load_monthly(write(tmp_path / "m.csv", text))
 
 
     def test_duplicate_month_names_later_line(self, tmp_path):
-        text = "\n".join([",".join(md.MONTHLY_HEADER),
+        text = "\n".join([",".join(md.MONTHLY_COLUMNS),
                           monthly_line("2021-02"),
                           monthly_line("2021-01"),
                           monthly_line("2021-02")]) + "\n"
@@ -196,19 +196,19 @@ class TestLoadMonthly:
 
 class TestLoadAttention:
     def test_negative_count_rejected(self, tmp_path):
-        text = ",".join(md.ATTENTION_HEADER) + "\n" \
+        text = ",".join(md.ATTENTION_COLUMNS) + "\n" \
             + attention_line("2021-03-01", -10.0) + "\n"
         with pytest.raises(errors.MalformedRow) as info:
             md.load_attention(write(tmp_path / "a.csv", text))
         assert info.value.line == 2
 
     def test_sorted_columns_and_missing_cells(self, tmp_path):
-        text = "\n".join([",".join(md.ATTENTION_HEADER),
+        text = "\n".join([",".join(md.ATTENTION_COLUMNS),
                           attention_line("2021-03-02", 600.0),
                           "2021-03-01,1,,3,4,5"]) + "\n"
         dates, cols = md.load_attention(write(tmp_path / "a.csv", text))
         assert dates == ["2021-03-01", "2021-03-02"]
-        assert list(cols) == md.ATTENTION_HEADER[1:]
+        assert list(cols) == list(md.ATTENTION_COLUMNS)[1:]
         assert cols["csi300"].tolist() == [1.0, 600.0]
         assert math.isnan(cols["csi500"][0])
 
@@ -217,17 +217,17 @@ def build_panel(tmp_path, dates, months, att_dates=None, extra=None):
     att_dates = dates if att_dates is None else att_dates
     daily = md.load_daily(write(
         tmp_path / "d.csv",
-        ",".join(md.DAILY_HEADER) + "\n"
+        ",".join(md.DAILY_COLUMNS) + "\n"
         + "\n".join(daily_line(d, 10.0 + i) for i, d in enumerate(dates))
         + "\n"))
     monthly = md.load_monthly(write(
         tmp_path / "m.csv",
-        ",".join(md.MONTHLY_HEADER) + "\n"
+        ",".join(md.MONTHLY_COLUMNS) + "\n"
         + "\n".join(monthly_line(m, 100.0 + 10 * i)
                     for i, m in enumerate(months)) + "\n"))
     attention = md.load_attention(write(
         tmp_path / "a.csv",
-        ",".join(md.ATTENTION_HEADER) + "\n"
+        ",".join(md.ATTENTION_COLUMNS) + "\n"
         + "\n".join(attention_line(d, 500.0 + i)
                     for i, d in enumerate(att_dates)) + "\n"))
     return md.align_mixed_frequency(daily, attention, monthly, extra or {})

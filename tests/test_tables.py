@@ -1,6 +1,9 @@
 import ast
+import csv
+import datetime
 import math
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -31,6 +34,12 @@ def test_only_tables_imports_csv():
             if module == "csv" and name != "tables.py"] == []
 
 
+def test_only_tables_imports_re_or_datetime():
+    # date, month and number rules live in one place
+    assert [name for name, module in package_imports()
+            if module in ("re", "datetime") and name != "tables.py"] == []
+
+
 def test_no_module_imports_scipy():
     # numpy is the one runtime dependency; scipy is for the tests only
     assert [name for name, module in package_imports()
@@ -42,23 +51,17 @@ def bits(x: float) -> bytes:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(), max_size=20), st.booleans())
-@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
-          2.2250738585072014e-308, 1.7976931348623157e308], True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=20), st.booleans())
+@example([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308], True)
 def test_float_roundtrip_is_bitwise(tmp_path_factory, values, as_array):
     path = str(tmp_path_factory.mktemp("tables") / "t.csv")
     column = np.array(values, dtype=float) if as_array else values
     tables.write(path, ["i", "x"], [range(len(values)), column])
-    header, rows = tables.read(path, ["i", "x"])
-    assert header == ["i", "x"]
-    assert [line_no for line_no, _ in rows] == list(range(2, len(values) + 2))
-    back = tables.floats(path, rows, 1).tolist()
-    assert len(back) == len(values)
-    for got, want in zip(back, values):
-        if math.isnan(want):
-            assert math.isnan(got)
-        else:
-            assert bits(got) == bits(want)
+    back = tables.read(path, {"i": tables.INT, "x": tables.FLOAT})
+    assert back["i"] == list(range(len(values)))
+    assert [bits(x) for x in back["x"].tolist()] == list(map(bits, values))
 
 
 @pytest.mark.parametrize("text, line, reason", [
@@ -67,28 +70,129 @@ def test_float_roundtrip_is_bitwise(tmp_path_factory, values, as_array):
     ("a,c\n1,2\n", 1, "bad header"),
     ("", 1, "bad header"),
     ("a,b\nx,y\n", 2, "bad number 'y'"),
+    ("a,b\nx,1\nz,nan\n", 3, "non-finite value 'nan' for 'b'"),
+    ("a,b\nx,-inf\n", 2, "non-finite value '-inf' for 'b'"),
+    ("a,b\nx,1e999\n", 2, "non-finite value '1e999' for 'b'"),
+    ("a,b\nx,\n", 2, "bad number '' for 'b'"),
+    ("a,a\n1,2\n", 1, "bad header"),
 ])
 def test_read_rejects(tmp_path, text, line, reason):
     path = tmp_path / "t.csv"
     path.write_text(text)
     with pytest.raises(MalformedRow) as info:
-        _, rows = tables.read(str(path), ["a", "b"])
-        tables.floats(str(path), rows, 1)
+        tables.read(str(path), {"a": tables.TEXT, "b": tables.FLOAT})
     assert info.value.line == line
     assert info.value.reason.startswith(reason)
 
 
+@pytest.mark.parametrize("kind, cells, line, reason", [
+    (tables.DATE, ["2021-03-01", "2021-02-30"], 3, "bad date '2021-02-30'"),
+    (tables.DATE, ["20210301"], 2, "bad date '20210301'"),
+    (tables.KEY, ["2021-03-01", "2021-03-01"], 3, "date '2021-03-01' "
+     "repeats or precedes '2021-03-01'"),
+    (tables.KEY, ["2021-03-02", "2021-03-01"], 3, "date '2021-03-01' "
+     "repeats or precedes '2021-03-02'"),
+    (tables.MONTH, ["2021-12", "2021-13"], 3, "bad month '2021-13'"),
+    (tables.INT, ["4", "4.0"], 3, "bad integer '4.0'"),
+    (("train", "test"), ["train", "dev"], 3, "bad choice 'dev'"),
+])
+def test_kind_rejects(tmp_path, kind, cells, line, reason):
+    path = tmp_path / "t.csv"
+    path.write_text("k\n" + "\n".join(cells) + "\n")
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), {"k": kind})
+    assert info.value.line == line
+    assert info.value.reason.startswith(reason)
+    assert info.value.reason.endswith(" for 'k'")
+
+
 def test_read_options(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text(" a , b ,c\n# note\n\n1, 2 ,3\n#,x,y\n")
+    path.write_text(" a , b ,c\n# note\n\n1, 2 ,\n#,x,y\n")
+    schema = {"a": tables.INT, "b": tables.FLOAT}
     with pytest.raises(MalformedRow):
-        tables.read(str(path), ["a", "b"])
-    header, rows = tables.read(str(path), ["a", "b"], open_ended=True,
-                               comment="#")
-    assert header == ["a", "b", "c"]
-    assert rows == [(4, ["1", "2", "3"])]
+        tables.read(str(path), schema)
+    seen = []
+    back = tables.read(str(path), schema, rest=tables.OPTIONAL, comment="#",
+                       check=lambda line_no, values: seen.append(
+                           (line_no, values)))
+    assert list(back) == ["a", "b", "c"]
+    assert back["a"] == [1] and back["b"].tolist() == [2.0]
+    assert math.isnan(back["c"][0])
+    [(line_no, values)] = seen
+    assert line_no == 4 and values[:2] == [1, 2.0] and math.isnan(values[2])
     with pytest.raises(MissingFile):
-        tables.read(str(tmp_path / "absent.csv"), ["a"])
+        tables.read(str(tmp_path / "absent.csv"), schema)
+
+
+def test_check_sees_rows_in_file_order(tmp_path):
+    # a row check fails ahead of a later row's bad cell
+    path = tmp_path / "t.csv"
+    path.write_text("a\n1\n-1\nx\n")
+
+    def check(line_no, values):
+        if values[0] < 0:
+            raise MalformedRow(str(path), line_no, "negative")
+
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), {"a": tables.FLOAT}, check=check)
+    assert (info.value.line, info.value.reason) == (3, "negative")
+
+
+SCHEMA = {"key": tables.KEY, "day": tables.DATE, "month": tables.MONTH,
+          "n": tables.INT, "x": tables.FLOAT, "y": tables.OPTIONAL,
+          "name": tables.TEXT, "split": ("train", "test")}
+VALID = [["2020-01-02", "2021-03-01", "2020-12", "3", "1.5", "", "a", "train"],
+         ["2020-01-05", "2021-03-01", "2021-01", "-4", "2e-3", "7", "b",
+          "test"],
+         ["2020-01-09", "1999-12-31", "1999-01", "0", "-0.0", "1", "", "test"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(VALID) - 1), st.sampled_from(list(SCHEMA)),
+       st.one_of(st.text(), st.from_regex(
+           r"-?([0-9.eE+-]{1,8}|nan|inf|Infinity)|[0-9-]{7,10}",
+           fullmatch=True)))
+@example(1, "x", "nan")
+@example(0, "y", " -inf ")
+@example(1, "key", "2020-01-09")
+@example(0, "day", "2021-02-30")
+def test_one_replaced_cell_parses_or_names_its_line(tmp_path_factory, row,
+                                                    name, text):
+    """Any one cell set to any text either reads as a value of its
+    column's kind or raises MalformedRow at that cell's line."""
+    rows = [list(r) for r in VALID]
+    rows[row][list(SCHEMA).index(name)] = text
+    path = tmp_path_factory.mktemp("tables") / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([list(SCHEMA), *rows])
+    kind = SCHEMA[name]
+    try:
+        back = tables.read(str(path), SCHEMA)
+    except MalformedRow as exc:
+        # a valid date past the next row's breaks the order at that row
+        assert exc.line == row + 2 or (kind == tables.KEY
+                                       and exc.line == row + 3)
+        return
+    assert of_kind(kind, text.strip(), back[name][row])
+
+
+def of_kind(kind, text, value) -> bool:
+    """Whether ``value`` is what a cell ``text`` of ``kind`` reads as."""
+    if kind == tables.OPTIONAL and not text:
+        return math.isnan(value)
+    if kind in (tables.FLOAT, tables.OPTIONAL):
+        return math.isfinite(value) and value == float(text)
+    if kind == tables.INT:
+        return value == int(text)
+    if kind in (tables.DATE, tables.KEY):
+        return value == text and bool(
+            re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text)
+            and datetime.date.fromisoformat(text))
+    if kind == tables.MONTH:
+        return value == text and bool(
+            re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", text))
+    return value == text and (kind == tables.TEXT or text in kind)
 
 
 @pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,8 @@ def toy_dataset(n=40, n_features=3, window=4, seed=5):
     target = 0.8 * feats[:, 0] + 0.3 * np.tanh(feats[:, 1]) \
         + 0.05 * rng.standard_normal(rows) + 2.0
     dates = [f"2020-01-{d + 1:02d}" for d in range(rows)]
-    return tf.build_windows(dates, feats, target, window)
+    return tf.build_windows(dates, feats, target, window,
+                            [f"f{j}" for j in range(n_features)])
 
 
 class TestConfigs:
@@ -56,6 +58,14 @@ class TestConfigs:
     def test_zero_epochs(self):
         with pytest.raises(BadShape):
             TrainConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", -1.0), ("patience", -1)])
+    def test_bad_step_or_patience(self, field, value):
+        with pytest.raises(BadShape, match=field):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: 0})     # a zero rate or patience is legal
 
 
 class TestWeights:
@@ -237,11 +247,13 @@ class TestWindows:
     def test_too_short(self):
         feats = np.ones((3, 2))
         with pytest.raises(EmptyDataset):
-            tf.build_windows(["a", "b", "c"], feats, np.ones(3), window=3)
+            tf.build_windows(["a", "b", "c"], feats, np.ones(3), window=3,
+                             feature_names=["x", "y"])
 
     def test_row_mismatch(self):
         with pytest.raises(BadShape):
-            tf.build_windows(["a", "b"], np.ones((2, 2)), np.ones(3), 1)
+            tf.build_windows(["a", "b"], np.ones((2, 2)), np.ones(3), 1,
+                             ["x", "y"])
 
 
 class TestTraining:
@@ -347,7 +359,7 @@ class TestPersistence:
         feats = rng.standard_normal((24, 3))
         target = 0.8 * feats[:, 0] + 0.3 * np.tanh(feats[:, 1]) + 2.0
         ds = tf.build_windows([f"d{i:02d}" for i in range(24)], feats,
-                              target, 4)
+                              target, 4, ["f0", "f1", "f2"])
         xn = (ds.X - model.feature_mean) / model.feature_std
         dims = (cfg.n_features, cfg.d_model, cfg.n_heads, cfg.n_layers,
                 cfg.d_ff)
