@@ -8,10 +8,10 @@ and choices, and a key the subcommand does not take, or one given
 twice, is an error. Exit status is 0 on success, 2 on input problems
 and 3 on numerical failures.
 
-The pca step stamps each row of ``factors.csv`` as train or test.
-Downstream commands reuse that stamp instead of re-deriving their own
-boundary, so estimation never sees a held-out row no matter which
-command runs first.
+The pca step decides the one train/test boundary, a row count, and
+``factors.csv`` records it as leading train rows and trailing test
+rows. Every downstream command reads that count back (interleaved
+stamps are a bad input), so estimation never sees a held-out row.
 """
 
 from __future__ import annotations
@@ -210,39 +210,48 @@ def resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
 
 @dataclass
 class FactorTable:
-    """In-memory image of ``factors.csv``.
+    """In-memory image of ``factors.csv``: its first ``n_train`` rows
+    are training rows, the rest test rows.
 
-    ``col_order`` preserves the numeric columns in file order;
-    ``columns`` may additionally carry a joined ``h`` column.
+    ``columns`` holds the numeric columns in file order and may
+    additionally carry a joined ``h`` column.
     """
 
     dates: list[str]
-    split: list[str]
+    n_train: int
     columns: dict[str, np.ndarray]
-    col_order: list[str]
 
     @property
     def n_rows(self) -> int:
         return len(self.dates)
 
-    @property
-    def n_train(self) -> int:
-        return sum(1 for s in self.split if s == "train")
-
 
 def write_factors(table: FactorTable, path: str) -> None:
-    tables.write(path, list(FACTORS_COLUMNS)[:2] + table.col_order,
-                 [table.dates, table.split]
-                 + [table.columns[c] for c in table.col_order])
+    split = ["train"] * table.n_train
+    split += ["test"] * (table.n_rows - table.n_train)
+    tables.write(path, list(FACTORS_COLUMNS)[:2] + list(table.columns),
+                 [table.dates, split, *table.columns.values()])
 
 
 def read_factors(path: str) -> FactorTable:
-    columns = tables.read(path, FACTORS_COLUMNS, rest=tables.FLOAT)
+    """The table, whose ``train`` rows must all precede its ``test``
+    rows: a ``train`` row after a ``test`` row is a bad row."""
+    last = ["train"]     # the split of the row before
+
+    def train_first(line_no: int, values: list) -> None:
+        if values[1] == "train" and last[0] == "test":
+            raise MalformedRow(path, line_no,
+                               "train row after a test row; every train "
+                               "row must precede every test row")
+        last[0] = values[1]
+
+    columns = tables.read(path, FACTORS_COLUMNS, rest=tables.FLOAT,
+                          check=train_first)
     dates, split = columns.pop("date"), columns.pop("split")
     if not dates:
         raise MalformedRow(path, 1, "no data rows")
-    return FactorTable(dates=dates, split=split, columns=columns,
-                       col_order=list(columns))
+    return FactorTable(dates=dates, n_train=split.count("train"),
+                       columns=columns)
 
 
 def write_h(dates: list[str], filtered, path: str) -> None:
@@ -267,20 +276,16 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
         raise LengthMismatch(
             f"{h_path} does not cover a trailing contiguous block of the "
             "factor panel")
-    columns = {name: col[lo:].copy() for name, col in table.columns.items()}
+    columns = {name: col[lo:] for name, col in table.columns.items()}
     columns["h"] = h["h"]
-    return FactorTable(
-        dates=table.dates[lo:],
-        split=table.split[lo:],
-        columns=columns,
-        col_order=list(table.col_order),
-    )
+    return FactorTable(dates=table.dates[lo:],
+                       n_train=max(table.n_train - lo, 0), columns=columns)
 
 
 def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
-                   window: int
-                   ) -> tuple[tfm.WindowedDataset, np.ndarray]:
-    """Windows over the whole table plus each sample's split label.
+                   window: int) -> tuple[tfm.WindowedDataset, int]:
+    """Windows over the whole table, and how many of them, from the
+    first, are training samples.
 
     A sample belongs to the split of its target row; inputs always
     predate the target, so test samples may reach back into training
@@ -294,19 +299,15 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
     X = np.column_stack([table.columns[f] for f in feature_names])
     y = table.columns["rv"]
     dataset = tfm.build_windows(table.dates, X, y, window, feature_names)
-    sample_split = np.array(table.split[window:])
-    return dataset, sample_split
+    return dataset, max(table.n_train - window, 0)
 
 
-def subset(dataset: tfm.WindowedDataset, mask: np.ndarray
-           ) -> tfm.WindowedDataset:
-    idx = np.flatnonzero(mask)
-    return tfm.WindowedDataset(
-        X=dataset.X[idx].copy(),
-        y=dataset.y[idx].copy(),
-        dates=[dataset.dates[i] for i in idx],
-        feature_names=list(dataset.feature_names),
-    )
+def samples(dataset: tfm.WindowedDataset, part: slice
+            ) -> tfm.WindowedDataset:
+    """The samples that ``part`` slices out, in order."""
+    return tfm.WindowedDataset(X=dataset.X[part], y=dataset.y[part],
+                               dates=dataset.dates[part],
+                               feature_names=dataset.feature_names)
 
 
 def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
@@ -318,7 +319,7 @@ def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
 
 
 def _load_windows(o: argparse.Namespace, feature_names: tuple[str, ...],
-                  window: int) -> tuple[tfm.WindowedDataset, np.ndarray]:
+                  window: int) -> tuple[tfm.WindowedDataset, int]:
     table = read_factors(o.factors)
     if o.h_file is not None:
         table = join_h(table, o.h_file)
@@ -370,7 +371,6 @@ def cmd_pca(o: argparse.Namespace) -> int:
     attention = marketdata.load_attention(o.attention)
     monthly = marketdata.load_monthly(o.monthly)
     rv = realized_vol.read_rv(o.rv)
-    os.makedirs(o.out_dir, exist_ok=True)
 
     extra = {
         "ret": dict(zip(rv.dates, rv.ret)),
@@ -379,30 +379,26 @@ def cmd_pca(o: argparse.Namespace) -> int:
     panel = marketdata.align_mixed_frequency(daily, attention, monthly,
                                              extra=extra)
     panel = marketdata.fill_missing(panel, policy=o.fill)
-    train_panel, _ = marketdata.chronological_split(panel, o.ratio)
-    n_train = train_panel.n_rows
+    n_train = marketdata.split_boundary(panel.n_rows, o.ratio)
     if n_train < 2 or n_train == panel.n_rows:
         raise InputError(
             f"ratio {o.ratio} leaves {n_train} training rows out of "
             f"{panel.n_rows}; nothing to fit or nothing to test")
+    os.makedirs(o.out_dir, exist_ok=True)
 
     member_cols = [c for spec in features.DEFAULT_GROUPS
                    for c in spec.columns]
-    _, stats = marketdata.normalize(train_panel, member_cols)
-    norm_panel, _ = marketdata.normalize(panel, member_cols, stats=stats)
+    norm_panel, stats = marketdata.normalize(panel, member_cols, n_train)
     factor_panel, models = features.extract_factor_panel(
         norm_panel, features.DEFAULT_GROUPS, n_train=n_train)
 
     factor_names = [f"{spec.prefix}{j + 1}" for spec in features.DEFAULT_GROUPS
                     for j in range(spec.retain)]
-    split = ["train" if i < n_train else "test"
-             for i in range(panel.n_rows)]
     table = FactorTable(
         dates=list(factor_panel.dates),
-        split=split,
+        n_train=n_train,
         columns={c: factor_panel.columns[c]
                  for c in ["ret", "rv"] + factor_names},
-        col_order=["ret", "rv"] + factor_names,
     )
     factors_path = os.path.join(o.out_dir, "factors.csv")
     write_factors(table, factors_path)
@@ -478,8 +474,8 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
 def cmd_train(o: argparse.Namespace) -> int:
     """fit the attention regressor on stamped factors"""
     train_config = _train_config(o)
-    dataset, sample_split = _load_windows(o, o.features, train_config.window)
-    train_ds = subset(dataset, sample_split == "train")
+    dataset, n_fit = _load_windows(o, o.features, train_config.window)
+    train_ds = samples(dataset, slice(n_fit))
     if len(train_ds) == 0:
         raise InputError("no training samples after windowing")
 
@@ -503,10 +499,11 @@ def cmd_train(o: argparse.Namespace) -> int:
 def cmd_predict(o: argparse.Namespace) -> int:
     """forecasts from a trained model"""
     model = tfm.load_model(o.model)
-    dataset, sample_split = _load_windows(o, tuple(model.feature_names),
-                                          model.train_config.window)
-    if o.split != "all":
-        dataset = subset(dataset, sample_split == o.split)
+    dataset, n_fit = _load_windows(o, tuple(model.feature_names),
+                                   model.train_config.window)
+    dataset = samples(dataset, {"train": slice(n_fit),
+                                "test": slice(n_fit, None),
+                                "all": slice(None)}[o.split])
     if len(dataset) == 0:
         raise InputError(f"no {o.split} samples to predict")
     pred = tfm.predict(model, dataset)
@@ -556,11 +553,10 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     mse_by_group: dict[str, float] = {}
     for name, feats in zip(o.groups, group_feats):
         source = table_h if "h" in feats else table
-        dataset, sample_split = windowed_split(source, feats,
-                                               train_config.window)
-        model, _ = tfm.train(subset(dataset, sample_split == "train"),
-                             None, train_config)
-        test_ds = subset(dataset, sample_split == "test")
+        dataset, n_fit = windowed_split(source, feats, train_config.window)
+        model, _ = tfm.train(samples(dataset, slice(n_fit)), None,
+                             train_config)
+        test_ds = samples(dataset, slice(n_fit, None))
         if len(test_ds) == 0:
             raise InputError("no test samples after windowing")
         if test_dates is None:
@@ -576,10 +572,7 @@ def cmd_ablate(o: argparse.Namespace) -> int:
         rows.append(row)
         log.info("group %s: test mse %.6f", name, row.mse)
 
-    if "test" not in table.split:
-        raise InputError("factor panel has no test rows")
-    first_test = table.split.index("test")
-    rv_seq = table.columns["rv"][max(first_test - 1, 0):]
+    rv_seq = table.columns["rv"][max(table.n_train - 1, 0):]
     base_pred, base_truth = evaluation.persistence_baseline(rv_seq)
     rows.append(evaluation.evaluate(base_pred, base_truth,
                                     model="persistence", group="-"))

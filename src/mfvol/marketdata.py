@@ -313,17 +313,14 @@ def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
     return out
 
 
-def normalize(
-    panel: AlignedPanel,
-    cols: Sequence[str],
-    stats: Mapping[str, tuple[float, float]] | None = None,
-) -> tuple[AlignedPanel, dict[str, tuple[float, float]]]:
+def normalize(panel: AlignedPanel, cols: Sequence[str], n_train: int
+              ) -> tuple[AlignedPanel, dict[str, tuple[float, float]]]:
     """Z-score columns in place of their raw values.
 
-    When ``stats`` is None, per-column mean and population standard
-    deviation are computed from the panel itself and returned, so the
-    identical transform can be applied to held-out data later. A
-    constant column raises :class:`ZeroVariance`.
+    Each column's mean and population standard deviation come from its
+    first ``n_train`` rows only, so held-out rows never shape the
+    transform; they are returned beside the panel. A column with no
+    usable variance over those rows raises :class:`ZeroVariance`.
     """
     out = panel.copy()
     used: dict[str, tuple[float, float]] = {}
@@ -331,13 +328,8 @@ def normalize(
         if name not in out.columns:
             raise MissingColumn(f"panel lacks column {name!r}")
         col = out.columns[name]
-        if stats is None:
-            mean = float(np.mean(col))
-            std = float(np.std(col))
-        else:
-            if name not in stats:
-                raise ZeroVariance(f"no stats provided for column {name!r}")
-            mean, std = stats[name]
+        mean = float(np.mean(col[:n_train]))
+        std = float(np.std(col[:n_train]))
         if not (std > 0) or not math.isfinite(std) or not math.isfinite(mean):
             raise ZeroVariance(f"column {name!r} has no usable variance")
         out.columns[name] = (col - mean) / std
@@ -345,26 +337,8 @@ def normalize(
     return out, used
 
 
-def chronological_split(
-    panel: AlignedPanel, ratio: float
-) -> tuple[AlignedPanel, AlignedPanel]:
-    """Split the panel into leading train rows and trailing test rows.
-
-    The boundary is ``floor(n_rows * ratio)``; every training date
-    strictly precedes every test date.
-    """
-    if not (0.0 < ratio < 1.0):
+def split_boundary(n_rows: int, ratio: float) -> int:
+    """Leading train rows of a split by time: ``floor(n_rows * ratio)``."""
+    if not 0 < ratio < 1:
         raise InputError(f"split ratio must lie in (0, 1), got {ratio}")
-    if panel.n_rows == 0:
-        raise EmptyPanel("cannot split an empty panel")
-    n_train = int(math.floor(panel.n_rows * ratio))
-    return _slice(panel, 0, n_train), _slice(panel, n_train, panel.n_rows)
-
-
-def _slice(panel: AlignedPanel, lo: int, hi: int) -> AlignedPanel:
-    month_index = panel.month_index[lo:hi]
-    return AlignedPanel(
-        dates=panel.dates[lo:hi],
-        month_index=month_index - (month_index[0] if hi > lo else 0),
-        columns={k: v[lo:hi].copy() for k, v in panel.columns.items()},
-    )
+    return math.floor(n_rows * ratio)

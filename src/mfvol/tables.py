@@ -133,7 +133,10 @@ def read(path: str, schema: Mapping[str, object], *, rest=None,
             kinds = [*schema.values(), *[rest] * (len(found) - len(names))]
             parsers = [_parser(kind) for kind in kinds]
             columns: list[list] = [[] for _ in found]
-            for line_no, row in enumerate(reader, start=2):
+            # a quoted cell may span lines: a row's line is its first one
+            last_line = reader.line_num
+            for row in reader:
+                line_no, last_line = last_line + 1, reader.line_num
                 cells = [c.strip() for c in row]
                 if not any(cells) or (comment
                                       and cells[0].startswith(comment)):

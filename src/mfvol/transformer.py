@@ -367,17 +367,6 @@ def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
 # Public numeric operations
 # ----------------------------------------------------------------------
 
-def encoder_forward(x: np.ndarray, weights: Mapping[str, np.ndarray],
-                    config: ModelConfig) -> float:
-    """Scalar prediction for one (T, F) window."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != config.n_features:
-        raise BadShape(f"expected (T, {config.n_features}), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("window contains non-finite values")
-    return float(_forward(weights, config, x[None])[0][0])
-
-
 def forward_batch(x: np.ndarray, weights: Mapping[str, np.ndarray],
                   config: ModelConfig) -> np.ndarray:
     """(..., T, F) -> (...,) predictions without building gradients."""

@@ -292,9 +292,10 @@ def test_criterion_08_permutation_invariance():
     for seed in range(10):
         weights = tfm.init_weights(cfg, seed=seed)
         window = rng.standard_normal((5, cfg.n_features))
-        base = tfm.encoder_forward(window, weights, cfg)
+        base = tfm.forward_batch(window[None], weights, cfg)[0]
         for perm in itertools.permutations(range(5)):
-            shuffled = tfm.encoder_forward(window[list(perm)], weights, cfg)
+            shuffled = tfm.forward_batch(window[list(perm)][None], weights,
+                                         cfg)[0]
             worst = max(worst, abs(shuffled - base))
     elapsed = time.perf_counter() - t0
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -43,11 +44,10 @@ class TestFactorTableIO:
     def small_table(self):
         return FactorTable(
             dates=["2020-01-01", "2020-01-02", "2020-01-03"],
-            split=["train", "train", "test"],
+            n_train=2,
             columns={"ret": np.array([0.1, -0.2, 0.3]),
                      "rv": np.array([1.0, 2.0, 3.0]),
                      "tech1": np.array([0.5, 0.6, 0.7])},
-            col_order=["ret", "rv", "tech1"],
         )
 
     def test_roundtrip(self, tmp_path):
@@ -56,9 +56,9 @@ class TestFactorTableIO:
         cli.write_factors(table, str(path))
         back = cli.read_factors(str(path))
         assert back.dates == table.dates
-        assert back.split == table.split
-        assert back.col_order == table.col_order
-        for name in table.col_order:
+        assert back.n_train == table.n_train
+        assert list(back.columns) == list(table.columns)
+        for name in table.columns:
             assert np.array_equal(back.columns[name], table.columns[name])
 
     def test_bad_header(self, tmp_path):
@@ -90,7 +90,7 @@ class TestFactorTableIO:
         joined = cli.join_h(table, str(h))
         assert joined.dates == ["2020-01-02", "2020-01-03"]
         assert np.array_equal(joined.columns["h"], [1.5, 2.5])
-        assert joined.split == ["train", "test"]
+        assert joined.n_train == 1
 
     def test_join_h_rejects_gap(self, tmp_path):
         table = self.small_table()
@@ -120,16 +120,14 @@ class TestFactorTableIO:
     def test_windowed_split_labels_by_target_row(self):
         table = FactorTable(
             dates=[f"2020-01-{d:02d}" for d in range(1, 8)],
-            split=["train"] * 5 + ["test"] * 2,
+            n_train=5,
             columns={"ret": np.zeros(7),
                      "rv": np.arange(7, dtype=float) + 1.0,
                      "tech1": np.arange(7, dtype=float)},
-            col_order=["ret", "rv", "tech1"],
         )
-        dataset, sample_split = cli.windowed_split(table, ("tech1",), 2)
+        dataset, n_fit = cli.windowed_split(table, ("tech1",), 2)
         assert dataset.dates == table.dates[2:]
-        assert list(sample_split) == ["train", "train", "train",
-                                      "test", "test"]
+        assert n_fit == 3     # the samples whose targets are rows 2..4
         # last test sample reads rows 4..5 (train+test inputs, test target)
         assert np.array_equal(dataset.X[-1][:, 0], [4.0, 5.0])
         assert dataset.y[-1] == 7.0
@@ -138,6 +136,26 @@ class TestFactorTableIO:
         table = self.small_table()
         with pytest.raises(MissingColumn):
             cli.windowed_split(table, ("nope",), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["train", "test"]), min_size=1,
+                max_size=12))
+def test_read_factors_takes_train_rows_first(tmp_path_factory, stamps):
+    path = tmp_path_factory.mktemp("factors") / "factors.csv"
+    path.write_text("date,split,ret,rv\n" + "".join(
+        f"2020-01-{i + 1:02d},{s},0.1,1.0\n" for i, s in enumerate(stamps)))
+    leading = next((i for i, s in enumerate(stamps) if s == "test"),
+                   len(stamps))
+    late = [i for i, s in enumerate(stamps) if s == "train" and i > leading]
+    if not late:
+        table = cli.read_factors(str(path))
+        assert table.n_train == leading
+        assert table.n_rows == len(stamps)
+    else:
+        with pytest.raises(MalformedRow) as info:
+            cli.read_factors(str(path))
+        assert info.value.line == late[0] + 2    # the header is line 1
 
 
 class TestConfigFile:
@@ -313,10 +331,16 @@ class TestPipeline:
 
     def test_factors_have_expected_columns(self, pipeline):
         table = cli.read_factors(str(pipeline / "factors.csv"))
-        assert table.col_order == ["ret", "rv", "pcm1", "pcm2",
-                                   "tech1", "tech2", "tech3", "bd1"]
+        assert list(table.columns) == ["ret", "rv", "pcm1", "pcm2",
+                                       "tech1", "tech2", "tech3", "bd1"]
         assert 0 < table.n_train < table.n_rows
-        assert table.split == sorted(table.split, reverse=True)  # train first
+
+    def test_boundary_is_floor_of_ratio(self, pipeline):
+        table = cli.read_factors(str(pipeline / "factors.csv"))
+        meta = json.loads((pipeline / "norm_stats.json").read_text())
+        assert meta["n_train"] == math.floor(table.n_rows * 0.9)
+        assert table.n_train == meta["n_train"]
+        assert meta["boundary_date"] == table.dates[table.n_train - 1]
 
     def test_h_joins_cleanly(self, pipeline):
         table = cli.read_factors(str(pipeline / "factors.csv"))
@@ -338,9 +362,7 @@ class TestPipeline:
                     "--model", str(model), "--out", str(pred)]) == 0
         dates, truth, values = cli.read_predictions(str(pred))
         table = cli.read_factors(str(pipeline / "factors.csv"))
-        test_dates = [d for d, s in zip(table.dates, table.split)
-                      if s == "test"]
-        assert dates == test_dates
+        assert dates == table.dates[table.n_train:]
         rv_map = dict(zip(table.dates, table.columns["rv"]))
         assert truth == pytest.approx([rv_map[d] for d in dates])
 
@@ -486,13 +508,51 @@ class TestExitCodes:
                     "--out-model", str(tmp_path / "m.json"),
                     "--out-history", str(tmp_path / "h.csv")]) == 3
 
-    def test_bad_ratio(self, scenario_dir, pipeline, tmp_path):
-        assert run(["pca", "--daily", str(scenario_dir / "daily.csv"),
-                    "--attention", str(scenario_dir / "attention.csv"),
-                    "--monthly", str(scenario_dir / "monthly.csv"),
-                    "--rv", str(pipeline / "rv.csv"),
-                    "--ratio", "1.0",
-                    "--out-dir", str(tmp_path)]) == 2
+    def test_bad_ratio(self, scenario_dir, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        for ratio in ("0", "1.0", "-1", "2", "nan"):
+            assert run(["pca", "--daily", str(scenario_dir / "daily.csv"),
+                        "--attention", str(scenario_dir / "attention.csv"),
+                        "--monthly", str(scenario_dir / "monthly.csv"),
+                        "--rv", str(pipeline / "rv.csv"),
+                        "--ratio", ratio, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: split ratio must lie in (0, 1)"), ratio
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["midas-fit", "train", "predict",
+                                         "ablate"])
+    def test_interleaved_factors(self, pipeline, tmp_path, capsys, command):
+        """Stamps that put a train row after a test row are a bad
+        input at the first such row, whichever stage reads them."""
+        lines = (pipeline / "factors.csv").read_text().splitlines()
+        n_train = sum(1 for line in lines if ",train," in line)
+        # the last 20 train rows become test, the last 20 test rows train
+        for i in range(n_train - 19, n_train + 1):
+            lines[i] = lines[i].replace(",train,", ",test,")
+        for i in range(len(lines) - 20, len(lines)):
+            lines[i] = lines[i].replace(",test,", ",train,")
+        path = tmp_path / "factors.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "midas-fit": ["--n-lags", "6", "--out-fit", str(out),
+                          "--out-h", str(tmp_path / "h.csv")],
+            "train": ["--epochs", "1", "--out-model", str(out),
+                      "--out-history", str(tmp_path / "hist.csv")],
+            "predict": ["--model", str(pathlib.Path(__file__).parent
+                                       / "data" / "model_per_head.json"),
+                        "--out", str(out)],
+            "ablate": ["--h-file", str(pipeline / "h.csv"), "--epochs", "1",
+                       "--out", str(out)],
+        }[command]
+        code = run([command, "--factors", str(path)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}:{len(lines) - 19}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--heads", "0"],

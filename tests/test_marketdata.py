@@ -85,6 +85,16 @@ class TestLoadIntraday:
             md.load_intraday(write(tmp_path / "i.csv", text))
         assert info.value.line == 3
 
+    def test_error_line_counts_lines_inside_quotes(self, tmp_path):
+        # the first bar's quoted minute spans lines 2 and 3, so the
+        # off-grid minute of the third bar sits on line 5
+        text = ('date,time_min,price\n2021-01-04,"0\n",100\n'
+                "2021-01-04,5,101\n2021-01-04,7,102\n")
+        with pytest.raises(errors.MalformedRow) as info:
+            md.load_intraday(write(tmp_path / "intr.csv", text))
+        assert info.value.line == 5
+        assert str(info.value).startswith(f"{tmp_path / 'intr.csv'}:5: ")
+
     def test_full_day_accepted(self, tmp_path):
         lines = ["date,time_min,price"]
         lines += [f"2021-03-01,{5 * j},10.0" for j in range(48)]
@@ -301,50 +311,51 @@ class TestFillMissing:
 class TestNormalize:
     def test_zscore_and_reuse_stats(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
-        normed, stats = md.normalize(panel, ["close"])
+        normed, stats = md.normalize(panel, ["close"], panel.n_rows)
         col = normed.columns["close"]
         assert abs(col.mean()) < 1e-12
         assert abs(col.std() - 1.0) < 1e-12
-        again, _ = md.normalize(panel, ["close"], stats=stats)
-        assert np.array_equal(again.columns["close"], col)
+        mean, std = stats["close"]
+        assert np.array_equal((panel.columns["close"] - mean) / std, col)
+
+    @given(st.integers(min_value=2, max_value=4),
+           st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_held_out_rows_leave_stats_unchanged(self, tmp_path_factory,
+                                                 n_train, later):
+        panel = build_panel(tmp_path_factory.mktemp("norm"), DATES, MONTHS)
+        before, stats = md.normalize(panel, ["close"], n_train)
+        panel.columns["close"][n_train:] = later[n_train:]
+        after, again = md.normalize(panel, ["close"], n_train)
+        assert again == stats
+        assert np.array_equal(after.columns["close"][:n_train],
+                              before.columns["close"][:n_train])
 
     def test_constant_column_raises(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         panel.columns["x"] = np.ones(5)
         with pytest.raises(errors.ZeroVariance):
-            md.normalize(panel, ["x"])
+            md.normalize(panel, ["x"], panel.n_rows)
 
 
 class TestSplit:
     def test_boundary_is_floor(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
-        train, test = md.chronological_split(panel, 0.5)
-        assert train.n_rows == 2 and test.n_rows == 3
-        assert train.dates == DATES[:2]
-        assert test.dates == DATES[2:]
-
-    def test_month_index_remapped(self, tmp_path):
-        panel = build_panel(tmp_path, DATES, MONTHS)
-        _, test = md.chronological_split(panel, 0.5)
-        assert test.month_index.tolist() == [0, 0, 0]
+        n_train = md.split_boundary(panel.n_rows, 0.5)
+        assert n_train == 2
+        assert panel.dates[:n_train] == DATES[:2]
+        assert panel.dates[n_train:] == DATES[2:]
 
     def test_bad_ratio(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
-        for ratio in (0.0, 1.0, -1.0, 2.0):
+        for ratio in (0.0, 1.0, -1.0, 2.0, math.nan):
             with pytest.raises(errors.InputError):
-                md.chronological_split(panel, ratio)
+                md.split_boundary(panel.n_rows, ratio)
 
     @given(st.integers(min_value=2, max_value=60),
            st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=60, deadline=None)
     def test_split_partitions_rows(self, n, ratio):
-        panel = md.AlignedPanel(
-            dates=[f"2021-01-{i + 1:02d}" for i in range(min(n, 28))],
-            month_index=np.zeros(min(n, 28), dtype=np.int64),
-            columns={"x": np.arange(min(n, 28), dtype=float)},
-        )
-        train, test = md.chronological_split(panel, ratio)
-        assert train.n_rows + test.n_rows == panel.n_rows
-        assert train.n_rows == math.floor(panel.n_rows * ratio)
-        merged = train.columns["x"].tolist() + test.columns["x"].tolist()
-        assert merged == panel.columns["x"].tolist()
+        n_train = md.split_boundary(n, ratio)
+        assert n_train == math.floor(n * ratio)
+        assert 0 <= n_train < n

