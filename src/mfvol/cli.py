@@ -236,17 +236,16 @@ def write_factors(table: FactorTable, path: str) -> None:
 def read_factors(path: str) -> FactorTable:
     """The table, whose ``train`` rows must all precede its ``test``
     rows: a ``train`` row after a ``test`` row is a bad row."""
-    last = ["train"]     # the split of the row before
-
-    def train_first(line_no: int, values: list) -> None:
-        if values[1] == "train" and last[0] == "test":
-            raise MalformedRow(path, line_no,
-                               "train row after a test row; every train "
-                               "row must precede every test row")
-        last[0] = values[1]
+    def train_first(cols: dict, lines) -> None:
+        train = np.array([s == "train" for s in cols["split"]], dtype=bool)
+        after_test = np.zeros(len(train), dtype=bool)
+        after_test[1:] = train[1:] & ~train[:-1]
+        tables.first_broken(lines, [(after_test, lambda i, line: MalformedRow(
+            path, line, "train row after a test row; every train row must "
+            "precede every test row"))])
 
     columns = tables.read(path, FACTORS_COLUMNS, rest=tables.FLOAT,
-                          check=train_first)
+                          rule=train_first)
     dates, split = columns.pop("date"), columns.pop("split")
     if not dates:
         raise MalformedRow(path, 1, "no data rows")

@@ -38,11 +38,12 @@ class NonPositivePrice(MalformedRow):
         super().__init__(path, line, f"non-positive price {price!r}")
 
 
-class DuplicateBar(InputError):
-    def __init__(self, date, time_min):
+class DuplicateBar(MalformedRow):
+    def __init__(self, path, line, date, time_min):
         self.date = date
         self.time_min = time_min
-        super().__init__(f"duplicate bar for {date} at minute {time_min}")
+        super().__init__(path, line,
+                         f"duplicate bar for {date} at minute {time_min}")
 
 
 class AllMissingColumn(InputError):

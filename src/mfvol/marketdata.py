@@ -124,47 +124,53 @@ def load_intraday(path: str) -> IntradaySeries:
     the trading day) and no (date, time) pair repeats. Bars may be
     unordered on disk; the series is sorted by (date, time).
     """
-    day_of: dict[str, int] = {}      # each date's number, as it first appears
-    seen: set[int] = set()
-
-    def check(line_no: int, values: list) -> None:
-        d, t, p = values
-        if t < 0 or t % BAR_MINUTES != 0 or t >= MAX_BARS_PER_DAY * BAR_MINUTES:
-            raise MalformedRow(path, line_no,
-                               f"time_min {t} outside 5-minute grid 0..235")
-        if p <= 0:
-            raise NonPositivePrice(path, line_no, p)
+    def rule(cols: dict, lines) -> None:
+        t, p = np.asarray(cols["time_min"], dtype=np.int64), cols["price"]
         # a day has 48 grid slots, so without repeats it holds <= 48 bars
-        key = day_of.setdefault(d, len(day_of)) * MAX_BARS_PER_DAY \
-            + t // BAR_MINUTES
-        if key in seen:
-            raise DuplicateBar(d, t)
-        seen.add(key)
+        slot = _day_numbers(cols["date"])[1]
+        slot *= MAX_BARS_PER_DAY
+        slot += t // BAR_MINUTES
+        tables.first_broken(lines, [
+            ((t < 0) | (t % BAR_MINUTES != 0)
+             | (t >= MAX_BARS_PER_DAY * BAR_MINUTES),
+             lambda i, line: MalformedRow(
+                 path, line, f"time_min {t[i]} outside 5-minute grid 0..235")),
+            (p <= 0,
+             lambda i, line: NonPositivePrice(path, line, float(p[i]))),
+            (tables.repeats(slot), lambda i, line: DuplicateBar(
+                path, line, cols["date"][i], int(t[i]))),
+        ])
 
-    cols = tables.read(path, INTRADAY_COLUMNS, check=check)
-    dates = sorted(day_of)
-    rank = {d: i for i, d in enumerate(dates)}
-    bars = np.empty(len(cols["price"]), dtype=BAR_DTYPE)
-    bars["day"] = [rank[d] for d in cols["date"]]
-    bars["time_min"] = cols["time_min"]
-    bars["price"] = cols["price"]
+    cols = tables.read(path, INTRADAY_COLUMNS, rule=rule)
+    # each column is dropped as it is copied into the bars
+    dates, day = _day_numbers(cols.pop("date"))
+    bars = np.empty(len(day), dtype=BAR_DTYPE)
+    bars["day"], bars["time_min"], bars["price"] = \
+        day, cols.pop("time_min"), cols.pop("price")
     return IntradaySeries(
         dates=dates, bars=bars[np.lexsort((bars["time_min"], bars["day"]))])
 
 
+def _day_numbers(dates: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``dates`` in order, and each row's index into them."""
+    days = sorted(set(dates))
+    rank = dict(zip(days, range(len(days))))
+    return days, np.fromiter(map(rank.__getitem__, dates), np.int64,
+                             len(dates))
+
+
 def _load_dated(path: str, columns: Mapping[str, object],
-                check: Callable[[int, list], None]) -> Keyed:
-    """A table keyed by distinct ISO dates, sorted by date;
-    ``check(line_no, values)`` vets each parsed row."""
-    seen: set[str] = set()
+                tests: Callable[[dict], list]) -> Keyed:
+    """A table keyed by distinct ISO dates, sorted by date; ``tests``
+    gives the table's row tests, for :func:`tables.first_broken`, after
+    its check of repeated dates."""
+    def rule(cols: dict, lines) -> None:
+        tables.first_broken(lines, [
+            (tables.repeats(cols["date"]), lambda i, line: MalformedRow(
+                path, line, f"duplicate date {cols['date'][i]}")),
+            *tests(cols)])
 
-    def vet(line_no: int, values: list) -> None:
-        if values[0] in seen:
-            raise MalformedRow(path, line_no, f"duplicate date {values[0]}")
-        seen.add(values[0])
-        check(line_no, values)
-
-    cols = tables.read(path, columns, check=vet)
+    cols = tables.read(path, columns, rule=rule)
     dates = cols.pop("date")
     order = sorted(range(len(dates)), key=dates.__getitem__)
     return [dates[i] for i in order], {k: v[order] for k, v in cols.items()}
@@ -177,46 +183,56 @@ def load_daily(path: str) -> Keyed:
     (low <= open, close <= high); the indicator columns may have
     missing cells, which become NaN.
     """
-    def check(line_no: int, values: list) -> None:
-        _, open_, high, low, close, volume = values[:6]
-        for price in (open_, high, low, close):
-            if price <= 0:
-                raise NonPositivePrice(path, line_no, price)
-        if low > min(open_, close) or high < max(open_, close):
-            raise MalformedRow(
-                path, line_no,
-                "OHLC out of order (need low <= open,close <= high)")
-        if volume < 0:
-            raise MalformedRow(path, line_no, "negative volume")
+    def tests(cols: dict) -> list:
+        ohlc = np.column_stack([cols[c] for c in
+                                ("open", "high", "low", "close")])
+        open_, high, low, close = ohlc.T
+        return [
+            ((ohlc <= 0).any(axis=1), lambda i, line: NonPositivePrice(
+                path, line, float(ohlc[i][np.argmax(ohlc[i] <= 0)]))),
+            ((low > np.minimum(open_, close))
+             | (high < np.maximum(open_, close)),
+             lambda i, line: MalformedRow(
+                 path, line,
+                 "OHLC out of order (need low <= open,close <= high)")),
+            (cols["volume"] < 0,
+             lambda i, line: MalformedRow(path, line, "negative volume")),
+        ]
 
-    return _load_dated(path, DAILY_COLUMNS, check)
+    return _load_dated(path, DAILY_COLUMNS, tests)
 
 
 def load_attention(path: str) -> Keyed:
     """Load daily search-attention counts (one row per trading date)."""
-    def check(line_no: int, values: list) -> None:
-        for col, count in zip(list(ATTENTION_COLUMNS)[1:], values[1:]):
-            if count < 0:
-                raise MalformedRow(path, line_no,
-                                   f"negative count for {col!r}")
+    names = list(ATTENTION_COLUMNS)[1:]
 
-    return _load_dated(path, ATTENTION_COLUMNS, check)
+    def tests(cols: dict) -> list:
+        counts = np.column_stack([cols[c] for c in names])
+        return [((counts < 0).any(axis=1), lambda i, line: MalformedRow(
+            path, line,
+            f"negative count for {names[np.argmax(counts[i] < 0)]!r}"))]
+
+    return _load_dated(path, ATTENTION_COLUMNS, tests)
 
 
 def load_monthly(path: str) -> Keyed:
     """Load monthly macro indicators; months must be contiguous."""
-    lines: list[int] = []
-    cols = tables.read(path, MONTHLY_COLUMNS,
-                       check=lambda line_no, _: lines.append(line_no))
+    def rule(cols: dict, lines) -> None:
+        months = cols["month"]
+        ids = [int(m[:4]) * 12 + int(m[5:]) for m in months]
+        # ties stay in file order, so a repeat is named at its later line
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        for prev, i in zip(order, order[1:]):
+            if ids[i] == ids[prev]:
+                raise MalformedRow(path, lines[i],
+                                   f"duplicate month {months[i]}")
+            if ids[i] != ids[prev] + 1:
+                raise MalformedRow(path, lines[i], "months not contiguous: "
+                                   f"{months[prev]} -> {months[i]}")
+
+    cols = tables.read(path, MONTHLY_COLUMNS, rule=rule)
     months = cols.pop("month")
-    ids = [int(m[:4]) * 12 + int(m[5:]) for m in months]
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # ties in file order
-    for prev, i in zip(order, order[1:]):
-        if ids[i] == ids[prev]:
-            raise MalformedRow(path, lines[i], f"duplicate month {months[i]}")
-        if ids[i] != ids[prev] + 1:
-            raise MalformedRow(path, lines[i], "months not contiguous: "
-                               f"{months[prev]} -> {months[i]}")
+    order = sorted(range(len(months)), key=months.__getitem__)
     return [months[i] for i in order], {k: v[order] for k, v in cols.items()}
 
 

@@ -676,6 +676,24 @@ class TestExitCodes:
         assert "comma or a line break" in err
         assert not report.exists()
 
+    def test_quote_in_a_name_keeps_the_report_readable(self, tmp_path,
+                                                       capsys):
+        # a quoted group used to be written, and then broke the next
+        # --append on the same report
+        pred = tmp_path / "pred.csv"
+        pred.write_text("date,rv_true,rv_pred\n"
+                        + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
+                                  for d in range(1, 6)))
+        report = tmp_path / "rep.csv"
+        assert run(["evaluate", "--pred", str(pred), "--group", '"G4',
+                    "--out", str(report)]) == 2
+        assert "double quote" in capsys.readouterr().err
+        assert not report.exists()
+        assert run(["evaluate", "--pred", str(pred), "--group", "G5",
+                    "--append", "--out", str(report)]) == 0
+        assert [r.group for r in evaluation.read_report(str(report))] \
+            == ["G5"]
+
     @pytest.mark.parametrize("text", [
         "not json at all\n",
         "[1, 2, 3]\n",

@@ -49,8 +49,11 @@ class TestLoadIntraday:
 
     def test_duplicate_bar_rejected(self, tmp_path):
         text = INTRADAY_OK + "2021-03-02,5,10.3\n"
-        with pytest.raises(errors.DuplicateBar):
+        with pytest.raises(errors.DuplicateBar) as info:
             md.load_intraday(write(tmp_path / "i.csv", text))
+        # the second occurrence's line; the first is on line 2
+        assert str(info.value) == (f"{tmp_path / 'i.csv'}:6: duplicate bar "
+                                   "for 2021-03-02 at minute 5")
 
     def test_off_grid_time_rejected(self, tmp_path):
         for bad in ("3", "240", "-5"):

@@ -95,6 +95,8 @@ def test_read_rejects(tmp_path, text, line, reason):
     (tables.MONTH, ["2021-12", "2021-13"], 3, "bad month '2021-13'"),
     (tables.INT, ["4", "4.0"], 3, "bad integer '4.0'"),
     (("train", "test"), ["train", "dev"], 3, "bad choice 'dev'"),
+    (tables.INT, ["4", "9223372036854775808"], 3,
+     "bad integer '9223372036854775808'"),
 ])
 def test_kind_rejects(tmp_path, kind, cells, line, reason):
     path = tmp_path / "t.csv"
@@ -114,29 +116,65 @@ def test_read_options(tmp_path):
         tables.read(str(path), schema)
     seen = []
     back = tables.read(str(path), schema, rest=tables.OPTIONAL, comment="#",
-                       check=lambda line_no, values: seen.append(
-                           (line_no, values)))
+                       rule=lambda columns, lines: seen.append(
+                           (columns, list(lines))))
     assert list(back) == ["a", "b", "c"]
     assert back["a"] == [1] and back["b"].tolist() == [2.0]
     assert math.isnan(back["c"][0])
-    [(line_no, values)] = seen
-    assert line_no == 4 and values[:2] == [1, 2.0] and math.isnan(values[2])
+    [(columns, lines)] = seen
+    assert columns is back and lines == [4]
     with pytest.raises(MissingFile):
         tables.read(str(tmp_path / "absent.csv"), schema)
 
 
+def negative(path, name):
+    """A rule that a negative ``name`` cell breaks."""
+    def rule(columns, lines):
+        tables.first_broken(lines, [(columns[name] < 0, lambda i, line:
+                                     MalformedRow(path, line, "negative"))])
+    return rule
+
+
 def test_check_sees_rows_in_file_order(tmp_path):
-    # a row check fails ahead of a later row's bad cell
+    # a rule fails ahead of a later row's bad cell
     path = tmp_path / "t.csv"
     path.write_text("a\n1\n-1\nx\n")
-
-    def check(line_no, values):
-        if values[0] < 0:
-            raise MalformedRow(str(path), line_no, "negative")
-
     with pytest.raises(MalformedRow) as info:
-        tables.read(str(path), {"a": tables.FLOAT}, check=check)
+        tables.read(str(path), {"a": tables.FLOAT},
+                    rule=negative(str(path), "a"))
     assert (info.value.line, info.value.reason) == (3, "negative")
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    # every cell parses, so np.loadtxt reads the file
+    ("k,a\n2021-03-01,1\n2021-03-02,-1\n2021-03-02,2\n", 3, "negative"),
+    ("k,a\n2021-03-01,1\n2021-03-01,2\n2021-03-02,-1\n", 3,
+     "date '2021-03-01' repeats or precedes '2021-03-01' for 'k'"),
+    # at one row the KEY order comes first
+    ("k,a\n2021-03-02,1\n2021-03-01,-1\n", 3,
+     "date '2021-03-01' repeats or precedes '2021-03-02' for 'k'"),
+    # a quote sends the file to the row path, where the same rules hold
+    ('k,a\n2021-03-01,"1"\n2021-03-02,-1\n2021-03-02,2\n', 3, "negative"),
+])
+def test_earlier_broken_rule_wins(tmp_path, text, line, reason):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), {"k": tables.KEY, "a": tables.FLOAT},
+                    rule=negative(str(path), "a"))
+    assert (info.value.line, info.value.reason) == (line, reason)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("a,b\r\n2021-03-01,1\r\n2021-03-02,2\r\n2021-03-03,nan\r\n", 4),
+    ("a,b\n2021-03-01,1\n\n2021-03-02,2\n2021-03-03,nan\n", 5),
+], ids=["crlf", "blank-line"])
+def test_bad_cell_names_its_physical_line(tmp_path, text, line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), {"a": tables.DATE, "b": tables.FLOAT})
+    assert info.value.line == line
 
 
 SCHEMA = {"key": tables.KEY, "day": tables.DATE, "month": tables.MONTH,
@@ -157,24 +195,35 @@ VALID = [["2020-01-02", "2021-03-01", "2020-12", "3", "1.5", "", "a", "train"],
 @example(0, "y", " -inf ")
 @example(1, "key", "2020-01-09")
 @example(0, "day", "2021-02-30")
+@example(0, "day", "2021-03-01X")
+@example(2, "split", "trainX")
+@example(1, "x", "1_0")
+@example(0, "x", "infinity")
+@example(1, "n", "\u0665")
 def test_one_replaced_cell_parses_or_names_its_line(tmp_path_factory, row,
                                                     name, text):
     """Any one cell set to any text either reads as a value of its
-    column's kind or raises MalformedRow at that cell's line."""
-    rows = [list(r) for r in VALID]
-    rows[row][list(SCHEMA).index(name)] = text
-    path = tmp_path_factory.mktemp("tables") / "t.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([list(SCHEMA), *rows])
-    kind = SCHEMA[name]
-    try:
-        back = tables.read(str(path), SCHEMA)
-    except MalformedRow as exc:
-        # a valid date past the next row's breaks the order at that row
-        assert exc.line == row + 2 or (kind == tables.KEY
-                                       and exc.line == row + 3)
-        return
-    assert of_kind(kind, text.strip(), back[name][row])
+    column's kind or raises MalformedRow at that cell's line. Without
+    its TEXT column the table is read by np.loadtxt unless the cell
+    needs quotes, so both paths are held to the same answer."""
+    numeric = {k: v for k, v in SCHEMA.items() if v != tables.TEXT}
+    for schema in (SCHEMA, numeric) if name in numeric else (SCHEMA,):
+        rows = [[cell for col, cell in zip(SCHEMA, r) if col in schema]
+                for r in VALID]
+        rows[row][list(schema).index(name)] = text
+        path = tmp_path_factory.mktemp("tables") / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([list(schema),
+                                                           *rows])
+        kind = schema[name]
+        try:
+            back = tables.read(str(path), schema)
+        except MalformedRow as exc:
+            # a valid date past the next row's breaks the order at that row
+            assert exc.line == row + 2 or (kind == tables.KEY
+                                           and exc.line == row + 3)
+            continue
+        assert of_kind(kind, text.strip(), back[name][row])
 
 
 def of_kind(kind, text, value) -> bool:
@@ -195,10 +244,11 @@ def of_kind(kind, text, value) -> bool:
     return value == text and (kind == tables.TEXT or text in kind)
 
 
-@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb"])
+@pytest.mark.parametrize("cell", ["a,b", "a\nb", "a\rb", '"a', 'a"b'])
 def test_write_refuses_a_cell_that_breaks_the_row(tmp_path, cell):
     path = tmp_path / "t.csv"
     for column in ([cell, "ok"], np.array([cell, "ok"])):
-        with pytest.raises(InputError, match="comma or a line break"):
+        with pytest.raises(InputError,
+                           match="a double quote, a comma or a line break"):
             tables.write(str(path), ["name", "x"], [column, [1.0, 2.0]])
     assert not path.exists()
