@@ -124,12 +124,15 @@ def load_intraday(path: str) -> IntradaySeries:
     the trading day) and no (date, time) pair repeats. Bars may be
     unordered on disk; the series is sorted by (date, time).
     """
+    numbered = []    # the rule's distinct days and each row's slot
+
     def rule(cols: dict, lines) -> None:
         t, p = np.asarray(cols["time_min"], dtype=np.int64), cols["price"]
         # a day has 48 grid slots, so without repeats it holds <= 48 bars
-        slot = _day_numbers(cols["date"])[1]
+        days, slot = _day_numbers(cols["date"])
         slot *= MAX_BARS_PER_DAY
         slot += t // BAR_MINUTES
+        numbered[:] = days, slot
         tables.first_broken(lines, [
             ((t < 0) | (t % BAR_MINUTES != 0)
              | (t >= MAX_BARS_PER_DAY * BAR_MINUTES),
@@ -142,8 +145,12 @@ def load_intraday(path: str) -> IntradaySeries:
         ])
 
     cols = tables.read(path, INTRADAY_COLUMNS, rule=rule)
-    # each column is dropped as it is copied into the bars
-    dates, day = _day_numbers(cols.pop("date"))
+    # read returns only after its rule passed every row, so each bar is
+    # on the grid and its slot holds its day; each column is dropped as
+    # it is copied into the bars
+    del cols["date"]
+    dates, day = numbered
+    day //= MAX_BARS_PER_DAY
     bars = np.empty(len(day), dtype=BAR_DTYPE)
     bars["day"], bars["time_min"], bars["price"] = \
         day, cols.pop("time_min"), cols.pop("price")

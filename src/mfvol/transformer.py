@@ -30,7 +30,9 @@ per layer, runs attention as batched (n, H, T, d_k) products, and keeps
 the activations that the hand-derived backward pass in
 :func:`gradient` reads. The weights keep one array per head, which is
 also how ``weights.json`` stores them; the stacking happens inside each
-call, and the stacked gradient is split back per head.
+call, and the stacked gradient is split back per head. A forward over a
+whole set (each epoch's training loss, and prediction) runs in blocks
+of 64 windows, which bounds its working set whatever the set's size.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ from .errors import (
 )
 
 LN_EPS = 1e-5
+# windows per full-set forward call of _forward: a multiple of the
+# default batch of 32, so a training batch is one block
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -369,9 +374,18 @@ def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
 
 def forward_batch(x: np.ndarray, weights: Mapping[str, np.ndarray],
                   config: ModelConfig) -> np.ndarray:
-    """(..., T, F) -> (...,) predictions without building gradients."""
+    """(..., T, F) -> (...,) predictions without building gradients.
+
+    The windows go through :func:`_forward` in consecutive blocks of
+    :data:`_BLOCK`, so the activations it keeps for the backward never
+    span more than one block.
+    """
     x = np.asarray(x, dtype=float)
-    out, _ = _forward(weights, config, x.reshape((-1,) + x.shape[-2:]))
+    windows = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty(len(windows))
+    for lo in range(0, len(windows), _BLOCK):
+        out[lo:lo + _BLOCK] = _forward(weights, config,
+                                       windows[lo:lo + _BLOCK])[0]
     return out.reshape(x.shape[:-2])
 
 
@@ -600,4 +614,16 @@ def load_model(path: str) -> TransformerModel:
             or model.feature_std.shape != n or len(model.feature_names) != n[0]:
         raise InputError(f"{path}: weights or feature statistics do not "
                          "fit the model configuration")
+    stats = {"feature_mean": model.feature_mean,
+             "feature_std": model.feature_std,
+             "target_mean": model.target_mean,
+             "target_std": model.target_std, **model.weights}
+    bad = next((name for name, value in stats.items()
+                if not np.isfinite(value).all()), None)
+    if bad:
+        raise InputError(f"{path}: non-finite value in {bad!r}")
+    # train refuses a constant feature or target, so no model has one
+    if not (model.feature_std > 0).all() or not model.target_std > 0:
+        raise InputError(f"{path}: feature_std and target_std must be "
+                         "positive")
     return model

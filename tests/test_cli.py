@@ -726,6 +726,43 @@ class TestExitCodes:
         assert "do not fit the model configuration" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, index, value", [
+        ("mlp2.b", 0, math.nan),
+        ("feature_mean", 1, math.nan),
+        ("feature_std", 0, math.inf),
+        ("feature_std", 0, 0.0),
+        ("target_mean", None, -math.inf),
+        ("target_std", None, math.inf),
+        ("target_std", None, -1.0),
+    ], ids=["nan-weight", "nan-feature-mean", "inf-feature-std",
+            "zero-feature-std", "inf-target-mean", "inf-target-std",
+            "negative-target-std"])
+    def test_predict_refuses_a_model_it_cannot_use(self, pipeline, tmp_path,
+                                                   capsys, field, index,
+                                                   value):
+        model = tmp_path / "weights.json"
+        assert run(["train", "--factors", str(pipeline / "factors.csv"),
+                    "--features", "tech1,tech2,tech3", "--epochs", "1",
+                    "--out-model", str(model),
+                    "--out-history", str(tmp_path / "hist.csv")]) == 0
+        doc = json.loads(model.read_text())
+        if index is None:
+            doc[field] = value
+        else:
+            (doc["weights"][field]["data"] if field in doc["weights"]
+             else doc[field])[index] = value
+        model.write_text(json.dumps(doc))     # NaN and Infinity as json
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        code = run(["predict", "--factors", str(pipeline / "factors.csv"),
+                    "--model", str(model), "--split", "all",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {model}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_via_module_entry(self):
         proc = subprocess.run([sys.executable, "-m", "mfvol", "--help"],
                               capture_output=True, text=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -119,6 +120,36 @@ class TestForward:
                    for i in range(len(X))]
         assert batch.shape == (7,)
         assert rel_err(batch, np.array(singles)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, tf._BLOCK - 1, tf._BLOCK,
+                                   tf._BLOCK + 1, 2 * tf._BLOCK + 3])
+    def test_blocks_match_cut_slices_and_single_windows(self, n):
+        weights = tf.init_weights(TINY, seed=3)
+        X = RNG.standard_normal((n, 4, TINY.n_features))
+        whole = tf.forward_batch(X, weights, TINY)
+        cuts = range(0, n, tf._BLOCK)
+        sliced = np.concatenate([tf.forward_batch(X[lo:lo + tf._BLOCK],
+                                                  weights, TINY)
+                                 for lo in cuts])
+        assert whole.shape == (n,)
+        assert whole.tobytes() == sliced.tobytes()
+        singles = np.array([tf.forward_batch(x[None], weights, TINY)[0]
+                            for x in X])
+        assert rel_err(whole, singles) < 1e-12
+
+    def test_full_set_forward_memory_is_bounded(self):
+        # unblocked, 2,000 windows of the default geometry keep about
+        # 35 MB of activations; one block of them keeps about 1 MB
+        cfg = ModelConfig(n_features=5)
+        weights = tf.init_weights(cfg, seed=0)
+        X = RNG.standard_normal((2000, 5, cfg.n_features))
+        tracemalloc.start()
+        try:
+            tf.forward_batch(X, weights, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_permutation_of_time_steps_is_invisible(self):
         # mean pooling with no positional signal: row order cannot matter
@@ -323,6 +354,14 @@ class TestTraining:
         ds.y[:] = 1.0
         with pytest.raises(ZeroVariance):
             tf.train(ds, model_config=TINY)
+
+
+    def test_predict_rerun_is_bitwise(self):
+        ds = toy_dataset(n=2 * tf._BLOCK + 3)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=2)
+        model, _ = tf.train(ds, model_config=TINY, train_config=cfg)
+        assert tf.predict(model, ds).tobytes() \
+            == tf.predict(model, ds).tobytes()
 
 
 class TestPersistence:
