@@ -2,6 +2,9 @@
 
 The package splits into layers that mirror the workflow:
 
+``errors``
+    The three exception classes, one per non-zero exit status of the
+    command line.
 ``tables``
     The one CSV reader and writer that every file of the pipeline
     goes through.

@@ -27,14 +27,7 @@ import numpy as np
 
 from . import evaluation, features, marketdata, realized_vol, tables
 from . import transformer as tfm
-from .errors import (
-    InputError,
-    LengthMismatch,
-    MalformedRow,
-    MissingColumn,
-    MissingFile,
-    NumericalError,
-)
+from .errors import InputError, MalformedRow, NumericalError
 
 log = logging.getLogger("mfvol")
 
@@ -148,7 +141,7 @@ def _flag(name: str) -> str:
 def load_config(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; ``#`` starts a comment."""
     if not os.path.exists(path):
-        raise MissingFile(f"no such config file: {path}")
+        raise InputError(f"no such config file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -272,7 +265,7 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
         raise MalformedRow(h_path, 1, "no data rows")
     lo = table.n_rows - len(h["date"])
     if lo < 0 or table.dates[lo:] != h["date"]:
-        raise LengthMismatch(
+        raise InputError(
             f"{h_path} does not cover a trailing contiguous block of the "
             "factor panel")
     columns = {name: col[lo:] for name, col in table.columns.items()}
@@ -292,7 +285,7 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
     """
     missing = [f for f in feature_names if f not in table.columns]
     if missing:
-        raise MissingColumn(
+        raise InputError(
             f"factor panel lacks feature columns {missing} "
             f"(available: {sorted(table.columns)})")
     X = np.column_stack([table.columns[f] for f in feature_names])
@@ -435,7 +428,7 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
         cov_names = o.covariates
         missing = [c for c in cov_names if c not in table.columns]
         if missing:
-            raise MissingColumn(f"factor panel lacks columns {missing}")
+            raise InputError(f"factor panel lacks columns {missing}")
         covariates = np.column_stack(
             [table.columns[c][first_rows] for c in cov_names])
     else:

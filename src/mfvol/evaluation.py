@@ -24,14 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tables
-from .errors import (
-    DegenerateTruth,
-    InputError,
-    LengthMismatch,
-    NonPositiveInput,
-    NonPositiveTruth,
-    TooShort,
-)
+from .errors import InputError
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +54,9 @@ def _pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.ndim != 1:
-        raise LengthMismatch(f"pred {pred.shape} vs truth {truth.shape}")
+        raise InputError(f"pred {pred.shape} vs truth {truth.shape}")
     if pred.size == 0:
-        raise TooShort("empty series")
+        raise InputError("empty series")
     return pred, truth
 
 
@@ -75,7 +68,7 @@ def mse(pred, truth) -> float:
 def hmse(pred, truth) -> float:
     pred, truth = _pair(pred, truth)
     if np.any(truth <= 0):
-        raise NonPositiveTruth("hmse needs positive realized values")
+        raise InputError("hmse needs positive realized values")
     return float(np.mean((1.0 - pred / truth) ** 2))
 
 
@@ -87,14 +80,14 @@ def mae(pred, truth) -> float:
 def mape(pred, truth) -> float:
     pred, truth = _pair(pred, truth)
     if np.any(truth <= 0):
-        raise NonPositiveTruth("mape needs positive realized values")
+        raise InputError("mape needs positive realized values")
     return float(np.mean(np.abs(1.0 - pred / truth)))
 
 
 def qlike(pred, truth) -> float:
     pred, truth = _pair(pred, truth)
     if np.any(pred <= 0):
-        raise NonPositiveInput("qlike needs positive forecasts")
+        raise InputError("qlike needs positive forecasts")
     return float(np.mean(np.log(pred) + truth / pred))
 
 
@@ -102,15 +95,15 @@ def r2log(pred, truth) -> float:
     """R-squared of regressing log realized variance on log forecast."""
     pred, truth = _pair(pred, truth)
     if len(pred) < 3:
-        raise TooShort("r2log needs at least 3 observations")
+        raise InputError("r2log needs at least 3 observations")
     if np.any(pred <= 0):
-        raise NonPositiveInput("r2log needs positive forecasts")
+        raise InputError("r2log needs positive forecasts")
     if np.any(truth <= 0):
-        raise NonPositiveTruth("r2log needs positive realized values")
+        raise InputError("r2log needs positive realized values")
     x = np.log(pred)
     y = np.log(truth)
     if np.ptp(y) == 0:
-        raise DegenerateTruth("log realized values are constant")
+        raise InputError("log realized values are constant")
     sxx = float(np.sum((x - x.mean()) ** 2))
     if sxx == 0:
         return 0.0
@@ -148,7 +141,7 @@ def evaluate(pred, truth, model: str = "transformer",
                     dropped, len(keep))
     pred, truth = pred[keep], truth[keep]
     if len(pred) < 3:
-        raise TooShort(
+        raise InputError(
             f"only {len(pred)} usable pairs left after dropping {dropped}")
     return EvalRow(
         model=model,
@@ -167,7 +160,7 @@ def persistence_baseline(rv) -> tuple[np.ndarray, np.ndarray]:
     """Yesterday's realized value as today's forecast: (pred, truth)."""
     rv = np.asarray(rv, dtype=float)
     if rv.ndim != 1 or len(rv) < 2:
-        raise TooShort("persistence baseline needs at least 2 observations")
+        raise InputError("persistence baseline needs at least 2 observations")
     return rv[:-1].copy(), rv[1:].copy()
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadShape, MissingColumn, RankDeficient
+from .errors import InputError, NumericalError
 from .marketdata import AlignedPanel, month_ids
 
 EIGENVALUE_FLOOR = 1e-12
@@ -111,19 +111,19 @@ def fit_pca(data: np.ndarray, retain: int, group: str = "",
 
     Raises
     ------
-    BadShape
+    InputError
         On a malformed matrix or an out-of-range ``retain``.
-    RankDeficient
+    NumericalError
         When a retained component has (near-)zero variance.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] < 1:
-        raise BadShape(f"need a 2-d matrix with >= 2 rows, got {data.shape}")
+        raise InputError(f"need a 2-d matrix with >= 2 rows, got {data.shape}")
     n, p = data.shape
     if not (1 <= retain <= p):
-        raise BadShape(f"retain must lie in 1..{p}, got {retain}")
+        raise InputError(f"retain must lie in 1..{p}, got {retain}")
     if not np.all(np.isfinite(data)):
-        raise BadShape("data contains non-finite values")
+        raise InputError("data contains non-finite values")
 
     means = data.mean(axis=0)
     centered = data - means
@@ -133,7 +133,7 @@ def fit_pca(data: np.ndarray, retain: int, group: str = "",
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     if eigvals[retain - 1] < EIGENVALUE_FLOOR:
-        raise RankDeficient(
+        raise NumericalError(
             f"component {retain} has variance {eigvals[retain - 1]:.3e}")
 
     loadings = eigvecs[:, :retain].copy()
@@ -160,7 +160,7 @@ def transform(model: PcaModel, data: np.ndarray) -> np.ndarray:
     """Project rows onto the retained components."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.loadings.shape[0]:
-        raise BadShape(
+        raise InputError(
             f"expected (n, {model.loadings.shape[0]}), got {data.shape}")
     return (data - model.means) @ model.loadings
 
@@ -169,7 +169,7 @@ def inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
     """Map scores back to the original column space."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] != model.loadings.shape[1]:
-        raise BadShape(
+        raise InputError(
             f"expected (n, {model.loadings.shape[1]}), got {scores.shape}")
     return scores @ model.loadings.T + model.means
 
@@ -185,15 +185,15 @@ def extract_factor_panel(
     least one training row.
     """
     if not (0 < n_train <= panel.n_rows):
-        raise BadShape(f"n_train must lie in 1..{panel.n_rows}, got {n_train}")
+        raise InputError(
+            f"n_train must lie in 1..{panel.n_rows}, got {n_train}")
 
     out = panel.copy()
     models: dict[str, PcaModel] = {}
     for spec in groups:
         missing = [c for c in spec.columns if c not in panel.columns]
         if missing:
-            raise MissingColumn(
-                f"group {spec.name!r} lacks columns {missing}")
+            raise InputError(f"group {spec.name!r} lacks columns {missing}")
         full = panel.matrix(spec.columns)
         if spec.granularity == "monthly":
             _, _, first_rows = month_ids(panel.dates)

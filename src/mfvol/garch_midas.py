@@ -35,22 +35,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    BadSpec,
-    DegenerateData,
-    InsufficientLags,
-    LengthMismatch,
-    NoConvergence,
-    NonFiniteLikelihood,
-    NonPositiveTau,
-)
+from .errors import InputError, NumericalError
 from .realized_vol import monthly_rv
 
 LOG_2PI = math.log(2.0 * math.pi)
 PENALTY = 1e15
 MIN_PERSISTENCE = 1e-12
 MAX_PERSISTENCE = 1.0 - 1e-8
+
+
+class _BadParameter(InputError):
+    """A parameter vector outside the model's domain: an input error
+    when a caller passes it, a PENALTY value inside the fit's search."""
 
 
 @dataclass(frozen=True)
@@ -72,19 +68,19 @@ class MidasSpec:
 
     def __post_init__(self):
         if self.mode not in ("exogenous", "rv-window"):
-            raise BadSpec(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
         if self.n_lags < 1:
-            raise BadSpec(f"n_lags must be >= 1, got {self.n_lags}")
+            raise InputError(f"n_lags must be >= 1, got {self.n_lags}")
         if self.mode == "rv-window" and self.n_covariates != 1:
-            raise BadSpec("rv-window mode implies a single covariate")
+            raise InputError("rv-window mode implies a single covariate")
         if self.n_covariates < 1:
-            raise BadSpec("need at least one covariate")
+            raise InputError("need at least one covariate")
         link = self.tau_link or ("identity" if self.mode == "rv-window"
                                  else "log")
         if link not in ("log", "identity"):
-            raise BadSpec(f"unknown tau link {link!r}")
+            raise InputError(f"unknown tau link {link!r}")
         if link == "identity" and self.mode != "rv-window":
-            raise BadSpec("identity tau link requires rv-window mode")
+            raise InputError("identity tau link requires rv-window mode")
         object.__setattr__(self, "tau_link", link)
 
 
@@ -112,22 +108,23 @@ class MidasParams:
         theta, w1, w2 = self.theta.tolist(), self.w1.tolist(), self.w2.tolist()
         if not all(map(math.isfinite, (self.mu, self.alpha, self.beta, self.m,
                                        *theta, *w1, *w2))):
-            raise BadParameter("every parameter must be finite")
+            raise _BadParameter("every parameter must be finite")
         if self.alpha < 0 or self.beta < 0:
-            raise BadParameter("alpha and beta must be nonnegative")
+            raise _BadParameter("alpha and beta must be nonnegative")
         if self.alpha + self.beta >= 1:
-            raise BadParameter(
+            raise _BadParameter(
                 f"alpha + beta = {self.alpha + self.beta} must be < 1")
         J = len(theta)
         if len(w2) != J or len(w1) != J:
-            raise BadParameter("theta, w1 and w2 must have equal length")
+            raise _BadParameter("theta, w1 and w2 must have equal length")
         if min(w1 + w2, default=1.0) < 1:
-            raise BadParameter("weight shape parameters must be >= 1")
+            raise _BadParameter("weight shape parameters must be >= 1")
         if J != spec.n_covariates:
-            raise BadParameter(
+            raise _BadParameter(
                 f"expected {spec.n_covariates} covariates, got {J}")
         if spec.tau_link == "identity" and self.m <= 0:
-            raise BadParameter("identity link requires a positive intercept m")
+            raise _BadParameter(
+                "identity link requires a positive intercept m")
 
     def to_json(self) -> dict:
         return {
@@ -154,18 +151,18 @@ class MidasData:
         self.returns = np.asarray(self.returns, dtype=float)
         self.month_index = np.asarray(self.month_index, dtype=np.int64)
         if self.returns.shape != self.month_index.shape:
-            raise LengthMismatch("returns and month_index differ in length")
+            raise InputError("returns and month_index differ in length")
         if self.returns.size == 0:
-            raise DegenerateData("no days")
+            raise InputError("no days")
         steps = np.diff(self.month_index)
         if self.month_index[0] != 0 or np.any(steps < 0) or np.any(steps > 1):
-            raise DegenerateData(
+            raise InputError(
                 "month_index must be 0-based, sorted and contiguous")
         if self.covariates is not None:
             self.covariates = np.atleast_2d(
                 np.asarray(self.covariates, dtype=float))
             if self.covariates.shape[0] != self.n_months:
-                raise LengthMismatch(
+                raise InputError(
                     f"covariates have {self.covariates.shape[0]} rows, "
                     f"panel spans {self.n_months} months")
 
@@ -176,7 +173,7 @@ class MidasData:
     def prefix(self, n_days: int) -> "MidasData":
         """Restrict to the first ``n_days`` rows (for train-only fits)."""
         if not (0 < n_days <= len(self.returns)):
-            raise LengthMismatch(f"n_days out of range: {n_days}")
+            raise InputError(f"n_days out of range: {n_days}")
         idx = self.month_index[:n_days]
         n_months = int(idx[-1]) + 1
         return MidasData(
@@ -227,8 +224,8 @@ def _weights(grid: tuple[np.ndarray, np.ndarray], w1: np.ndarray,
     raw = k ** (w1 - 1.0) * rest ** (w2 - 1.0)
     total = raw.sum(axis=0)
     if not total.min() > 0:
-        raise BadParameter(f"degenerate weights for K={len(k)}, "
-                           f"w1={w1.tolist()}, w2={w2.tolist()}")
+        raise _BadParameter(f"degenerate weights for K={len(k)}, "
+                            f"w1={w1.tolist()}, w2={w2.tolist()}")
     return raw / total
 
 
@@ -241,9 +238,9 @@ def beta_weights(n_lags: int, w1: float = 1.0, w2: float = 1.0) -> np.ndarray:
     recent month. A single lag always receives weight one.
     """
     if n_lags < 1:
-        raise BadParameter(f"n_lags must be >= 1, got {n_lags}")
+        raise _BadParameter(f"n_lags must be >= 1, got {n_lags}")
     if w1 < 1 or w2 < 1:
-        raise BadParameter(f"need w1 >= 1 and w2 >= 1, got ({w1}, {w2})")
+        raise _BadParameter(f"need w1 >= 1 and w2 >= 1, got ({w1}, {w2})")
     return _weights(_lag_grid(n_lags), np.array([w1], dtype=float),
                     np.array([w2], dtype=float))[:, 0]
 
@@ -252,8 +249,7 @@ def _stacked_lags(covariates: np.ndarray, n_lags: int) -> np.ndarray:
     """(n_modeled_months, K, J) lag block for months K..M-1."""
     M, J = covariates.shape
     if M <= n_lags:
-        raise InsufficientLags(
-            f"{M} months cannot support {n_lags} lags")
+        raise InputError(f"{M} months cannot support {n_lags} lags")
     return np.stack(
         [covariates[n_lags - k: M - k, :] for k in range(1, n_lags + 1)],
         axis=1)
@@ -280,7 +276,7 @@ def _panel(spec: MidasSpec, data: MidasData) -> _Panel:
     lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
     start = int(np.searchsorted(data.month_index, spec.n_lags))
     if start >= len(data.returns):
-        raise InsufficientLags("no days left after the lag warm-up")
+        raise InputError("no days left after the lag warm-up")
     return _Panel(lagged=lagged.reshape(len(lagged), -1), start=start,
                   returns=data.returns[start:],
                   month=data.month_index[start:] - spec.n_lags,
@@ -290,15 +286,15 @@ def _panel(spec: MidasSpec, data: MidasData) -> _Panel:
 def _long_run_tau(spec: MidasSpec, params: MidasParams,
                   panel: _Panel) -> np.ndarray:
     """Monthly long-run variance of the modeled months. Under the
-    identity link any non-positive tau raises :class:`NonPositiveTau`;
-    the log link exponentiates instead."""
+    identity link any non-positive tau raises NumericalError; the log
+    link exponentiates instead."""
     phi = _weights(panel.grid, params.w1, params.w2)
     acc = panel.lagged @ (phi * params.theta).ravel() + params.m
     if spec.tau_link == "log":
         return np.exp(acc)
     if (acc <= 0).any():
         bad = int(np.flatnonzero(acc <= 0)[0])
-        raise NonPositiveTau(
+        raise NumericalError(
             f"tau non-positive at modeled month {bad} ({acc[bad]:.6g})")
     return acc
 
@@ -372,9 +368,9 @@ def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
         rv = monthly_rv(data.returns, data.month_index)
         return rv[:, None]
     if data.covariates is None:
-        raise DegenerateData("exogenous mode needs a covariate matrix")
+        raise InputError("exogenous mode needs a covariate matrix")
     if data.covariates.shape[1] != spec.n_covariates:
-        raise LengthMismatch(
+        raise InputError(
             f"data carries {data.covariates.shape[1]} covariates, "
             f"spec wants {spec.n_covariates}")
     return data.covariates
@@ -393,7 +389,7 @@ def log_likelihood(spec: MidasSpec, params: MidasParams,
     ll = -0.5 * (len(h) * LOG_2PI + float(np.log(h).sum())
                  + float((sq / h).sum()))
     if not math.isfinite(ll):
-        raise NonFiniteLikelihood(f"log likelihood is {ll}")
+        raise NumericalError(f"log likelihood is {ll}")
     return ll
 
 
@@ -562,8 +558,8 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel,
         try:
             params = _unpack(u, spec, theta_zero)
             return -log_likelihood(spec, params, data, panel)
-        except (BadParameter, NonPositiveTau, NonFiniteLikelihood,
-                FloatingPointError, OverflowError):
+        except (_BadParameter, NumericalError, FloatingPointError,
+                OverflowError):
             return PENALTY
     return objective
 
@@ -581,20 +577,19 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
 
     Raises
     ------
-    BadSpec
-        If ``n_restarts`` or ``max_iter`` is below 1.
-    DegenerateData
-        If the modeled returns have zero variance.
-    NoConvergence
+    InputError
+        If ``n_restarts`` or ``max_iter`` is below 1, the returns are
+        constant, or the panel is too short for the lags.
+    NumericalError
         If no restart converges to a finite optimum.
     """
     if n_restarts < 1 or max_iter < 1:
-        raise BadSpec(f"n_restarts and max_iter must be at least 1, got "
-                      f"{n_restarts} and {max_iter}")
+        raise InputError(f"n_restarts and max_iter must be at least 1, got "
+                         f"{n_restarts} and {max_iter}")
     if float(np.ptp(data.returns)) == 0.0:
-        raise DegenerateData("returns have zero variance")
-    # built once for every evaluation; surfaces InsufficientLags before
-    # any optimizer work
+        raise InputError("returns have zero variance")
+    # built once for every evaluation; surfaces a panel too short for
+    # the lags before any optimizer work
     panel = _panel(spec, data)
 
     start = _pack(_default_init(spec, data), spec, theta_zero)
@@ -611,7 +606,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
 
     usable = [(i, r) for i, r in results if r.success and r.fun < PENALTY / 2]
     if not usable:
-        raise NoConvergence(
+        raise NumericalError(
             "no Nelder-Mead restart converged to a finite optimum")
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
     params = _unpack(best.x, spec, theta_zero)
@@ -679,15 +674,16 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
     reproduces them exactly.
     """
     if spec.mode != "exogenous":
-        raise BadSpec(f"only exogenous mode is simulated, got {spec.mode!r}")
+        raise InputError(
+            f"only exogenous mode is simulated, got {spec.mode!r}")
     params.validate(spec)
     if months <= spec.n_lags:
-        raise InsufficientLags(
+        raise InputError(
             f"months must exceed n_lags={spec.n_lags}, got {months}")
     if days_per_month < 1:
-        raise BadSpec("days_per_month must be >= 1")
+        raise InputError("days_per_month must be >= 1")
     if not (-1.0 < cov_rho < 1.0):
-        raise BadSpec(f"cov_rho must lie in (-1, 1), got {cov_rho}")
+        raise InputError(f"cov_rho must lie in (-1, 1), got {cov_rho}")
 
     rng = np.random.default_rng(seed)
     n_days = months * days_per_month
@@ -697,10 +693,9 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
     else:
         day_var_multiplier = np.asarray(day_var_multiplier, dtype=float)
         if day_var_multiplier.shape != (n_days,):
-            raise LengthMismatch(
-                f"multiplier must have length {n_days}")
+            raise InputError(f"multiplier must have length {n_days}")
         if np.any(day_var_multiplier <= 0):
-            raise BadSpec("variance multipliers must be positive")
+            raise InputError("variance multipliers must be positive")
 
     J = spec.n_covariates
     innov_sd = math.sqrt(1.0 - cov_rho ** 2)

@@ -22,17 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tables
-from .errors import (
-    AllMissingColumn,
-    DuplicateBar,
-    EmptyPanel,
-    InputError,
-    MalformedRow,
-    MissingColumn,
-    NonPositivePrice,
-    UncoveredMonth,
-    ZeroVariance,
-)
+from .errors import InputError, MalformedRow
 
 # each table's columns and their tables kinds; blank indicator cells are NaN
 INTRADAY_COLUMNS = {"date": tables.DATE, "time_min": tables.INT,
@@ -102,7 +92,7 @@ class AlignedPanel:
     def matrix(self, cols: Sequence[str]) -> np.ndarray:
         missing = [c for c in cols if c not in self.columns]
         if missing:
-            raise MissingColumn(f"panel lacks columns {missing}")
+            raise InputError(f"panel lacks columns {missing}")
         return np.column_stack([self.columns[c] for c in cols])
 
     def copy(self) -> "AlignedPanel":
@@ -138,10 +128,11 @@ def load_intraday(path: str) -> IntradaySeries:
              | (t >= MAX_BARS_PER_DAY * BAR_MINUTES),
              lambda i, line: MalformedRow(
                  path, line, f"time_min {t[i]} outside 5-minute grid 0..235")),
-            (p <= 0,
-             lambda i, line: NonPositivePrice(path, line, float(p[i]))),
-            (tables.repeats(slot), lambda i, line: DuplicateBar(
-                path, line, cols["date"][i], int(t[i]))),
+            (p <= 0, lambda i, line: MalformedRow(
+                path, line, f"non-positive price {float(p[i])!r}")),
+            (tables.repeats(slot), lambda i, line: MalformedRow(
+                path, line, f"duplicate bar for {cols['date'][i]} at "
+                f"minute {int(t[i])}")),
         ])
 
     cols = tables.read(path, INTRADAY_COLUMNS, rule=rule)
@@ -195,8 +186,9 @@ def load_daily(path: str) -> Keyed:
                                 ("open", "high", "low", "close")])
         open_, high, low, close = ohlc.T
         return [
-            ((ohlc <= 0).any(axis=1), lambda i, line: NonPositivePrice(
-                path, line, float(ohlc[i][np.argmax(ohlc[i] <= 0)]))),
+            ((ohlc <= 0).any(axis=1), lambda i, line: MalformedRow(
+                path, line, "non-positive price "
+                f"{float(ohlc[i][np.argmax(ohlc[i] <= 0)])!r}")),
             ((low > np.minimum(open_, close))
              | (high < np.maximum(open_, close)),
              lambda i, line: MalformedRow(
@@ -272,7 +264,7 @@ def align_mixed_frequency(
     calendar is taken from ``daily``. Attention values are joined by
     date (absent dates become NaN cells). Every monthly value is
     repeated across all trading days of its month; a trading month
-    absent from ``monthly`` raises :class:`UncoveredMonth`.
+    absent from ``monthly`` raises :class:`InputError`.
 
     ``extra`` maps additional daily column names to ``{date: value}``
     mappings (the realized-volatility outputs use this). The panel is
@@ -280,18 +272,18 @@ def align_mixed_frequency(
     """
     daily_dates, daily_cols = daily
     if not daily_dates:
-        raise EmptyPanel("no daily records")
+        raise InputError("no daily records")
     rows = [i for i, d in enumerate(daily_dates)
             if all(d in col for col in extra.values())]
     if not rows:
-        raise EmptyPanel("no trading dates left after alignment")
+        raise InputError("no trading dates left after alignment")
     dates = [daily_dates[i] for i in rows]
 
     months, month_index, _ = month_ids(dates)
     month_row = {m: i for i, m in enumerate(monthly[0])}
     for m in months:
         if m not in month_row:
-            raise UncoveredMonth(f"no monthly record for {m}")
+            raise InputError(f"no monthly record for {m}")
     day_month_row = np.array([month_row[m] for m in months],
                              dtype=np.int64)[month_index]
     att_row = {d: i for i, d in enumerate(attention[0])}
@@ -314,7 +306,7 @@ def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
     ``ffill`` carries the last seen value forward (leading gaps take
     the first available value). ``linear`` interpolates between known
     points and clamps at the ends. A column with no observed value at
-    all raises :class:`AllMissingColumn`.
+    all raises :class:`InputError`.
     """
     if policy not in ("ffill", "linear"):
         raise InputError(f"unknown fill policy {policy!r}")
@@ -324,7 +316,7 @@ def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
         if not mask.any():
             continue
         if mask.all():
-            raise AllMissingColumn(f"column {name!r} has no observed values")
+            raise InputError(f"column {name!r} has no observed values")
         idx = np.flatnonzero(~mask)
         if policy == "ffill":
             # indices of the most recent observed cell at or before i
@@ -343,18 +335,18 @@ def normalize(panel: AlignedPanel, cols: Sequence[str], n_train: int
     Each column's mean and population standard deviation come from its
     first ``n_train`` rows only, so held-out rows never shape the
     transform; they are returned beside the panel. A column with no
-    usable variance over those rows raises :class:`ZeroVariance`.
+    usable variance over those rows raises :class:`InputError`.
     """
     out = panel.copy()
     used: dict[str, tuple[float, float]] = {}
     for name in cols:
         if name not in out.columns:
-            raise MissingColumn(f"panel lacks column {name!r}")
+            raise InputError(f"panel lacks column {name!r}")
         col = out.columns[name]
         mean = float(np.mean(col[:n_train]))
         std = float(np.std(col[:n_train]))
         if not (std > 0) or not math.isfinite(std) or not math.isfinite(mean):
-            raise ZeroVariance(f"column {name!r} has no usable variance")
+            raise InputError(f"column {name!r} has no usable variance")
         out.columns[name] = (col - mean) / std
         used[name] = (mean, std)
     return out, used

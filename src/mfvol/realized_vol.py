@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .errors import (
-    EmptyMonth,
-    InsufficientBars,
-    LengthMismatch,
-    NonPositiveLambda,
-    ZeroRvSum,
-)
+from .errors import InputError, NumericalError
 from .marketdata import IntradaySeries
 
 RET_SCALE = 100.0
@@ -58,24 +52,22 @@ def scale_parameter(daily_returns: np.ndarray, rv: np.ndarray) -> float:
     daily_returns = np.asarray(daily_returns, dtype=float)
     rv = np.asarray(rv, dtype=float)
     if daily_returns.shape != rv.shape or daily_returns.ndim != 1:
-        raise LengthMismatch(
-            f"returns {daily_returns.shape} vs rv {rv.shape}")
+        raise InputError(f"returns {daily_returns.shape} vs rv {rv.shape}")
     if daily_returns.size == 0:
-        raise LengthMismatch("empty series")
+        raise InputError("empty series")
     rv_sum = float(np.sum(rv))
     if rv_sum <= 0:
-        raise ZeroRvSum("realized variance sums to zero")
+        raise InputError("realized variance sums to zero")
     lam = float(np.sum(daily_returns * daily_returns) / rv_sum)
     if lam <= 0:
-        raise NonPositiveLambda(
-            "all daily returns are zero, scale undefined")
+        raise NumericalError("all daily returns are zero, scale undefined")
     return lam
 
 
 def adjust_rv(rv: np.ndarray, lam: float) -> np.ndarray:
     """Rescale realized variance by the scale parameter."""
     if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+        raise NumericalError(f"lambda must be positive, got {lam}")
     return np.asarray(rv, dtype=float) * lam
 
 
@@ -88,15 +80,15 @@ def monthly_rv(daily_returns: np.ndarray, month_index: np.ndarray) -> np.ndarray
     daily_returns = np.asarray(daily_returns, dtype=float)
     month_index = np.asarray(month_index, dtype=np.int64)
     if daily_returns.shape != month_index.shape or daily_returns.ndim != 1:
-        raise LengthMismatch(
+        raise InputError(
             f"returns {daily_returns.shape} vs month index {month_index.shape}")
     if daily_returns.size == 0:
-        raise EmptyMonth("no days at all")
+        raise InputError("no days at all")
     n_months = int(month_index.max()) + 1
     counts = np.bincount(month_index, minlength=n_months)
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
-        raise EmptyMonth(f"month id {missing} has no trading days")
+        raise InputError(f"month id {missing} has no trading days")
     return np.bincount(month_index, weights=daily_returns * daily_returns,
                        minlength=n_months)
 
@@ -108,12 +100,12 @@ def compute_rv_series(series: IntradaySeries) -> RvSeries:
     least two bars. The first day is dropped (no previous close).
     """
     if len(series.dates) < 2:
-        raise InsufficientBars("need at least 2 trading days")
+        raise InputError("need at least 2 trading days")
     starts = series.day_starts()
     counts = np.diff(starts)
     if np.any(counts < 2):
         k = int(np.argmax(counts < 2))
-        raise InsufficientBars(
+        raise InputError(
             f"day {series.dates[k]} has {counts[k]} bar(s), need at least 2")
     prices = series.bars["price"]
     # step i is bar i -> i + 1; a day's last step crosses into the next day

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tables
-from .errors import BadSpec, LengthMismatch
+from .errors import InputError
 from .garch_midas import MidasParams, MidasSpec, simulate
 from .marketdata import (
     ATTENTION_COLUMNS,
@@ -81,23 +81,23 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.months <= self.n_lags:
-            raise BadSpec(
+            raise InputError(
                 f"months={self.months} must exceed n_lags={self.n_lags}")
         if not (1 <= self.days_per_month <= 28):
-            raise BadSpec("days_per_month must lie in 1..28")
+            raise InputError("days_per_month must lie in 1..28")
         if not (2 <= self.bars_per_day <= 48):
-            raise BadSpec("bars_per_day must lie in 2..48")
+            raise InputError("bars_per_day must lie in 2..48")
         if not (0.0 <= self.overnight_frac < 1.0):
-            raise BadSpec("overnight_frac must lie in [0, 1)")
+            raise InputError("overnight_frac must lie in [0, 1)")
         if not (0.0 < self.start_price < math.inf):
-            raise BadSpec("start_price must be positive and finite")
+            raise InputError("start_price must be positive and finite")
         if not math.isfinite(self.attention_coef):
-            raise BadSpec("attention_coef must be finite")
+            raise InputError("attention_coef must be finite")
         try:
             tables.parse(tables.MONTH, self.start_month)
         except ValueError:
-            raise BadSpec(f"start_month must be YYYY-MM with a month from "
-                          f"01 to 12, got {self.start_month!r}") from None
+            raise InputError(f"start_month must be YYYY-MM with a month from "
+                             f"01 to 12, got {self.start_month!r}") from None
 
     @property
     def n_days(self) -> int:
@@ -150,16 +150,16 @@ def gen_intraday(dates: Sequence[str], day_variance: np.ndarray,
     """
     day_variance = np.asarray(day_variance, dtype=float)
     if len(dates) != len(day_variance):
-        raise LengthMismatch("dates and day_variance differ in length")
+        raise InputError("dates and day_variance differ in length")
     if target_returns is not None:
         target_returns = np.asarray(target_returns, dtype=float)
         if target_returns.shape != day_variance.shape:
-            raise LengthMismatch("target_returns misaligned")
+            raise InputError("target_returns misaligned")
     if np.any(day_variance < 0):
-        raise BadSpec("day variances must be nonnegative")
+        raise InputError("day variances must be nonnegative")
     n_inc = bars_per_day - 1
     if n_inc < 1:
-        raise BadSpec("need at least 2 bars per day")
+        raise InputError("need at least 2 bars per day")
 
     prices = np.empty((len(dates), bars_per_day))
     log_close = math.log(start_price)

@@ -27,9 +27,9 @@ Two tokenizers read a file, and the input decides which. A clean file
 Any other file, and any file in which that parse meets a cell it
 cannot take, is read row by row through ``csv``; that path is the one
 source of every cell error. :func:`write` formats every cell through
-``str``, for a float its shortest round-trip ``repr``, so every finite
-float it writes reads back bit for bit. It refuses a cell that would
-need quotes, so every numeric table it writes is clean.
+``str``, for a float its shortest round-trip ``repr``, so every float
+it writes reads back bit for bit. It refuses a non-finite float and a
+cell that would need quotes, so every numeric table it writes is clean.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, MalformedRow, MissingFile
+from .errors import InputError, MalformedRow
 
 DATE, KEY, MONTH = "date", "key", "month"
 INT, FLOAT, OPTIONAL, TEXT = "int", "float", "optional", "text"
@@ -130,7 +130,7 @@ def read(path: str, schema: Mapping[str, object], *, rest=None,
     rows 0..k-1, so an earlier broken rule still wins.
     """
     if not os.path.exists(path):
-        raise MissingFile(f"no such file: {path}")
+        raise InputError(f"no such file: {path}")
     names = list(schema)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -308,18 +308,28 @@ def write(path: str, header: Sequence[str], columns: Sequence) -> None:
     """One header line, then one line per row of the equal-length
     ``columns`` (ndarrays or lists).
 
-    A cell of a text column that holds a double quote, a comma or a
-    line break would shift the row's fields when read back, so it
-    raises :class:`InputError` before the file is opened. Each such
-    column is checked as one joined string.
+    A non-finite float, which :func:`read` refuses, and a cell of a
+    text column that holds a double quote, a comma or a line break,
+    which would shift the row's fields when read back, raise
+    :class:`InputError` before the file is opened. Each text column is
+    checked as one joined string.
     """
     text = []
     for name, column in zip(header, columns, strict=True):
         if isinstance(column, np.ndarray):
-            if column.dtype.kind in "biuf":
-                text.append(map(str, column.tolist()))
-                continue
+            numeric = column.dtype.kind in "biuf"
+            finite = not numeric or np.isfinite(column).all()
             column = column.tolist()
+        else:
+            numeric = False
+            finite = all(math.isfinite(cell) for cell in column
+                         if isinstance(cell, float))
+        if not finite:
+            raise InputError(f"cannot write {path}: a {name!r} cell is not "
+                             "a finite number")
+        if numeric:
+            text.append(map(str, column))
+            continue
         cells = list(map(str, column))
         joined = "".join(cells)
         if any(bad in joined for bad in ',"\n\r'):

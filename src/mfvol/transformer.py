@@ -44,21 +44,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadShape,
-    DivergedLoss,
-    EmptyDataset,
-    InputError,
-    LengthMismatch,
-    NonFiniteGradient,
-    NonFiniteInput,
-    ZeroVariance,
-)
+from .errors import InputError, NumericalError
 
 LN_EPS = 1e-5
 # windows per full-set forward call of _forward: a multiple of the
 # default batch of 32, so a training batch is one block
 _BLOCK = 64
+
+
+def _require_ints(config, names: Sequence[str]) -> None:
+    """TypeError unless each named field is None or exactly an int: a
+    model file's json may hold ``2.0`` or ``true`` for a count."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,12 @@ class ModelConfig:
     d_ff: int = 24
 
     def __post_init__(self):
+        _require_ints(self, vars(self))     # every field is a count
         if min(self.n_features, self.d_model, self.n_heads, self.n_layers,
                self.d_ff) < 1:
-            raise BadShape("model dimensions must be positive")
+            raise InputError("model dimensions must be positive")
         if self.d_model % self.n_heads != 0:
-            raise BadShape(
+            raise InputError(
                 f"d_model={self.d_model} not divisible by "
                 f"n_heads={self.n_heads}")
 
@@ -95,15 +96,19 @@ class TrainConfig:
     optimizer: str = "sgd"
 
     def __post_init__(self):
+        _require_ints(self, ["window", "batch_size", "max_epochs", "seed",
+                             "patience"])
         if self.window < 1 or self.batch_size < 1 or self.max_epochs < 1:
-            raise BadShape("window, batch_size and max_epochs must be positive")
+            raise InputError(
+                "window, batch_size and max_epochs must be positive")
         if not 0 <= self.learning_rate < math.inf:
-            raise BadShape(f"learning_rate must be finite and at least 0, "
-                           f"got {self.learning_rate}")
+            raise InputError(f"learning_rate must be finite and at least 0, "
+                             f"got {self.learning_rate}")
         if self.patience is not None and self.patience < 0:
-            raise BadShape(f"patience must be at least 0, got {self.patience}")
+            raise InputError(
+                f"patience must be at least 0, got {self.patience}")
         if self.optimizer not in ("sgd", "adam"):
-            raise BadShape(f"unknown optimizer {self.optimizer!r}")
+            raise InputError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -393,9 +398,9 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
-        raise LengthMismatch(f"pred {pred.shape} vs target {target.shape}")
+        raise InputError(f"pred {pred.shape} vs target {target.shape}")
     if pred.size == 0:
-        raise EmptyDataset("empty prediction batch")
+        raise InputError("empty prediction batch")
     return float(np.mean((pred - target) ** 2))
 
 
@@ -405,11 +410,12 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 3 or x.shape[0] != y.shape[0]:
-        raise BadShape(f"expected (n, T, F) and (n,), got {x.shape}, {y.shape}")
+        raise InputError(
+            f"expected (n, T, F) and (n,), got {x.shape}, {y.shape}")
     if len(y) == 0:
-        raise EmptyDataset("empty batch")
+        raise InputError("empty batch")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteInput("batch contains non-finite values")
+        raise InputError("batch contains non-finite values")
     pred, cache = _forward(weights, config, x)
     err = pred - y
     grads = _backward(weights, config, x, cache, (2.0 / len(y)) * err)
@@ -419,7 +425,7 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
                        ).all():
         bad = next(name for name, g in grads.items()
                    if not np.isfinite(g).all())
-        raise NonFiniteGradient(f"non-finite gradient for {bad!r}")
+        raise NumericalError(f"non-finite gradient for {bad!r}")
     return float(np.mean(err ** 2.0)), grads
 
 
@@ -440,10 +446,10 @@ def build_windows(dates: Sequence[str], features: np.ndarray,
     target = np.asarray(target, dtype=float)
     if features.ndim != 2 or len(features) != len(target) \
             or len(features) != len(dates):
-        raise BadShape("features, target and dates must align row-wise")
+        raise InputError("features, target and dates must align row-wise")
     n = len(features) - window
     if n <= 0:
-        raise EmptyDataset(
+        raise InputError(
             f"{len(features)} rows cannot fill a window of {window} "
             "plus a target")
     X = np.stack([features[i:i + window] for i in range(n)])
@@ -469,26 +475,27 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
     normalized MSE after each epoch.
     """
     if len(dataset) == 0:
-        raise EmptyDataset("no training samples")
+        raise InputError("no training samples")
     if not (np.all(np.isfinite(dataset.X)) and np.all(np.isfinite(dataset.y))):
-        raise NonFiniteInput("dataset contains non-finite values")
+        raise InputError("dataset contains non-finite values")
     if model_config is None:
         model_config = ModelConfig(n_features=dataset.X.shape[2])
     if model_config.n_features != dataset.X.shape[2]:
-        raise BadShape(
+        raise InputError(
             f"config expects {model_config.n_features} features, dataset "
             f"has {dataset.X.shape[2]}")
 
     flat = dataset.X.reshape(-1, dataset.X.shape[2])
-    f_mean = flat.mean(axis=0)
-    f_std = flat.std(axis=0)
-    if np.any(f_std <= 0):
-        bad = dataset.feature_names[int(np.argmax(f_std <= 0))]
-        raise ZeroVariance(f"feature {bad!r} is constant")
-    t_mean = float(dataset.y.mean())
-    t_std = float(dataset.y.std())
-    if t_std <= 0:
-        raise ZeroVariance("target is constant")
+    f_mean, f_std = flat.mean(axis=0), flat.std(axis=0)
+    t_mean, t_std = float(dataset.y.mean()), float(dataset.y.std())
+    # the statistics that load_model requires of a model
+    mean, std = np.append(f_mean, t_mean), np.append(f_std, t_std)
+    names = [f"feature {n!r}" for n in dataset.feature_names] + ["target"]
+    for ok, fault in ((np.isfinite(mean) & np.isfinite(std),
+                       "has a non-finite mean or standard deviation"),
+                      (std > 0, "is constant")):
+        if not ok.all():
+            raise InputError(f"{names[int(np.argmin(ok))]} {fault}")
 
     Xn = (dataset.X - f_mean) / f_std
     yn = (dataset.y - t_mean) / t_std
@@ -524,7 +531,7 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
                     weights[k] = weights[k] - lr * grads[k]
         epoch_loss = loss_mse(forward_batch(Xn, weights, model_config), yn)
         if not math.isfinite(epoch_loss):
-            raise DivergedLoss(
+            raise NumericalError(
                 f"training loss became {epoch_loss} in epoch {_epoch}")
         history.append(epoch_loss)
         if train_config.patience is not None:
@@ -552,13 +559,13 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
 def predict(model: TransformerModel, dataset: WindowedDataset) -> np.ndarray:
     """Predictions on the original target scale, one per sample."""
     if len(dataset) == 0:
-        raise EmptyDataset("no samples to predict")
+        raise InputError("no samples to predict")
     if dataset.X.shape[2] != model.config.n_features:
-        raise BadShape(
+        raise InputError(
             f"model expects {model.config.n_features} features, dataset "
             f"has {dataset.X.shape[2]}")
     if not np.all(np.isfinite(dataset.X)):
-        raise NonFiniteInput("dataset contains non-finite values")
+        raise InputError("dataset contains non-finite values")
     Xn = (dataset.X - model.feature_mean) / model.feature_std
     out = forward_batch(Xn, model.weights, model.config)
     return out * model.target_std + model.target_mean

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from mfvol import cli, evaluation
 from mfvol import transformer as tfm
 from mfvol.cli import FactorTable
-from mfvol.errors import (InputError, LengthMismatch, MalformedRow,
-                          MissingColumn)
+from mfvol.errors import InputError, MalformedRow
 
 
 def run(argv):
@@ -98,7 +97,7 @@ class TestFactorTableIO:
         h.write_text("date,tau,g,h\n"
                      "2020-01-01,1.0,1.0,1.5\n"
                      "2020-01-03,1.0,1.0,2.5\n")
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="trailing contiguous block"):
             cli.join_h(table, str(h))
 
     def test_join_h_rejects_non_trailing(self, tmp_path):
@@ -107,14 +106,14 @@ class TestFactorTableIO:
         h.write_text("date,tau,g,h\n"
                      "2020-01-01,1.0,1.0,1.5\n"
                      "2020-01-02,1.0,1.0,2.5\n")
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="trailing contiguous block"):
             cli.join_h(table, str(h))
 
     def test_join_h_rejects_unknown_dates(self, tmp_path):
         table = self.small_table()
         h = tmp_path / "h.csv"
         h.write_text("date,tau,g,h\n2021-05-05,1.0,1.0,1.5\n")
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="trailing contiguous block"):
             cli.join_h(table, str(h))
 
     def test_windowed_split_labels_by_target_row(self):
@@ -134,7 +133,7 @@ class TestFactorTableIO:
 
     def test_windowed_split_missing_column(self):
         table = self.small_table()
-        with pytest.raises(MissingColumn):
+        with pytest.raises(InputError, match="lacks feature columns"):
             cli.windowed_split(table, ("nope",), 1)
 
 
@@ -734,9 +733,14 @@ class TestExitCodes:
         ("target_mean", None, -math.inf),
         ("target_std", None, math.inf),
         ("target_std", None, -1.0),
+        ("model_config", "n_layers", 2.0),
+        ("model_config", "n_heads", 3.0),
+        ("train_config", "window", True),
+        ("train_config", "window", 5.0),
     ], ids=["nan-weight", "nan-feature-mean", "inf-feature-std",
             "zero-feature-std", "inf-target-mean", "inf-target-std",
-            "negative-target-std"])
+            "negative-target-std", "float-layers", "float-heads",
+            "bool-window", "float-window"])
     def test_predict_refuses_a_model_it_cannot_use(self, pipeline, tmp_path,
                                                    capsys, field, index,
                                                    value):
@@ -748,6 +752,8 @@ class TestExitCodes:
         doc = json.loads(model.read_text())
         if index is None:
             doc[field] = value
+        elif field.endswith("_config"):
+            doc[field][index] = value
         else:
             (doc["weights"][field]["data"] if field in doc["weights"]
              else doc[field])[index] = value
@@ -762,6 +768,43 @@ class TestExitCodes:
         assert err.startswith(f"error: {model}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_refuses_a_feature_it_cannot_scale(self, pipeline,
+                                                     tmp_path, capsys):
+        # the spread of +-1e300 overflows, and a model with an infinite
+        # feature_std is one that predict refuses
+        lines = (pipeline / "factors.csv").read_text().splitlines()
+        col = lines[0].split(",").index("tech1")
+        for i in range(1, len(lines)):
+            row = lines[i].split(",")
+            row[col] = "1e300" if i % 2 else "-1e300"
+            lines[i] = ",".join(row)
+        factors = tmp_path / "factors.csv"
+        factors.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "weights.json"
+        code = run(["train", "--factors", str(factors),
+                    "--features", "tech1,tech2,tech3", "--epochs", "1",
+                    "--out-model", str(model),
+                    "--out-history", str(tmp_path / "hist.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: feature 'tech1' has a non-finite mean or "
+                       "standard deviation\n")
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_simulate_refuses_to_write_an_overflowing_table(self, tmp_path,
+                                                           capsys):
+        # daily indicators of prices near the float limit overflow, and
+        # pca would refuse the daily.csv that held them
+        out = tmp_path / "scen"
+        code = run(["simulate", "--out", str(out), "--start-price", "1e306"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out / 'daily.csv'}: a ")
+        assert err.endswith(" cell is not a finite number\n")
+        assert not (out / "daily.csv").exists()
 
     def test_help_via_module_entry(self):
         proc = subprocess.run([sys.executable, "-m", "mfvol", "--help"],

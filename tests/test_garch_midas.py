@@ -59,11 +59,11 @@ class TestBetaWeights:
         assert np.allclose(w, 1.0 / 7.0, atol=1e-15)
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(errors.BadParameter):
+        with pytest.raises(errors.InputError, match="n_lags must be >= 1"):
             gm.beta_weights(0, 1.0, 2.0)
-        with pytest.raises(errors.BadParameter):
+        with pytest.raises(errors.InputError, match="need w1 >= 1 and w2 >= 1"):
             gm.beta_weights(5, 0.5, 2.0)
-        with pytest.raises(errors.BadParameter):
+        with pytest.raises(errors.InputError, match="need w1 >= 1 and w2 >= 1"):
             gm.beta_weights(5, 1.0, 0.0)
 
     @given(st.integers(min_value=1, max_value=40),
@@ -81,7 +81,8 @@ class TestLagStructure:
     def test_too_few_months_rejected(self):
         data = make_data(months=5, K=6)
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
-        with pytest.raises(errors.InsufficientLags):
+        with pytest.raises(errors.InputError,
+                           match="5 months cannot support 6 lags"):
             gm.filter_volatility(spec, make_params(), data)
 
 
@@ -130,7 +131,7 @@ class TestFilter:
         params = make_params(J=1, m=0.01)
         params.theta = np.array([-50.0])
         spec = gm.MidasSpec(n_lags=6, mode="rv-window", tau_link="identity")
-        with pytest.raises(errors.NonPositiveTau):
+        with pytest.raises(errors.NumericalError, match="tau non-positive"):
             gm.filter_volatility(spec, params, data)
 
 
@@ -144,7 +145,8 @@ class TestFilter:
         params = make_params(J=J)
         setattr(params, field, np.atleast_1d(value) if isinstance(value, list)
                 else value)
-        with pytest.raises(errors.BadParameter):
+        with pytest.raises(errors.InputError,
+                           match="every parameter must be finite"):
             gm.filter_volatility(gm.MidasSpec(n_lags=6, n_covariates=J),
                                  params, make_data(J=J))
 
@@ -323,15 +325,16 @@ class TestNestedGarch:
 
 class TestData:
     def test_month_index_must_be_contiguous(self):
-        with pytest.raises(errors.DegenerateData):
+        with pytest.raises(errors.InputError, match="sorted and contiguous"):
             gm.MidasData(returns=np.ones(4),
                          month_index=np.array([0, 0, 2, 2]))
-        with pytest.raises(errors.DegenerateData):
+        with pytest.raises(errors.InputError, match="sorted and contiguous"):
             gm.MidasData(returns=np.ones(4),
                          month_index=np.array([1, 1, 2, 2]))
 
     def test_covariate_rows_must_match_months(self):
-        with pytest.raises(errors.LengthMismatch):
+        with pytest.raises(errors.InputError,
+                           match="covariates have 3 rows, panel spans 2"):
             gm.MidasData(returns=np.ones(4),
                          month_index=np.array([0, 0, 1, 1]),
                          covariates=np.ones((3, 1)))
@@ -367,7 +370,8 @@ class TestSimulate:
     def test_rv_window_spec_rejected(self):
         spec = gm.MidasSpec(n_lags=5, mode="rv-window", tau_link="identity")
         params = make_params(J=1, m=0.9)
-        with pytest.raises(errors.BadSpec):
+        with pytest.raises(errors.InputError,
+                           match="only exogenous mode is simulated"):
             gm.simulate(spec, params, months=12, days_per_month=8, seed=4)
 
     def test_same_seed_reproduces(self):
@@ -390,7 +394,8 @@ class TestSimulate:
 
     def test_multiplier_must_be_positive(self):
         spec = gm.MidasSpec(n_lags=3, n_covariates=1)
-        with pytest.raises(errors.BadSpec):
+        with pytest.raises(errors.InputError,
+                           match="variance multipliers must be positive"):
             gm.simulate(spec, make_params(J=1), months=8,
                         day_var_multiplier=np.zeros(8 * 21))
 
@@ -444,7 +449,8 @@ class TestFit:
                             month_index=np.repeat(np.arange(6), 10),
                             covariates=np.random.default_rng(0)
                             .standard_normal((6, 1)))
-        with pytest.raises(errors.DegenerateData):
+        with pytest.raises(errors.InputError,
+                           match="returns have zero variance"):
             gm.fit(gm.MidasSpec(n_lags=2, n_covariates=1), data)
 
     @pytest.mark.parametrize("option", [dict(n_restarts=0),
@@ -452,7 +458,7 @@ class TestFit:
                                         dict(max_iter=0)])
     def test_restarts_and_iterations_at_least_one(self, option):
         data = make_data()
-        with pytest.raises(errors.BadSpec, match=next(iter(option))):
+        with pytest.raises(errors.InputError, match=next(iter(option))):
             gm.fit(gm.MidasSpec(n_lags=6, n_covariates=2), data, **option)
 
 

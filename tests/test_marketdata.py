@@ -49,7 +49,7 @@ class TestLoadIntraday:
 
     def test_duplicate_bar_rejected(self, tmp_path):
         text = INTRADAY_OK + "2021-03-02,5,10.3\n"
-        with pytest.raises(errors.DuplicateBar) as info:
+        with pytest.raises(errors.MalformedRow) as info:
             md.load_intraday(write(tmp_path / "i.csv", text))
         # the second occurrence's line; the first is on line 2
         assert str(info.value) == (f"{tmp_path / 'i.csv'}:6: duplicate bar "
@@ -63,11 +63,11 @@ class TestLoadIntraday:
 
     def test_nonpositive_price_rejected(self, tmp_path):
         text = "date,time_min,price\n2021-03-01,0,0.0\n"
-        with pytest.raises(errors.NonPositivePrice):
+        with pytest.raises(errors.MalformedRow, match="non-positive price 0.0"):
             md.load_intraday(write(tmp_path / "i.csv", text))
 
     def test_missing_file(self):
-        with pytest.raises(errors.MissingFile):
+        with pytest.raises(errors.InputError, match="no such file"):
             md.load_intraday("/nonexistent/i.csv")
 
     def test_bad_header(self, tmp_path):
@@ -84,7 +84,8 @@ class TestLoadIntraday:
         assert info.value.line == 3
         text = ("date,time_min,price\n2021-03-01,0,10.0\n"
                 "2021-03-01,5,-1.0\n2021-03-01,7,1.0\n")
-        with pytest.raises(errors.NonPositivePrice) as info:
+        with pytest.raises(errors.MalformedRow,
+                           match="non-positive price -1.0") as info:
             md.load_intraday(write(tmp_path / "i.csv", text))
         assert info.value.line == 3
 
@@ -265,7 +266,7 @@ class TestAlign:
         assert not math.isnan(panel.columns["csi300"][1])
 
     def test_uncovered_month_raises(self, tmp_path):
-        with pytest.raises(errors.UncoveredMonth):
+        with pytest.raises(errors.InputError, match="no monthly record for"):
             build_panel(tmp_path, DATES, MONTHS[:1])
 
     def test_extra_column_restricts_dates(self, tmp_path):
@@ -280,7 +281,7 @@ class TestAlign:
         mat = panel.matrix(["close", "meci"])
         assert mat.shape == (5, 2)
         assert mat[0, 0] == panel.columns["close"][0]
-        with pytest.raises(errors.MissingColumn):
+        with pytest.raises(errors.InputError, match="panel lacks columns"):
             panel.matrix(["close", "nope"])
 
 
@@ -301,7 +302,7 @@ class TestFillMissing:
     def test_all_missing_column_raises(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         panel.columns["x"] = np.full(5, math.nan)
-        with pytest.raises(errors.AllMissingColumn):
+        with pytest.raises(errors.InputError, match="has no observed values"):
             md.fill_missing(panel)
 
     def test_untouched_without_nans(self, tmp_path):
@@ -337,7 +338,7 @@ class TestNormalize:
     def test_constant_column_raises(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         panel.columns["x"] = np.ones(5)
-        with pytest.raises(errors.ZeroVariance):
+        with pytest.raises(errors.InputError, match="has no usable variance"):
             md.normalize(panel, ["x"], panel.n_rows)
 
 

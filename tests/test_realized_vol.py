@@ -49,12 +49,13 @@ class TestComputeRvSeries:
             np.mean(series.rv_adj), abs=1e-12)
 
     def test_single_day_rejected(self):
-        with pytest.raises(errors.InsufficientBars):
+        with pytest.raises(errors.InputError,
+                           match="need at least 2 trading days"):
             rvmod.compute_rv_series(series_from_days(DAYS[:1]))
 
     def test_single_bar_day_rejected(self):
         bad = [DAYS[0], [10.0], DAYS[2]]
-        with pytest.raises(errors.InsufficientBars):
+        with pytest.raises(errors.InputError, match=r"has 1 bar\(s\)"):
             rvmod.compute_rv_series(series_from_days(bad))
 
     @given(st.lists(
@@ -86,12 +87,14 @@ class TestComputeRvSeries:
 
 class TestPieces:
     def test_scale_parameter_zero_rv_rejected(self):
-        with pytest.raises(errors.ZeroRvSum):
+        with pytest.raises(errors.InputError,
+                           match="realized variance sums to zero"):
             rvmod.scale_parameter(np.array([1.0, -1.0]),
                                   np.array([0.0, 0.0]))
 
     def test_scale_parameter_length_mismatch(self):
-        with pytest.raises(errors.LengthMismatch):
+        with pytest.raises(errors.InputError,
+                           match=r"returns \(1,\) vs rv \(2,\)"):
             rvmod.scale_parameter(np.array([1.0]), np.array([1.0, 2.0]))
 
     def test_monthly_rv_groups_by_month(self):
@@ -101,7 +104,8 @@ class TestPieces:
         assert out.tolist() == [5.0, 25.0]
 
     def test_monthly_rv_gap_rejected(self):
-        with pytest.raises(errors.EmptyMonth):
+        with pytest.raises(errors.InputError,
+                           match="month id 1 has no trading days"):
             rvmod.monthly_rv(np.array([1.0, 2.0]), np.array([0, 2]))
 
 

@@ -8,7 +8,7 @@ from mfvol import garch_midas as gm
 from mfvol import marketdata as md
 from mfvol import realized_vol as rv
 from mfvol import simlab
-from mfvol.errors import BadSpec, LengthMismatch
+from mfvol.errors import InputError
 from mfvol.simlab import ScenarioSpec
 
 
@@ -22,22 +22,22 @@ class TestSpecValidation:
         assert spec.midas_spec().n_covariates == 2
 
     def test_months_must_exceed_lags(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(InputError, match="must exceed n_lags"):
             ScenarioSpec(months=6, n_lags=6)
 
     def test_bounds(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(InputError, match="days_per_month must lie"):
             ScenarioSpec(days_per_month=40)
-        with pytest.raises(BadSpec):
+        with pytest.raises(InputError, match="bars_per_day must lie"):
             ScenarioSpec(bars_per_day=1)
-        with pytest.raises(BadSpec):
+        with pytest.raises(InputError, match="overnight_frac must lie"):
             ScenarioSpec(overnight_frac=1.0)
         for bad in (dict(start_price=0.0), dict(start_price=math.nan),
                     dict(start_price=math.inf),
                     dict(attention_coef=math.nan),
                     dict(start_month="abc"), dict(start_month="2015-13"),
                     dict(start_month="2015-00"), dict(start_month="2015-1")):
-            with pytest.raises(BadSpec):
+            with pytest.raises(InputError, match=next(iter(bad))):
                 ScenarioSpec(**bad)
 
 
@@ -82,14 +82,14 @@ class TestIntraday:
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="differ in length"):
             simlab.gen_intraday(["a", "b"], np.ones(3), rng)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InputError, match="target_returns misaligned"):
             simlab.gen_intraday(["a"], np.ones(1), rng,
                                 target_returns=np.ones(2))
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(BadSpec):
+        with pytest.raises(InputError, match="must be nonnegative"):
             simlab.gen_intraday(["a"], np.array([-1.0]),
                                 np.random.default_rng(0))
 

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import csv
 import datetime
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import mfvol
 from mfvol import tables
-from mfvol.errors import InputError, MalformedRow, MissingFile
+from mfvol.errors import InputError, MalformedRow
 
 
 def package_imports():
@@ -123,7 +124,7 @@ def test_read_options(tmp_path):
     assert math.isnan(back["c"][0])
     [(columns, lines)] = seen
     assert columns is back and lines == [4]
-    with pytest.raises(MissingFile):
+    with pytest.raises(InputError, match="no such file"):
         tables.read(str(tmp_path / "absent.csv"), schema)
 
 
@@ -252,3 +253,42 @@ def test_write_refuses_a_cell_that_breaks_the_row(tmp_path, cell):
                            match="a double quote, a comma or a line break"):
             tables.write(str(path), ["name", "x"], [column, [1.0, 2.0]])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_refuses_a_non_finite_float(tmp_path, value):
+    # read would refuse the cell, so the next stage could not take it
+    path = tmp_path / "t.csv"
+    for column in ([1.0, value], np.array([1.0, value]),
+                   [1.0, np.float64(value)]):
+        with pytest.raises(InputError, match="'x' cell is not a finite"):
+            tables.write(str(path), ["name", "x"], [["a", "b"], column])
+    assert not path.exists()
+    tables.write(str(path), ["name", "n"], [["nan", "inf"], [1, 2]])
+    assert tables.read(str(path), {"name": tables.TEXT, "n": tables.INT}) \
+        == {"name": ["nan", "inf"], "n": [1, 2]}
+
+
+def test_exit_codes_are_the_whole_error_taxonomy():
+    # the command line maps InputError to 2 and NumericalError to 3; a
+    # finer class would be a name that no caller tells apart
+    derived, raised = {}, set()
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.bases:
+                derived[node.name] = path.name
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                # a class by its name; a variable or a function that
+                # builds the error is spelt in lower case
+                if isinstance(exc, ast.Name) \
+                        and exc.id.lstrip("_")[:1].isupper():
+                    raised.add(exc.id)
+    assert derived == {"InputError": "errors.py",
+                       "NumericalError": "errors.py",
+                       "MalformedRow": "errors.py",
+                       "_BadParameter": "garch_midas.py",
+                       "_Exhausted": "garch_midas.py"}
+    builtin = {name for name in raised if isinstance(
+        getattr(builtins, name, None), type)}
+    assert raised - builtin <= set(derived)
