@@ -24,19 +24,26 @@ Training is plain mini-batch gradient descent (an adaptive variant is
 available behind a flag) on mean squared error, with features and
 target z-scored by training statistics.
 
-One plain-numpy forward pass serves prediction and training. It stacks
-every head's query, key and value projections into one (d, 3d) matrix
-per layer, runs attention as batched (n, H, T, d_k) products, and keeps
-the activations that the hand-derived backward pass in
-:func:`gradient` reads. The weights keep one array per head, which is
-also how ``weights.json`` stores them; the stacking happens inside each
-call, and the stacked gradient is split back per head. A forward over a
-whole set (each epoch's training loss, and prediction) runs in blocks
-of 64 windows, which bounds its working set whatever the set's size.
+Every weight lives in one float64 vector. The weights are still a
+dict with one key per array (:class:`Weights`), which is also how
+``weights.json`` stores them, but each value is a view into that
+vector, and each layer's per-head query, key and value projections are
+column views of one stacked (d, 3d) block. So one plain-numpy forward
+pass serves prediction and training: it multiplies by the stacked
+block, runs attention as batched (n, H, T, d_k) products, keeps the
+activations (n T, d) matrices between the embedding and the pooling,
+and keeps what the hand-derived backward pass in :func:`gradient`
+reads. The backward writes every gradient into one new vector of the
+same layout, so an optimizer step is a few whole-vector operations.
+A plain mapping of arrays, as a caller may build one, is copied into
+the layout first. A forward over a whole set (each epoch's training
+loss, and prediction) runs in blocks of 64 windows, which bounds its
+working set whatever the set's size.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -170,33 +177,111 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_weights(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
+class Weights(dict):
+    """Every weight array of one model, as views into one float64 vector.
+
+    The keys and shapes are those of :func:`weight_shapes`. Each
+    layer's per-head W_q, W_k and W_v are column views of one (d, 3d)
+    block, ``qkv[layer]``: every head's W_q, then every W_k, then every
+    W_v. Assigning to a key writes into the vector, so the views and
+    the vector always agree; a copy (``copy``, ``pickle``) is a plain
+    dict.
+    """
+
+    __slots__ = ("vector", "qkv")
+
+    def __setitem__(self, name: str, value) -> None:
+        self[name][...] = value
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _Layout:
+    """Where each weight array of a model geometry lives in its vector:
+    the arrays in key order, each layer's heads as one (d, 3d) block."""
+
+    def __init__(self, config: ModelConfig):
+        d, H, dk = config.d_model, config.n_heads, config.d_head
+        self.names = list(weight_shapes(config))
+        # (start, stop, shape, is a qkv block), in key order
+        self.slots: list[tuple[int, int, tuple[int, ...], bool]] = []
+        size = 0
+        for name, shape in weight_shapes(config).items():
+            block = ".head" in name
+            if block:
+                if not name.endswith(".head0.wq"):
+                    continue
+                shape = (d, 3 * d)
+            self.slots.append((size, size + math.prod(shape), shape, block))
+            size += math.prod(shape)
+        self.size = size
+        self.head_axes = (d, 3 * H, dk)
+        # a block's column views come W_q, W_k, W_v major; keys head major
+        self.head_order = [s * H + j for j in range(H) for s in range(3)]
+
+    def empty(self) -> Weights:
+        return self.views(np.empty(self.size))
+
+    def views(self, vector: np.ndarray) -> Weights:
+        values, qkv = [], []
+        for start, stop, shape, block in self.slots:
+            view = vector[start:stop]
+            if len(shape) > 1:
+                view = view.reshape(shape)
+            if block:
+                qkv.append(view)
+                heads = list(view.reshape(self.head_axes).transpose(1, 0, 2))
+                values += [heads[k] for k in self.head_order]
+            else:
+                values.append(view)
+        weights = Weights(zip(self.names, values))
+        weights.vector, weights.qkv = vector, qkv
+        return weights
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(config: ModelConfig) -> _Layout:
+    return _Layout(config)
+
+
+def _pack(weights: Mapping[str, np.ndarray], config: ModelConfig) -> Weights:
+    """``weights`` in the one-vector layout: itself when it has it,
+    else a copy with each layer's heads stacked."""
+    if isinstance(weights, Weights):
+        return weights
+    packed = _layout(config).empty()
+    for name in packed:
+        packed[name] = weights[name]
+    return packed
+
+
+def init_weights(config: ModelConfig, seed: int = 0) -> Weights:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)) for matrices;
     zero biases; unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    weights: dict[str, np.ndarray] = {}
+    weights = _layout(config).empty()
     for name, shape in weight_shapes(config).items():
         if name.endswith(".gain"):
-            weights[name] = np.ones(shape)
+            weights[name] = 1.0
         elif len(shape) == 1:
-            weights[name] = np.zeros(shape)
+            weights[name] = 0.0
         else:
             limit = math.sqrt(6.0 / (shape[0] + shape[1]))
             weights[name] = rng.uniform(-limit, limit, size=shape)
     return weights
 
 
-def _stacked_qkv(weights: Mapping[str, np.ndarray], layer: int,
-                 n_heads: int) -> np.ndarray:
-    """One (d, 3d) matrix: every head's W_q, then every W_k, then W_v."""
-    return np.concatenate(
-        [weights[f"layer{layer}.head{j}.{w}"]
-         for w in ("wq", "wk", "wv") for j in range(n_heads)], axis=1)
-
-
 # ----------------------------------------------------------------------
 # Forward pass
 # ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _ones(n: int) -> np.ndarray:
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
 
 def _softplus(x: np.ndarray):
     """The smooth ramp ln(1 + e^x) and e^-|x|, from which the backward
@@ -211,18 +296,18 @@ def _softplus_slope(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, kept as a trailing axis of length one.
+    """Row sums of an (m, k) matrix, as an (m, 1) column.
 
     A matrix-vector product: numpy's own reduction runs one short inner
     loop per row, which is several times slower on rows this short.
     """
-    n = x.shape[-1]
-    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
+    return (x @ _ones(x.shape[1]))[:, None]
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Normalized ``x`` and the (x_hat, 1/sigma) pair its backward needs."""
-    d = x.shape[-1]
+    """Normalized rows of ``x`` and the (x_hat, 1/sigma) pair its
+    backward needs."""
+    d = x.shape[1]
     centered = x - _row_sum(x) / d
     inv = 1.0 / np.sqrt(_row_sum(centered * centered) / d + LN_EPS)
     xhat = centered * inv
@@ -231,62 +316,60 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by each row's maximum."""
-    top = scores[..., 0]
-    for j in range(1, scores.shape[-1]):
-        top = np.maximum(top, scores[..., j])
-    e = np.exp(scores - top[..., None])
-    return e / _row_sum(e)
+    rows = scores.reshape(-1, scores.shape[-1])
+    top = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        top = np.maximum(top, rows[:, j])
+    e = np.exp(rows - top[:, None])
+    return (e / _row_sum(e)).reshape(scores.shape)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """softmax(Q K^T / sqrt(d_k)) V over the last two axes, and the
     softmax weights."""
-    probs = _softmax((q @ np.swapaxes(k, -1, -2))
-                     * (1.0 / math.sqrt(q.shape[-1])))
+    kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    probs = _softmax((q @ kt) * (1.0 / math.sqrt(q.shape[-1])))
     return probs @ v, probs
 
 
-def _self_attention(x: np.ndarray, wqkv: np.ndarray, n_heads: int):
-    """Multi-head self-attention of (n, T, d) blocks through one stacked
-    projection; returns the concatenated heads (n, T, H d_k) and the
-    (q, k, v, probs) each of shape (n, H, T, .) for the backward."""
-    n, T, d = x.shape
+def _self_attention(x: np.ndarray, wqkv: np.ndarray, n: int, n_heads: int):
+    """Multi-head self-attention of n windows, their (n T, d) rows
+    through one stacked projection; returns the concatenated heads
+    (n T, H d_k) and the (q, k, v, probs) each of shape (n, H, T, .)
+    for the backward."""
+    nT, d = x.shape
     dk = wqkv.shape[1] // (3 * n_heads)
-    q, k, v = (x.reshape(n * T, d) @ wqkv).reshape(
-        n, T, 3, n_heads, dk).transpose(2, 0, 3, 1, 4)
+    q, k, v = (x @ wqkv).reshape(n, nT // n, 3, n_heads, dk).transpose(
+        2, 0, 3, 1, 4)
     out, probs = _attend(q, k, v)
-    heads = out.transpose(0, 2, 1, 3).reshape(n, T, n_heads * dk)
-    return heads, (q, k, v, probs)
+    return out.transpose(0, 2, 1, 3).reshape(nT, d), (q, k, v, probs)
 
 
-def _forward(weights: Mapping[str, np.ndarray], config: ModelConfig,
-             x: np.ndarray):
-    """(n, T, F) -> (n,) outputs and the activations the backward reads."""
+def _forward(weights: Weights, config: ModelConfig, x: np.ndarray):
+    """(n, T, F) -> (n,) outputs and the activations the backward reads.
+
+    Between the embedding and the pooling the activations stay (n T, d)
+    matrices, one row per window and day.
+    """
     n, T, F = x.shape
-    d = config.d_model
-    h = (x.reshape(n * T, F) @ weights["embed.w"]
-         + weights["embed.b"]).reshape(n, T, d)
+    h = x.reshape(n * T, F) @ weights["embed.w"] + weights["embed.b"]
     layers = []
-    for i in range(config.n_layers):
+    for i, wqkv in enumerate(weights.qkv):
         p = f"layer{i}."
         normed1, ln1 = _layer_norm(h, weights[p + "ln1.gain"],
                                    weights[p + "ln1.bias"])
-        wqkv = _stacked_qkv(weights, i, config.n_heads)
-        heads, attn = _self_attention(normed1, wqkv, config.n_heads)
-        h = h + (heads.reshape(n * T, d)
-                 @ weights[p + "attn.wo"]).reshape(n, T, d)
+        heads, attn = _self_attention(normed1, wqkv, n, config.n_heads)
+        h = h + heads @ weights[p + "attn.wo"]
         normed2, ln2 = _layer_norm(h, weights[p + "ln2.gain"],
                                    weights[p + "ln2.bias"])
-        pre = normed2.reshape(n * T, d) @ weights[p + "ff1.w"] \
-            + weights[p + "ff1.b"]
+        pre = normed2 @ weights[p + "ff1.w"] + weights[p + "ff1.b"]
         ff, e_ff = _softplus(pre)
-        h = h + (ff @ weights[p + "ff2.w"]
-                 + weights[p + "ff2.b"]).reshape(n, T, d)
+        h = h + (ff @ weights[p + "ff2.w"] + weights[p + "ff2.b"])
         layers.append((normed1, ln1, wqkv, heads, attn, normed2, ln2, pre,
                        ff, e_ff))
     h, ln_final = _layer_norm(h, weights["final_ln.gain"],
                               weights["final_ln.bias"])
-    pooled = h.sum(axis=1) / T
+    pooled = h.reshape(n, T, -1).sum(axis=1) / T
     pre_head = pooled @ weights["mlp1.w"] + weights["mlp1.b"]
     hidden, e_head = _softplus(pre_head)
     out = hidden @ weights["mlp2.w"] + weights["mlp2.b"]
@@ -297,36 +380,39 @@ def _forward(weights: Mapping[str, np.ndarray], config: ModelConfig,
 # Backward pass
 # ----------------------------------------------------------------------
 
-def _layer_norm_back(dy: np.ndarray, gain: np.ndarray, cache):
-    """(d input, d gain, d bias) of :func:`_layer_norm` from d output."""
+def _layer_norm_back(dy: np.ndarray, gain: np.ndarray, cache,
+                     dgain: np.ndarray, dbias: np.ndarray) -> np.ndarray:
+    """d input of :func:`_layer_norm` from d output; d gain and d bias
+    go into ``dgain`` and ``dbias``."""
     xhat, inv = cache
     dxhat = dy * gain
-    d = dy.shape[-1]
+    d = dy.shape[1]
     dx = inv * (dxhat - _row_sum(dxhat) / d
                 - xhat * (_row_sum(dxhat * xhat) / d))
-    return (dx, (dy * xhat).reshape(-1, d).sum(axis=0),
-            dy.reshape(-1, d).sum(axis=0))
+    np.add.reduce(dy * xhat, axis=0, out=dgain)
+    np.add.reduce(dy, axis=0, out=dbias)
+    return dx
 
 
-def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
-              x: np.ndarray, cache, dout: np.ndarray
-              ) -> dict[str, np.ndarray]:
-    """Gradient of every weight array given d loss / d output (n,)."""
+def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
+              dout: np.ndarray) -> Weights:
+    """Gradient of every weight given d loss / d output (n,), in a new
+    vector of the weights' layout."""
     layers, ln_final, pooled, pre_head, hidden, e_head = cache
     n, T, F = x.shape
     d, H, dk = config.d_model, config.n_heads, config.d_head
-    grads: dict[str, np.ndarray] = {}
+    grads = _layout(config).empty()
+    mm, total = np.matmul, np.add.reduce
 
-    grads["mlp2.w"] = hidden.T @ dout[:, None]
-    grads["mlp2.b"] = np.sum(dout, keepdims=True)
-    dpre = np.outer(dout, weights["mlp2.w"][:, 0]) \
+    mm(hidden.T, dout[:, None], out=grads["mlp2.w"])
+    total(dout, keepdims=True, out=grads["mlp2.b"])
+    dpre = dout[:, None] * weights["mlp2.w"][:, 0] \
         * _softplus_slope(pre_head, e_head)
-    grads["mlp1.w"] = pooled.T @ dpre
-    grads["mlp1.b"] = dpre.sum(axis=0)
-    dpooled = np.broadcast_to((dpre @ weights["mlp1.w"].T)[:, None, :] / T,
-                              (n, T, d))
-    dh, grads["final_ln.gain"], grads["final_ln.bias"] = _layer_norm_back(
-        dpooled, weights["final_ln.gain"], ln_final)
+    mm(pooled.T, dpre, out=grads["mlp1.w"])
+    total(dpre, axis=0, out=grads["mlp1.b"])
+    dpooled = np.repeat((dpre @ weights["mlp1.w"].T) / T, T, axis=0)
+    dh = _layer_norm_back(dpooled, weights["final_ln.gain"], ln_final,
+                          grads["final_ln.gain"], grads["final_ln.bias"])
 
     scale = 1.0 / math.sqrt(dk)
     for i in reversed(range(config.n_layers)):
@@ -334,42 +420,38 @@ def _backward(weights: Mapping[str, np.ndarray], config: ModelConfig,
         (normed1, ln1, wqkv, heads, (q, k, v, probs), normed2, ln2, pre,
          ff, e_ff) = layers[i]
         # feed-forward block
-        dh2 = dh.reshape(n * T, d)
-        grads[p + "ff2.w"] = ff.T @ dh2
-        grads[p + "ff2.b"] = dh2.sum(axis=0)
-        dpre = (dh2 @ weights[p + "ff2.w"].T) * _softplus_slope(pre, e_ff)
-        grads[p + "ff1.w"] = normed2.reshape(n * T, d).T @ dpre
-        grads[p + "ff1.b"] = dpre.sum(axis=0)
-        dx, grads[p + "ln2.gain"], grads[p + "ln2.bias"] = _layer_norm_back(
-            (dpre @ weights[p + "ff1.w"].T).reshape(n, T, d),
-            weights[p + "ln2.gain"], ln2)
-        dh = dh + dx
+        mm(ff.T, dh, out=grads[p + "ff2.w"])
+        total(dh, axis=0, out=grads[p + "ff2.b"])
+        dpre = (dh @ weights[p + "ff2.w"].T) * _softplus_slope(pre, e_ff)
+        mm(normed2.T, dpre, out=grads[p + "ff1.w"])
+        total(dpre, axis=0, out=grads[p + "ff1.b"])
+        dh = dh + _layer_norm_back(dpre @ weights[p + "ff1.w"].T,
+                                   weights[p + "ln2.gain"], ln2,
+                                   grads[p + "ln2.gain"],
+                                   grads[p + "ln2.bias"])
         # attention block
-        dh2 = dh.reshape(n * T, d)
-        grads[p + "attn.wo"] = heads.reshape(n * T, d).T @ dh2
-        dheads = (dh2 @ weights[p + "attn.wo"].T).reshape(
+        mm(heads.T, dh, out=grads[p + "attn.wo"])
+        dheads = (dh @ weights[p + "attn.wo"].T).reshape(
             n, T, H, dk).transpose(0, 2, 1, 3)
-        dprobs = dheads @ np.swapaxes(v, -1, -2)
+        dprobs = dheads @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
         dv = np.swapaxes(probs, -1, -2) @ dheads
-        dscores = probs * (dprobs - _row_sum(dprobs * probs)) * scale
+        rows = probs.reshape(-1, T)
+        dscores = (rows * (dprobs.reshape(-1, T)
+                           - _row_sum(dprobs.reshape(-1, T) * rows))
+                   * scale).reshape(probs.shape)
         dqkv = np.empty((n, T, 3, H, dk))
         by_head = dqkv.transpose(2, 0, 3, 1, 4)
         by_head[0] = dscores @ k
         by_head[1] = np.swapaxes(dscores, -1, -2) @ q
         by_head[2] = dv
         dqkv = dqkv.reshape(n * T, 3 * d)
-        dwqkv = normed1.reshape(n * T, d).T @ dqkv
-        for s, w in enumerate(("wq", "wk", "wv")):
-            for j in range(H):
-                lo = s * d + j * dk
-                grads[f"{p}head{j}.{w}"] = dwqkv[:, lo:lo + dk]
-        dx, grads[p + "ln1.gain"], grads[p + "ln1.bias"] = _layer_norm_back(
-            (dqkv @ wqkv.T).reshape(n, T, d), weights[p + "ln1.gain"], ln1)
-        dh = dh + dx
+        mm(normed1.T, dqkv, out=grads.qkv[i])
+        dh = dh + _layer_norm_back(dqkv @ wqkv.T, weights[p + "ln1.gain"],
+                                   ln1, grads[p + "ln1.gain"],
+                                   grads[p + "ln1.bias"])
 
-    dh2 = dh.reshape(n * T, d)
-    grads["embed.w"] = x.reshape(n * T, F).T @ dh2
-    grads["embed.b"] = dh2.sum(axis=0)
+    mm(x.reshape(n * T, F).T, dh, out=grads["embed.w"])
+    total(dh, axis=0, out=grads["embed.b"])
     return grads
 
 
@@ -386,6 +468,7 @@ def forward_batch(x: np.ndarray, weights: Mapping[str, np.ndarray],
     span more than one block.
     """
     x = np.asarray(x, dtype=float)
+    weights = _pack(weights, config)
     windows = x.reshape((-1,) + x.shape[-2:])
     out = np.empty(len(windows))
     for lo in range(0, len(windows), _BLOCK):
@@ -405,8 +488,9 @@ def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
-             x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact batch-MSE gradient with respect to every weight array."""
+             x: np.ndarray, y: np.ndarray) -> tuple[float, Weights]:
+    """Exact batch-MSE gradient with respect to every weight array, as
+    views into a new vector of the one-vector layout."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 3 or x.shape[0] != y.shape[0]:
@@ -414,15 +498,14 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
             f"expected (n, T, F) and (n,), got {x.shape}, {y.shape}")
     if len(y) == 0:
         raise InputError("empty batch")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InputError("batch contains non-finite values")
+    weights = _pack(weights, config)
     pred, cache = _forward(weights, config, x)
     err = pred - y
     grads = _backward(weights, config, x, cache, (2.0 / len(y)) * err)
-    grads = {name: grads[name] for name in weights}
     # one pass over every entry; the per-array scan only names the culprit
-    if not np.isfinite(np.concatenate([g.ravel() for g in grads.values()])
-                       ).all():
+    if not np.isfinite(grads.vector).all():
         bad = next(name for name, g in grads.items()
                    if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient for {bad!r}")
@@ -501,34 +584,39 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
     yn = (dataset.y - t_mean) / t_std
 
     weights = init_weights(model_config, train_config.seed)
+    layout = _layout(model_config)
+    theta = weights.vector
     rng = np.random.default_rng(train_config.seed)
     n = len(dataset)
     lr = train_config.learning_rate
-    adam_m = {k: np.zeros_like(v) for k, v in weights.items()} \
-        if train_config.optimizer == "adam" else None
-    adam_v = {k: np.zeros_like(v) for k, v in weights.items()} \
-        if train_config.optimizer == "adam" else None
+    adam = train_config.optimizer == "adam"
+    if adam:
+        adam_m, adam_v = np.zeros(layout.size), np.zeros(layout.size)
     adam_t = 0
 
     history: list[float] = []
     best = math.inf
     stale = 0
     for _epoch in range(train_config.max_epochs):
-        order = rng.permutation(n) if train_config.shuffle else np.arange(n)
+        order = rng.permutation(n) if train_config.shuffle else None
         for lo in range(0, n, train_config.batch_size):
-            batch = order[lo:lo + train_config.batch_size]
+            hi = lo + train_config.batch_size
+            batch = slice(lo, hi) if order is None else order[lo:hi]
             _, grads = gradient(weights, model_config, Xn[batch], yn[batch])
-            if train_config.optimizer == "adam":
+            g = grads.vector
+            if adam:
                 adam_t += 1
-                for k in weights:
-                    adam_m[k] = 0.9 * adam_m[k] + 0.1 * grads[k]
-                    adam_v[k] = 0.999 * adam_v[k] + 0.001 * grads[k] ** 2
-                    m_hat = adam_m[k] / (1 - 0.9 ** adam_t)
-                    v_hat = adam_v[k] / (1 - 0.999 ** adam_t)
-                    weights[k] = weights[k] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+                adam_m *= 0.9
+                adam_m += 0.1 * g
+                adam_v *= 0.999
+                adam_v += 0.001 * g ** 2
+                m_hat = adam_m / (1 - 0.9 ** adam_t)
+                v_hat = adam_v / (1 - 0.999 ** adam_t)
+                theta = theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
             else:
-                for k in weights:
-                    weights[k] = weights[k] - lr * grads[k]
+                theta = theta - lr * g
+            # a new vector each step: the weights a step saw stay as they were
+            weights = layout.views(theta)
         epoch_loss = loss_mse(forward_batch(Xn, weights, model_config), yn)
         if not math.isfinite(epoch_loss):
             raise NumericalError(
@@ -633,4 +721,5 @@ def load_model(path: str) -> TransformerModel:
     if not (model.feature_std > 0).all() or not model.target_std > 0:
         raise InputError(f"{path}: feature_std and target_std must be "
                          "positive")
+    model.weights = _pack(model.weights, config)
     return model
