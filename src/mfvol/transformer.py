@@ -509,7 +509,7 @@ def gradient(weights: Mapping[str, np.ndarray], config: ModelConfig,
         bad = next(name for name, g in grads.items()
                    if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient for {bad!r}")
-    return float(np.mean(err ** 2.0)), grads
+    return float(err @ err) / len(y), grads
 
 
 # ----------------------------------------------------------------------
