@@ -476,9 +476,11 @@ def cmd_train(o: argparse.Namespace) -> int:
         n_layers=o.layers, d_ff=o.d_ff)
     model, history = tfm.train(train_ds, model_config, train_config)
 
-    tfm.save_model(model, o.out_model)
-    tables.write(o.out_history, ["epoch", "loss"],
-                 [range(1, len(history) + 1), history])
+    with tables.all_or_none(o.out_model, o.out_history) as (model_tmp,
+                                                           history_tmp):
+        tfm.save_model(model, model_tmp)
+        tables.write(history_tmp, ["epoch", "loss"],
+                     [range(1, len(history) + 1), history])
 
     print(f"trained on {len(train_ds)} samples, features "
           f"{','.join(o.features)}")
@@ -625,7 +627,10 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return COMMANDS[args.command](resolve(args.command, args))
+        # every stage reports the non-finite values it meets with its own
+        # one-line error, so numpy's floating-point warnings stay silent
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](resolve(args.command, args))
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

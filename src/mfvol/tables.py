@@ -30,11 +30,15 @@ source of every cell error. :func:`write` formats every cell through
 ``str``, for a float its shortest round-trip ``repr``, so every float
 it writes reads back bit for bit. It refuses a non-finite float and a
 cell that would need quotes, so every numeric table it writes is clean.
+A stage that writes several files writes them through
+:func:`all_or_none`, so that either all of them appear or none does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import errno
 import functools
 import math
 import os
@@ -339,3 +343,35 @@ def write(path: str, header: Sequence[str], columns: Sequence) -> None:
     lines = [",".join(header), *map(",".join, zip(*text, strict=True))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def all_or_none(*paths: str):
+    """Temporary paths for a block to write ``paths`` through, one in
+    each target's directory.
+
+    When the block returns, each temporary is renamed onto its path;
+    when it, or a rename, fails, every temporary left is removed. So a
+    stage that fails leaves no new output file, and a file an earlier
+    run wrote keeps its bytes.
+    """
+    for path in paths:
+        if os.path.isdir(path):      # a rename onto it would fail late
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+    temps = [os.path.join(os.path.dirname(path), f".{os.path.basename(path)}"
+                          f".{os.getpid()}-{k}.tmp")
+             for k, path in enumerate(paths)]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename in temps:
+            # the message names the file asked for, not its temporary
+            raise OSError(exc.errno, exc.strerror,
+                          paths[temps.index(exc.filename)]) from None
+        raise

@@ -499,7 +499,6 @@ class TestExitCodes:
                     "--out-model", str(tmp_path / "m.json"),
                     "--out-history", str(tmp_path / "h.csv")]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_divergence(self, pipeline, tmp_path):
         assert run(["train", "--factors", str(pipeline / "factors.csv"),
                     "--features", "tech1,tech2,tech3",
@@ -769,7 +768,6 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_refuses_a_feature_it_cannot_scale(self, pipeline,
                                                      tmp_path, capsys):
         # the spread of +-1e300 overflows, and a model with an infinite
@@ -793,7 +791,6 @@ class TestExitCodes:
                        "standard deviation\n")
         assert not model.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_simulate_refuses_to_write_an_overflowing_table(self, tmp_path,
                                                            capsys):
         # daily indicators of prices near the float limit overflow, and
@@ -805,6 +802,43 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {out / 'daily.csv'}: a ")
         assert err.endswith(" cell is not a finite number\n")
         assert not (out / "daily.csv").exists()
+
+    @pytest.mark.parametrize("argv, first", [
+        (["train", "--features", "tech1,tech2,tech3", "--lr", "80",
+          "--epochs", "30"], "numerical error: non-finite gradient for "),
+        (["simulate", "--start-price", "1e306"], "error: cannot write "),
+    ], ids=["train-lr-80", "simulate-start-price-1e306"])
+    def test_a_failure_prints_one_line(self, pipeline, tmp_path, argv,
+                                       first):
+        # numpy's overflow warnings, with paths into the package, used to
+        # come before the error line
+        if argv[0] == "train":
+            argv = argv + ["--factors", str(pipeline / "factors.csv"),
+                           "--out-model", str(tmp_path / "m.json"),
+                           "--out-history", str(tmp_path / "h.csv")]
+        else:
+            argv = argv + ["--out", str(tmp_path / "scen")]
+        proc = subprocess.run([sys.executable, "-m", "mfvol", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode in (2, 3)
+        assert proc.stderr.startswith(first), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_failed_train_leaves_no_output(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "out" / "weights.json"
+        history = tmp_path / "missing" / "loss_history.csv"
+        model.parent.mkdir()
+        argv = ["train", "--factors", str(pipeline / "factors.csv"),
+                "--features", "tech1,tech2,tech3", "--epochs", "1",
+                "--out-model", str(model), "--out-history", str(history)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{history}'\n")
+        assert list(model.parent.iterdir()) == []     # nor a temporary
+        model.write_bytes(b"an earlier run's model\n")
+        assert run(argv) == 2
+        assert model.read_bytes() == b"an earlier run's model\n"
+        assert list(model.parent.iterdir()) == [model]
 
     def test_help_via_module_entry(self):
         proc = subprocess.run([sys.executable, "-m", "mfvol", "--help"],

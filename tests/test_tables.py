@@ -292,3 +292,38 @@ def test_exit_codes_are_the_whole_error_taxonomy():
     builtin = {name for name in raised if isinstance(
         getattr(builtins, name, None), type)}
     assert raised - builtin <= set(derived)
+
+
+def test_all_or_none_writes_every_file_or_none(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.json"
+    b.write_text("an earlier run's b\n")
+    with pytest.raises(RuntimeError, match="a late failure"):
+        with tables.all_or_none(str(a), str(b)) as (temp_a, temp_b):
+            pathlib.Path(temp_a).write_text("new a\n")
+            pathlib.Path(temp_b).write_text("new b\n")
+            raise RuntimeError("a late failure")
+    assert [p.name for p in tmp_path.iterdir()] == ["b.json"]
+    assert b.read_text() == "an earlier run's b\n"
+
+    with tables.all_or_none(str(a), str(b)) as (temp_a, temp_b):
+        pathlib.Path(temp_a).write_text("new a\n")
+        pathlib.Path(temp_b).write_text("new b\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+    assert (a.read_text(), b.read_text()) == ("new a\n", "new b\n")
+
+
+def test_all_or_none_names_the_target_of_a_failed_write(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "missing" / "bad.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        with tables.all_or_none(str(good), str(bad)) as temps:
+            for temp in temps:
+                tables.write(temp, ["x"], [[1.0]])
+    assert info.value.filename == str(bad)
+    assert list(tmp_path.iterdir()) == []
+    # a directory in a target's place fails before anything is written
+    bad.parent.mkdir()
+    bad.mkdir()
+    with pytest.raises(IsADirectoryError):
+        with tables.all_or_none(str(good), str(bad)):
+            raise AssertionError("the block must not run")
+    assert [p.name for p in tmp_path.iterdir()] == ["missing"]
