@@ -45,13 +45,17 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError
+
+log = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
 # windows per full-set forward call of _forward: a multiple of the
@@ -134,7 +138,7 @@ class WindowedDataset:
 @dataclass
 class TransformerModel:
     config: ModelConfig
-    weights: dict[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]
     feature_names: list[str]
     feature_mean: np.ndarray
     feature_std: np.ndarray
@@ -177,24 +181,48 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class Weights(dict):
+class Weights:
     """Every weight array of one model, as views into one float64 vector.
 
-    The keys and shapes are those of :func:`weight_shapes`. Each
+    It reads like a dict with the keys, order and shapes of
+    :func:`weight_shapes` (``w[name]``, ``len``, iteration, ``keys``,
+    ``values``, ``items``; ``dict(w)`` is a plain dict of the views),
+    but no key can be added or removed, and assigning to a key writes
+    into the vector, so the views and the vector always agree. Each
     layer's per-head W_q, W_k and W_v are column views of one (d, 3d)
     block, ``qkv[layer]``: every head's W_q, then every W_k, then every
-    W_v. Assigning to a key writes into the vector, so the views and
-    the vector always agree; a copy (``copy``, ``pickle``) is a plain
-    dict.
+    W_v.
     """
 
-    __slots__ = ("vector", "qkv")
+    __slots__ = ("arrays", "vector", "qkv")
+
+    def __init__(self, arrays: dict[str, np.ndarray], vector: np.ndarray,
+                 qkv: list[np.ndarray]):
+        self.arrays, self.vector, self.qkv = arrays, vector, qkv
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
 
     def __setitem__(self, name: str, value) -> None:
-        self[name][...] = value
+        self.arrays[name][...] = value
 
-    def __reduce__(self):
-        return dict, (dict(self),)
+    def __contains__(self, name) -> bool:
+        return name in self.arrays
+
+    def __iter__(self):
+        return iter(self.arrays)
+
+    def __len__(self) -> int:
+        return len(self.arrays)
+
+    def keys(self):
+        return self.arrays.keys()
+
+    def values(self):
+        return self.arrays.values()
+
+    def items(self):
+        return self.arrays.items()
 
 
 class _Layout:
@@ -235,12 +263,10 @@ class _Layout:
                 values += [heads[k] for k in self.head_order]
             else:
                 values.append(view)
-        weights = Weights(zip(self.names, values))
-        weights.vector, weights.qkv = vector, qkv
-        return weights
+        return Weights(dict(zip(self.names, values)), vector, qkv)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _layout(config: ModelConfig) -> _Layout:
     return _Layout(config)
 
@@ -276,7 +302,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> Weights:
 # Forward pass
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _ones(n: int) -> np.ndarray:
     ones = np.ones(n)
     ones.flags.writeable = False
@@ -352,27 +378,25 @@ def _forward(weights: Weights, config: ModelConfig, x: np.ndarray):
     matrices, one row per window and day.
     """
     n, T, F = x.shape
-    h = x.reshape(n * T, F) @ weights["embed.w"] + weights["embed.b"]
+    w = weights.arrays          # a plain dict reads faster in this loop
+    h = x.reshape(n * T, F) @ w["embed.w"] + w["embed.b"]
     layers = []
     for i, wqkv in enumerate(weights.qkv):
         p = f"layer{i}."
-        normed1, ln1 = _layer_norm(h, weights[p + "ln1.gain"],
-                                   weights[p + "ln1.bias"])
+        normed1, ln1 = _layer_norm(h, w[p + "ln1.gain"], w[p + "ln1.bias"])
         heads, attn = _self_attention(normed1, wqkv, n, config.n_heads)
-        h = h + heads @ weights[p + "attn.wo"]
-        normed2, ln2 = _layer_norm(h, weights[p + "ln2.gain"],
-                                   weights[p + "ln2.bias"])
-        pre = normed2 @ weights[p + "ff1.w"] + weights[p + "ff1.b"]
+        h = h + heads @ w[p + "attn.wo"]
+        normed2, ln2 = _layer_norm(h, w[p + "ln2.gain"], w[p + "ln2.bias"])
+        pre = normed2 @ w[p + "ff1.w"] + w[p + "ff1.b"]
         ff, e_ff = _softplus(pre)
-        h = h + (ff @ weights[p + "ff2.w"] + weights[p + "ff2.b"])
+        h = h + (ff @ w[p + "ff2.w"] + w[p + "ff2.b"])
         layers.append((normed1, ln1, wqkv, heads, attn, normed2, ln2, pre,
                        ff, e_ff))
-    h, ln_final = _layer_norm(h, weights["final_ln.gain"],
-                              weights["final_ln.bias"])
+    h, ln_final = _layer_norm(h, w["final_ln.gain"], w["final_ln.bias"])
     pooled = h.reshape(n, T, -1).sum(axis=1) / T
-    pre_head = pooled @ weights["mlp1.w"] + weights["mlp1.b"]
+    pre_head = pooled @ w["mlp1.w"] + w["mlp1.b"]
     hidden, e_head = _softplus(pre_head)
-    out = hidden @ weights["mlp2.w"] + weights["mlp2.b"]
+    out = hidden @ w["mlp2.w"] + w["mlp2.b"]
     return out[:, 0], (layers, ln_final, pooled, pre_head, hidden, e_head)
 
 
@@ -402,17 +426,18 @@ def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
     n, T, F = x.shape
     d, H, dk = config.d_model, config.n_heads, config.d_head
     grads = _layout(config).empty()
+    w, g = weights.arrays, grads.arrays
     mm, total = np.matmul, np.add.reduce
 
-    mm(hidden.T, dout[:, None], out=grads["mlp2.w"])
-    total(dout, keepdims=True, out=grads["mlp2.b"])
-    dpre = dout[:, None] * weights["mlp2.w"][:, 0] \
+    mm(hidden.T, dout[:, None], out=g["mlp2.w"])
+    total(dout, keepdims=True, out=g["mlp2.b"])
+    dpre = dout[:, None] * w["mlp2.w"][:, 0] \
         * _softplus_slope(pre_head, e_head)
-    mm(pooled.T, dpre, out=grads["mlp1.w"])
-    total(dpre, axis=0, out=grads["mlp1.b"])
-    dpooled = np.repeat((dpre @ weights["mlp1.w"].T) / T, T, axis=0)
-    dh = _layer_norm_back(dpooled, weights["final_ln.gain"], ln_final,
-                          grads["final_ln.gain"], grads["final_ln.bias"])
+    mm(pooled.T, dpre, out=g["mlp1.w"])
+    total(dpre, axis=0, out=g["mlp1.b"])
+    dpooled = np.repeat((dpre @ w["mlp1.w"].T) / T, T, axis=0)
+    dh = _layer_norm_back(dpooled, w["final_ln.gain"], ln_final,
+                          g["final_ln.gain"], g["final_ln.bias"])
 
     scale = 1.0 / math.sqrt(dk)
     for i in reversed(range(config.n_layers)):
@@ -420,24 +445,21 @@ def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
         (normed1, ln1, wqkv, heads, (q, k, v, probs), normed2, ln2, pre,
          ff, e_ff) = layers[i]
         # feed-forward block
-        mm(ff.T, dh, out=grads[p + "ff2.w"])
-        total(dh, axis=0, out=grads[p + "ff2.b"])
-        dpre = (dh @ weights[p + "ff2.w"].T) * _softplus_slope(pre, e_ff)
-        mm(normed2.T, dpre, out=grads[p + "ff1.w"])
-        total(dpre, axis=0, out=grads[p + "ff1.b"])
-        dh = dh + _layer_norm_back(dpre @ weights[p + "ff1.w"].T,
-                                   weights[p + "ln2.gain"], ln2,
-                                   grads[p + "ln2.gain"],
-                                   grads[p + "ln2.bias"])
+        mm(ff.T, dh, out=g[p + "ff2.w"])
+        total(dh, axis=0, out=g[p + "ff2.b"])
+        dpre = (dh @ w[p + "ff2.w"].T) * _softplus_slope(pre, e_ff)
+        mm(normed2.T, dpre, out=g[p + "ff1.w"])
+        total(dpre, axis=0, out=g[p + "ff1.b"])
+        dh = dh + _layer_norm_back(dpre @ w[p + "ff1.w"].T, w[p + "ln2.gain"],
+                                   ln2, g[p + "ln2.gain"], g[p + "ln2.bias"])
         # attention block
-        mm(heads.T, dh, out=grads[p + "attn.wo"])
-        dheads = (dh @ weights[p + "attn.wo"].T).reshape(
+        mm(heads.T, dh, out=g[p + "attn.wo"])
+        dheads = (dh @ w[p + "attn.wo"].T).reshape(
             n, T, H, dk).transpose(0, 2, 1, 3)
         dprobs = dheads @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
         dv = np.swapaxes(probs, -1, -2) @ dheads
-        rows = probs.reshape(-1, T)
-        dscores = (rows * (dprobs.reshape(-1, T)
-                           - _row_sum(dprobs.reshape(-1, T) * rows))
+        rows, drows = probs.reshape(-1, T), dprobs.reshape(-1, T)
+        dscores = (rows * (drows - _row_sum(drows * rows))
                    * scale).reshape(probs.shape)
         dqkv = np.empty((n, T, 3, H, dk))
         by_head = dqkv.transpose(2, 0, 3, 1, 4)
@@ -446,12 +468,11 @@ def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
         by_head[2] = dv
         dqkv = dqkv.reshape(n * T, 3 * d)
         mm(normed1.T, dqkv, out=grads.qkv[i])
-        dh = dh + _layer_norm_back(dqkv @ wqkv.T, weights[p + "ln1.gain"],
-                                   ln1, grads[p + "ln1.gain"],
-                                   grads[p + "ln1.bias"])
+        dh = dh + _layer_norm_back(dqkv @ wqkv.T, w[p + "ln1.gain"], ln1,
+                                   g[p + "ln1.gain"], g[p + "ln1.bias"])
 
-    mm(x.reshape(n * T, F).T, dh, out=grads["embed.w"])
-    total(dh, axis=0, out=grads["embed.b"])
+    mm(x.reshape(n * T, F).T, dh, out=g["embed.w"])
+    total(dh, axis=0, out=g["embed.b"])
     return grads
 
 
@@ -564,9 +585,12 @@ def _keep_freed_heap() -> None:
     import ctypes
 
     try:
-        ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        pass
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
@@ -622,7 +646,10 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
     history: list[float] = []
     best = math.inf
     stale = 0
-    for _epoch in range(train_config.max_epochs):
+    verbose = log.isEnabledFor(logging.INFO)
+    for epoch in range(train_config.max_epochs):
+        if verbose:
+            began = time.perf_counter()
         order = rng.permutation(n) if train_config.shuffle else None
         for lo in range(0, n, train_config.batch_size):
             hi = lo + train_config.batch_size
@@ -645,8 +672,12 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
         epoch_loss = loss_mse(forward_batch(Xn, weights, model_config), yn)
         if not math.isfinite(epoch_loss):
             raise NumericalError(
-                f"training loss became {epoch_loss} in epoch {_epoch}")
+                f"training loss became {epoch_loss} in epoch {epoch}")
         history.append(epoch_loss)
+        if verbose:
+            log.info("epoch %d: loss %.6f, last step's gradient norm %.4g, "
+                     "%.3f s", epoch + 1, epoch_loss, math.sqrt(g @ g),
+                     time.perf_counter() - began)
         if train_config.patience is not None:
             if epoch_loss < best - 1e-12:
                 best = epoch_loss

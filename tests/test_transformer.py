@@ -1,5 +1,7 @@
 import itertools
+import logging
 import math
+import re
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -244,6 +246,21 @@ class TestGradient:
             tf.gradient(weights, TINY, np.empty((0, 3, TINY.n_features)),
                         np.empty(0))
 
+    def test_leaves_its_inputs_and_earlier_results_alone(self):
+        weights = tf.init_weights(TINY, seed=6)
+        plain = {name: w.copy() for name, w in weights.items()}
+        X = RNG.standard_normal((2, 5, 3, TINY.n_features))
+        y = RNG.standard_normal((2, 5))
+        before = weights.vector.copy()
+        _, first = tf.gradient(weights, TINY, X[0], y[0])
+        kept = {name: g.copy() for name, g in first.items()}
+        _, second = tf.gradient(plain, TINY, X[1], y[1])
+        assert weights.vector.tobytes() == before.tobytes()
+        for name, g in first.items():
+            assert g.tobytes() == kept[name].tobytes(), name
+            assert plain[name].tobytes() == weights[name].tobytes(), name
+        assert not np.shares_memory(first.vector, second.vector)
+
     def test_every_weight_receives_gradient(self):
         weights = tf.init_weights(TINY, seed=6)
         X = RNG.standard_normal((8, 3, TINY.n_features))
@@ -364,6 +381,72 @@ class TestTraining:
         model, _ = tf.train(ds, model_config=TINY, train_config=cfg)
         assert tf.predict(model, ds).tobytes() \
             == tf.predict(model, ds).tobytes()
+
+
+def train_key_by_key(ds, model_config, cfg):
+    """:func:`tf.train` as a plain loop over a dict of separate arrays:
+    one ``tf.gradient`` call per batch and each update applied key by
+    key, as the optimizers were written before the flat vector."""
+    flat = ds.X.reshape(-1, ds.X.shape[2])
+    Xn = (ds.X - flat.mean(axis=0)) / flat.std(axis=0)
+    yn = (ds.y - float(ds.y.mean())) / float(ds.y.std())
+    weights = {name: w.copy()
+               for name, w in tf.init_weights(model_config, cfg.seed).items()}
+    m = {name: np.zeros_like(w) for name, w in weights.items()}
+    v = {name: np.zeros_like(w) for name, w in weights.items()}
+    rng = np.random.default_rng(cfg.seed)
+    lr, t, history = cfg.learning_rate, 0, []
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(len(ds)) if cfg.shuffle else np.arange(len(ds))
+        for lo in range(0, len(ds), cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            _, grads = tf.gradient(weights, model_config, Xn[batch],
+                                   yn[batch])
+            t += 1
+            for k in weights:
+                if cfg.optimizer == "adam":
+                    m[k] = 0.9 * m[k] + 0.1 * grads[k]
+                    v[k] = 0.999 * v[k] + 0.001 * grads[k] ** 2
+                    m_hat = m[k] / (1 - 0.9 ** t)
+                    v_hat = v[k] / (1 - 0.999 ** t)
+                    weights[k] = weights[k] - lr * m_hat / (np.sqrt(v_hat)
+                                                            + 1e-8)
+                else:
+                    weights[k] = weights[k] - lr * grads[k]
+        history.append(tf.loss_mse(tf.forward_batch(Xn, weights,
+                                                    model_config), yn))
+    return weights, history
+
+
+class TestOptimizers:
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_vector_steps_equal_the_key_by_key_loop(self, optimizer, shuffle):
+        ds = toy_dataset(n=45)             # batches of 16, 16 and 13
+        cfg = TrainConfig(learning_rate=0.02, max_epochs=4, batch_size=16,
+                          shuffle=shuffle, seed=2, optimizer=optimizer)
+        model, history = tf.train(ds, model_config=TINY, train_config=cfg)
+        weights, want = train_key_by_key(ds, TINY, cfg)
+        assert history == want
+        assert list(model.weights) == list(weights)
+        for name, w in weights.items():
+            assert model.weights[name].tobytes() == w.tobytes(), name
+
+    def test_verbose_logs_one_line_per_epoch(self, caplog):
+        ds = toy_dataset(n=20)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3)
+        with caplog.at_level(logging.WARNING, logger="mfvol"):
+            _, quiet = tf.train(ds, model_config=TINY, train_config=cfg)
+        assert caplog.records == []
+        with caplog.at_level(logging.INFO, logger="mfvol"):
+            _, history = tf.train(ds, model_config=TINY, train_config=cfg)
+        assert history == quiet
+        lines = [r.getMessage() for r in caplog.records]
+        assert [r.name for r in caplog.records] == ["mfvol.transformer"] * 3
+        for epoch, (line, loss) in enumerate(zip(lines, history), start=1):
+            assert re.fullmatch(
+                rf"epoch {epoch}: loss {loss:.6f}, last step's gradient "
+                r"norm [0-9.e+-]+, [0-9.]+ s", line), line
 
 
 class TestPersistence:
