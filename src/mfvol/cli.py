@@ -22,12 +22,17 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import evaluation, features, marketdata, realized_vol, tables
-from . import transformer as tfm
 from .errors import InputError, MalformedRow, NumericalError
+
+if TYPE_CHECKING:
+    # the functions that train or run the encoder import it themselves,
+    # so rv, pca and midas-fit do not load it
+    from . import transformer as tfm
 
 log = logging.getLogger("mfvol")
 
@@ -283,6 +288,8 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
     predate the target, so test samples may reach back into training
     rows without leaking anything forward.
     """
+    from . import transformer as tfm
+
     missing = [f for f in feature_names if f not in table.columns]
     if missing:
         raise InputError(
@@ -297,6 +304,8 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
 def samples(dataset: tfm.WindowedDataset, part: slice
             ) -> tfm.WindowedDataset:
     """The samples that ``part`` slices out, in order."""
+    from . import transformer as tfm
+
     return tfm.WindowedDataset(X=dataset.X[part], y=dataset.y[part],
                                dates=dataset.dates[part],
                                feature_names=dataset.feature_names)
@@ -304,6 +313,8 @@ def samples(dataset: tfm.WindowedDataset, part: slice
 
 def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
     """The training options that ``train`` and ``ablate`` share."""
+    from . import transformer as tfm
+
     return tfm.TrainConfig(
         window=o.window, learning_rate=o.lr, batch_size=o.batch,
         max_epochs=o.epochs, seed=o.seed, shuffle=o.shuffle,
@@ -465,6 +476,8 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
 
 def cmd_train(o: argparse.Namespace) -> int:
     """fit the attention regressor on stamped factors"""
+    from . import transformer as tfm
+
     train_config = _train_config(o)
     dataset, n_fit = _load_windows(o, o.features, train_config.window)
     train_ds = samples(dataset, slice(n_fit))
@@ -492,6 +505,8 @@ def cmd_train(o: argparse.Namespace) -> int:
 
 def cmd_predict(o: argparse.Namespace) -> int:
     """forecasts from a trained model"""
+    from . import transformer as tfm
+
     model = tfm.load_model(o.model)
     dataset, n_fit = _load_windows(o, tuple(model.feature_names),
                                    model.train_config.window)
@@ -536,6 +551,8 @@ def cmd_evaluate(o: argparse.Namespace) -> int:
 
 def cmd_ablate(o: argparse.Namespace) -> int:
     """train and score the feature-group ladder"""
+    from . import transformer as tfm
+
     table = read_factors(o.factors)
     table_h = join_h(table, o.h_file)
     # every name is resolved before the first group trains

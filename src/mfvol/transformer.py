@@ -185,10 +185,10 @@ class Weights:
     """Every weight array of one model, as views into one float64 vector.
 
     It reads like a dict with the keys, order and shapes of
-    :func:`weight_shapes` (``w[name]``, ``len``, iteration, ``keys``,
-    ``values``, ``items``; ``dict(w)`` is a plain dict of the views),
-    but no key can be added or removed, and assigning to a key writes
-    into the vector, so the views and the vector always agree. Each
+    :func:`weight_shapes` (``w[name]``, ``in``, ``len``, iteration,
+    ``keys``, ``items``; ``dict(w)`` is a plain dict of the views), but
+    no key can be added or removed, and assigning to a key writes into
+    the vector, so the views and the vector always agree. Each
     layer's per-head W_q, W_k and W_v are column views of one (d, 3d)
     block, ``qkv[layer]``: every head's W_q, then every W_k, then every
     W_v.
@@ -217,9 +217,6 @@ class Weights:
 
     def keys(self):
         return self.arrays.keys()
-
-    def values(self):
-        return self.arrays.values()
 
     def items(self):
         return self.arrays.items()
