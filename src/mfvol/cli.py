@@ -194,6 +194,9 @@ def resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
     values = {}
     for name, (kind, default) in table.items():
         text = getattr(args, name)
+        if text == []:
+            # argparse drops the "--" of "--out=--" and hands on a list
+            text = "--"
         if text is None:
             text = config.get(name, default)
         if text is REQUIRED:

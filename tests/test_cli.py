@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfvol import cli, evaluation
@@ -293,6 +293,7 @@ def resolve_with(cfg_dir, command, name, text, by_flag):
 
 
 @settings(max_examples=300, deadline=None)
+@example(case=("simulate", "out"), text="--")
 @given(case=st.sampled_from([(c, n) for c, table in cli.OPTIONS.items()
                              for n in table]),
        text=st.one_of(st.text(), st.sampled_from(
