@@ -30,8 +30,8 @@ source of every cell error. :func:`write` formats every cell through
 ``str``, for a float its shortest round-trip ``repr``, so every float
 it writes reads back bit for bit. It refuses a non-finite float and a
 cell that would need quotes, so every numeric table it writes is clean.
-A stage that writes several files writes them through
-:func:`all_or_none`, so that either all of them appear or none does.
+:func:`all_or_none` lets a stage write several files so that either
+all of them appear or none does.
 """
 
 from __future__ import annotations
