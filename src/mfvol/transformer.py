@@ -576,7 +576,7 @@ def _keep_freed_heap() -> None:
     full-set forward each allocate and free hundreds of KB of
     temporaries, so the next one faulted those pages back in one by
     one: about 81,000 minor page faults in a quick-start ``ablate`` of
-    four groups for 10 epochs, and about 5,800 with this threshold.
+    four groups for 10 epochs, and about 5,900 with this threshold.
     Where there is no ``mallopt`` this does nothing.
     """
     import ctypes
