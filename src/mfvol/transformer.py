@@ -301,6 +301,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> Weights:
 
 @functools.lru_cache(maxsize=16)
 def _ones(n: int) -> np.ndarray:
+    """One read-only vector of n ones, shared by every row sum."""
     ones = np.ones(n)
     ones.flags.writeable = False
     return ones
@@ -350,6 +351,8 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """softmax(Q K^T / sqrt(d_k)) V over the last two axes, and the
     softmax weights."""
+    # numpy's stacked matmul is about twice as slow on a transposed view
+    # as on a contiguous copy, and gives the same bits
     kt = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     probs = _softmax((q @ kt) * (1.0 / math.sqrt(q.shape[-1])))
     return probs @ v, probs
@@ -453,6 +456,7 @@ def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
         mm(heads.T, dh, out=g[p + "attn.wo"])
         dheads = (dh @ w[p + "attn.wo"].T).reshape(
             n, T, H, dk).transpose(0, 2, 1, 3)
+        # a contiguous V^T, as for K^T in _attend
         dprobs = dheads @ np.ascontiguousarray(np.swapaxes(v, -1, -2))
         dv = np.swapaxes(probs, -1, -2) @ dheads
         rows, drows = probs.reshape(-1, T), dprobs.reshape(-1, T)
