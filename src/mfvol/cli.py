@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -364,7 +363,8 @@ def cmd_rv(o: argparse.Namespace) -> int:
     """realized variance from 5-minute bars"""
     series = marketdata.load_intraday(o.intraday)
     rv = realized_vol.compute_rv_series(series)
-    realized_vol.write_rv(rv, o.out_csv, o.out_sidecar)
+    with tables.all_or_none(o.out_csv, o.out_sidecar) as temps:
+        realized_vol.write_rv(rv, *temps)
     print(f"{rv.n_days} days, lambda = {rv.lam:.6f}")
     print(f"  wrote {o.out_csv}")
     print(f"  wrote {o.out_sidecar}")
@@ -390,7 +390,6 @@ def cmd_pca(o: argparse.Namespace) -> int:
         raise InputError(
             f"ratio {o.ratio} leaves {n_train} training rows out of "
             f"{panel.n_rows}; nothing to fit or nothing to test")
-    os.makedirs(o.out_dir, exist_ok=True)
 
     member_cols = [c for spec in features.DEFAULT_GROUPS
                    for c in spec.columns]
@@ -406,28 +405,27 @@ def cmd_pca(o: argparse.Namespace) -> int:
         columns={c: factor_panel.columns[c]
                  for c in ["ret", "rv"] + factor_names},
     )
-    factors_path = os.path.join(o.out_dir, "factors.csv")
-    write_factors(table, factors_path)
-
-    stats_path = os.path.join(o.out_dir, "norm_stats.json")
-    with open(stats_path, "w") as fh:
-        json.dump({
+    paths = [os.path.join(o.out_dir, name) for name in
+             ["factors.csv", "norm_stats.json",
+              *(f"pca_{spec.name}.json" for spec in features.DEFAULT_GROUPS)]]
+    with tables.all_or_none(*paths, make_dirs=True) as temps:
+        write_factors(table, temps[0])
+        tables.write_json(temps[1], {
             "ratio": o.ratio,
             "n_train": n_train,
             "boundary_date": panel.dates[n_train - 1],
             "stats": {k: list(v) for k, v in stats.items()},
-        }, fh, indent=1)
-        fh.write("\n")
+        }, indent=1)
+        for spec, temp in zip(features.DEFAULT_GROUPS, temps[2:]):
+            features.save_model(models[spec.name], temp)
 
     print(f"{panel.n_rows} rows, {n_train} train / "
           f"{panel.n_rows - n_train} test")
-    print(f"  wrote {factors_path}")
-    print(f"  wrote {stats_path}")
-    for spec in features.DEFAULT_GROUPS:
-        model = models[spec.name]
-        path = os.path.join(o.out_dir, f"pca_{spec.name}.json")
-        features.save_model(model, path)
-        shares = ", ".join(f"{c:.1%}" for c in model.contributions)
+    print(f"  wrote {paths[0]}")
+    print(f"  wrote {paths[1]}")
+    for spec, path in zip(features.DEFAULT_GROUPS, paths[2:]):
+        shares = ", ".join(f"{c:.1%}"
+                           for c in models[spec.name].contributions)
         print(f"  wrote {path} (variance shares: {shares})")
     return 0
 
@@ -461,9 +459,10 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
     result = gm.fit(spec, data.prefix(n_train), n_restarts=o.restarts,
                     seed=o.seed, max_iter=o.max_iter)
 
-    gm.write_fit(result, o.out_fit)
     filtered = gm.filter_volatility(spec, result.params, data)
-    write_h(table.dates, filtered, o.out_h)
+    with tables.all_or_none(o.out_fit, o.out_h) as (fit_tmp, h_tmp):
+        gm.write_fit(result, fit_tmp)
+        write_h(table.dates, filtered, h_tmp)
 
     p = result.params
     print(f"fit on {n_train} train rows ({o.mode}, K={spec.n_lags}, "
@@ -520,7 +519,9 @@ def cmd_predict(o: argparse.Namespace) -> int:
         raise InputError(f"no {o.split} samples to predict")
     pred = tfm.predict(model, dataset)
 
-    tables.write(o.out, list(PRED_COLUMNS), [dataset.dates, dataset.y, pred])
+    with tables.all_or_none(o.out) as (out_tmp,):
+        tables.write(out_tmp, list(PRED_COLUMNS),
+                     [dataset.dates, dataset.y, pred])
     print(f"{len(dataset)} {o.split} predictions")
     print(f"  wrote {o.out}")
     return 0
@@ -546,7 +547,8 @@ def cmd_evaluate(o: argparse.Namespace) -> int:
     rows = new_rows
     if o.append and os.path.exists(o.out):
         rows = evaluation.read_report(o.out) + new_rows
-    evaluation.write_report(rows, o.out, footer=not o.no_footer)
+    with tables.all_or_none(o.out) as (out_tmp,):
+        evaluation.write_report(rows, out_tmp, footer=not o.no_footer)
     _print_rows(new_rows)
     print(f"  wrote {o.out}")
     return 0
@@ -591,7 +593,8 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     rows.append(evaluation.evaluate(base_pred, base_truth,
                                     model="persistence", group="-"))
 
-    evaluation.write_report(rows, o.out)
+    with tables.all_or_none(o.out) as (out_tmp,):
+        evaluation.write_report(rows, out_tmp)
     _print_rows(rows)
     if "G1" in mse_by_group:
         for name in ("G3", "G4"):

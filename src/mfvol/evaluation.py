@@ -180,10 +180,8 @@ def write_report(rows: Sequence[EvalRow], path: str,
                  footer: bool = True) -> None:
     tables.write(path, list(REPORT_COLUMNS),
                  [[getattr(row, name) for row in rows]
-                  for name in REPORT_COLUMNS])
-    if footer:
-        with open(path, "a") as fh:
-            fh.write("\n".join(FORMULA_FOOTER) + "\n")
+                  for name in REPORT_COLUMNS],
+                 footer=FORMULA_FOOTER if footer else ())
 
 
 def read_report(path: str) -> list[EvalRow]:

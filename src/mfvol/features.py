@@ -12,12 +12,12 @@ positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import InputError, NumericalError
 from .marketdata import AlignedPanel, month_ids
 
@@ -93,9 +93,7 @@ class PcaModel:
 
 
 def save_model(model: PcaModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(model.to_json(), fh, indent=1)
-        fh.write("\n")
+    tables.write_json(path, model.to_json(), indent=1)
 
 
 def fit_pca(data: np.ndarray, retain: int, group: str = "",

@@ -29,12 +29,12 @@ several seeded starting points.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import tables
 from .errors import InputError, NumericalError
 from .realized_vol import monthly_rv
 
@@ -397,7 +397,7 @@ def log_likelihood(spec: MidasSpec, params: MidasParams,
 # Estimation
 # ----------------------------------------------------------------------
 
-def _pack(params: MidasParams, spec: MidasSpec, theta_zero: bool) -> np.ndarray:
+def _pack(params: MidasParams, spec: MidasSpec) -> np.ndarray:
     p = params.alpha + params.beta
     p = min(max(p, MIN_PERSISTENCE), MAX_PERSISTENCE)
     share = params.alpha / p if p > 0 else 0.5
@@ -406,15 +406,14 @@ def _pack(params: MidasParams, spec: MidasSpec, theta_zero: bool) -> np.ndarray:
          math.log(p / (1.0 - p)),
          math.log(share / (1.0 - share)),
          math.log(params.m) if spec.tau_link == "identity" else params.m]
-    if not theta_zero:
-        u.extend(params.theta.tolist())
-        u.extend(math.log(max(w2 - 1.0, 1e-10)) for w2 in params.w2)
-        if spec.free_w1:
-            u.extend(math.log(max(w1 - 1.0, 1e-10)) for w1 in params.w1)
+    u.extend(params.theta.tolist())
+    u.extend(math.log(max(w2 - 1.0, 1e-10)) for w2 in params.w2)
+    if spec.free_w1:
+        u.extend(math.log(max(w1 - 1.0, 1e-10)) for w1 in params.w1)
     return np.array(u, dtype=float)
 
 
-def _unpack(u: np.ndarray, spec: MidasSpec, theta_zero: bool) -> MidasParams:
+def _unpack(u: np.ndarray, spec: MidasSpec) -> MidasParams:
     J = spec.n_covariates
     mu, persistence, share, m = u[:4].tolist()
     p = 1.0 / (1.0 + math.exp(-min(max(persistence, -40.0), 40.0)))
@@ -422,17 +421,10 @@ def _unpack(u: np.ndarray, spec: MidasSpec, theta_zero: bool) -> MidasParams:
     share = 1.0 / (1.0 + math.exp(-min(max(share, -40.0), 40.0)))
     if spec.tau_link == "identity":
         m = math.exp(min(m, 60.0))
-    if theta_zero:
-        theta = np.zeros(J)
-        w2 = np.ones(J)
-        w1 = np.ones(J)
-    else:
-        theta = u[4:4 + J].copy()
-        w2 = 1.0 + np.exp(np.minimum(u[4 + J:4 + 2 * J], 30.0))
-        if spec.free_w1:
-            w1 = 1.0 + np.exp(np.minimum(u[4 + 2 * J:4 + 3 * J], 30.0))
-        else:
-            w1 = np.ones(J)
+    theta = u[4:4 + J].copy()
+    w2 = 1.0 + np.exp(np.minimum(u[4 + J:4 + 2 * J], 30.0))
+    w1 = 1.0 + np.exp(np.minimum(u[4 + 2 * J:4 + 3 * J], 30.0)) \
+        if spec.free_w1 else np.ones(J)
     return MidasParams(mu=mu, alpha=p * share, beta=p * (1 - share),
                        m=m, theta=theta, w2=w2, w1=w1)
 
@@ -550,13 +542,12 @@ def _nelder_mead(fun, x0: np.ndarray, *, maxiter: int, maxfev: int,
         final_simplex=(sim, fsim))
 
 
-def _objective(spec: MidasSpec, data: MidasData, panel: _Panel,
-               theta_zero: bool):
+def _objective(spec: MidasSpec, data: MidasData, panel: _Panel):
     """The function the fit minimizes: the negative log likelihood of
     the unconstrained vector ``u``, or PENALTY where it is undefined."""
     def objective(u: np.ndarray) -> float:
         try:
-            params = _unpack(u, spec, theta_zero)
+            params = _unpack(u, spec)
             return -log_likelihood(spec, params, data, panel)
         except (_BadParameter, NumericalError, FloatingPointError,
                 OverflowError):
@@ -565,15 +556,13 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel,
 
 
 def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
-        seed: int = 0, max_iter: int = 5000,
-        theta_zero: bool = False) -> MidasFit:
+        seed: int = 0, max_iter: int = 5000) -> MidasFit:
     """Maximum-likelihood estimation by seeded Nelder-Mead restarts.
 
     The first start is a moment-based default; the remaining
     ``n_restarts - 1`` starts perturb it in the unconstrained space
     with a seeded generator. The best converged restart wins;
-    ties go to the earlier restart. ``theta_zero`` pins the covariate
-    slopes to zero, leaving a plain GARCH(1,1) with free level.
+    ties go to the earlier restart.
 
     Raises
     ------
@@ -592,8 +581,8 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     # the lags before any optimizer work
     panel = _panel(spec, data)
 
-    start = _pack(_default_init(spec, data), spec, theta_zero)
-    objective = _objective(spec, data, panel, theta_zero)
+    start = _pack(_default_init(spec, data), spec)
+    objective = _objective(spec, data, panel)
     rng = np.random.default_rng(seed)
     scale = 0.25 * np.ones_like(start)
     scale[1:3] = 1.0
@@ -609,7 +598,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         raise NumericalError(
             "no Nelder-Mead restart converged to a finite optimum")
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
-    params = _unpack(best.x, spec, theta_zero)
+    params = _unpack(best.x, spec)
     params.validate(spec)
     fsim = best.final_simplex[1]
     return MidasFit(
@@ -760,18 +749,9 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
 # ----------------------------------------------------------------------
 
 def write_fit(fit_result: MidasFit, path: str) -> None:
-    doc = {
-        "spec": {
-            "n_lags": fit_result.spec.n_lags,
-            "mode": fit_result.spec.mode,
-            "n_covariates": fit_result.spec.n_covariates,
-            "tau_link": fit_result.spec.tau_link,
-            "free_w1": fit_result.spec.free_w1,
-        },
+    tables.write_json(path, {
+        "spec": asdict(fit_result.spec),
         "params": fit_result.params.to_json(),
         "log_likelihood": fit_result.log_lik,
         "convergence": fit_result.convergence,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    }, indent=1)

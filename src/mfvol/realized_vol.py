@@ -15,7 +15,6 @@ returns.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -135,9 +134,8 @@ def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
     """Write ``date,ret,rv,rv_adj`` rows plus the lambda sidecar JSON."""
     tables.write(csv_path, list(RV_COLUMNS),
                  [series.dates, series.ret, series.rv, series.rv_adj])
-    with open(sidecar_path, "w") as fh:
-        json.dump({"lambda": series.lam, "n_days": series.n_days}, fh)
-        fh.write("\n")
+    tables.write_json(sidecar_path,
+                      {"lambda": series.lam, "n_days": series.n_days})
 
 
 def read_rv(csv_path: str) -> RvSeries:

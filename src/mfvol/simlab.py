@@ -23,7 +23,6 @@ the same spec always produces byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -253,8 +252,8 @@ def _daily_columns(series: IntradaySeries, volume: np.ndarray
 # ----------------------------------------------------------------------
 
 def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
-    """Write intraday/daily/monthly/attention CSVs plus truth.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write intraday/daily/monthly/attention CSVs plus truth.json, all
+    or none of them; ``out_dir`` is made if it does not exist."""
     ss = np.random.SeedSequence(spec.seed)
     s_mid, s_att, s_intra, s_macro, s_attcols, s_vol = ss.spawn(6)
 
@@ -302,24 +301,9 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
     rng_vol = np.random.default_rng(s_vol)
     volume = np.exp(15.0 + 0.35 * rng_vol.standard_normal(n_days))
 
-    paths = {
-        "intraday": os.path.join(out_dir, "intraday.csv"),
-        "daily": os.path.join(out_dir, "daily.csv"),
-        "monthly": os.path.join(out_dir, "monthly.csv"),
-        "attention": os.path.join(out_dir, "attention.csv"),
-        "truth": os.path.join(out_dir, "truth.json"),
-    }
-
-    bars = intraday.bars
-    tables.write(paths["intraday"], list(INTRADAY_COLUMNS),
-                 [np.array(dates)[bars["day"]], bars["time_min"],
-                  bars["price"]])
-    cols = _daily_columns(intraday, volume)
-    daily = list(DAILY_COLUMNS)
-    tables.write(paths["daily"], daily, [dates] + [cols[c] for c in daily[1:]])
-    tables.write(paths["monthly"], list(MONTHLY_COLUMNS),
-                 [month_labels, *macro.T])
-    tables.write(paths["attention"], list(ATTENTION_COLUMNS), [dates, *att.T])
+    paths = {name: os.path.join(out_dir, name + ext) for name, ext in
+             [("intraday", ".csv"), ("daily", ".csv"), ("monthly", ".csv"),
+              ("attention", ".csv"), ("truth", ".json")]}
 
     truth = {
         "seed": spec.seed,
@@ -343,9 +327,21 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         "day_variance": sim.day_variance.tolist(),
         "attention_latent": latent.tolist(),
     }
-    with open(paths["truth"], "w") as fh:
-        json.dump(truth, fh)
-        fh.write("\n")
+    bars = intraday.bars
+    cols = _daily_columns(intraday, volume)
+    daily = list(DAILY_COLUMNS)
+    with tables.all_or_none(*paths.values(), make_dirs=True) as temps:
+        temp = dict(zip(paths, temps))
+        tables.write(temp["intraday"], list(INTRADAY_COLUMNS),
+                     [np.array(dates)[bars["day"]], bars["time_min"],
+                      bars["price"]])
+        tables.write(temp["daily"], daily,
+                     [dates] + [cols[c] for c in daily[1:]])
+        tables.write(temp["monthly"], list(MONTHLY_COLUMNS),
+                     [month_labels, *macro.T])
+        tables.write(temp["attention"], list(ATTENTION_COLUMNS),
+                     [dates, *att.T])
+        tables.write_json(temp["truth"], truth)
 
     return ScenarioResult(spec=spec, dates=dates, months=month_labels,
                           paths=paths, truth=truth)

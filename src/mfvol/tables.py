@@ -30,8 +30,11 @@ source of every cell error. :func:`write` formats every cell through
 ``str``, for a float its shortest round-trip ``repr``, so every float
 it writes reads back bit for bit. It refuses a non-finite float and a
 cell that would need quotes, so every numeric table it writes is clean.
-:func:`all_or_none` lets a stage write several files so that either
-all of them appear or none does.
+:func:`write_json` writes the JSON sidecars and models.
+
+This is the one module that opens a file for writing. Every stage
+computes all of its outputs first and then writes them in one
+:func:`all_or_none` block, so either all of them appear or none does.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import contextlib
 import csv
 import errno
 import functools
+import json
 import math
 import os
 import re
@@ -308,9 +312,10 @@ def utf8_error(path: str) -> MalformedRow:
     return MalformedRow(path, 1, "not valid UTF-8")
 
 
-def write(path: str, header: Sequence[str], columns: Sequence) -> None:
+def write(path: str, header: Sequence[str], columns: Sequence,
+          footer: Sequence[str] = ()) -> None:
     """One header line, then one line per row of the equal-length
-    ``columns`` (ndarrays or lists).
+    ``columns`` (ndarrays or lists), then the ``footer`` lines.
 
     A non-finite float, which :func:`read` refuses, and a cell of a
     text column that holds a double quote, a comma or a line break,
@@ -340,29 +345,47 @@ def write(path: str, header: Sequence[str], columns: Sequence) -> None:
             raise InputError(f"cannot write {path}: a {name!r} cell holds "
                              "a double quote, a comma or a line break")
         text.append(cells)
-    lines = [",".join(header), *map(",".join, zip(*text, strict=True))]
+    lines = [",".join(header), *map(",".join, zip(*text, strict=True)),
+             *footer]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_json(path: str, doc, indent: int | None = None) -> None:
+    """``doc`` as JSON, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+
+
 @contextlib.contextmanager
-def all_or_none(*paths: str):
+def all_or_none(*paths: str, make_dirs: bool = False):
     """Temporary paths for a block to write ``paths`` through, one in
-    each target's directory.
+    each target's directory; with ``make_dirs``, the directories that
+    do not exist yet are made first.
 
     When the block returns, each temporary is renamed onto its path;
-    when it, or a rename, fails, every temporary left is removed. So a
-    stage that fails leaves no new output file, and a file an earlier
-    run wrote keeps its bytes.
+    when it, or a rename, fails, every temporary left is removed, and
+    so is every directory made. So a stage that fails leaves no new
+    output file, and a file an earlier run wrote keeps its bytes. An
+    error that names a temporary names its target instead.
     """
     for path in paths:
         if os.path.isdir(path):      # a rename onto it would fail late
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                     path)
+    missing = []
+    for directory in dict.fromkeys(map(os.path.dirname, paths)) \
+            if make_dirs else ():
+        while directory and not os.path.exists(directory):
+            missing.append(directory)
+            directory = os.path.dirname(directory)
     temps = [os.path.join(os.path.dirname(path), f".{os.path.basename(path)}"
                           f".{os.getpid()}-{k}.tmp")
              for k, path in enumerate(paths)]
     try:
+        for directory in missing:
+            os.makedirs(directory, exist_ok=True)
         yield temps
         for temp, path in zip(temps, paths):
             os.replace(temp, path)
@@ -370,8 +393,13 @@ def all_or_none(*paths: str):
         for temp in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(temp)
-        if isinstance(exc, OSError) and exc.filename in temps:
-            # the message names the file asked for, not its temporary
-            raise OSError(exc.errno, exc.strerror,
-                          paths[temps.index(exc.filename)]) from None
+        for directory in sorted(missing, key=len, reverse=True):
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)      # children first; never a full one
+        # the message names the file asked for, not its temporary
+        for temp, path in zip(temps, paths):
+            if isinstance(exc, OSError) and exc.filename == temp:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            if isinstance(exc, InputError) and temp in str(exc):
+                raise InputError(str(exc).replace(temp, path)) from None
         raise

@@ -53,6 +53,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import tables
 from .errors import InputError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -721,7 +722,7 @@ def predict(model: TransformerModel, dataset: WindowedDataset) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def save_model(model: TransformerModel, path: str) -> None:
-    doc = {
+    tables.write_json(path, {
         "model_config": asdict(model.config),
         "train_config": asdict(model.train_config),
         "feature_names": model.feature_names,
@@ -733,10 +734,7 @@ def save_model(model: TransformerModel, path: str) -> None:
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in model.weights.items()
         },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
 
 
 def load_model(path: str) -> TransformerModel:

@@ -451,7 +451,7 @@ class TestFreeW1:
         assert np.all(params.w1 >= 1.0)
         # _pack floors w1 - 1 at 1e-10, so a w1 fitted onto its bound
         # of 1 comes back 1e-10 above it
-        back = gm._unpack(gm._pack(params, spec, False), spec, False)
+        back = gm._unpack(gm._pack(params, spec), spec)
         np.testing.assert_allclose(back.w1, params.w1, rtol=1e-9)
 
 
@@ -797,12 +797,20 @@ class TestExitCodes:
         # daily indicators of prices near the float limit overflow, and
         # pca would refuse the daily.csv that held them
         out = tmp_path / "scen"
-        code = run(["simulate", "--out", str(out), "--start-price", "1e306"])
+        argv = ["simulate", "--out", str(out), "--start-price", "1e306"]
+        assert run(argv) == 2
         err = capsys.readouterr().err
-        assert code == 2
         assert err.startswith(f"error: cannot write {out / 'daily.csv'}: a ")
         assert err.endswith(" cell is not a finite number\n")
-        assert not (out / "daily.csv").exists()
+        assert not out.exists()      # nor the directory made to hold it
+        # intraday.csv, written before daily.csv, used to stay behind
+        out.mkdir()
+        for name in ("intraday.csv", "daily.csv", "truth.json"):
+            (out / name).write_text(f"an earlier run's {name}\n")
+        before = tree(tmp_path)
+        assert run(argv) == 2
+        assert "wrote" not in capsys.readouterr().out
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("argv, code, first", [
         (["train", "--features", "tech1,tech2,tech3", "--lr", "80",
@@ -852,6 +860,105 @@ class TestExitCodes:
                     "--seed", "2", "--months", "8", "--days-per-month", "6",
                     "--bars-per-day", "8", "--n-lags", "4"]) == 0
         assert (tmp_path / "scen" / "truth.json").exists()
+
+
+def tree(top: pathlib.Path) -> dict:
+    """Every path under ``top``, with a file's bytes or None for a
+    directory."""
+    return {str(path.relative_to(top)):
+            path.read_bytes() if path.is_file() else None
+            for path in sorted(top.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def forecast(pipeline, tmp_path_factory):
+    """A one-epoch model and its test predictions."""
+    out = tmp_path_factory.mktemp("forecast")
+    assert run(["train", "--factors", str(pipeline / "factors.csv"),
+                "--features", "tech1,tech2,tech3", "--epochs", "1",
+                "--out-model", str(out / "weights.json"),
+                "--out-history", str(out / "hist.csv")]) == 0
+    assert run(["predict", "--factors", str(pipeline / "factors.csv"),
+                "--model", str(out / "weights.json"),
+                "--out", str(out / "pred.csv")]) == 0
+    return out
+
+
+# each writing stage's outputs, in the order it writes them
+STAGE_OUTPUTS = {
+    "simulate": ["intraday.csv", "daily.csv", "monthly.csv", "attention.csv",
+                 "truth.json"],
+    "rv": ["rv.csv", "rv_lambda.json"],
+    "pca": ["factors.csv", "norm_stats.json", "pca_macro.json",
+            "pca_tech.json", "pca_attention.json"],
+    "midas-fit": ["midas_fit.json", "h.csv"],
+    "predict": ["pred.csv"],
+    "evaluate": ["report.csv"],
+    "ablate": ["report.csv"],
+}
+
+
+def stage_argv(stage, paths, scenario_dir, pipeline, forecast):
+    """The argv of ``stage`` with its outputs at ``paths``; simulate and
+    pca write theirs into the directory of the first."""
+    s, p, out = scenario_dir, pipeline, paths[0].parent
+    args = {
+        "simulate": ["--out", out, "--seed", "2", "--months", "8",
+                     "--days-per-month", "6", "--bars-per-day", "8",
+                     "--n-lags", "4"],
+        "rv": ["--intraday", s / "intraday.csv", "--out-csv", paths[0],
+               "--out-sidecar", paths[-1]],
+        "pca": ["--daily", s / "daily.csv", "--attention",
+                s / "attention.csv", "--monthly", s / "monthly.csv",
+                "--rv", p / "rv.csv", "--out-dir", out],
+        "midas-fit": ["--factors", p / "factors.csv", "--n-lags", "6",
+                      "--restarts", "1", "--out-fit", paths[0],
+                      "--out-h", paths[-1]],
+        "predict": ["--factors", p / "factors.csv",
+                    "--model", forecast / "weights.json", "--out", paths[0]],
+        "evaluate": ["--pred", forecast / "pred.csv", "--persistence",
+                     "--append", "--out", paths[0]],
+        "ablate": ["--factors", p / "factors.csv", "--h-file", p / "h.csv",
+                   "--groups", "G1", "--epochs", "1", "--out", paths[0]],
+    }[stage]
+    return [stage, *map(str, args)]
+
+
+# every output of every writing stage, blocked in turn by a directory in
+# its place or, where a flag names it, by a directory that does not
+# exist; among them rv with a missing sidecar directory, pca with a
+# directory named pca_tech.json and midas-fit with a missing h directory
+BLOCKED = [(stage, k, how) for stage, outputs in STAGE_OUTPUTS.items()
+           for k in range(len(outputs))
+           for how in (("in-place",) if stage in ("simulate", "pca")
+                       else ("in-place", "missing-dir"))]
+
+
+@pytest.mark.parametrize(
+    "stage, blocked, how", BLOCKED,
+    ids=[f"{stage}-{STAGE_OUTPUTS[stage][k]}-{how}"
+         for stage, k, how in BLOCKED])
+def test_a_stage_that_cannot_write_one_output_writes_none(
+        scenario_dir, pipeline, forecast, tmp_path, capsys, stage, blocked,
+        how):
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = [out / name for name in STAGE_OUTPUTS[stage]]
+    for path in paths:
+        path.write_text(f"an earlier run's {path.name}\n")
+    if how == "in-place":
+        paths[blocked].unlink()
+        paths[blocked].mkdir()
+    else:
+        paths[blocked] = out / "missing" / paths[blocked].name
+    before = tree(tmp_path)
+    code = run(stage_argv(stage, paths, scenario_dir, pipeline, forecast))
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err.startswith("error: ") \
+        and str(paths[blocked]) in captured.err
+    assert "wrote" not in captured.out
+    assert tree(tmp_path) == before     # no new file, nor a temporary
 
 
 def test_cli_import_loads_no_scipy():

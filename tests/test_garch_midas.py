@@ -255,8 +255,8 @@ class TestNelderMead:
                               theta=np.array([0.7]), w2=np.array([4.0]))
         data = gm.simulate(spec, true, months=14, days_per_month=15,
                            seed=2).to_data()
-        objective = gm._objective(spec, data, gm._panel(spec, data), False)
-        start = gm._pack(gm._default_init(spec, data), spec, False)
+        objective = gm._objective(spec, data, gm._panel(spec, data))
+        start = gm._pack(gm._default_init(spec, data), spec)
         res = self.same_as_scipy(objective, start, maxiter=3000,
                                  maxfev=6000, xatol=1e-8, fatol=1e-8)
         assert res.success
@@ -431,13 +431,15 @@ class TestFit:
         for i in range(n):
             r[i] = mu + math.sqrt(h) * rng.standard_normal()
             h = omega + alpha * (r[i] - mu) ** 2 + beta * h
+        # a covariate that is zero every month adds theta * 0 to log tau,
+        # so tau is exp(m) and the model is a plain GARCH(1,1)
         data = gm.MidasData(returns=r,
-                            month_index=np.repeat(np.arange(n // 25), 25))
-        spec = gm.MidasSpec(n_lags=1, mode="rv-window", tau_link="identity")
-        fit = gm.fit(spec, data, n_restarts=3, seed=0, theta_zero=True)
-        assert np.all(fit.params.theta == 0.0)
+                            month_index=np.repeat(np.arange(n // 25), 25),
+                            covariates=np.zeros((n // 25, 1)))
+        spec = gm.MidasSpec(n_lags=1)
+        fit = gm.fit(spec, data, n_restarts=3, seed=0)
         (mu_o, om_o, al_o, be_o), ll_o = __import__("oracles").fit_garch11(r[25:])
-        m_fit = fit.params.m
+        m_fit = math.exp(fit.params.m)       # the log link's level
         assert fit.params.alpha == pytest.approx(al_o, abs=2e-3)
         assert fit.params.beta == pytest.approx(be_o, abs=2e-3)
         assert m_fit * (1 - fit.params.alpha - fit.params.beta) == \

@@ -21,6 +21,17 @@ def series_from_days(day_prices):
         bars=np.array(bars, dtype=BAR_DTYPE))
 
 
+def moves_within_and_across_days(day_prices):
+    """Whether the scale step is defined: some within-day log step after
+    the first day (which never contributes an rv) and some daily log
+    return, each taken with the log that compute_rv_series uses. Two
+    unequal prices such as 20.0 and 19.999999999999996 can share a log."""
+    within = any(np.log(p) != np.log(day[0])
+                 for day in day_prices[1:] for p in day)
+    closes = [math.log(day[-1]) for day in day_prices]
+    return within and any(b != a for a, b in zip(closes, closes[1:]))
+
+
 DAYS = [
     [10.0, 10.1, 10.05, 10.2],
     [10.25, 10.3, 10.28, 10.5],
@@ -64,10 +75,7 @@ class TestComputeRvSeries:
         min_size=2, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_identity_holds_on_random_paths(self, day_prices):
-        # the scale step needs some within-day and some day-over-day
-        # movement (the first day never contributes an rv)
-        assume(any(p != day[0] for day in day_prices[1:] for p in day))
-        assume(any(day[-1] != day_prices[0][-1] for day in day_prices[1:]))
+        assume(moves_within_and_across_days(day_prices))
         series = rvmod.compute_rv_series(series_from_days(day_prices))
         assert np.mean(series.ret ** 2) == pytest.approx(
             np.mean(series.rv_adj), rel=1e-12, abs=1e-12)
@@ -78,11 +86,18 @@ class TestComputeRvSeries:
         min_size=2, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_rv_nonnegative(self, day_prices):
-        assume(any(p != day[0] for day in day_prices[1:] for p in day))
-        assume(any(day[-1] != day_prices[0][-1] for day in day_prices[1:]))
+        assume(moves_within_and_across_days(day_prices))
         series = rvmod.compute_rv_series(series_from_days(day_prices))
         assert np.all(series.rv >= 0)
         assert np.all(series.rv_adj >= 0)
+
+    def test_closes_that_share_a_log_leave_the_scale_undefined(self):
+        # the closes differ, but every daily log return is 0
+        day_prices = [[5.0, 20.0], [5.0, 19.999999999999996]]
+        assert math.log(20.0) == math.log(19.999999999999996)
+        with pytest.raises(errors.NumericalError,
+                           match="all daily returns are zero"):
+            rvmod.compute_rv_series(series_from_days(day_prices))
 
 
 class TestPieces:

@@ -294,6 +294,33 @@ def test_exit_codes_are_the_whole_error_taxonomy():
     assert raised - builtin <= set(derived)
 
 
+def test_only_tables_writes_a_file():
+    # every stage commits its outputs through tables.all_or_none, so no
+    # other module opens a file for writing or renames one into place
+    writers = set()
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = [*node.args[1:2], *(k.value for k in node.keywords
+                                             if k.arg == "mode")]
+                # a mode that is not a literal may write
+                writes = any(not isinstance(mode, ast.Constant)
+                             or set(mode.value) & set("wax+")
+                             for mode in modes)
+            else:
+                writes = isinstance(func, ast.Attribute) and (
+                    func.attr in ("write_text", "write_bytes")
+                    or func.attr in ("replace", "rename")
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "os")
+            if writes:
+                writers.add(path.name)
+    assert writers == {"tables.py"}
+
+
 def test_all_or_none_writes_every_file_or_none(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.json"
     b.write_text("an earlier run's b\n")
@@ -327,3 +354,16 @@ def test_all_or_none_names_the_target_of_a_failed_write(tmp_path):
         with tables.all_or_none(str(good), str(bad)):
             raise AssertionError("the block must not run")
     assert [p.name for p in tmp_path.iterdir()] == ["missing"]
+
+
+def test_all_or_none_makes_directories_only_for_a_commit(tmp_path):
+    path = tmp_path / "a" / "b" / "c.csv"
+    with pytest.raises(RuntimeError, match="a late failure"):
+        with tables.all_or_none(str(path), make_dirs=True) as (temp,):
+            pathlib.Path(temp).write_text("new c\n")
+            raise RuntimeError("a late failure")
+    assert list(tmp_path.iterdir()) == []      # neither a nor a/b stays
+    with tables.all_or_none(str(path), make_dirs=True) as (temp,):
+        pathlib.Path(temp).write_text("new c\n")
+    assert [p.name for p in path.parent.iterdir()] == ["c.csv"]
+    assert path.read_text() == "new c\n"
