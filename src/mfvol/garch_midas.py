@@ -24,12 +24,22 @@ Both filter and fit; :func:`simulate` draws the exogenous model only.
 
 Estimation is maximum likelihood over an unconstrained
 reparameterization, optimized with Nelder-Mead simplex search from
-several seeded starting points.
+several seeded starting points. The restarts run on every usable CPU:
+the calling process and one forked worker per further CPU take them
+from one queue, and the fit is the same to the bit however many CPUs
+run it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import select
+import signal
+import struct
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -555,6 +565,157 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel):
     return objective
 
 
+# Restart indices go through the queue as 8-byte records, one write
+# each: a pipe takes a write that small whole or not at all, so a
+# reader never sees part of a record.
+_INDEX = struct.Struct("=Q")
+
+
+def _restart_workers(n_restarts: int) -> int:
+    """How many workers to fork for the restarts: one per usable CPU
+    beyond the calling process's own, at most ``n_restarts - 1``, and
+    none where the platform cannot fork or count its usable CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 0
+    return max(0, min(len(os.sched_getaffinity(0)) - 1, n_restarts - 1))
+
+
+def _take(queue: int, wait) -> int | None:
+    """The next restart index from the queue, or None once it is empty
+    and closed; ``wait()`` runs while it is empty but still open."""
+    while True:
+        try:
+            record = os.read(queue, _INDEX.size)
+        except BlockingIOError:
+            wait()
+            continue
+        return _INDEX.unpack(record)[0] if len(record) == _INDEX.size \
+            else None
+
+
+def _serve(run, queue: int, pipe: int, unused: list[int]):
+    """A worker's whole life: run restarts from the queue and send each
+    ``(index, result)`` through ``pipe``, pickled, until the queue is
+    empty and closed. It never returns into the caller's code, and it
+    writes nothing to the caller's stdout or stderr."""
+    status = 1
+    try:
+        for fd in unused:
+            os.close(fd)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+
+        def readable():
+            select.select([queue], [], [])
+        while (i := _take(queue, readable)) is not None:
+            record = memoryview(pickle.dumps((i, run(i))))
+            while record:
+                record = record[os.write(pipe, record):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reported(fh, n: int) -> dict:
+    """The results a worker sent, by restart index, up to the end of
+    its pipe or the first record that is cut short or garbled."""
+    found = {}
+    while True:
+        try:
+            i, result = pickle.load(fh)
+        except Exception:       # bytes cut short or garbled raise any kind
+            return found
+        if not (isinstance(i, int) and 0 <= i < n
+                and isinstance(result, _SimplexResult)):
+            return found
+        found[i] = result
+
+
+def _run_restarts(run, n: int) -> list:
+    """``[run(i) for i in range(n)]``, run on the usable CPUs.
+
+    The calling process runs restart 0 and then takes indices from a
+    shared queue, a pipe, as does each worker it forks (see
+    :func:`_restart_workers`). The queue is fed without blocking, so
+    any ``n`` fits. Afterwards the calling process runs every restart
+    that no worker reported: a failed fork, a worker that died or a
+    pipe cut short costs time and never changes a result. Every worker
+    is reaped, or killed and reaped, before this returns or raises.
+    """
+    n_workers = _restart_workers(n)
+    if n_workers == 0:
+        return [run(i) for i in range(n)]
+    results = {}
+    workers = []            # [pid, read end of its pipe]; pid 0 once reaped
+    queue, feeder = os.pipe()
+    os.set_blocking(queue, False)
+    os.set_blocking(feeder, False)
+    fed = 1
+
+    def feed():
+        # what the queue cannot take now waits for the next call
+        nonlocal fed, feeder
+        try:
+            while fed < n:
+                os.write(feeder, _INDEX.pack(fed))
+                fed += 1
+        except BlockingIOError:
+            return
+        if feeder >= 0:
+            os.close(feeder)
+            feeder = -1
+
+    try:
+        feed()
+        for _ in range(n_workers):
+            pipe, sink = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # CPython 3.12+ warns when it forks a process that
+                    # has threads, such as OpenBLAS's
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(pipe)
+                os.close(sink)
+                break
+            if pid == 0:
+                # a worker keeps only the queue's read end and its sink
+                unused = [pipe, *(p for _, p in workers)]
+                if feeder >= 0:
+                    unused.append(feeder)
+                _serve(run, queue, sink, unused)
+            os.close(sink)
+            workers.append([pid, pipe])
+        results[0] = run(0)
+        while (i := _take(queue, feed)) is not None:
+            results[i] = run(i)
+            feed()
+        for worker in workers:
+            # closing the pipe stops a worker that sent a garbled record
+            with open(worker[1], "rb") as fh:
+                worker[1] = -1
+                for i, result in _reported(fh, n).items():
+                    results.setdefault(i, result)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(worker[0], 0)
+            worker[0] = 0
+    finally:
+        for pid, pipe in workers:
+            if pipe >= 0:
+                os.close(pipe)
+            if pid:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        os.close(queue)
+        if feeder >= 0:
+            os.close(feeder)
+    return [results[i] if i in results else run(i) for i in range(n)]
+
+
 def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         seed: int = 0, max_iter: int = 5000) -> MidasFit:
     """Maximum-likelihood estimation by seeded Nelder-Mead restarts.
@@ -562,7 +723,8 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     The first start is a moment-based default; the remaining
     ``n_restarts - 1`` starts perturb it in the unconstrained space
     with a seeded generator. The best converged restart wins;
-    ties go to the earlier restart.
+    ties go to the earlier restart. The restarts run on the usable CPUs
+    (see :func:`_run_restarts`), which changes no bit of the result.
 
     Raises
     ------
@@ -586,12 +748,14 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     rng = np.random.default_rng(seed)
     scale = 0.25 * np.ones_like(start)
     scale[1:3] = 1.0
-    results = []
-    for r_idx in range(n_restarts):
-        u0 = start if r_idx == 0 else start + rng.normal(0.0, scale)
-        res = _nelder_mead(objective, u0, maxiter=max_iter,
-                           maxfev=2 * max_iter, xatol=1e-8, fatol=1e-8)
-        results.append((r_idx, res))
+    starts = [start, *(start + rng.normal(0.0, scale)
+                       for _ in range(n_restarts - 1))]
+
+    def restart(i: int) -> _SimplexResult:
+        return _nelder_mead(objective, starts[i], maxiter=max_iter,
+                            maxfev=2 * max_iter, xatol=1e-8, fatol=1e-8)
+
+    results = list(enumerate(_run_restarts(restart, n_restarts)))
 
     usable = [(i, r) for i, r in results if r.success and r.fun < PENALTY / 2]
     if not usable:

@@ -352,10 +352,11 @@ def write(path: str, header: Sequence[str], columns: Sequence,
 
 
 def write_json(path: str, doc, indent: int | None = None) -> None:
-    """``doc`` as JSON, then a newline."""
+    """``doc`` as JSON, then a newline, in one write: ``json.dumps``
+    encodes in C where ``indent`` is None, ``json.dump`` never does."""
+    text = json.dumps(doc, indent=indent) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent)
-        fh.write("\n")
+        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -368,8 +369,17 @@ def all_or_none(*paths: str, make_dirs: bool = False):
     when it, or a rename, fails, every temporary left is removed, and
     so is every directory made. So a stage that fails leaves no new
     output file, and a file an earlier run wrote keeps its bytes. An
-    error that names a temporary names its target instead.
+    error that names a temporary names its target instead. Two paths
+    that name one file raise :class:`InputError` before anything is
+    written, since one output would replace the other.
     """
+    seen = {}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"two outputs name one file: {seen[real]} "
+                             f"and {path}")
+        seen[real] = path
     for path in paths:
         if os.path.isdir(path):      # a rename onto it would fail late
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),

@@ -4,18 +4,23 @@
 the bars each intraday load returns through ``len(series.bars)``. It
 keeps the arguments of each training run's first ``tfm.gradient`` call
 with a shallow copy of the weights dict, which ``bench/run.py`` later
-runs through ``tfm.forward_batch``. These tests import it as the
-benchmark does, from its own directory and unedited, so that renaming a
-traced function, changing what ``load_intraday`` returns or updating
-the weights a step saw in place fails here rather than in a traced run.
+runs through ``tfm.forward_batch``. ``bench/run.py`` also divides by
+the number of ``gm.log_likelihood`` spans, which the tracer records
+only in the calling process. These tests import it as the benchmark
+does, from its own directory and unedited, so that renaming a traced
+function, changing what ``load_intraday`` returns, updating the weights
+a step saw in place or moving every restart of ``gm.fit`` out of the
+calling process fails here rather than in a traced run.
 """
 
 import importlib
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfvol import garch_midas as gm
 from mfvol import marketdata
 from mfvol import transformer as tfm
 
@@ -89,3 +94,26 @@ def test_first_step_capture_keeps_the_weights_it_saw(tracing):
     assert out.tobytes() == tfm.forward_batch(x, init, config).tobytes()
     assert out.tobytes() != tfm.forward_batch(x, model.weights,
                                               config).tobytes()
+
+
+def test_fit_keeps_likelihood_calls_in_the_calling_process(tracing,
+                                                           monkeypatch):
+    # bench/run.py divides by the gm.log_likelihood spans it records under
+    # gm.fit; the tracer sees only the calling process, so that process
+    # must run some restarts itself however many CPUs share the others
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    spec = gm.MidasSpec(n_lags=3, n_covariates=1)
+    true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
+                          theta=np.array([0.7]), w2=np.array([4.0]))
+    data = gm.simulate(spec, true, months=14, days_per_month=15,
+                       seed=2).to_data()
+    recorder = tracing.Recorder()
+    saved = tracing.install(recorder)
+    try:
+        gm.fit(spec, data, n_restarts=3, seed=0)
+    finally:
+        tracing.restore(saved)
+    [fit] = recorder.select("gm.fit")
+    calls = recorder.select("gm.log_likelihood", parent="gm.fit")
+    assert calls
+    assert all(recorder.spans[i].parent == fit for i in calls)

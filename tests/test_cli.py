@@ -961,6 +961,33 @@ def test_a_stage_that_cannot_write_one_output_writes_none(
     assert tree(tmp_path) == before     # no new file, nor a temporary
 
 
+@pytest.mark.parametrize("stage, first, second", [
+    ("rv", "--out-csv", "--out-sidecar"),
+    ("midas-fit", "--out-fit", "--out-h"),
+    ("train", "--out-model", "--out-history"),
+])
+def test_two_outputs_that_name_one_file_exit_2(scenario_dir, pipeline,
+                                               tmp_path, capsys, stage,
+                                               first, second):
+    # the second output used to replace the first, and both were "wrote"
+    inputs = {
+        "rv": ["--intraday", scenario_dir / "intraday.csv"],
+        "midas-fit": ["--factors", pipeline / "factors.csv", "--n-lags", "6",
+                      "--restarts", "1"],
+        "train": ["--factors", pipeline / "factors.csv",
+                  "--features", "tech1,tech2,tech3", "--epochs", "1"],
+    }[stage]
+    out = tmp_path / "same.out"
+    argv = [stage, *map(str, inputs), first, str(out),
+            second, f"{tmp_path}/./same.out"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: two outputs name one file: {out} "
+                            f"and {tmp_path}/./same.out\n")
+    assert "wrote" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the one runtime dependency, for every subcommand
     proc = subprocess.run(

@@ -1,6 +1,12 @@
 import datetime
+import io
 import json
 import math
+import os
+import pickle
+import signal
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +468,217 @@ class TestFit:
         data = make_data()
         with pytest.raises(errors.InputError, match=next(iter(option))):
             gm.fit(gm.MidasSpec(n_lags=6, n_covariates=2), data, **option)
+
+
+def same_fit(a, b):
+    """Two fits with the same parameters, likelihood and convergence
+    record, to the bit."""
+    assert json.dumps(a.params.to_json()) == json.dumps(b.params.to_json())
+    assert np.float64(a.log_lik).tobytes() == np.float64(b.log_lik).tobytes()
+    assert a.convergence == b.convergence
+    return True
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestRestartWorkers:
+    """gm.fit runs its restarts on every usable CPU, in the calling
+    process and in forked workers, and fits the same to the bit."""
+
+    SPEC = gm.MidasSpec(n_lags=3, n_covariates=1)
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        """A hung queue or worker fails its test after two minutes (the
+        calling process then kills and reaps its workers)."""
+        def expire(signum, frame):
+            raise TimeoutError("the restarts took over 120 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
+                              theta=np.array([0.7]), w2=np.array([4.0]))
+        return gm.simulate(self.SPEC, true, months=20, days_per_month=15,
+                           seed=2).to_data()
+
+    @staticmethod
+    def on_cpus(monkeypatch, cpus):
+        """Make ``cpus`` CPUs usable; returns the list each fork of the
+        calling process appends to."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    def fit(self, monkeypatch, data, n_restarts=5):
+        """The fit and its per-restart results."""
+        runs, run_restarts = [], gm._run_restarts
+
+        def kept(run, n):
+            runs.append(run_restarts(run, n))
+            return runs[-1]
+        monkeypatch.setattr(gm, "_run_restarts", kept)
+        result = gm.fit(self.SPEC, data, n_restarts=n_restarts, seed=4)
+        monkeypatch.setattr(gm, "_run_restarts", run_restarts)
+        return result, runs[0]
+
+    @pytest.mark.parametrize("cpus, n_restarts, n_forks",
+                             [(2, 5, 1), (3, 5, 2), (8, 3, 2)])
+    def test_same_fit_as_one_cpu(self, monkeypatch, data, cpus, n_restarts,
+                                 n_forks):
+        self.on_cpus(monkeypatch, 1)
+        alone, alone_runs = self.fit(monkeypatch, data, n_restarts)
+        forks = self.on_cpus(monkeypatch, cpus)
+        shared, shared_runs = self.fit(monkeypatch, data, n_restarts)
+        assert len(forks) == n_forks
+        assert same_fit(shared, alone)
+        assert len(shared_runs) == len(alone_runs) == n_restarts
+        for a, b in zip(shared_runs, alone_runs):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert np.float64(a.fun).tobytes() == np.float64(b.fun).tobytes()
+            assert (a.nit, a.nfev, a.success) == (b.nit, b.nfev, b.success)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("platform", ["one-restart", "no-fork"])
+    def test_nothing_forks_where_nothing_can_share(self, monkeypatch, data,
+                                                   platform):
+        n_restarts = 1 if platform == "one-restart" else 3
+        self.on_cpus(monkeypatch, 1)
+        alone, _ = self.fit(monkeypatch, data, n_restarts)
+        forks = self.on_cpus(monkeypatch, 4)
+        if platform == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        assert same_fit(self.fit(monkeypatch, data, n_restarts)[0], alone)
+        assert forks == [] and no_child_left()
+
+    def test_a_worker_that_dies_costs_time_not_the_result(self, monkeypatch,
+                                                          data):
+        self.on_cpus(monkeypatch, 1)
+        alone, _ = self.fit(monkeypatch, data)
+        forks = self.on_cpus(monkeypatch, 2)
+        caller, search, in_worker = os.getpid(), gm._nelder_mead, []
+
+        def dies_after_one_restart(*args, **kwargs):
+            if os.getpid() != caller:
+                in_worker.append(1)
+                if len(in_worker) > 1:
+                    os._exit(1)
+            return search(*args, **kwargs)
+        monkeypatch.setattr(gm, "_nelder_mead", dies_after_one_restart)
+        assert same_fit(self.fit(monkeypatch, data)[0], alone)
+        assert len(forks) == 1 and no_child_left()
+
+    @staticmethod
+    def result(i):
+        """A stand-in restart result that says which process ran it."""
+        return gm._SimplexResult(x=np.array([float(i)]), fun=float(i),
+                                 nit=os.getpid(), nfev=i, success=True,
+                                 final_simplex=(np.zeros((2, 1)),
+                                                np.zeros(2)))
+
+    def test_a_queue_longer_than_a_pipe_holds(self, monkeypatch, tmp_path):
+        # 20,000 eight-byte indices overfill a 64 KiB pipe, and each
+        # worker's results overfill its own pipe before anyone reads them;
+        # three workers share the queue with the caller on any host
+        self.on_cpus(monkeypatch, 4)
+        caller, started = os.getpid(), tmp_path / "worker-started"
+
+        def run(i):
+            if os.getpid() != caller:
+                started.touch()
+            elif i == 0:                # let the worker take a share
+                deadline = time.monotonic() + 30
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return self.result(i)
+        n = 20_000
+        results = gm._run_restarts(run, n)
+        assert [r.nfev for r in results] == list(range(n))
+        assert len({r.nit for r in results}) >= 2 and no_child_left()
+
+    def test_an_error_in_the_caller_kills_the_workers(self, monkeypatch):
+        self.on_cpus(monkeypatch, 3)
+        caller = os.getpid()
+
+        def run(i):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise KeyboardInterrupt
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            gm._run_restarts(run, 5)
+        assert time.monotonic() - start < 30 and no_child_left()
+
+    def test_a_pipe_cut_short_or_garbled_keeps_what_came_whole(self):
+        whole = pickle.dumps((1, self.result(1)))
+        second = pickle.dumps((2, self.result(2)))
+        for rest in (second[:-3], b"garbled" + second,
+                     pickle.dumps((9, "x")) + second,
+                     pickle.dumps((2, "not a result")) + second):
+            found = gm._reported(io.BytesIO(whole + rest), n=5)
+            assert list(found) == [1] and found[1].nit == os.getpid()
+
+    @pytest.fixture(scope="class")
+    def factors(self, scenario_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("factors")
+        assert cli.main(["rv", "--intraday", str(scenario_dir / "intraday.csv"),
+                         "--out-csv", str(out / "rv.csv"),
+                         "--out-sidecar", str(out / "rv_lambda.json")]) == 0
+        assert cli.main(["pca", "--daily", str(scenario_dir / "daily.csv"),
+                         "--attention", str(scenario_dir / "attention.csv"),
+                         "--monthly", str(scenario_dir / "monthly.csv"),
+                         "--rv", str(out / "rv.csv"),
+                         "--out-dir", str(out)]) == 0
+        return out / "factors.csv"
+
+    def midas_fit(self, factors, out, *flags):
+        return cli.main(["midas-fit", "--factors", str(factors),
+                         "--n-lags", "6", "--restarts", "3", *flags,
+                         "--out-fit", str(out / "midas_fit.json"),
+                         "--out-h", str(out / "h.csv")])
+
+    def test_midas_fit_leaves_stderr_empty(self, monkeypatch, factors,
+                                           tmp_path, capfd):
+        # CPython 3.12+ warns at a fork of a process with threads, as
+        # OpenBLAS's may be; the warning must not reach stderr
+        forks = self.on_cpus(monkeypatch, 2)
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return fork()
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.midas_fit(factors, tmp_path) == 0
+        assert caught == []
+        assert len(forks) == 1 and no_child_left()
+        assert capfd.readouterr().err == ""
+
+    def test_failed_midas_fit_leaves_no_process(self, monkeypatch, factors,
+                                                tmp_path, capfd):
+        forks = self.on_cpus(monkeypatch, 2)
+        assert self.midas_fit(factors, tmp_path, "--max-iter", "1") == 3
+        assert capfd.readouterr().err == ("numerical error: no Nelder-Mead "
+                                          "restart converged to a finite "
+                                          "optimum\n")
+        assert len(forks) == 1 and no_child_left()
 
 
 class TestPersistenceFiles:

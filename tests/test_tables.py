@@ -2,6 +2,7 @@ import ast
 import builtins
 import csv
 import datetime
+import json
 import math
 import pathlib
 import re
@@ -367,3 +368,28 @@ def test_all_or_none_makes_directories_only_for_a_commit(tmp_path):
         pathlib.Path(temp).write_text("new c\n")
     assert [p.name for p in path.parent.iterdir()] == ["c.csv"]
     assert path.read_text() == "new c\n"
+
+
+def test_all_or_none_refuses_two_paths_that_name_one_file(tmp_path):
+    # the second would replace the first, and the stage would report both
+    path = tmp_path / "same.out"
+    (tmp_path / "link.out").symlink_to(path)
+    for other in (str(path), f"{tmp_path}/./same.out",
+                  str(tmp_path / "link.out")):
+        message = f"two outputs name one file: {path} and {other}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            with tables.all_or_none(str(path), other, make_dirs=True):
+                raise AssertionError("the block must not run")
+        assert [p.name for p in tmp_path.iterdir()] == ["link.out"]
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_write_json_writes_what_json_dump_writes(tmp_path, indent):
+    doc = {"a": [1.5, -0.0, 1e-300, 2, [0.1, "x"]], "b": {"c": "dé",
+           "e": 123456789012345678}, "f": 1 / 3, "g": [], "h": {}}
+    path = tmp_path / "doc.json"
+    tables.write_json(str(path), doc, indent=indent)
+    with open(tmp_path / "dump.json", "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "dump.json").read_bytes()
