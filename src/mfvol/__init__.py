@@ -31,9 +31,8 @@ The package splits into layers that mirror the workflow:
 ``cli``
     The ``mfvol`` command built from all of the above.
 
-``autodiff``, a small reverse-mode tape, is no longer used by any of
-the modules above; it stays for its own tests and the benchmark's
-tracer.
+``autodiff`` holds only an empty ``Tensor`` class that the
+benchmark's tracer imports; nothing else uses it.
 """
 
 __version__ = "0.1.0"

@@ -33,10 +33,10 @@ run it.
 from __future__ import annotations
 
 import contextlib
+import logging
 import math
 import os
 import pickle
-import select
 import signal
 import struct
 import warnings
@@ -47,6 +47,8 @@ import numpy as np
 from . import tables
 from .errors import InputError, NumericalError
 from .realized_vol import monthly_rv
+
+log = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 PENALTY = 1e15
@@ -580,24 +582,17 @@ def _restart_workers(n_restarts: int) -> int:
     return max(0, min(len(os.sched_getaffinity(0)) - 1, n_restarts - 1))
 
 
-def _take(queue: int, wait) -> int | None:
-    """The next restart index from the queue, or None once it is empty
-    and closed; ``wait()`` runs while it is empty but still open."""
-    while True:
-        try:
-            record = os.read(queue, _INDEX.size)
-        except BlockingIOError:
-            wait()
-            continue
-        return _INDEX.unpack(record)[0] if len(record) == _INDEX.size \
-            else None
+def _take(queue: int) -> int | None:
+    """The next restart index from the queue, or None at its end."""
+    record = os.read(queue, _INDEX.size)
+    return _INDEX.unpack(record)[0] if len(record) == _INDEX.size else None
 
 
 def _serve(run, queue: int, pipe: int, unused: list[int]):
     """A worker's whole life: run restarts from the queue and send each
-    ``(index, result)`` through ``pipe``, pickled, until the queue is
-    empty and closed. It never returns into the caller's code, and it
-    writes nothing to the caller's stdout or stderr."""
+    ``(index, result)`` through ``pipe``, pickled, until the queue ends.
+    It never returns into the caller's code, and it writes nothing to
+    the caller's stdout or stderr."""
     status = 1
     try:
         for fd in unused:
@@ -605,10 +600,7 @@ def _serve(run, queue: int, pipe: int, unused: list[int]):
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, 1)
         os.dup2(null, 2)
-
-        def readable():
-            select.select([queue], [], [])
-        while (i := _take(queue, readable)) is not None:
+        while (i := _take(queue)) is not None:
             record = memoryview(pickle.dumps((i, run(i))))
             while record:
                 record = record[os.write(pipe, record):]
@@ -635,13 +627,15 @@ def _reported(fh, n: int) -> dict:
 def _run_restarts(run, n: int) -> list:
     """``[run(i) for i in range(n)]``, run on the usable CPUs.
 
-    The calling process runs restart 0 and then takes indices from a
-    shared queue, a pipe, as does each worker it forks (see
-    :func:`_restart_workers`). The queue is fed without blocking, so
-    any ``n`` fits. Afterwards the calling process runs every restart
-    that no worker reported: a failed fork, a worker that died or a
-    pipe cut short costs time and never changes a result. Every worker
-    is reaped, or killed and reaped, before this returns or raises.
+    Restarts 1 to ``n - 1`` go into a shared queue, a pipe, as far as it
+    takes them without blocking, and the pipe is closed for writing
+    before any worker is forked (see :func:`_restart_workers`). The
+    calling process runs restart 0 and then takes indices from the
+    queue until it ends, as does each worker. Afterwards the calling
+    process runs every restart that no worker reported: one that did
+    not fit in the queue, a failed fork, a worker that died or a pipe
+    cut short costs time and never changes a result. Every worker is
+    reaped, or killed and reaped, before this returns or raises.
     """
     n_workers = _restart_workers(n)
     if n_workers == 0:
@@ -649,25 +643,14 @@ def _run_restarts(run, n: int) -> list:
     results = {}
     workers = []            # [pid, read end of its pipe]; pid 0 once reaped
     queue, feeder = os.pipe()
-    os.set_blocking(queue, False)
-    os.set_blocking(feeder, False)
-    fed = 1
-
-    def feed():
-        # what the queue cannot take now waits for the next call
-        nonlocal fed, feeder
-        try:
-            while fed < n:
-                os.write(feeder, _INDEX.pack(fed))
-                fed += 1
-        except BlockingIOError:
-            return
-        if feeder >= 0:
-            os.close(feeder)
-            feeder = -1
-
     try:
-        feed()
+        try:
+            os.set_blocking(feeder, False)
+            with contextlib.suppress(BlockingIOError):
+                for i in range(1, n):
+                    os.write(feeder, _INDEX.pack(i))
+        finally:
+            os.close(feeder)        # a read past the last record ends
         for _ in range(n_workers):
             pipe, sink = os.pipe()
             try:
@@ -682,16 +665,12 @@ def _run_restarts(run, n: int) -> list:
                 break
             if pid == 0:
                 # a worker keeps only the queue's read end and its sink
-                unused = [pipe, *(p for _, p in workers)]
-                if feeder >= 0:
-                    unused.append(feeder)
-                _serve(run, queue, sink, unused)
+                _serve(run, queue, sink, [pipe, *(p for _, p in workers)])
             os.close(sink)
             workers.append([pid, pipe])
         results[0] = run(0)
-        while (i := _take(queue, feed)) is not None:
+        while (i := _take(queue)) is not None:
             results[i] = run(i)
-            feed()
         for worker in workers:
             # closing the pipe stops a worker that sent a garbled record
             with open(worker[1], "rb") as fh:
@@ -711,8 +690,6 @@ def _run_restarts(run, n: int) -> list:
                 with contextlib.suppress(ChildProcessError):
                     os.waitpid(pid, 0)
         os.close(queue)
-        if feeder >= 0:
-            os.close(feeder)
     return [results[i] if i in results else run(i) for i in range(n)]
 
 
@@ -725,6 +702,8 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     with a seeded generator. The best converged restart wins;
     ties go to the earlier restart. The restarts run on the usable CPUs
     (see :func:`_run_restarts`), which changes no bit of the result.
+    Each restart's iterations, evaluations and final objective, and how
+    far that lies above the best, are logged at INFO.
 
     Raises
     ------
@@ -762,6 +741,10 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         raise NumericalError(
             "no Nelder-Mead restart converged to a finite optimum")
     best_idx, best = min(usable, key=lambda pair: (pair[1].fun, pair[0]))
+    for i, r in results:
+        log.info("restart %d: %d iterations, %d evaluations, objective "
+                 "%.6f, %.3g above the best%s", i, r.nit, r.nfev, r.fun,
+                 r.fun - best.fun, "" if r.success else " (not converged)")
     params = _unpack(best.x, spec)
     params.validate(spec)
     fsim = best.final_simplex[1]

@@ -10,9 +10,12 @@ only in the calling process. These tests import it as the benchmark
 does, from its own directory and unedited, so that renaming a traced
 function, changing what ``load_intraday`` returns, updating the weights
 a step saw in place or moving every restart of ``gm.fit`` out of the
-calling process fails here rather than in a traced run.
+calling process fails here rather than in a traced run. The tracer
+also wraps ``autodiff.Tensor.__init__``, so ``mfvol.autodiff`` stays as
+an empty class that nothing in the package imports.
 """
 
+import ast
 import importlib
 import os
 from pathlib import Path
@@ -117,3 +120,29 @@ def test_fit_keeps_likelihood_calls_in_the_calling_process(tracing,
     calls = recorder.select("gm.log_likelihood", parent="gm.fit")
     assert calls
     assert all(recorder.spans[i].parent == fit for i in calls)
+
+
+def test_autodiff_is_an_empty_stub_nothing_imports():
+    # the tracer wraps autodiff.Tensor.__init__; the tape itself is gone,
+    # and the stub must not grow back into code the package runs
+    src = Path(gm.__file__).resolve().parent
+    tree = ast.parse((src / "autodiff.py").read_text())
+    body = [node for node in tree.body
+            if not (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Constant))]
+    assert len(body) == 1 and isinstance(body[0], ast.ClassDef)
+    assert body[0].name == "Tensor"
+    assert not body[0].bases and not body[0].decorator_list
+    assert all(isinstance(node, ast.Expr)
+               and isinstance(node.value, ast.Constant)
+               for node in body[0].body)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.rsplit(".", 1)[-1] == "autodiff"
+                           for n in names), path.name

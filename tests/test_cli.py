@@ -988,6 +988,48 @@ def test_two_outputs_that_name_one_file_exit_2(scenario_dir, pipeline,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_interrupt_exits_130_with_one_line_and_no_output(
+        pipeline, tmp_path, capsys, monkeypatch):
+    # as a SIGINT would while the outputs are being written: the fit's
+    # temporary is on disk when write_h is interrupted
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "write_h", interrupted)
+    before = tree(tmp_path)
+    try:
+        code = run(["midas-fit", "--factors", str(pipeline / "factors.csv"),
+                    "--n-lags", "6", "--restarts", "1",
+                    "--out-fit", str(tmp_path / "midas_fit.json"),
+                    "--out-h", str(tmp_path / "h.csv")])
+    except KeyboardInterrupt:   # would stop the whole pytest run
+        pytest.fail("the interrupt escaped cli.main")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert "wrote" not in captured.out
+    assert tree(tmp_path) == before     # no new file, nor a temporary
+
+
+def test_verbose_midas_fit_logs_each_restart_to_stderr(pipeline, tmp_path):
+    outputs = []
+    for flags in ([], ["-v"]):
+        out = tmp_path / ("verbose" if flags else "quiet")
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfvol", *flags, "midas-fit",
+             "--factors", str(pipeline / "factors.csv"), "--n-lags", "6",
+             "--restarts", "3", "--out-fit", str(out / "midas_fit.json"),
+             "--out-h", str(out / "h.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout.replace(str(out), ""), tree(out),
+                        proc.stderr.splitlines()))
+    (quiet_out, quiet_files, quiet_err), (out, files, err) = outputs
+    assert (out, files, quiet_err) == (quiet_out, quiet_files, [])
+    assert [line.split(":")[:2] for line in err] == [
+        ["INFO mfvol.garch_midas", f" restart {i}"] for i in range(3)]
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the one runtime dependency, for every subcommand
     proc = subprocess.run(

@@ -1,9 +1,11 @@
 import datetime
 import io
 import json
+import logging
 import math
 import os
 import pickle
+import re
 import signal
 import time
 import warnings
@@ -582,6 +584,24 @@ class TestRestartWorkers:
         assert same_fit(self.fit(monkeypatch, data)[0], alone)
         assert len(forks) == 1 and no_child_left()
 
+    def test_logs_one_line_per_restart_in_the_caller(self, monkeypatch,
+                                                     data, caplog):
+        self.on_cpus(monkeypatch, 2)
+        caplog.set_level(logging.INFO, logger="mfvol.garch_midas")
+        result, runs = self.fit(monkeypatch, data)
+        line = re.compile(r"restart (\d+): (\d+) iterations, (\d+) "
+                          r"evaluations, objective (\S+), (\S+) above the "
+                          r"best$")
+        found = [line.fullmatch(r.getMessage()) for r in caplog.records]
+        assert all(found) and len(found) == len(runs) == 5
+        assert {r.process for r in caplog.records} == {os.getpid()}
+        for i, (m, run) in enumerate(zip(found, runs)):
+            assert int(m[1]) == i
+            assert (int(m[2]), int(m[3])) == (run.nit, run.nfev)
+            assert float(m[4]) == pytest.approx(run.fun, abs=1e-6)
+            assert float(m[5]) >= 0
+        assert float(found[result.convergence["best_restart"]][5]) == 0
+
     @staticmethod
     def result(i):
         """A stand-in restart result that says which process ran it."""
@@ -593,11 +613,16 @@ class TestRestartWorkers:
     def test_a_queue_longer_than_a_pipe_holds(self, monkeypatch, tmp_path):
         # 20,000 eight-byte indices overfill a 64 KiB pipe, and each
         # worker's results overfill its own pipe before anyone reads them;
-        # three workers share the queue with the caller on any host
+        # three workers share the queue with the caller on any host. What
+        # the queue cannot take, the caller runs at the end.
         self.on_cpus(monkeypatch, 4)
         caller, started = os.getpid(), tmp_path / "worker-started"
+        # every process appends each index it runs to one shared file
+        ran = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT
+                      | os.O_APPEND)
 
         def run(i):
+            os.write(ran, gm._INDEX.pack(i))
             if os.getpid() != caller:
                 started.touch()
             elif i == 0:                # let the worker take a share
@@ -606,9 +631,16 @@ class TestRestartWorkers:
                     time.sleep(0.01)
             return self.result(i)
         n = 20_000
-        results = gm._run_restarts(run, n)
+        try:
+            results = gm._run_restarts(run, n)
+        finally:
+            os.close(ran)
         assert [r.nfev for r in results] == list(range(n))
         assert len({r.nit for r in results}) >= 2 and no_child_left()
+        assert results[-1].nit == caller
+        indices = [i for (i,) in gm._INDEX.iter_unpack(
+            (tmp_path / "ran").read_bytes())]
+        assert sorted(indices) == list(range(n))
 
     def test_an_error_in_the_caller_kills_the_workers(self, monkeypatch):
         self.on_cpus(monkeypatch, 3)
