@@ -20,7 +20,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -208,34 +208,17 @@ def resolve(command: str, args: argparse.Namespace) -> argparse.Namespace:
 # Factor table I/O
 # ----------------------------------------------------------------------
 
-@dataclass
-class FactorTable:
-    """In-memory image of ``factors.csv``: its first ``n_train`` rows
-    are training rows, the rest test rows.
-
-    ``columns`` holds the numeric columns in file order and may
-    additionally carry a joined ``h`` column.
-    """
-
-    dates: list[str]
-    n_train: int
-    columns: dict[str, np.ndarray]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.dates)
+def write_factors(panel: marketdata.Panel, path: str) -> None:
+    split = ["train"] * panel.n_train
+    split += ["test"] * (panel.n_rows - panel.n_train)
+    tables.write(path, list(FACTORS_COLUMNS)[:2] + list(panel.columns),
+                 [panel.dates, split, *panel.columns.values()])
 
 
-def write_factors(table: FactorTable, path: str) -> None:
-    split = ["train"] * table.n_train
-    split += ["test"] * (table.n_rows - table.n_train)
-    tables.write(path, list(FACTORS_COLUMNS)[:2] + list(table.columns),
-                 [table.dates, split, *table.columns.values()])
-
-
-def read_factors(path: str) -> FactorTable:
-    """The table, whose ``train`` rows must all precede its ``test``
-    rows: a ``train`` row after a ``test`` row is a bad row."""
+def read_factors(path: str) -> marketdata.Panel:
+    """The panel of ``factors.csv``, whose ``train`` rows must all
+    precede its ``test`` rows: a ``train`` row after a ``test`` row is a
+    bad row."""
     def train_first(cols: dict, lines) -> None:
         train = np.array([s == "train" for s in cols["split"]], dtype=bool)
         after_test = np.zeros(len(train), dtype=bool)
@@ -249,8 +232,8 @@ def read_factors(path: str) -> FactorTable:
     dates, split = columns.pop("date"), columns.pop("split")
     if not dates:
         raise MalformedRow(path, 1, "no data rows")
-    return FactorTable(dates=dates, n_train=split.count("train"),
-                       columns=columns)
+    return marketdata.Panel(dates=dates, columns=columns,
+                            n_train=split.count("train"))
 
 
 def write_h(dates: list[str], filtered, path: str) -> None:
@@ -260,8 +243,8 @@ def write_h(dates: list[str], filtered, path: str) -> None:
                   filtered.h])
 
 
-def join_h(table: FactorTable, h_path: str) -> FactorTable:
-    """Restrict the table to the dates of ``h.csv`` and attach ``h``.
+def join_h(panel: marketdata.Panel, h_path: str) -> marketdata.Panel:
+    """Restrict the panel to the dates of ``h.csv`` and attach ``h``.
 
     The conditional-variance file covers a contiguous trailing block
     of the panel (the warm-up months carry no value); anything else
@@ -270,20 +253,20 @@ def join_h(table: FactorTable, h_path: str) -> FactorTable:
     h = tables.read(h_path, H_COLUMNS)
     if not h["date"]:
         raise MalformedRow(h_path, 1, "no data rows")
-    lo = table.n_rows - len(h["date"])
-    if lo < 0 or table.dates[lo:] != h["date"]:
+    lo = panel.n_rows - len(h["date"])
+    if lo < 0 or panel.dates[lo:] != h["date"]:
         raise InputError(
             f"{h_path} does not cover a trailing contiguous block of the "
             "factor panel")
-    columns = {name: col[lo:] for name, col in table.columns.items()}
+    columns = {name: col[lo:] for name, col in panel.columns.items()}
     columns["h"] = h["h"]
-    return FactorTable(dates=table.dates[lo:],
-                       n_train=max(table.n_train - lo, 0), columns=columns)
+    return marketdata.Panel(dates=panel.dates[lo:], columns=columns,
+                            n_train=max(panel.n_train - lo, 0))
 
 
-def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
+def windowed_split(panel: marketdata.Panel, feature_names: tuple[str, ...],
                    window: int) -> tuple[tfm.WindowedDataset, int]:
-    """Windows over the whole table, and how many of them, from the
+    """Windows over the whole panel, and how many of them, from the
     first, are training samples.
 
     A sample belongs to the split of its target row; inputs always
@@ -292,15 +275,15 @@ def windowed_split(table: FactorTable, feature_names: tuple[str, ...],
     """
     from . import transformer as tfm
 
-    missing = [f for f in feature_names if f not in table.columns]
+    missing = [f for f in feature_names if f not in panel.columns]
     if missing:
         raise InputError(
             f"factor panel lacks feature columns {missing} "
-            f"(available: {sorted(table.columns)})")
-    X = np.column_stack([table.columns[f] for f in feature_names])
-    y = table.columns["rv"]
-    dataset = tfm.build_windows(table.dates, X, y, window, feature_names)
-    return dataset, max(table.n_train - window, 0)
+            f"(available: {sorted(panel.columns)})")
+    X = np.column_stack([panel.columns[f] for f in feature_names])
+    y = panel.columns["rv"]
+    dataset = tfm.build_windows(panel.dates, X, y, window, feature_names)
+    return dataset, max(panel.n_train - window, 0)
 
 
 def samples(dataset: tfm.WindowedDataset, part: slice
@@ -325,13 +308,13 @@ def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
 
 def _load_windows(o: argparse.Namespace, feature_names: tuple[str, ...],
                   window: int) -> tuple[tfm.WindowedDataset, int]:
-    table = read_factors(o.factors)
+    panel = read_factors(o.factors)
     if o.h_file is not None:
-        table = join_h(table, o.h_file)
+        panel = join_h(panel, o.h_file)
     elif "h" in feature_names:
         raise InputError(
             "feature list includes 'h' but no --h-file was given")
-    return windowed_split(table, feature_names, window)
+    return windowed_split(panel, feature_names, window)
 
 
 def _print_rows(rows: list[evaluation.EvalRow]) -> None:
@@ -378,38 +361,32 @@ def cmd_pca(o: argparse.Namespace) -> int:
     monthly = marketdata.load_monthly(o.monthly)
     rv = realized_vol.read_rv(o.rv)
 
-    extra = {
-        "ret": dict(zip(rv.dates, rv.ret)),
-        "rv": dict(zip(rv.dates, rv.rv_adj)),
-    }
-    panel = marketdata.align_mixed_frequency(daily, attention, monthly,
-                                             extra=extra)
-    panel = marketdata.fill_missing(panel, policy=o.fill)
+    panel = marketdata.align_mixed_frequency(
+        daily, attention, monthly,
+        (rv.dates, {"ret": rv.columns["ret"], "rv": rv.columns["rv_adj"]}))
     n_train = marketdata.split_boundary(panel.n_rows, o.ratio)
     if n_train < 2 or n_train == panel.n_rows:
         raise InputError(
             f"ratio {o.ratio} leaves {n_train} training rows out of "
             f"{panel.n_rows}; nothing to fit or nothing to test")
+    panel.n_train = n_train
+    panel = marketdata.fill_missing(panel, policy=o.fill)
 
     member_cols = [c for spec in features.DEFAULT_GROUPS
                    for c in spec.columns]
-    norm_panel, stats = marketdata.normalize(panel, member_cols, n_train)
+    norm_panel, stats = marketdata.normalize(panel, member_cols)
     factor_panel, models = features.extract_factor_panel(
-        norm_panel, features.DEFAULT_GROUPS, n_train=n_train)
+        norm_panel, features.DEFAULT_GROUPS)
 
     factor_names = [f"{spec.prefix}{j + 1}" for spec in features.DEFAULT_GROUPS
                     for j in range(spec.retain)]
-    table = FactorTable(
-        dates=list(factor_panel.dates),
-        n_train=n_train,
-        columns={c: factor_panel.columns[c]
-                 for c in ["ret", "rv"] + factor_names},
-    )
+    factors = replace(factor_panel, columns={
+        c: factor_panel.columns[c] for c in ["ret", "rv"] + factor_names})
     paths = [os.path.join(o.out_dir, name) for name in
              ["factors.csv", "norm_stats.json",
               *(f"pca_{spec.name}.json" for spec in features.DEFAULT_GROUPS)]]
     with tables.all_or_none(*paths, make_dirs=True) as temps:
-        write_factors(table, temps[0])
+        write_factors(factors, temps[0])
         tables.write_json(temps[1], {
             "ratio": o.ratio,
             "n_train": n_train,
@@ -434,15 +411,15 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
     """daily conditional variance from monthly factors"""
     from . import garch_midas as gm     # loaded only where it is used
 
-    table = read_factors(o.factors)
-    _, month_index, first_rows = marketdata.month_ids(table.dates)
+    panel = read_factors(o.factors)
+    _, month_index, first_rows = marketdata.month_ids(panel.dates)
     if o.mode == "exogenous":
         cov_names = o.covariates
-        missing = [c for c in cov_names if c not in table.columns]
+        missing = [c for c in cov_names if c not in panel.columns]
         if missing:
             raise InputError(f"factor panel lacks columns {missing}")
         covariates = np.column_stack(
-            [table.columns[c][first_rows] for c in cov_names])
+            [panel.columns[c][first_rows] for c in cov_names])
     else:
         cov_names = ("rv-window",)
         covariates = None
@@ -450,10 +427,10 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
     spec = gm.MidasSpec(n_lags=o.n_lags, mode=o.mode,
                         n_covariates=len(cov_names), tau_link=o.link or "",
                         free_w1=o.free_w1)
-    data = gm.MidasData(returns=table.columns["ret"],
+    data = gm.MidasData(returns=panel.columns["ret"],
                         month_index=month_index,
                         covariates=covariates)
-    n_train = table.n_train
+    n_train = panel.n_train
     if n_train < 1:
         raise InputError("factor panel has no training rows")
     result = gm.fit(spec, data.prefix(n_train), n_restarts=o.restarts,
@@ -462,7 +439,7 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
     filtered = gm.filter_volatility(spec, result.params, data)
     with tables.all_or_none(o.out_fit, o.out_h) as (fit_tmp, h_tmp):
         gm.write_fit(result, fit_tmp)
-        write_h(table.dates, filtered, h_tmp)
+        write_h(panel.dates, filtered, h_tmp)
 
     p = result.params
     print(f"fit on {n_train} train rows ({o.mode}, K={spec.n_lags}, "
@@ -558,17 +535,16 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     """train and score the feature-group ladder"""
     from . import transformer as tfm
 
-    table = read_factors(o.factors)
-    table_h = join_h(table, o.h_file)
+    panel = read_factors(o.factors)
+    panel_h = join_h(panel, o.h_file)
     # every name is resolved before the first group trains
     group_feats = [evaluation.ablation_features(name) for name in o.groups]
     train_config = _train_config(o)
 
-    rows = []
+    preds = []
     test_dates: list[str] | None = None
-    mse_by_group: dict[str, float] = {}
     for name, feats in zip(o.groups, group_feats):
-        source = table_h if "h" in feats else table
+        source = panel_h if "h" in feats else panel
         dataset, n_fit = windowed_split(source, feats, train_config.window)
         model, _ = tfm.train(samples(dataset, slice(n_fit)), None,
                              train_config)
@@ -576,22 +552,29 @@ def cmd_ablate(o: argparse.Namespace) -> int:
         if len(test_ds) == 0:
             raise InputError("no test samples after windowing")
         if test_dates is None:
-            test_dates = test_ds.dates
+            test_dates, truth = test_ds.dates, test_ds.y
         elif test_ds.dates != test_dates:
             raise InputError(
                 f"group {name} evaluates different test dates than "
                 f"{o.groups[0]}; the h file does not cover the test span")
-        pred = tfm.predict(model, test_ds)
-        row = evaluation.evaluate(pred, test_ds.y, model="transformer",
-                                  group=name)
-        mse_by_group[name] = row.mse
-        rows.append(row)
-        log.info("group %s: test mse %.6f", name, row.mse)
+        preds.append(tfm.predict(model, test_ds))
 
-    rv_seq = table.columns["rv"][max(table.n_train - 1, 0):]
-    base_pred, base_truth = evaluation.persistence_baseline(rv_seq)
-    rows.append(evaluation.evaluate(base_pred, base_truth,
+    # every row is scored on one set of test days: those with a positive
+    # truth, persistence forecast and forecast of every group
+    base_pred = panel.columns["rv"][panel.n_train - 1:-1]
+    keep = (truth > 0) & (base_pred > 0) & (np.min(preds, axis=0) > 0)
+    rows = []
+    for name, pred in zip(o.groups, preds):
+        rows.append(evaluation.evaluate(pred[keep], truth[keep],
+                                        model="transformer", group=name))
+        log.info("group %s: test mse %.6f", name, rows[-1].mse)
+    rows.append(evaluation.evaluate(base_pred[keep], truth[keep],
                                     model="persistence", group="-"))
+    if not keep.all():
+        log.warning("ablate: scored every row on %d of %d test days, "
+                    "leaving out those with a non-positive value",
+                    int(keep.sum()), len(keep))
+    mse_by_group = {row.group: row.mse for row in rows}
 
     with tables.all_or_none(o.out) as (out_tmp,):
         evaluation.write_report(rows, out_tmp)

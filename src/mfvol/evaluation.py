@@ -136,13 +136,13 @@ def evaluate(pred, truth, model: str = "transformer",
     pred, truth = _pair(pred, truth)
     keep = (truth > 0) & (pred > 0)
     dropped = int(np.sum(~keep))
-    if dropped:
-        log.warning("evaluate: dropped %d of %d non-positive pairs",
-                    dropped, len(keep))
     pred, truth = pred[keep], truth[keep]
     if len(pred) < 3:
         raise InputError(
             f"only {len(pred)} usable pairs left after dropping {dropped}")
+    if dropped:
+        log.warning("evaluate: dropped %d of %d non-positive pairs",
+                    dropped, len(keep))
     return EvalRow(
         model=model,
         group=group,

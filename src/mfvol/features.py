@@ -12,14 +12,14 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import tables
 from .errors import InputError, NumericalError
-from .marketdata import AlignedPanel, month_ids
+from .marketdata import Panel, month_ids
 
 EIGENVALUE_FLOOR = 1e-12
 
@@ -172,40 +172,40 @@ def inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
     return scores @ model.loadings.T + model.means
 
 
-def extract_factor_panel(
-    panel: AlignedPanel, groups: Sequence[GroupSpec], n_train: int
-) -> tuple[AlignedPanel, dict[str, PcaModel]]:
-    """Append factor columns for every group to a copy of the panel.
+def extract_factor_panel(panel: Panel, groups: Sequence[GroupSpec]
+                         ) -> tuple[Panel, dict[str, PcaModel]]:
+    """A new panel with every group's factor columns appended.
 
-    Loadings are fitted on the first ``n_train`` rows only, so held-out
-    rows never shape the factors. Monthly groups are fitted on one row
-    per month; the months considered are those that contribute at
-    least one training row.
+    Loadings are fitted on the panel's ``n_train`` training rows only,
+    so held-out rows never shape the factors. Monthly groups are fitted
+    on one row per month; the months considered are those that
+    contribute at least one training row.
     """
+    n_train = panel.n_train
     if not (0 < n_train <= panel.n_rows):
         raise InputError(
             f"n_train must lie in 1..{panel.n_rows}, got {n_train}")
 
-    out = panel.copy()
+    _, month_index, first_rows = month_ids(panel.dates)
+    columns = dict(panel.columns)
     models: dict[str, PcaModel] = {}
     for spec in groups:
         missing = [c for c in spec.columns if c not in panel.columns]
         if missing:
             raise InputError(f"group {spec.name!r} lacks columns {missing}")
-        full = panel.matrix(spec.columns)
+        full = np.column_stack([panel.columns[c] for c in spec.columns])
         if spec.granularity == "monthly":
-            _, _, first_rows = month_ids(panel.dates)
             month_matrix = full[first_rows]
-            train_months = int(panel.month_index[n_train - 1]) + 1
+            train_months = int(month_index[n_train - 1]) + 1
             model = fit_pca(month_matrix[:train_months], spec.retain,
                             group=spec.name, columns=spec.columns)
             month_scores = transform(model, month_matrix)
-            scores = month_scores[panel.month_index]
+            scores = month_scores[month_index]
         else:
             model = fit_pca(full[:n_train], spec.retain,
                             group=spec.name, columns=spec.columns)
             scores = transform(model, full)
         for j in range(spec.retain):
-            out.columns[f"{spec.prefix}{j + 1}"] = scores[:, j].copy()
+            columns[f"{spec.prefix}{j + 1}"] = scores[:, j].copy()
         models[spec.name] = model
-    return out, models
+    return replace(panel, columns=columns), models

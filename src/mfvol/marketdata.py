@@ -16,7 +16,7 @@ exact ISO date string; no calendar arithmetic is performed on dates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -67,40 +67,24 @@ class IntradaySeries:
 
 
 @dataclass
-class AlignedPanel:
-    """Daily panel with monthly covariates repeated within each month.
+class Panel:
+    """One daily table, from ``rv.csv`` to ``factors.csv``.
 
-    Attributes
-    ----------
-    dates : list of str
-        Trading dates, strictly increasing.
-    month_index : ndarray of int
-        For each row, the 0-based index of its month (its ``YYYY-MM``
-        prefix) among the panel's months in chronological order.
-    columns : dict of str -> ndarray
-        All numeric columns, each of length ``len(dates)``.
+    ``dates`` are trading dates, strictly increasing; ``columns`` holds
+    numeric columns of ``len(dates)`` values each. The first ``n_train``
+    rows are training rows and the rest test rows. A stage that
+    transforms a panel returns a new one over a shallow copy of
+    ``columns``, so panels share column arrays: no stage writes into a
+    column array in place.
     """
 
     dates: list[str]
-    month_index: np.ndarray
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    columns: dict[str, np.ndarray]
+    n_train: int = 0
 
     @property
     def n_rows(self) -> int:
         return len(self.dates)
-
-    def matrix(self, cols: Sequence[str]) -> np.ndarray:
-        missing = [c for c in cols if c not in self.columns]
-        if missing:
-            raise InputError(f"panel lacks columns {missing}")
-        return np.column_stack([self.columns[c] for c in cols])
-
-    def copy(self) -> "AlignedPanel":
-        return AlignedPanel(
-            dates=list(self.dates),
-            month_index=self.month_index.copy(),
-            columns={k: v.copy() for k, v in self.columns.items()},
-        )
 
 
 # ----------------------------------------------------------------------
@@ -252,29 +236,23 @@ def month_ids(dates: Sequence[str]
     return [keys[i] for i in starts], month_index, first_rows
 
 
-def align_mixed_frequency(
-    daily: Keyed,
-    attention: Keyed,
-    monthly: Keyed,
-    extra: Mapping[str, Mapping[str, float]],
-) -> AlignedPanel:
-    """Merge daily, attention and monthly data into one daily panel.
+def align_mixed_frequency(daily: Keyed, attention: Keyed, monthly: Keyed,
+                          rv: Keyed) -> Panel:
+    """Merge daily, attention, monthly and realized-variance data into
+    one daily panel with no training rows yet.
 
-    Each argument is a loader's ``(keys, columns)`` pair. The trading
-    calendar is taken from ``daily``. Attention values are joined by
-    date (absent dates become NaN cells). Every monthly value is
-    repeated across all trading days of its month; a trading month
-    absent from ``monthly`` raises :class:`InputError`.
-
-    ``extra`` maps additional daily column names to ``{date: value}``
-    mappings (the realized-volatility outputs use this). The panel is
-    restricted to dates covered by every extra column.
+    Each argument is a loader-style ``(keys, columns)`` pair. The
+    trading calendar is ``daily``'s dates that ``rv`` also holds; the
+    ``rv`` and attention columns are joined by date, an attention date
+    that is absent becoming a NaN cell. Every monthly value is repeated
+    across all trading days of its month; a trading month absent from
+    ``monthly`` raises :class:`InputError`.
     """
     daily_dates, daily_cols = daily
     if not daily_dates:
         raise InputError("no daily records")
-    rows = [i for i, d in enumerate(daily_dates)
-            if all(d in col for col in extra.values())]
+    rv_row = {d: i for i, d in enumerate(rv[0])}
+    rows = [i for i, d in enumerate(daily_dates) if d in rv_row]
     if not rows:
         raise InputError("no trading dates left after alignment")
     dates = [daily_dates[i] for i in rows]
@@ -290,66 +268,80 @@ def align_mixed_frequency(
     # -1 picks the NaN appended to every attention column
     day_att_row = np.array([att_row.get(d, -1) for d in dates],
                            dtype=np.int64)
+    day_rv_row = np.array([rv_row[d] for d in dates], dtype=np.int64)
 
     columns = {col: v[rows] for col, v in daily_cols.items()}
     columns.update((col, np.append(v, math.nan)[day_att_row])
                    for col, v in attention[1].items())
     columns.update((col, v[day_month_row]) for col, v in monthly[1].items())
-    for name, mapping in extra.items():
-        columns[name] = np.array([mapping[d] for d in dates], dtype=float)
-    return AlignedPanel(dates=dates, month_index=month_index, columns=columns)
+    columns.update((col, v[day_rv_row]) for col, v in rv[1].items())
+    return Panel(dates=dates, columns=columns)
 
 
-def fill_missing(panel: AlignedPanel, policy: str = "ffill") -> AlignedPanel:
+def _filled(col: np.ndarray, policy: str) -> np.ndarray:
+    """A new ``col`` whose NaN cells are filled from its observed ones."""
+    idx = np.flatnonzero(~np.isnan(col))
+    if policy == "ffill":
+        # the most recent observed cell at or before each row
+        pos = np.searchsorted(idx, np.arange(len(col)), side="right") - 1
+        return col[idx[np.maximum(pos, 0)]]
+    return np.interp(np.arange(len(col)), idx, col[idx])
+
+
+def fill_missing(panel: Panel, policy: str = "ffill") -> Panel:
     """Fill NaN cells column by column.
 
     ``ffill`` carries the last seen value forward (leading gaps take
     the first available value). ``linear`` interpolates between known
-    points and clamps at the ends. A column with no observed value at
-    all raises :class:`InputError`.
+    points and clamps at the ends. The first ``panel.n_train`` rows are
+    filled from training rows only, so a test row never shapes a
+    training value; test rows are filled from the whole column. A
+    column with no observed value at all, or none among its training
+    rows, raises :class:`InputError`.
     """
     if policy not in ("ffill", "linear"):
         raise InputError(f"unknown fill policy {policy!r}")
-    out = panel.copy()
-    for name, col in out.columns.items():
+    n_train = panel.n_train
+    columns = dict(panel.columns)
+    for name, col in panel.columns.items():
         mask = np.isnan(col)
         if not mask.any():
             continue
         if mask.all():
             raise InputError(f"column {name!r} has no observed values")
-        idx = np.flatnonzero(~mask)
-        if policy == "ffill":
-            # indices of the most recent observed cell at or before i
-            pos = np.searchsorted(idx, np.arange(len(col)), side="right") - 1
-            pos = np.clip(pos, 0, len(idx) - 1)
-            out.columns[name] = col[idx[pos]]
-        else:
-            out.columns[name] = np.interp(np.arange(len(col)), idx, col[idx])
-    return out
+        filled = _filled(col, policy)
+        if mask[:n_train].any():
+            if mask[:n_train].all():
+                raise InputError(f"column {name!r} has no observed values "
+                                 f"in its {n_train} training rows")
+            filled[:n_train] = _filled(col[:n_train], policy)
+        columns[name] = filled
+    return replace(panel, columns=columns)
 
 
-def normalize(panel: AlignedPanel, cols: Sequence[str], n_train: int
-              ) -> tuple[AlignedPanel, dict[str, tuple[float, float]]]:
-    """Z-score columns in place of their raw values.
+def normalize(panel: Panel, cols: Sequence[str]
+              ) -> tuple[Panel, dict[str, tuple[float, float]]]:
+    """Z-score columns, each replacing its raw values.
 
-    Each column's mean and population standard deviation come from its
-    first ``n_train`` rows only, so held-out rows never shape the
-    transform; they are returned beside the panel. A column with no
-    usable variance over those rows raises :class:`InputError`.
+    Each column's mean and population standard deviation come from the
+    panel's ``n_train`` training rows only, so held-out rows never
+    shape the transform; they are returned beside the panel. A column
+    with no usable variance over those rows raises :class:`InputError`.
     """
-    out = panel.copy()
+    n_train = panel.n_train
+    columns = dict(panel.columns)
     used: dict[str, tuple[float, float]] = {}
     for name in cols:
-        if name not in out.columns:
+        if name not in columns:
             raise InputError(f"panel lacks column {name!r}")
-        col = out.columns[name]
+        col = columns[name]
         mean = float(np.mean(col[:n_train]))
         std = float(np.std(col[:n_train]))
         if not (std > 0) or not math.isfinite(std) or not math.isfinite(mean):
             raise InputError(f"column {name!r} has no usable variance")
-        out.columns[name] = (col - mean) / std
+        columns[name] = (col - mean) / std
         used[name] = (mean, std)
-    return out, used
+    return replace(panel, columns=columns), used
 
 
 def split_boundary(n_rows: int, ratio: float) -> int:

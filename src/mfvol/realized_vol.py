@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tables
 from .errors import InputError, NumericalError
-from .marketdata import IntradaySeries
+from .marketdata import IntradaySeries, Panel
 
 RET_SCALE = 100.0
 
@@ -138,9 +138,8 @@ def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
                       {"lambda": series.lam, "n_days": series.n_days})
 
 
-def read_rv(csv_path: str) -> RvSeries:
-    """Read back the CSV rows written by :func:`write_rv`; the sidecar
-    is not read, so ``lam`` is NaN."""
+def read_rv(csv_path: str) -> Panel:
+    """The ``ret``, ``rv`` and ``rv_adj`` columns that :func:`write_rv`
+    wrote, by date; the sidecar is not read."""
     cols = tables.read(csv_path, RV_COLUMNS)
-    return RvSeries(dates=cols["date"], ret=cols["ret"], rv=cols["rv"],
-                    rv_adj=cols["rv_adj"], lam=math.nan)
+    return Panel(dates=cols.pop("date"), columns=cols)

@@ -10,19 +10,25 @@ only in the calling process. These tests import it as the benchmark
 does, from its own directory and unedited, so that renaming a traced
 function, changing what ``load_intraday`` returns, updating the weights
 a step saw in place or moving every restart of ``gm.fit`` out of the
-calling process fails here rather than in a traced run. The tracer
-also wraps ``autodiff.Tensor.__init__``, so ``mfvol.autodiff`` stays as
+calling process fails here rather than in a traced run. Its per-layer
+metrics time ``marketdata.align_mixed_frequency`` and
+``features.extract_factor_panel`` under a ``pca`` run, and count the
+rows of what ``cli.read_factors`` returns through its ``n_rows``. The
+tracer also wraps ``autodiff.Tensor.__init__``, so ``mfvol.autodiff`` stays as
 an empty class that nothing in the package imports.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mfvol import cli
 from mfvol import garch_midas as gm
 from mfvol import marketdata
 from mfvol import transformer as tfm
@@ -120,6 +126,36 @@ def test_fit_keeps_likelihood_calls_in_the_calling_process(tracing,
     calls = recorder.select("gm.log_likelihood", parent="gm.fit")
     assert calls
     assert all(recorder.spans[i].parent == fit for i in calls)
+
+
+def test_pca_layers_and_factor_rows_are_traced(tracing, scenario_dir,
+                                              tmp_path):
+    # bench/run.py reads marketdata.align_ms and
+    # features.extract_factor_panel_ms from the spans under its pca root,
+    # and cli.read_factors_rows_per_s from the factor_rows count
+    s = scenario_dir
+    recorder = tracing.Recorder()
+    saved = tracing.install(recorder)
+    try:
+        with recorder.span("pca"), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["rv", "--intraday", str(s / "intraday.csv"),
+                             "--out-csv", str(tmp_path / "rv.csv"),
+                             "--out-sidecar", str(tmp_path / "rv.json")]) == 0
+            assert cli.main(["pca", "--daily", str(s / "daily.csv"),
+                             "--attention", str(s / "attention.csv"),
+                             "--monthly", str(s / "monthly.csv"),
+                             "--rv", str(tmp_path / "rv.csv"),
+                             "--out-dir", str(tmp_path)]) == 0
+        with recorder.span("predict"):
+            cli.read_factors(str(tmp_path / "factors.csv"))
+    finally:
+        tracing.restore(saved)
+    for name in ("marketdata.align_mixed_frequency",
+                 "features.extract_factor_panel"):
+        assert len(recorder.select(name, "pca")) == 1, name
+    rows = (tmp_path / "factors.csv").read_text().count("\n") - 1
+    assert rows > 0
+    assert recorder.counts["factor_rows@predict"] == rows
 
 
 def test_autodiff_is_an_empty_stub_nothing_imports():

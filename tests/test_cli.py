@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from mfvol import cli, evaluation
 from mfvol import transformer as tfm
-from mfvol.cli import FactorTable
+from mfvol.marketdata import Panel
 from mfvol.errors import InputError, MalformedRow
 
 
@@ -41,7 +43,7 @@ def pipeline(scenario_dir, tmp_path_factory):
 
 class TestFactorTableIO:
     def small_table(self):
-        return FactorTable(
+        return Panel(
             dates=["2020-01-01", "2020-01-02", "2020-01-03"],
             n_train=2,
             columns={"ret": np.array([0.1, -0.2, 0.3]),
@@ -117,7 +119,7 @@ class TestFactorTableIO:
             cli.join_h(table, str(h))
 
     def test_windowed_split_labels_by_target_row(self):
-        table = FactorTable(
+        table = Panel(
             dates=[f"2020-01-{d:02d}" for d in range(1, 8)],
             n_train=5,
             columns={"ret": np.zeros(7),
@@ -816,15 +818,25 @@ class TestExitCodes:
         (["train", "--features", "tech1,tech2,tech3", "--lr", "80",
           "--epochs", "30"], 3, "numerical error: non-finite gradient for "),
         (["simulate", "--start-price", "1e306"], 2, "error: cannot write "),
-    ], ids=["train-lr-80", "simulate-start-price-1e306"])
+        (["evaluate"], 2, "error: only 2 usable pairs left after dropping 2"),
+    ], ids=["train-lr-80", "simulate-start-price-1e306",
+            "evaluate-two-usable-pairs"])
     def test_a_failure_prints_one_line(self, pipeline, tmp_path, argv, code,
                                        first):
         # numpy's overflow warnings, with paths into the package, used to
-        # come before the error line
+        # come before the error line, as did evaluate's count of the pairs
+        # it dropped
         if argv[0] == "train":
             argv = argv + ["--factors", str(pipeline / "factors.csv"),
                            "--out-model", str(tmp_path / "m.json"),
                            "--out-history", str(tmp_path / "h.csv")]
+        elif argv[0] == "evaluate":
+            pred = tmp_path / "pred.csv"
+            pred.write_text("date,rv_true,rv_pred\n2021-01-04,1.0,-1.0\n"
+                            "2021-01-05,1.0,1.0\n2021-01-06,2.0,0.0\n"
+                            "2021-01-07,1.5,1.2\n")
+            argv = argv + ["--pred", str(pred),
+                           "--out", str(tmp_path / "report.csv")]
         else:
             argv = argv + ["--out", str(tmp_path / "scen")]
         proc = subprocess.run([sys.executable, "-m", "mfvol", *argv],
@@ -1039,3 +1051,135 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_linear_fill_reads_no_test_row_for_a_training_row(
+        scenario_dir, pipeline, tmp_path):
+    # attention gaps around the boundary: a linear fill of the last
+    # training rows must not interpolate towards the first test values
+    boundary = json.loads((pipeline / "norm_stats.json").read_text())[
+        "boundary_date"]
+    header, *lines = (scenario_dir / "attention.csv").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.split(",")[0] > boundary)
+    kept = lines[:at - 3] + lines[at + 3:]
+    scaled = [line if line.split(",")[0] <= boundary else ",".join(
+        [line.split(",")[0]] + [repr(3.0 * float(v))
+                                for v in line.split(",")[1:]])
+        for line in kept]
+    outputs = []
+    for name, rows in (("gaps", kept), ("scaled", scaled)):
+        attention = tmp_path / f"{name}.csv"
+        attention.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / name
+        assert run(["pca", "--fill", "linear",
+                    "--daily", str(scenario_dir / "daily.csv"),
+                    "--attention", str(attention),
+                    "--monthly", str(scenario_dir / "monthly.csv"),
+                    "--rv", str(pipeline / "rv.csv"),
+                    "--out-dir", str(out)]) == 0
+        outputs.append(tree(out))
+    gaps, moved = outputs
+    assert gaps.pop("factors.csv") != moved.pop("factors.csv")
+    assert sorted(gaps) == ["norm_stats.json", "pca_attention.json",
+                            "pca_macro.json", "pca_tech.json"]
+    assert gaps == moved
+
+
+def test_ablate_scores_every_row_on_one_set_of_days(pipeline, tmp_path,
+                                                    monkeypatch):
+    predict = tfm.predict
+    calls = []
+
+    def one_g1_forecast_not_positive(model, dataset):
+        pred = predict(model, dataset)
+        if not calls:
+            pred[3] = 0.0
+        calls.append(model)
+        return pred
+
+    monkeypatch.setattr(tfm, "predict", one_g1_forecast_not_positive)
+    report = tmp_path / "report.csv"
+    assert run(["ablate", "--factors", str(pipeline / "factors.csv"),
+                "--h-file", str(pipeline / "h.csv"), "--groups", "G1,G3",
+                "--epochs", "1", "--out", str(report)]) == 0
+    assert len(calls) == 2
+    panel = cli.read_factors(str(pipeline / "factors.csv"))
+    truth = panel.columns["rv"][panel.n_train:]
+    base = panel.columns["rv"][panel.n_train - 1:-1]
+    keep = (truth > 0) & (base > 0)
+    assert keep.all()
+    keep[3] = False
+    rows = evaluation.read_report(str(report))
+    assert [(r.group, r.n) for r in rows] == [
+        (g, panel.n_rows - panel.n_train - 1) for g in ("G1", "G3", "-")]
+    assert rows[-1] == evaluation.evaluate(base[keep], truth[keep],
+                                           model="persistence", group="-")
+
+
+def mutate(text: str, kind: str, at: int, cell: int) -> str:
+    """``text`` of a CSV file with one mutation of ``kind`` at the body
+    line ``at`` (modulo their count) and its cell ``cell``."""
+    header, *body = text.splitlines(keepends=True)
+    if kind == "header":
+        return "".join(body)
+    i = at % len(body)
+    cells = body[i].rstrip("\n").split(",")
+    if kind == "drop":
+        del body[i]
+    elif kind == "duplicate":
+        body.insert(i, body[i])
+    elif kind == "swap":
+        j = (i + 1) % len(body)
+        body[i], body[j] = body[j], body[i]
+    elif kind == "cut":
+        body[i:] = [body[i][:1 + cell % (len(body[i]) - 1)]]
+    elif kind == "flip":
+        cells[1] = {"train": "test", "test": "train"}[cells[1]]
+    else:
+        cells[cell % len(cells)] = {"blank": "", "nan": "nan",
+                                    "text": "x1"}[kind]
+    if kind in ("flip", "blank", "nan", "text"):
+        body[i] = ",".join(cells) + "\n"
+    return header + "".join(body)
+
+
+MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv")
+             for kind in ("drop", "duplicate", "swap", "blank", "nan", "text",
+                          "flip", "cut", "header")
+             if kind != "flip" or name == "factors.csv"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+# both commands take an h.csv that starts a day later, and both refuse
+# a first training row stamped test
+@example(("h.csv", "drop"), 0, 0)
+@example(("factors.csv", "flip"), 0, 0)
+def test_a_mutated_factor_or_h_file_exits_cleanly(pipeline, tmp_path_factory,
+                                                  mutation, at, cell):
+    name, kind = mutation
+    top = tmp_path_factory.mktemp("mutated")
+    for file in ("factors.csv", "h.csv"):
+        text = (pipeline / file).read_text()
+        (top / file).write_text(mutate(text, kind, at, cell)
+                                if file == name else text)
+    out = top / "out"
+    out.mkdir()
+    inputs = ["--factors", str(top / "factors.csv"),
+              "--h-file", str(top / "h.csv"), "--epochs", "1"]
+    for argv in (["train", *inputs, "--out-model", str(out / "weights.json"),
+                  "--out-history", str(out / "loss_history.csv")],
+                 ["ablate", *inputs, "--groups", "G1,G3",
+                  "--out", str(out / "report.csv")]):
+        before = tree(top)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+            assert err.getvalue().startswith(("error: ", "numerical error: "))
+            assert tree(top) == before     # no new file, nor a temporary

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mfvol import errors, features
-from mfvol.marketdata import AlignedPanel
+from mfvol import errors, features, marketdata
+from mfvol.marketdata import Panel, month_ids
 
 from oracles import pca_naive
 
@@ -128,7 +128,7 @@ class TestRoundtrip:
             assert np.array_equal(back[name], getattr(model, name)), name
 
 
-def panel_with_groups(n_months=6, days=4, seed=3):
+def panel_with_groups(n_months=6, days=4, seed=3, n_train=None):
     rng = np.random.default_rng(seed)
     n = n_months * days
     month_index = np.repeat(np.arange(n_months), days)
@@ -143,18 +143,15 @@ def panel_with_groups(n_months=6, days=4, seed=3):
             block = rng.standard_normal((n, len(spec.columns)))
         for i, c in enumerate(spec.columns):
             columns[c] = block[:, i].copy()
-    return AlignedPanel(
-        dates=dates,
-        month_index=month_index,
-        columns=columns,
-    )
+    return Panel(dates=dates, columns=columns,
+                 n_train=n if n_train is None else n_train)
 
 
 class TestExtractFactorPanel:
     def test_adds_expected_columns(self):
         panel = panel_with_groups()
         out, models = features.extract_factor_panel(
-            panel, features.DEFAULT_GROUPS, panel.n_rows)
+            panel, features.DEFAULT_GROUPS)
         for name in ("pcm1", "pcm2", "tech1", "tech2", "tech3", "bd1"):
             assert name in out.columns
         assert set(models) == {"macro", "tech", "attention"}
@@ -163,33 +160,36 @@ class TestExtractFactorPanel:
     def test_monthly_factor_constant_within_month(self):
         panel = panel_with_groups()
         out, _ = features.extract_factor_panel(
-            panel, features.DEFAULT_GROUPS, panel.n_rows)
-        for m in range(int(out.month_index[-1]) + 1):
-            vals = out.columns["pcm1"][out.month_index == m]
+            panel, features.DEFAULT_GROUPS)
+        month_index = month_ids(out.dates)[1]
+        for m in range(int(month_index[-1]) + 1):
+            vals = out.columns["pcm1"][month_index == m]
             assert np.ptp(vals) == 0.0
 
     def test_train_only_fit_ignores_tail_rows(self):
-        panel = panel_with_groups()
         n_train = 16
+        panel = panel_with_groups(n_train=n_train)
         out, models = features.extract_factor_panel(
-            panel, features.DEFAULT_GROUPS, n_train)
-        tampered = panel.copy()
+            panel, features.DEFAULT_GROUPS)
+        tampered = Panel(panel.dates, {name: col.copy() for name, col
+                                       in panel.columns.items()}, n_train)
         for c in features.TECH_GROUP.columns:
             tampered.columns[c][n_train:] += 100.0
         out2, models2 = features.extract_factor_panel(
-            tampered, features.DEFAULT_GROUPS, n_train)
+            tampered, features.DEFAULT_GROUPS)
         assert np.array_equal(models["tech"].loadings,
                               models2["tech"].loadings)
         assert np.array_equal(out.columns["tech1"][:n_train],
                               out2.columns["tech1"][:n_train])
 
     def test_monthly_fit_sees_partial_final_month(self):
-        panel = panel_with_groups()
         # n_train lands mid-month: the broken month still contributes
+        panel = panel_with_groups(n_train=14)
         out, models = features.extract_factor_panel(
-            panel, features.DEFAULT_GROUPS, 14)
-        month_rows = panel.matrix(features.MACRO_GROUP.columns)[
-            np.searchsorted(panel.month_index, np.arange(6))]
+            panel, features.DEFAULT_GROUPS)
+        month_rows = np.column_stack(
+            [panel.columns[c] for c in features.MACRO_GROUP.columns]
+        )[month_ids(panel.dates)[2]]
         direct = features.fit_pca(month_rows[:4], 2, group="macro",
                                   columns=features.MACRO_GROUP.columns)
         assert np.array_equal(models["macro"].loadings, direct.loadings)
@@ -198,5 +198,31 @@ class TestExtractFactorPanel:
         panel = panel_with_groups()
         del panel.columns["rsi"]
         with pytest.raises(errors.InputError, match="lacks columns"):
-            features.extract_factor_panel(panel, features.DEFAULT_GROUPS,
-                                         panel.n_rows)
+            features.extract_factor_panel(panel, features.DEFAULT_GROUPS)
+
+
+def test_pca_stages_leave_their_input_panel_as_it_was():
+    # every stage returns a new panel and shares the arrays it does not
+    # replace, so none may write into a column array in place
+    panel = panel_with_groups(n_train=16)
+    panel.columns["csi300"] = panel.columns["csi300"].copy()
+    panel.columns["csi300"][[0, 15, 16]] = np.nan
+    members = [c for spec in features.DEFAULT_GROUPS for c in spec.columns]
+    for policy in ("ffill", "linear"):
+        stages = [
+            lambda p: marketdata.fill_missing(p, policy),
+            lambda p: marketdata.normalize(p, members)[0],
+            lambda p: features.extract_factor_panel(
+                p, features.DEFAULT_GROUPS)[0],
+        ]
+        stage_in = panel
+        for stage in stages:
+            keys = list(stage_in.columns)
+            cells = [col.tobytes() for col in stage_in.columns.values()]
+            out = stage(stage_in)
+            assert list(stage_in.columns) == keys
+            assert [col.tobytes() for col in stage_in.columns.values()] \
+                == cells
+            assert (out.dates, out.n_train) == (panel.dates, 16)
+            stage_in = out
+        assert not np.isnan(out.columns["bd1"]).any()

@@ -227,8 +227,9 @@ class TestLoadAttention:
         assert math.isnan(cols["csi500"][0])
 
 
-def build_panel(tmp_path, dates, months, att_dates=None, extra=None):
+def build_panel(tmp_path, dates, months, att_dates=None, rv_dates=None):
     att_dates = dates if att_dates is None else att_dates
+    rv_dates = dates if rv_dates is None else rv_dates
     daily = md.load_daily(write(
         tmp_path / "d.csv",
         ",".join(md.DAILY_COLUMNS) + "\n"
@@ -244,7 +245,8 @@ def build_panel(tmp_path, dates, months, att_dates=None, extra=None):
         ",".join(md.ATTENTION_COLUMNS) + "\n"
         + "\n".join(attention_line(d, 500.0 + i)
                     for i, d in enumerate(att_dates)) + "\n"))
-    return md.align_mixed_frequency(daily, attention, monthly, extra or {})
+    rv = (rv_dates, {"rv": np.arange(len(rv_dates), dtype=float)})
+    return md.align_mixed_frequency(daily, attention, monthly, rv)
 
 
 DATES = ["2021-01-04", "2021-01-05", "2021-02-01", "2021-02-02",
@@ -256,7 +258,7 @@ class TestAlign:
     def test_monthly_values_repeat_within_month(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         assert panel.dates == DATES
-        assert panel.month_index.tolist() == [0, 0, 1, 1, 1]
+        assert md.month_ids(panel.dates)[1].tolist() == [0, 0, 1, 1, 1]
         assert panel.columns["meci"].tolist() == [100.0, 100.0, 110.0,
                                                   110.0, 110.0]
 
@@ -269,20 +271,19 @@ class TestAlign:
         with pytest.raises(errors.InputError, match="no monthly record for"):
             build_panel(tmp_path, DATES, MONTHS[:1])
 
-    def test_extra_column_restricts_dates(self, tmp_path):
-        extra = {"rv": {d: float(i) for i, d in enumerate(DATES[2:])}}
-        panel = build_panel(tmp_path, DATES, MONTHS, extra=extra)
-        assert panel.dates == DATES[2:]
-        assert panel.month_index.tolist() == [0, 0, 0]
-        assert panel.columns["rv"].tolist() == [0.0, 1.0, 2.0]
+    def test_rv_dates_restrict_the_calendar(self, tmp_path):
+        # rv starts a day before the daily file and misses one of its days
+        rv_dates = ["2021-01-01", *DATES[2:4]]
+        panel = build_panel(tmp_path, DATES, MONTHS, rv_dates=rv_dates)
+        assert panel.dates == DATES[2:4]
+        assert panel.n_train == 0
+        assert md.month_ids(panel.dates)[1].tolist() == [0, 0]
+        assert panel.columns["rv"].tolist() == [1.0, 2.0]
+        assert panel.columns["close"].tolist() == [12.0, 13.0]
 
-    def test_matrix_column_order(self, tmp_path):
-        panel = build_panel(tmp_path, DATES, MONTHS)
-        mat = panel.matrix(["close", "meci"])
-        assert mat.shape == (5, 2)
-        assert mat[0, 0] == panel.columns["close"][0]
-        with pytest.raises(errors.InputError, match="panel lacks columns"):
-            panel.matrix(["close", "nope"])
+    def test_no_rv_date_in_the_calendar_raises(self, tmp_path):
+        with pytest.raises(errors.InputError, match="no trading dates left"):
+            build_panel(tmp_path, DATES, MONTHS, rv_dates=["2020-12-31"])
 
 
 class TestFillMissing:
@@ -311,11 +312,68 @@ class TestFillMissing:
         for name, col in panel.columns.items():
             assert np.array_equal(filled.columns[name], col)
 
+    def test_linear_fills_training_rows_from_training_rows(self):
+        col = np.array([1.0, 2.0, 3.0, 4.0, math.nan, 10.0, 11.0, 12.0])
+        dates = [f"2021-01-{d:02d}" for d in range(1, 9)]
+        panel = md.Panel(dates, {"x": col}, n_train=5)
+        # the gap clamps to the last training value; interpolating towards
+        # the test row 10.0 would give 7.0, and 52.0 were that row 100.0
+        assert md.fill_missing(panel, "linear").columns["x"].tolist() == [
+            1.0, 2.0, 3.0, 4.0, 4.0, 10.0, 11.0, 12.0]
+        panel.n_train = 0
+        assert md.fill_missing(panel, "linear").columns["x"][4] == 7.0
+
+    def test_gap_in_a_test_row_still_reads_later_test_rows(self):
+        col = np.array([1.0, 2.0, 3.0, math.nan, 5.0, math.nan, math.nan])
+        panel = md.Panel([f"2021-01-{d:02d}" for d in range(1, 8)],
+                         {"x": col}, n_train=2)
+        assert md.fill_missing(panel, "linear").columns["x"].tolist() == [
+            1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0]
+        assert md.fill_missing(panel, "ffill").columns["x"].tolist() == [
+            1.0, 2.0, 3.0, 3.0, 5.0, 5.0, 5.0]
+
+    def test_no_training_observation_raises(self):
+        col = np.array([math.nan, math.nan, 3.0, 4.0])
+        panel = md.Panel([f"2021-01-{d:02d}" for d in range(1, 5)],
+                         {"x": col}, n_train=2)
+        for policy in ("ffill", "linear"):
+            with pytest.raises(errors.InputError,
+                               match="no observed values in its 2 training"):
+                md.fill_missing(panel, policy)
+
+    @given(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=2,
+                    max_size=12),
+           st.integers(min_value=1, max_value=12),
+           st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12),
+           st.sampled_from(["ffill", "linear"]))
+    @settings(max_examples=200, deadline=None)
+    def test_test_rows_never_shape_filled_training_rows(self, cells, n_train,
+                                                        later, policy):
+        # None is a missing cell; every observed test cell then moves
+        n_train = min(n_train, len(cells) - 1)
+        col = np.array([math.nan if c is None else c for c in cells])
+        moved = col.copy()
+        observed = ~np.isnan(col)
+        observed[:n_train] = False
+        moved[observed] = np.array(later[:len(col)])[observed]
+        dates = [f"2021-01-{d:02d}" for d in range(1, len(col) + 1)]
+        outcomes = []
+        for values in (col, moved):
+            try:
+                filled = md.fill_missing(
+                    md.Panel(dates, {"x": values}, n_train=n_train), policy)
+            except errors.InputError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(filled.columns["x"][:n_train].tobytes())
+        assert outcomes[0] == outcomes[1]
+
 
 class TestNormalize:
     def test_zscore_and_reuse_stats(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
-        normed, stats = md.normalize(panel, ["close"], panel.n_rows)
+        panel.n_train = panel.n_rows
+        normed, stats = md.normalize(panel, ["close"])
         col = normed.columns["close"]
         assert abs(col.mean()) < 1e-12
         assert abs(col.std() - 1.0) < 1e-12
@@ -328,9 +386,11 @@ class TestNormalize:
     def test_held_out_rows_leave_stats_unchanged(self, tmp_path_factory,
                                                  n_train, later):
         panel = build_panel(tmp_path_factory.mktemp("norm"), DATES, MONTHS)
-        before, stats = md.normalize(panel, ["close"], n_train)
-        panel.columns["close"][n_train:] = later[n_train:]
-        after, again = md.normalize(panel, ["close"], n_train)
+        panel.n_train = n_train
+        before, stats = md.normalize(panel, ["close"])
+        panel.columns["close"] = np.concatenate(
+            [panel.columns["close"][:n_train], later[n_train:]])
+        after, again = md.normalize(panel, ["close"])
         assert again == stats
         assert np.array_equal(after.columns["close"][:n_train],
                               before.columns["close"][:n_train])
@@ -338,8 +398,9 @@ class TestNormalize:
     def test_constant_column_raises(self, tmp_path):
         panel = build_panel(tmp_path, DATES, MONTHS)
         panel.columns["x"] = np.ones(5)
+        panel.n_train = panel.n_rows
         with pytest.raises(errors.InputError, match="has no usable variance"):
-            md.normalize(panel, ["x"], panel.n_rows)
+            md.normalize(panel, ["x"])
 
 
 class TestSplit:
