@@ -286,16 +286,6 @@ def windowed_split(panel: marketdata.Panel, feature_names: tuple[str, ...],
     return dataset, max(panel.n_train - window, 0)
 
 
-def samples(dataset: tfm.WindowedDataset, part: slice
-            ) -> tfm.WindowedDataset:
-    """The samples that ``part`` slices out, in order."""
-    from . import transformer as tfm
-
-    return tfm.WindowedDataset(X=dataset.X[part], y=dataset.y[part],
-                               dates=dataset.dates[part],
-                               feature_names=dataset.feature_names)
-
-
 def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
     """The training options that ``train`` and ``ablate`` share."""
     from . import transformer as tfm
@@ -345,10 +335,10 @@ def cmd_simulate(o: argparse.Namespace) -> int:
 def cmd_rv(o: argparse.Namespace) -> int:
     """realized variance from 5-minute bars"""
     series = marketdata.load_intraday(o.intraday)
-    rv = realized_vol.compute_rv_series(series)
+    rv, lam = realized_vol.compute_rv_series(series)
     with tables.all_or_none(o.out_csv, o.out_sidecar) as temps:
-        realized_vol.write_rv(rv, *temps)
-    print(f"{rv.n_days} days, lambda = {rv.lam:.6f}")
+        realized_vol.write_rv(rv, lam, *temps)
+    print(f"{rv.n_rows} days, lambda = {lam:.6f}")
     print(f"  wrote {o.out_csv}")
     print(f"  wrote {o.out_sidecar}")
     return 0
@@ -459,7 +449,7 @@ def cmd_train(o: argparse.Namespace) -> int:
 
     train_config = _train_config(o)
     dataset, n_fit = _load_windows(o, o.features, train_config.window)
-    train_ds = samples(dataset, slice(n_fit))
+    train_ds = dataset[:n_fit]
     if len(train_ds) == 0:
         raise InputError("no training samples after windowing")
 
@@ -489,9 +479,8 @@ def cmd_predict(o: argparse.Namespace) -> int:
     model = tfm.load_model(o.model)
     dataset, n_fit = _load_windows(o, tuple(model.feature_names),
                                    model.train_config.window)
-    dataset = samples(dataset, {"train": slice(n_fit),
-                                "test": slice(n_fit, None),
-                                "all": slice(None)}[o.split])
+    dataset = dataset[{"train": slice(n_fit), "test": slice(n_fit, None),
+                       "all": slice(None)}[o.split]]
     if len(dataset) == 0:
         raise InputError(f"no {o.split} samples to predict")
     pred = tfm.predict(model, dataset)
@@ -546,9 +535,8 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     for name, feats in zip(o.groups, group_feats):
         source = panel_h if "h" in feats else panel
         dataset, n_fit = windowed_split(source, feats, train_config.window)
-        model, _ = tfm.train(samples(dataset, slice(n_fit)), None,
-                             train_config)
-        test_ds = samples(dataset, slice(n_fit, None))
+        model, _ = tfm.train(dataset[:n_fit], None, train_config)
+        test_ds = dataset[n_fit:]
         if len(test_ds) == 0:
             raise InputError("no test samples after windowing")
         if test_dates is None:

@@ -16,7 +16,6 @@ returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,25 +24,6 @@ from .errors import InputError, NumericalError
 from .marketdata import IntradaySeries, Panel
 
 RET_SCALE = 100.0
-
-
-@dataclass
-class RvSeries:
-    """Per-day returns and realized variance for one instrument.
-
-    The first trading day of the input has no previous close, so the
-    series starts on the second day.
-    """
-
-    dates: list[str]
-    ret: np.ndarray
-    rv: np.ndarray
-    rv_adj: np.ndarray
-    lam: float
-
-    @property
-    def n_days(self) -> int:
-        return len(self.dates)
 
 
 def scale_parameter(daily_returns: np.ndarray, rv: np.ndarray) -> float:
@@ -92,8 +72,9 @@ def monthly_rv(daily_returns: np.ndarray, month_index: np.ndarray) -> np.ndarray
                        minlength=n_months)
 
 
-def compute_rv_series(series: IntradaySeries) -> RvSeries:
-    """Full pipeline from validated bars to the adjusted RV series.
+def compute_rv_series(series: IntradaySeries) -> tuple[Panel, float]:
+    """Full pipeline from validated bars to the daily ``ret``, ``rv`` and
+    ``rv_adj`` table, and the scale parameter lambda.
 
     Daily prices are the last bar of each day. Every day must carry at
     least two bars. The first day is dropped (no previous close).
@@ -118,8 +99,8 @@ def compute_rv_series(series: IntradaySeries) -> RvSeries:
     closes = prices[starts[1:] - 1].tolist()
     ret = RET_SCALE * np.diff([math.log(c) for c in closes])
     lam = scale_parameter(ret, rv)
-    return RvSeries(dates=series.dates[1:], ret=ret, rv=rv,
-                    rv_adj=adjust_rv(rv, lam), lam=lam)
+    return Panel(dates=series.dates[1:], columns={
+        "ret": ret, "rv": rv, "rv_adj": adjust_rv(rv, lam)}), lam
 
 
 # ----------------------------------------------------------------------
@@ -130,12 +111,13 @@ RV_COLUMNS = {"date": tables.KEY, "ret": tables.FLOAT, "rv": tables.FLOAT,
               "rv_adj": tables.FLOAT}
 
 
-def write_rv(series: RvSeries, csv_path: str, sidecar_path: str) -> None:
+def write_rv(panel: Panel, lam: float, csv_path: str,
+             sidecar_path: str) -> None:
     """Write ``date,ret,rv,rv_adj`` rows plus the lambda sidecar JSON."""
-    tables.write(csv_path, list(RV_COLUMNS),
-                 [series.dates, series.ret, series.rv, series.rv_adj])
-    tables.write_json(sidecar_path,
-                      {"lambda": series.lam, "n_days": series.n_days})
+    names = list(RV_COLUMNS)
+    tables.write(csv_path, names,
+                 [panel.dates, *(panel.columns[name] for name in names[1:])])
+    tables.write_json(sidecar_path, {"lambda": lam, "n_days": panel.n_rows})
 
 
 def read_rv(csv_path: str) -> Panel:

@@ -48,8 +48,8 @@ import json
 import logging
 import math
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, asdict
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -135,6 +135,12 @@ class WindowedDataset:
     def __len__(self) -> int:
         return len(self.y)
 
+    def __getitem__(self, part: slice) -> WindowedDataset:
+        """The samples that ``part`` slices out, in order."""
+        return WindowedDataset(X=self.X[part], y=self.y[part],
+                               dates=self.dates[part],
+                               feature_names=self.feature_names)
+
 
 @dataclass
 class TransformerModel:
@@ -182,24 +188,62 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class Weights:
+@functools.lru_cache(maxsize=16)
+def _layout(config: ModelConfig):
+    """Where each weight array of a model geometry lives in its vector:
+    the key order, the vector's size and one (start, stop, shape, is a
+    qkv block) slot per array in key order, each layer's heads as one
+    (d, 3d) block."""
+    shapes, d = weight_shapes(config), config.d_model
+    slots, size = [], 0
+    for name, shape in shapes.items():
+        block = ".head" in name
+        if block:
+            if not name.endswith(".head0.wq"):
+                continue
+            shape = (d, 3 * d)
+        slots.append((size, size + math.prod(shape), shape, block))
+        size += math.prod(shape)
+    return list(shapes), size, slots
+
+
+class Weights(Mapping):
     """Every weight array of one model, as views into one float64 vector.
 
-    It reads like a dict with the keys, order and shapes of
-    :func:`weight_shapes` (``w[name]``, ``in``, ``len``, iteration,
-    ``keys``, ``items``; ``dict(w)`` is a plain dict of the views), but
-    no key can be added or removed, and assigning to a key writes into
-    the vector, so the views and the vector always agree. Each
-    layer's per-head W_q, W_k and W_v are column views of one (d, 3d)
-    block, ``qkv[layer]``: every head's W_q, then every W_k, then every
-    W_v.
+    ``Weights(config, vector)`` lays the arrays of ``config`` over
+    ``vector`` without a copy; without a vector it allocates a new,
+    uninitialized one. It reads like a dict with the keys, order and
+    shapes of :func:`weight_shapes` (``dict(w)`` is a plain dict of the
+    views), but no key can be added or removed, and assigning to a key
+    writes into the vector, so the views and the vector always agree.
+    Each layer's per-head W_q, W_k and W_v are column views of one
+    (d, 3d) block, ``qkv[layer]``: every head's W_q, then every W_k,
+    then every W_v.
     """
 
     __slots__ = ("arrays", "vector", "qkv")
 
-    def __init__(self, arrays: dict[str, np.ndarray], vector: np.ndarray,
-                 qkv: list[np.ndarray]):
-        self.arrays, self.vector, self.qkv = arrays, vector, qkv
+    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
+        names, size, slots = _layout(config)
+        if vector is None:
+            vector = np.empty(size)
+        d, H, dk = config.d_model, config.n_heads, config.d_head
+        values, self.qkv = [], []
+        for start, stop, shape, block in slots:
+            view = vector[start:stop]
+            if len(shape) > 1:
+                view = view.reshape(shape)
+            if block:
+                self.qkv.append(view)
+                heads = view.reshape(d, 3 * H, dk).transpose(1, 0, 2)
+                # a block's column views come W_q, W_k, W_v major; keys
+                # head major
+                values += [heads[s * H + j] for j in range(H)
+                           for s in range(3)]
+            else:
+                values.append(view)
+        self.arrays = dict(zip(names, values))
+        self.vector = vector
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -207,66 +251,11 @@ class Weights:
     def __setitem__(self, name: str, value) -> None:
         self.arrays[name][...] = value
 
-    def __contains__(self, name) -> bool:
-        return name in self.arrays
-
     def __iter__(self):
         return iter(self.arrays)
 
     def __len__(self) -> int:
         return len(self.arrays)
-
-    def keys(self):
-        return self.arrays.keys()
-
-    def items(self):
-        return self.arrays.items()
-
-
-class _Layout:
-    """Where each weight array of a model geometry lives in its vector:
-    the arrays in key order, each layer's heads as one (d, 3d) block."""
-
-    def __init__(self, config: ModelConfig):
-        d, H, dk = config.d_model, config.n_heads, config.d_head
-        self.names = list(weight_shapes(config))
-        # (start, stop, shape, is a qkv block), in key order
-        self.slots: list[tuple[int, int, tuple[int, ...], bool]] = []
-        size = 0
-        for name, shape in weight_shapes(config).items():
-            block = ".head" in name
-            if block:
-                if not name.endswith(".head0.wq"):
-                    continue
-                shape = (d, 3 * d)
-            self.slots.append((size, size + math.prod(shape), shape, block))
-            size += math.prod(shape)
-        self.size = size
-        self.head_axes = (d, 3 * H, dk)
-        # a block's column views come W_q, W_k, W_v major; keys head major
-        self.head_order = [s * H + j for j in range(H) for s in range(3)]
-
-    def empty(self) -> Weights:
-        return self.views(np.empty(self.size))
-
-    def views(self, vector: np.ndarray) -> Weights:
-        values, qkv = [], []
-        for start, stop, shape, block in self.slots:
-            view = vector[start:stop]
-            if len(shape) > 1:
-                view = view.reshape(shape)
-            if block:
-                qkv.append(view)
-                heads = list(view.reshape(self.head_axes).transpose(1, 0, 2))
-                values += [heads[k] for k in self.head_order]
-            else:
-                values.append(view)
-        return Weights(dict(zip(self.names, values)), vector, qkv)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(config: ModelConfig) -> _Layout:
-    return _Layout(config)
 
 
 def _pack(weights: Mapping[str, np.ndarray], config: ModelConfig) -> Weights:
@@ -274,7 +263,7 @@ def _pack(weights: Mapping[str, np.ndarray], config: ModelConfig) -> Weights:
     else a copy with each layer's heads stacked."""
     if isinstance(weights, Weights):
         return weights
-    packed = _layout(config).empty()
+    packed = Weights(config)
     for name in packed:
         packed[name] = weights[name]
     return packed
@@ -284,7 +273,7 @@ def init_weights(config: ModelConfig, seed: int = 0) -> Weights:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out)) for matrices;
     zero biases; unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    weights = _layout(config).empty()
+    weights = Weights(config)
     for name, shape in weight_shapes(config).items():
         if name.endswith(".gain"):
             weights[name] = 1.0
@@ -426,7 +415,7 @@ def _backward(weights: Weights, config: ModelConfig, x: np.ndarray, cache,
     layers, ln_final, pooled, pre_head, hidden, e_head = cache
     n, T, F = x.shape
     d, H, dk = config.d_model, config.n_heads, config.d_head
-    grads = _layout(config).empty()
+    grads = Weights(config)
     w, g = weights.arrays, grads.arrays
     mm, total = np.matmul, np.add.reduce
 
@@ -635,14 +624,13 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
 
     _keep_freed_heap()
     weights = init_weights(model_config, train_config.seed)
-    layout = _layout(model_config)
     theta = weights.vector
     rng = np.random.default_rng(train_config.seed)
     n = len(dataset)
     lr = train_config.learning_rate
     adam = train_config.optimizer == "adam"
     if adam:
-        adam_m, adam_v = np.zeros(layout.size), np.zeros(layout.size)
+        adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     adam_t = 0
 
     history: list[float] = []
@@ -670,7 +658,7 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
             else:
                 theta = theta - lr * g
             # a new vector each step: the weights a step saw stay as they were
-            weights = layout.views(theta)
+            weights = Weights(model_config, theta)
         epoch_loss = loss_mse(forward_batch(Xn, weights, model_config), yn)
         if not math.isfinite(epoch_loss):
             raise NumericalError(
@@ -744,12 +732,15 @@ def load_model(path: str) -> TransformerModel:
         with open(path) as fh:
             doc = json.load(fh)
         config = ModelConfig(**doc["model_config"])
+        names = doc["feature_names"]
+        if type(names) is not list or any(type(n) is not str for n in names):
+            raise TypeError("feature_names must be a list of strings")
         model = TransformerModel(
             config=config,
             weights={name: np.array(spec["data"], dtype=float)
                      .reshape(spec["shape"])
                      for name, spec in doc["weights"].items()},
-            feature_names=list(doc["feature_names"]),
+            feature_names=names,
             feature_mean=np.array(doc["feature_mean"], dtype=float),
             feature_std=np.array(doc["feature_std"], dtype=float),
             target_mean=float(doc["target_mean"]),
@@ -760,7 +751,11 @@ def load_model(path: str) -> TransformerModel:
         raise InputError(f"{path}: not a model file ({exc!r})") from None
     n = (config.n_features,)
     shapes = {name: w.shape for name, w in model.weights.items()}
-    if shapes != weight_shapes(config) or model.feature_mean.shape != n \
+    # len(weight_shapes(config)) without building it, whose time and
+    # memory grow with the counts the file claims, not with its size
+    count = 8 + config.n_layers * (9 + 3 * config.n_heads)
+    if len(shapes) != count or shapes != weight_shapes(config) \
+            or model.feature_mean.shape != n \
             or model.feature_std.shape != n or len(model.feature_names) != n[0]:
         raise InputError(f"{path}: weights or feature statistics do not "
                          "fit the model configuration")

@@ -1053,6 +1053,38 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_rv_pca_and_midas_fit_never_load_the_encoder(scenario_dir, tmp_path):
+    # a cold rv, pca or midas-fit pays for no module it does not run
+    s, out = scenario_dir, tmp_path
+    argvs = [
+        ["rv", "--intraday", f"{s}/intraday.csv", "--out-csv",
+         f"{out}/rv.csv", "--out-sidecar", f"{out}/rv_lambda.json"],
+        ["pca", "--daily", f"{s}/daily.csv", "--attention",
+         f"{s}/attention.csv", "--monthly", f"{s}/monthly.csv",
+         "--rv", f"{out}/rv.csv", "--out-dir", str(out)],
+        ["midas-fit", "--factors", f"{out}/factors.csv", "--n-lags", "6",
+         "--restarts", "1", "--out-fit", f"{out}/midas_fit.json",
+         "--out-h", f"{out}/h.csv"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from mfvol import cli\n"
+        "def loaded():\n"
+        "    return [m for m in ('mfvol.transformer', 'mfvol.garch_midas',\n"
+        "                        'mfvol.simlab') if m in sys.modules]\n"
+        "seen = [('import', 0, loaded())]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((argv[0], cli.main(argv), loaded()))\n"
+        "print(json.dumps(seen))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", 0, []], ["rv", 0, []], ["pca", 0, []],
+        ["midas-fit", 0, ["mfvol.garch_midas"]]]
+
+
 def test_linear_fill_reads_no_test_row_for_a_training_row(
         scenario_dir, pipeline, tmp_path):
     # attention gaps around the boundary: a linear fill of the last
@@ -1144,14 +1176,33 @@ def mutate(text: str, kind: str, at: int, cell: int) -> str:
     return header + "".join(body)
 
 
-MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv")
+MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv", "rv.csv")
              for kind in ("drop", "duplicate", "swap", "blank", "nan", "text",
                           "flip", "cut", "header")
              if kind != "flip" or name == "factors.csv"]
 
 
+def mutations_of(*names):
+    return st.sampled_from([m for m in MUTATIONS if m[0] in names])
+
+
+def exits_cleanly(top: pathlib.Path, argv: list[str]) -> None:
+    """``argv`` in process exits 0, 2 or 3; on 2 or 3 with one line on
+    stderr and ``top`` as it was."""
+    before = tree(top)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith(("error: ", "numerical error: "))
+        assert tree(top) == before     # no new file, nor a temporary
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(MUTATIONS), st.integers(0, 10 ** 6),
+@given(mutations_of("factors.csv", "h.csv"), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6))
 # both commands take an h.csv that starts a day later, and both refuse
 # a first training row stamped test
@@ -1169,17 +1220,126 @@ def test_a_mutated_factor_or_h_file_exits_cleanly(pipeline, tmp_path_factory,
     out.mkdir()
     inputs = ["--factors", str(top / "factors.csv"),
               "--h-file", str(top / "h.csv"), "--epochs", "1"]
-    for argv in (["train", *inputs, "--out-model", str(out / "weights.json"),
-                  "--out-history", str(out / "loss_history.csv")],
-                 ["ablate", *inputs, "--groups", "G1,G3",
-                  "--out", str(out / "report.csv")]):
-        before = tree(top)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = run(argv)
-        assert code in (0, 2, 3), err.getvalue()
-        if code:
-            assert err.getvalue().count("\n") == 1, err.getvalue()
-            assert err.getvalue().startswith(("error: ", "numerical error: "))
-            assert tree(top) == before     # no new file, nor a temporary
+    exits_cleanly(top, ["train", *inputs,
+                        "--out-model", str(out / "weights.json"),
+                        "--out-history", str(out / "loss_history.csv")])
+    exits_cleanly(top, ["ablate", *inputs, "--groups", "G1,G3",
+                        "--out", str(out / "report.csv")])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutations_of("rv.csv"), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_a_mutated_rv_file_exits_cleanly(scenario_dir, pipeline,
+                                         tmp_path_factory, mutation, at,
+                                         cell):
+    _, kind = mutation
+    top = tmp_path_factory.mktemp("mutated")
+    (top / "rv.csv").write_text(
+        mutate((pipeline / "rv.csv").read_text(), kind, at, cell))
+    exits_cleanly(top, ["pca", "--daily", str(scenario_dir / "daily.csv"),
+                        "--attention", str(scenario_dir / "attention.csv"),
+                        "--monthly", str(scenario_dir / "monthly.csv"),
+                        "--rv", str(top / "rv.csv"),
+                        "--out-dir", str(top / "out")])
+
+
+def json_places(node) -> list:
+    """(container, key) of every entry of every object under ``node``,
+    and of the first item of every array."""
+    if isinstance(node, dict):
+        entries = list(node.items())
+    elif isinstance(node, list):
+        entries = list(enumerate(node[:1]))
+    else:
+        return []
+    return [place for key, child in entries
+            for place in [(node, key), *json_places(child)]]
+
+
+JSON_MUTATIONS = ("drop", "shape", "nan", "inf", "text", "true", "null",
+                  "list", "count", "cut", "wrap")
+
+
+def mutate_json(text: str, kind: str, at: int, cell: int) -> str:
+    """``text`` of a model file with one mutation of ``kind`` at the
+    place ``at`` (modulo the count of places that kind reaches), with
+    the value ``cell`` picks where the kind takes one."""
+    if kind == "cut":
+        return text[:cell % len(text)]
+    doc = json.loads(text)
+    if kind == "wrap":
+        return json.dumps([doc])
+    if kind == "shape":
+        places = [(spec["shape"], i) for spec in doc["weights"].values()
+                  for i in range(len(spec["shape"]))]
+    elif kind == "count":
+        places = [(doc[part], key) for part in ("model_config",
+                                                "train_config")
+                  for key, value in doc[part].items()
+                  if value is None or type(value) is int]
+    else:
+        places = [(node, key) for node, key in json_places(doc)
+                  if kind != "drop" or isinstance(node, dict)]
+    node, key = places[at % len(places)]
+    if kind == "drop":
+        del node[key]
+    elif kind == "list":
+        node[key] = [node[key]]
+    elif kind == "shape":
+        node[key] += 1 + cell % 3
+    else:
+        node[key] = {
+            "nan": math.nan, "inf": math.inf, "text": "x1", "true": True,
+            "null": None,
+            "count": (0, 1, 7, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12)[cell % 7],
+        }[kind]
+    return json.dumps(doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(JSON_MUTATIONS), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+# place 16 is the first feature name: as a list it used to reach the
+# panel's column lookup and escape as a TypeError
+@example("list", 16, 0)
+def test_a_mutated_model_file_exits_cleanly(pipeline, forecast,
+                                            tmp_path_factory, kind, at, cell):
+    top = tmp_path_factory.mktemp("mutated")
+    (top / "weights.json").write_text(
+        mutate_json((forecast / "weights.json").read_text(), kind, at, cell))
+    (top / "out").mkdir()
+    exits_cleanly(top, ["predict", "--factors", str(pipeline / "factors.csv"),
+                        "--model", str(top / "weights.json"),
+                        "--split", "all", "--out", str(top / "out" / "p.csv")])
+
+
+def cap_address_space():
+    """Run in the child before exec: 2 GiB of address space at most."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("claim", [
+    {"n_layers": 10 ** 9}, {"n_heads": 10 ** 9, "d_model": 10 ** 9},
+], ids=["layers", "heads"])
+def test_a_model_file_that_claims_more_arrays_than_it_holds_exits_2(
+        pipeline, forecast, tmp_path, claim):
+    # loading used to lay out every array the configuration claims
+    # before it compared them with the file's, in time and memory that
+    # grew with the claim
+    doc = json.loads((forecast / "weights.json").read_text())
+    doc["model_config"].update(claim)
+    model = tmp_path / "weights.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfvol", "predict",
+         "--factors", str(pipeline / "factors.csv"), "--model", str(model),
+         "--split", "all", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {model}: ")
+    assert not out.exists()

@@ -41,23 +41,25 @@ DAYS = [
 
 class TestComputeRvSeries:
     def test_matches_loop_oracle(self):
-        series = rvmod.compute_rv_series(series_from_days(DAYS))
+        series, got_lam = rvmod.compute_rv_series(series_from_days(DAYS))
         rets, rvs = rv_naive(DAYS)
-        assert series.n_days == 2
-        assert np.allclose(series.ret, rets, rtol=0, atol=1e-14)
-        assert np.allclose(series.rv, rvs, rtol=0, atol=1e-14)
+        assert series.n_rows == 2 and series.n_train == 0
+        assert list(series.columns) == ["ret", "rv", "rv_adj"]
+        assert np.allclose(series.columns["ret"], rets, rtol=0, atol=1e-14)
+        assert np.allclose(series.columns["rv"], rvs, rtol=0, atol=1e-14)
         lam = lambda_naive(rets, rvs)
-        assert series.lam == pytest.approx(lam, abs=1e-14)
-        assert np.allclose(series.rv_adj, lam * np.asarray(rvs), atol=1e-14)
+        assert got_lam == pytest.approx(lam, abs=1e-14)
+        assert np.allclose(series.columns["rv_adj"], lam * np.asarray(rvs),
+                           atol=1e-14)
 
     def test_first_day_dropped(self):
-        series = rvmod.compute_rv_series(series_from_days(DAYS))
+        series, _ = rvmod.compute_rv_series(series_from_days(DAYS))
         assert series.dates == ["2021-01-02", "2021-01-03"]
 
     def test_scale_identity(self):
-        series = rvmod.compute_rv_series(series_from_days(DAYS))
-        assert np.mean(series.ret ** 2) == pytest.approx(
-            np.mean(series.rv_adj), abs=1e-12)
+        cols = rvmod.compute_rv_series(series_from_days(DAYS))[0].columns
+        assert np.mean(cols["ret"] ** 2) == pytest.approx(
+            np.mean(cols["rv_adj"]), abs=1e-12)
 
     def test_single_day_rejected(self):
         with pytest.raises(errors.InputError,
@@ -76,9 +78,9 @@ class TestComputeRvSeries:
     @settings(max_examples=80, deadline=None)
     def test_identity_holds_on_random_paths(self, day_prices):
         assume(moves_within_and_across_days(day_prices))
-        series = rvmod.compute_rv_series(series_from_days(day_prices))
-        assert np.mean(series.ret ** 2) == pytest.approx(
-            np.mean(series.rv_adj), rel=1e-12, abs=1e-12)
+        cols = rvmod.compute_rv_series(series_from_days(day_prices))[0].columns
+        assert np.mean(cols["ret"] ** 2) == pytest.approx(
+            np.mean(cols["rv_adj"]), rel=1e-12, abs=1e-12)
 
     @given(st.lists(
         st.lists(st.floats(min_value=5.0, max_value=20.0), min_size=2,
@@ -87,9 +89,9 @@ class TestComputeRvSeries:
     @settings(max_examples=40, deadline=None)
     def test_rv_nonnegative(self, day_prices):
         assume(moves_within_and_across_days(day_prices))
-        series = rvmod.compute_rv_series(series_from_days(day_prices))
-        assert np.all(series.rv >= 0)
-        assert np.all(series.rv_adj >= 0)
+        cols = rvmod.compute_rv_series(series_from_days(day_prices))[0].columns
+        assert np.all(cols["rv"] >= 0)
+        assert np.all(cols["rv_adj"] >= 0)
 
     def test_closes_that_share_a_log_leave_the_scale_undefined(self):
         # the closes differ, but every daily log return is 0
@@ -126,24 +128,25 @@ class TestPieces:
 
 class TestPersistence:
     def test_roundtrip_is_exact(self, tmp_path):
-        series = rvmod.compute_rv_series(series_from_days(DAYS))
+        series, lam = rvmod.compute_rv_series(series_from_days(DAYS))
         csv_path = str(tmp_path / "rv.csv")
         sidecar = str(tmp_path / "rv_lambda.json")
-        rvmod.write_rv(series, csv_path, sidecar)
+        rvmod.write_rv(series, lam, csv_path, sidecar)
         back = rvmod.read_rv(csv_path)
         assert back.dates == series.dates
         assert list(back.columns) == ["ret", "rv", "rv_adj"]
         for name in back.columns:
-            assert np.array_equal(back.columns[name], getattr(series, name))
+            assert np.array_equal(back.columns[name], series.columns[name])
         with open(sidecar) as fh:
             doc = json.load(fh)
-        assert doc == {"lambda": series.lam, "n_days": series.n_days}
+        assert doc == {"lambda": lam, "n_days": series.n_rows}
+        assert list(doc) == ["lambda", "n_days"]
 
     def test_read_without_sidecar(self, tmp_path):
-        series = rvmod.compute_rv_series(series_from_days(DAYS))
+        series, lam = rvmod.compute_rv_series(series_from_days(DAYS))
         csv_path = str(tmp_path / "rv.csv")
         sidecar = tmp_path / "s.json"
-        rvmod.write_rv(series, csv_path, str(sidecar))
+        rvmod.write_rv(series, lam, csv_path, str(sidecar))
         sidecar.unlink()
         back = rvmod.read_rv(csv_path)
-        assert back.n_rows == series.n_days and back.n_train == 0
+        assert back.n_rows == series.n_rows and back.n_train == 0

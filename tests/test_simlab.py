@@ -144,16 +144,17 @@ class TestFullScenario:
 
     def test_intraday_reproduces_model_returns(self, scen):
         series = md.load_intraday(scen.paths["intraday"])
-        out = rv.compute_rv_series(series)
+        out, _ = rv.compute_rv_series(series)
         want = np.array(scen.truth["returns"])[1:]
-        assert np.allclose(out.ret, want, atol=1e-9)
+        assert np.allclose(out.columns["ret"], want, atol=1e-9)
 
     def test_rv_pipeline_accepts_scenario(self, scen):
         series = md.load_intraday(scen.paths["intraday"])
-        out = rv.compute_rv_series(series)
-        assert out.lam > 0
-        assert np.all(out.rv_adj > 0)
-        ident = abs(float(np.mean(out.ret ** 2) - np.mean(out.rv_adj)))
+        out, lam = rv.compute_rv_series(series)
+        ret, rv_adj = out.columns["ret"], out.columns["rv_adj"]
+        assert lam > 0
+        assert np.all(rv_adj > 0)
+        ident = abs(float(np.mean(ret ** 2) - np.mean(rv_adj)))
         assert ident < 1e-12
 
     def test_same_seed_is_byte_identical(self, tmp_path):

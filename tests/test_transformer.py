@@ -94,6 +94,38 @@ class TestWeights:
             assert np.array_equal(a[name], b[name])
         assert any(not np.array_equal(a[n], c[n]) for n in a)
 
+    def test_views_into_the_vector_it_is_given(self):
+        vector = RNG.standard_normal(tf.init_weights(TINY).vector.size)
+        w = tf.Weights(TINY, vector)
+        assert w.vector is vector
+        assert all(np.shares_memory(a, vector) for a in w.values())
+        assert list(w) == list(tf.weight_shapes(TINY))
+        assert {n: a.shape for n, a in w.items()} == tf.weight_shapes(TINY)
+        assert tf.Weights(TINY).vector.shape == vector.shape
+
+    def test_assignment_writes_into_the_vector(self):
+        vector = np.zeros(tf.init_weights(TINY).vector.size)
+        w = tf.Weights(TINY, vector)
+        w["layer0.head1.wk"] = 2.0
+        w["mlp2.b"] = [3.0]
+        assert np.array_equal(w["layer0.head1.wk"], np.full((6, 3), 2.0))
+        assert vector.sum() == 2.0 * 18 + 3.0
+        with pytest.raises(KeyError):
+            w["layer9.ln1.gain"] = 1.0
+        assert len(w) == len(tf.weight_shapes(TINY)) and vector.sum() == 39.0
+
+    def test_dict_holds_per_head_column_views_of_the_stacked_block(self):
+        w = tf.init_weights(TINY, seed=4)
+        plain = dict(w)
+        assert type(plain) is dict and list(plain) == list(w)
+        d, H, dk = TINY.d_model, TINY.n_heads, TINY.d_head
+        for s, kind in enumerate(("wq", "wk", "wv")):
+            for j in range(H):
+                col = (s * H + j) * dk
+                assert np.array_equal(plain[f"layer0.head{j}.{kind}"],
+                                      w.qkv[0][:, col:col + dk])
+        assert w.qkv[0].shape == (d, 3 * d)
+
 
 class TestAttention:
     def test_matches_loop_oracle(self):
