@@ -350,10 +350,10 @@ def cmd_pca(o: argparse.Namespace) -> int:
     attention = marketdata.load_attention(o.attention)
     monthly = marketdata.load_monthly(o.monthly)
     rv = realized_vol.read_rv(o.rv)
+    rv = replace(rv, columns={"ret": rv.columns["ret"],
+                              "rv": rv.columns["rv_adj"]})
 
-    panel = marketdata.align_mixed_frequency(
-        daily, attention, monthly,
-        (rv.dates, {"ret": rv.columns["ret"], "rv": rv.columns["rv_adj"]}))
+    panel = marketdata.align_mixed_frequency(daily, attention, monthly, rv)
     n_train = marketdata.split_boundary(panel.n_rows, o.ratio)
     if n_train < 2 or n_train == panel.n_rows:
         raise InputError(
@@ -625,8 +625,9 @@ def main(argv: list[str] | None = None) -> int:
         # one-line error, so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
             return COMMANDS[args.command](resolve(args.command, args))
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError, MemoryError) as exc:
+        # a size too large for this host is an input problem too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

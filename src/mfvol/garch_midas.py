@@ -56,11 +56,6 @@ MIN_PERSISTENCE = 1e-12
 MAX_PERSISTENCE = 1.0 - 1e-8
 
 
-class _BadParameter(InputError):
-    """A parameter vector outside the model's domain: an input error
-    when a caller passes it, a PENALTY value inside the fit's search."""
-
-
 @dataclass(frozen=True)
 class MidasSpec:
     """Structural choices of the model, fixed before estimation.
@@ -120,23 +115,22 @@ class MidasParams:
         theta, w1, w2 = self.theta.tolist(), self.w1.tolist(), self.w2.tolist()
         if not all(map(math.isfinite, (self.mu, self.alpha, self.beta, self.m,
                                        *theta, *w1, *w2))):
-            raise _BadParameter("every parameter must be finite")
+            raise InputError("every parameter must be finite")
         if self.alpha < 0 or self.beta < 0:
-            raise _BadParameter("alpha and beta must be nonnegative")
+            raise InputError("alpha and beta must be nonnegative")
         if self.alpha + self.beta >= 1:
-            raise _BadParameter(
+            raise InputError(
                 f"alpha + beta = {self.alpha + self.beta} must be < 1")
         J = len(theta)
         if len(w2) != J or len(w1) != J:
-            raise _BadParameter("theta, w1 and w2 must have equal length")
+            raise InputError("theta, w1 and w2 must have equal length")
         if min(w1 + w2, default=1.0) < 1:
-            raise _BadParameter("weight shape parameters must be >= 1")
+            raise InputError("weight shape parameters must be >= 1")
         if J != spec.n_covariates:
-            raise _BadParameter(
+            raise InputError(
                 f"expected {spec.n_covariates} covariates, got {J}")
         if spec.tau_link == "identity" and self.m <= 0:
-            raise _BadParameter(
-                "identity link requires a positive intercept m")
+            raise InputError("identity link requires a positive intercept m")
 
     def to_json(self) -> dict:
         return {
@@ -236,8 +230,8 @@ def _weights(grid: tuple[np.ndarray, np.ndarray], w1: np.ndarray,
     raw = k ** (w1 - 1.0) * rest ** (w2 - 1.0)
     total = raw.sum(axis=0)
     if not total.min() > 0:
-        raise _BadParameter(f"degenerate weights for K={len(k)}, "
-                            f"w1={w1.tolist()}, w2={w2.tolist()}")
+        raise InputError(f"degenerate weights for K={len(k)}, "
+                         f"w1={w1.tolist()}, w2={w2.tolist()}")
     return raw / total
 
 
@@ -250,9 +244,9 @@ def beta_weights(n_lags: int, w1: float = 1.0, w2: float = 1.0) -> np.ndarray:
     recent month. A single lag always receives weight one.
     """
     if n_lags < 1:
-        raise _BadParameter(f"n_lags must be >= 1, got {n_lags}")
+        raise InputError(f"n_lags must be >= 1, got {n_lags}")
     if w1 < 1 or w2 < 1:
-        raise _BadParameter(f"need w1 >= 1 and w2 >= 1, got ({w1}, {w2})")
+        raise InputError(f"need w1 >= 1 and w2 >= 1, got ({w1}, {w2})")
     return _weights(_lag_grid(n_lags), np.array([w1], dtype=float),
                     np.array([w2], dtype=float))[:, 0]
 
@@ -561,7 +555,9 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel):
         try:
             params = _unpack(u, spec)
             return -log_likelihood(spec, params, data, panel)
-        except (_BadParameter, NumericalError, FloatingPointError,
+        # a vector outside the model's domain is an input error to a
+        # caller, and a PENALTY value inside the search
+        except (InputError, NumericalError, FloatingPointError,
                 OverflowError):
             return PENALTY
     return objective
@@ -767,35 +763,12 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
 # Simulation
 # ----------------------------------------------------------------------
 
-@dataclass
-class SimulatedMidas:
-    """Output of :func:`simulate`.
-
-    ``tau``/``g``/``h`` cover the modeled days only (after the warm-up
-    months); ``returns``, ``month_index`` and ``day_variance`` span
-    every day.
-    """
-
-    returns: np.ndarray
-    month_index: np.ndarray
-    covariates: np.ndarray
-    modeled_start: int
-    tau: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    day_variance: np.ndarray
-
-    def to_data(self) -> MidasData:
-        """The panel as filter or fit input; every simulated panel is
-        exogenous."""
-        return MidasData(returns=self.returns, month_index=self.month_index,
-                         covariates=self.covariates)
-
-
 def simulate(spec: MidasSpec, params: MidasParams, months: int,
              days_per_month: int = 21, seed: int = 0, cov_rho: float = 0.8,
-             day_var_multiplier: np.ndarray | None = None) -> SimulatedMidas:
-    """Draw a panel from the exogenous log-link model.
+             day_var_multiplier: np.ndarray | None = None
+             ) -> tuple[MidasData, MidasFiltered, np.ndarray]:
+    """Draw a panel from the exogenous log-link model: the panel, its
+    true tau/g/h over the modeled days, and each day's variance.
 
     The first ``spec.n_lags`` months are warm-up: their returns are
     drawn at the covariate-free variance level exp(m) and exist so
@@ -879,16 +852,10 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
         day_var[day] = h[i] * day_var_multiplier[day]
         returns[day] = params.mu + math.sqrt(day_var[day]) * eps[day]
 
-    return SimulatedMidas(
-        returns=returns,
-        month_index=month_index,
-        covariates=X,
-        modeled_start=start,
-        tau=tau,
-        g=g,
-        h=h,
-        day_variance=day_var,
-    )
+    return (MidasData(returns=returns, month_index=month_index,
+                      covariates=X),
+            MidasFiltered(day_slice=slice(start, n_days), tau=tau, g=g, h=h),
+            day_var)
 
 
 # ----------------------------------------------------------------------

@@ -42,9 +42,6 @@ BAR_MINUTES = 5
 BAR_DTYPE = np.dtype([("day", np.int64), ("time_min", np.int64),
                       ("price", np.float64)])
 
-# sorted keys (dates or months) and one float column per other field
-Keyed = tuple[list[str], dict[str, np.ndarray]]
-
 
 @dataclass
 class IntradaySeries:
@@ -68,10 +65,11 @@ class IntradaySeries:
 
 @dataclass
 class Panel:
-    """One daily table, from ``rv.csv`` to ``factors.csv``.
+    """One table by date or month, from the loaders to ``factors.csv``.
 
-    ``dates`` are trading dates, strictly increasing; ``columns`` holds
-    numeric columns of ``len(dates)`` values each. The first ``n_train``
+    ``dates`` are the row keys, strictly increasing: trading dates, or
+    ``YYYY-MM`` months in the monthly table; ``columns`` holds numeric
+    columns of ``len(dates)`` values each. The first ``n_train``
     rows are training rows and the rest test rows. A stage that
     transforms a panel returns a new one over a shallow copy of
     ``columns``, so panels share column arrays: no stage writes into a
@@ -141,8 +139,15 @@ def _day_numbers(dates: list[str]) -> tuple[list[str], np.ndarray]:
                              len(dates))
 
 
+def _by_key(keys: list[str], columns: dict[str, np.ndarray]) -> Panel:
+    """The table of ``columns`` with its rows sorted by ``keys``."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Panel([keys[i] for i in order],
+                 {k: v[order] for k, v in columns.items()})
+
+
 def _load_dated(path: str, columns: Mapping[str, object],
-                tests: Callable[[dict], list]) -> Keyed:
+                tests: Callable[[dict], list]) -> Panel:
     """A table keyed by distinct ISO dates, sorted by date; ``tests``
     gives the table's row tests, for :func:`tables.first_broken`, after
     its check of repeated dates."""
@@ -153,12 +158,10 @@ def _load_dated(path: str, columns: Mapping[str, object],
             *tests(cols)])
 
     cols = tables.read(path, columns, rule=rule)
-    dates = cols.pop("date")
-    order = sorted(range(len(dates)), key=dates.__getitem__)
-    return [dates[i] for i in order], {k: v[order] for k, v in cols.items()}
+    return _by_key(cols.pop("date"), cols)
 
 
-def load_daily(path: str) -> Keyed:
+def load_daily(path: str) -> Panel:
     """Load daily OHLC plus technical-indicator columns.
 
     Open/high/low/close must be present, positive and ordered
@@ -185,7 +188,7 @@ def load_daily(path: str) -> Keyed:
     return _load_dated(path, DAILY_COLUMNS, tests)
 
 
-def load_attention(path: str) -> Keyed:
+def load_attention(path: str) -> Panel:
     """Load daily search-attention counts (one row per trading date)."""
     names = list(ATTENTION_COLUMNS)[1:]
 
@@ -198,7 +201,7 @@ def load_attention(path: str) -> Keyed:
     return _load_dated(path, ATTENTION_COLUMNS, tests)
 
 
-def load_monthly(path: str) -> Keyed:
+def load_monthly(path: str) -> Panel:
     """Load monthly macro indicators; months must be contiguous."""
     def rule(cols: dict, lines) -> None:
         months = cols["month"]
@@ -214,9 +217,7 @@ def load_monthly(path: str) -> Keyed:
                                    f"{months[prev]} -> {months[i]}")
 
     cols = tables.read(path, MONTHLY_COLUMNS, rule=rule)
-    months = cols.pop("month")
-    order = sorted(range(len(months)), key=months.__getitem__)
-    return [months[i] for i in order], {k: v[order] for k, v in cols.items()}
+    return _by_key(cols.pop("month"), cols)
 
 
 # ----------------------------------------------------------------------
@@ -236,45 +237,44 @@ def month_ids(dates: Sequence[str]
     return [keys[i] for i in starts], month_index, first_rows
 
 
-def align_mixed_frequency(daily: Keyed, attention: Keyed, monthly: Keyed,
-                          rv: Keyed) -> Panel:
+def align_mixed_frequency(daily: Panel, attention: Panel, monthly: Panel,
+                          rv: Panel) -> Panel:
     """Merge daily, attention, monthly and realized-variance data into
     one daily panel with no training rows yet.
 
-    Each argument is a loader-style ``(keys, columns)`` pair. The
-    trading calendar is ``daily``'s dates that ``rv`` also holds; the
+    The trading calendar is ``daily``'s dates that ``rv`` also holds; the
     ``rv`` and attention columns are joined by date, an attention date
     that is absent becoming a NaN cell. Every monthly value is repeated
     across all trading days of its month; a trading month absent from
     ``monthly`` raises :class:`InputError`.
     """
-    daily_dates, daily_cols = daily
-    if not daily_dates:
+    if not daily.dates:
         raise InputError("no daily records")
-    rv_row = {d: i for i, d in enumerate(rv[0])}
-    rows = [i for i, d in enumerate(daily_dates) if d in rv_row]
+    rv_row = {d: i for i, d in enumerate(rv.dates)}
+    rows = [i for i, d in enumerate(daily.dates) if d in rv_row]
     if not rows:
         raise InputError("no trading dates left after alignment")
-    dates = [daily_dates[i] for i in rows]
+    dates = [daily.dates[i] for i in rows]
 
     months, month_index, _ = month_ids(dates)
-    month_row = {m: i for i, m in enumerate(monthly[0])}
+    month_row = {m: i for i, m in enumerate(monthly.dates)}
     for m in months:
         if m not in month_row:
             raise InputError(f"no monthly record for {m}")
     day_month_row = np.array([month_row[m] for m in months],
                              dtype=np.int64)[month_index]
-    att_row = {d: i for i, d in enumerate(attention[0])}
+    att_row = {d: i for i, d in enumerate(attention.dates)}
     # -1 picks the NaN appended to every attention column
     day_att_row = np.array([att_row.get(d, -1) for d in dates],
                            dtype=np.int64)
     day_rv_row = np.array([rv_row[d] for d in dates], dtype=np.int64)
 
-    columns = {col: v[rows] for col, v in daily_cols.items()}
+    columns = {col: v[rows] for col, v in daily.columns.items()}
     columns.update((col, np.append(v, math.nan)[day_att_row])
-                   for col, v in attention[1].items())
-    columns.update((col, v[day_month_row]) for col, v in monthly[1].items())
-    columns.update((col, v[day_rv_row]) for col, v in rv[1].items())
+                   for col, v in attention.columns.items())
+    columns.update((col, v[day_month_row])
+                   for col, v in monthly.columns.items())
+    columns.update((col, v[day_rv_row]) for col, v in rv.columns.items())
     return Panel(dates=dates, columns=columns)
 
 

@@ -86,6 +86,9 @@ class ScenarioSpec:
             raise InputError("days_per_month must lie in 1..28")
         if not (2 <= self.bars_per_day <= 48):
             raise InputError("bars_per_day must lie in 2..48")
+        if self.n_days * self.bars_per_day * BAR_DTYPE.itemsize \
+                > np.iinfo(np.intp).max:
+            raise InputError(f"{self.n_days} days are too many for an array")
         if not (0.0 <= self.overnight_frac < 1.0):
             raise InputError("overnight_frac must lie in [0, 1)")
         if not (0.0 < self.start_price < math.inf):
@@ -271,19 +274,19 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
     multiplier = np.exp(coef * lagged - 0.5 * coef * coef)
 
     midas_spec = spec.midas_spec()
-    sim = simulate(midas_spec, _PARAMS, spec.months,
-                   spec.days_per_month, seed=s_mid, cov_rho=spec.cov_rho,
-                   day_var_multiplier=multiplier)
+    data, true, day_variance = simulate(
+        midas_spec, _PARAMS, spec.months, spec.days_per_month, seed=s_mid,
+        cov_rho=spec.cov_rho, day_var_multiplier=multiplier)
 
     dates, month_labels = make_dates(spec.start_month, spec.months,
                                      spec.days_per_month)
     intraday = gen_intraday(
-        dates, sim.day_variance, np.random.default_rng(s_intra),
+        dates, day_variance, np.random.default_rng(s_intra),
         bars_per_day=spec.bars_per_day, overnight_frac=spec.overnight_frac,
-        start_price=spec.start_price, target_returns=sim.returns)
+        start_price=spec.start_price, target_returns=data.returns)
 
     rng_macro = np.random.default_rng(s_macro)
-    X = sim.covariates
+    X = data.covariates
     macro = np.empty((spec.months, 10))
     for t in range(spec.months):
         noise = rng_macro.standard_normal(10)
@@ -317,14 +320,14 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         "cov_rho": spec.cov_rho,
         "attention_coef": spec.attention_coef,
         "overnight_frac": spec.overnight_frac,
-        "modeled_start": sim.modeled_start,
+        "modeled_start": true.day_slice.start,
         "dates": dates,
-        "returns": sim.returns.tolist(),
-        "covariates": sim.covariates.tolist(),
-        "tau": sim.tau.tolist(),
-        "g": sim.g.tolist(),
-        "h": sim.h.tolist(),
-        "day_variance": sim.day_variance.tolist(),
+        "returns": data.returns.tolist(),
+        "covariates": data.covariates.tolist(),
+        "tau": true.tau.tolist(),
+        "g": true.g.tolist(),
+        "h": true.h.tolist(),
+        "day_variance": day_variance.tolist(),
         "attention_latent": latent.tolist(),
     }
     bars = intraday.bars

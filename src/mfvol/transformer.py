@@ -90,6 +90,12 @@ class ModelConfig:
             raise InputError(
                 f"d_model={self.d_model} not divisible by "
                 f"n_heads={self.n_heads}")
+        d, f = self.d_model, self.d_ff
+        # the weight vector's length (see _layout): numpy makes no array
+        # of more bytes than an intp counts
+        if 8 * (self.n_layers * (4 * d * d + 2 * d * f + 5 * d + f) + d * (
+                self.n_features + d + 5) + 1) > np.iinfo(np.intp).max:
+            raise InputError("model dimensions too large for an array")
 
     @property
     def d_head(self) -> int:
@@ -113,12 +119,16 @@ class TrainConfig:
         if self.window < 1 or self.batch_size < 1 or self.max_epochs < 1:
             raise InputError(
                 "window, batch_size and max_epochs must be positive")
-        if not 0 <= self.learning_rate < math.inf:
+        # a model file may hold true or "0.5" for a number, 1 for a bool
+        if type(self.learning_rate) not in (int, float) \
+                or not 0 <= self.learning_rate < math.inf:
             raise InputError(f"learning_rate must be finite and at least 0, "
                              f"got {self.learning_rate}")
         if self.patience is not None and self.patience < 0:
             raise InputError(
                 f"patience must be at least 0, got {self.patience}")
+        if type(self.shuffle) is not bool:
+            raise InputError(f"shuffle must be a bool, got {self.shuffle!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer {self.optimizer!r}")
 
@@ -735,6 +745,12 @@ def load_model(path: str) -> TransformerModel:
         names = doc["feature_names"]
         if type(names) is not list or any(type(n) is not str for n in names):
             raise TypeError("feature_names must be a list of strings")
+        # json reads true as a bool and "0.5" as a str; float() takes both
+        numbers = [doc["target_mean"], doc["target_std"], *doc["feature_mean"],
+                   *doc["feature_std"], *(x for spec in doc["weights"].values()
+                                          for x in spec["data"])]
+        if not set(map(type, numbers)) <= {int, float}:
+            raise TypeError("a number field holds a bool, a string or null")
         model = TransformerModel(
             config=config,
             weights={name: np.array(spec["data"], dtype=float)
@@ -747,7 +763,8 @@ def load_model(path: str) -> TransformerModel:
             target_std=float(doc["target_std"]),
             train_config=TrainConfig(**doc["train_config"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, InputError, KeyError, TypeError,
+            ValueError) as exc:
         raise InputError(f"{path}: not a model file ({exc!r})") from None
     n = (config.n_features,)
     shapes = {name: w.shape for name, w in model.weights.items()}

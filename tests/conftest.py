@@ -1,8 +1,16 @@
+import os
+import pathlib
 import sys
 
 import pytest
 
 from mfvol import simlab
+
+# pyproject's pythonpath puts src/ on this process's path; the tests
+# that run "python -m mfvol" in a child process need it there too
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

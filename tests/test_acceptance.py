@@ -193,9 +193,9 @@ def test_criterion_05_parameter_recovery():
                           theta=[0.35], w2=[4.0])
     hits = 0
     for seed in range(10):
-        sim = gm.simulate(spec, true, months=155, days_per_month=21,
-                          seed=seed)
-        result = gm.fit(spec, sim.to_data(), n_restarts=2, seed=seed)
+        data, _, _ = gm.simulate(spec, true, months=155, days_per_month=21,
+                                 seed=seed)
+        result = gm.fit(spec, data, n_restarts=2, seed=seed)
         p = result.params
         hits += (abs(p.alpha - true.alpha) <= 0.05
                  and abs(p.beta - true.beta) <= 0.05

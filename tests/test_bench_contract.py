@@ -114,8 +114,8 @@ def test_fit_keeps_likelihood_calls_in_the_calling_process(tracing,
     spec = gm.MidasSpec(n_lags=3, n_covariates=1)
     true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                           theta=np.array([0.7]), w2=np.array([4.0]))
-    data = gm.simulate(spec, true, months=14, days_per_month=15,
-                       seed=2).to_data()
+    data, _, _ = gm.simulate(spec, true, months=14, days_per_month=15,
+                             seed=2)
     recorder = tracing.Recorder()
     saved = tracing.install(recorder)
     try:

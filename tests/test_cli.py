@@ -1176,7 +1176,9 @@ def mutate(text: str, kind: str, at: int, cell: int) -> str:
     return header + "".join(body)
 
 
-MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv", "rv.csv")
+MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv", "rv.csv",
+                                      "daily.csv", "attention.csv",
+                                      "monthly.csv")
              for kind in ("drop", "duplicate", "swap", "blank", "nan", "text",
                           "flip", "cut", "header")
              if kind != "flip" or name == "factors.csv"]
@@ -1227,21 +1229,39 @@ def test_a_mutated_factor_or_h_file_exits_cleanly(pipeline, tmp_path_factory,
                         "--out", str(out / "report.csv")])
 
 
+def pca_exits_cleanly(scenario_dir, pipeline, top, mutation, at, cell):
+    """``pca`` on the scenario's tables and the pipeline's ``rv.csv``,
+    with the one that ``mutation`` names mutated into ``top``, exits
+    cleanly."""
+    name, kind = mutation
+    inputs = {table: scenario_dir / f"{table}.csv"
+              for table in ("daily", "attention", "monthly")}
+    inputs["rv"] = pipeline / "rv.csv"
+    table = name.removesuffix(".csv")
+    (top / name).write_text(mutate(inputs[table].read_text(), kind, at, cell))
+    inputs[table] = top / name
+    exits_cleanly(top, ["pca", *(arg for key, path in inputs.items()
+                                 for arg in (f"--{key}", str(path))),
+                        "--out-dir", str(top / "out")])
+
+
 @settings(max_examples=30, deadline=None)
 @given(mutations_of("rv.csv"), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6))
 def test_a_mutated_rv_file_exits_cleanly(scenario_dir, pipeline,
                                          tmp_path_factory, mutation, at,
                                          cell):
-    _, kind = mutation
-    top = tmp_path_factory.mktemp("mutated")
-    (top / "rv.csv").write_text(
-        mutate((pipeline / "rv.csv").read_text(), kind, at, cell))
-    exits_cleanly(top, ["pca", "--daily", str(scenario_dir / "daily.csv"),
-                        "--attention", str(scenario_dir / "attention.csv"),
-                        "--monthly", str(scenario_dir / "monthly.csv"),
-                        "--rv", str(top / "rv.csv"),
-                        "--out-dir", str(top / "out")])
+    pca_exits_cleanly(scenario_dir, pipeline,
+                      tmp_path_factory.mktemp("mutated"), mutation, at, cell)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutations_of("daily.csv", "attention.csv", "monthly.csv"),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_a_mutated_daily_attention_or_monthly_file_exits_cleanly(
+        scenario_dir, pipeline, tmp_path_factory, mutation, at, cell):
+    pca_exits_cleanly(scenario_dir, pipeline,
+                      tmp_path_factory.mktemp("mutated"), mutation, at, cell)
 
 
 def json_places(node) -> list:
@@ -1343,3 +1363,63 @@ def test_a_model_file_that_claims_more_arrays_than_it_holds_exits_2(
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"error: {model}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits", [
+    [(("target_mean",), True), (("feature_mean", 0), True)],
+    [(("weights", "mlp2.b", "data", 0), True)],
+    [(("train_config", "learning_rate"), True)],
+    [(("train_config", "shuffle"), 1)],
+    [(("target_std",), str)],
+    [(("feature_std", 0), str)],
+    [(("weights", "mlp1.w", "data", 0), str)],
+], ids=["bool-means", "bool-weight", "bool-learning-rate", "int-shuffle",
+        "text-target-std", "text-feature-std", "text-weight"])
+def test_a_model_file_number_field_takes_only_json_numbers(
+        pipeline, forecast, tmp_path, capsys, edits):
+    # float() and numpy read true as 1.0 and "0.5" as 0.5, so each of
+    # these files used to predict with exit 0; str writes a value as text
+    doc = json.loads((forecast / "weights.json").read_text())
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = str(node[path[-1]]) if value is str else value
+    model = tmp_path / "weights.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "pred.csv"
+    code = run(["predict", "--factors", str(pipeline / "factors.csv"),
+                "--model", str(model), "--split", "all", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {model}: not a model file")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--d-model", "100000", "--heads", "1"],
+    ["train", "--d-model", str(10 ** 10), "--heads", "1"],
+    ["train", "--d-ff", str(10 ** 20)],
+    ["simulate", "--months", str(10 ** 8)],
+    ["simulate", "--months", str(10 ** 21)],
+], ids=["d-model-1e5", "d-model-1e10", "d-ff-1e20", "months-1e8",
+        "months-1e21"])
+def test_a_request_too_large_to_allocate_exits_2(pipeline, tmp_path, argv):
+    # each used to end in a traceback: a MemoryError, or numpy's
+    # "Maximum allowed dimension exceeded"; run them only under the cap
+    outputs = {
+        "train": ["--factors", str(pipeline / "factors.csv"),
+                  "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
+                  "--out-model", str(tmp_path / "weights.json"),
+                  "--out-history", str(tmp_path / "loss_history.csv")],
+        "simulate": ["--out", str(tmp_path / "scen")],
+    }[argv[0]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfvol", *argv, *outputs],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

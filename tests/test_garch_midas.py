@@ -261,8 +261,8 @@ class TestNelderMead:
         spec = gm.MidasSpec(n_lags=3, n_covariates=1)
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
-        data = gm.simulate(spec, true, months=14, days_per_month=15,
-                           seed=2).to_data()
+        data, _, _ = gm.simulate(spec, true, months=14, days_per_month=15,
+                                 seed=2)
         objective = gm._objective(spec, data, gm._panel(spec, data))
         start = gm._pack(gm._default_init(spec, data), spec)
         res = self.same_as_scipy(objective, start, maxiter=3000,
@@ -277,6 +277,44 @@ class TestNelderMead:
                                  maxfev=maxfev, xatol=1e-8, fatol=1e-8)
         assert not res.success
         assert res.nit == maxiter or res.nfev == maxfev
+
+
+class TestObjective:
+    """The fit's objective costs PENALTY for a vector outside the model's
+    domain and lets every other error through."""
+
+    SPEC = gm.MidasSpec(n_lags=3, n_covariates=1)
+
+    @pytest.fixture
+    def setup(self):
+        data = make_data(J=1, K=3)
+        objective = gm._objective(self.SPEC, data, gm._panel(self.SPEC, data))
+        start = gm._pack(gm._default_init(self.SPEC, data), self.SPEC)
+        return data, objective, start
+
+    def test_a_nan_vector_costs_the_penalty(self, setup):
+        _, objective, start = setup
+        assert objective(start) < gm.PENALTY
+        u = start.copy()
+        u[0] = math.nan
+        assert objective(u) == gm.PENALTY
+
+    def test_degenerate_beta_weights_cost_the_penalty(self, setup):
+        data, objective, start = setup
+        u = start.copy()
+        u[5] = 30.0     # w2's logit: 1 - k/K raised to about 1e13 is 0
+        with pytest.raises(errors.InputError, match="degenerate weights"):
+            gm.log_likelihood(self.SPEC, gm._unpack(u, self.SPEC), data)
+        assert objective(u) == gm.PENALTY
+
+    def test_any_other_error_propagates(self, setup, monkeypatch):
+        _, objective, start = setup
+
+        def broken(*args):
+            raise TypeError("not a domain error")
+        monkeypatch.setattr(gm, "log_likelihood", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            objective(start)
 
 
 class TestLikelihood:
@@ -358,22 +396,23 @@ class TestData:
 class TestSimulate:
     def test_shapes_and_modeled_start(self):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
-        sim = gm.simulate(spec, make_params(), months=15, days_per_month=10,
-                          seed=3)
-        assert len(sim.returns) == 150
-        assert sim.modeled_start == 60
-        assert len(sim.tau) == 90
-        assert len(sim.day_variance) == 150
-        assert sim.covariates.shape == (15, 2)
+        data, true, day_variance = gm.simulate(
+            spec, make_params(), months=15, days_per_month=10, seed=3)
+        assert len(data.returns) == 150
+        assert true.day_slice == slice(60, 150)
+        assert len(true.tau) == 90
+        assert len(day_variance) == 150
+        assert data.covariates.shape == (15, 2)
 
     def test_truth_equals_refilter(self):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
-        sim = gm.simulate(spec, make_params(), months=20, days_per_month=21,
-                          seed=9)
-        filt = gm.filter_volatility(spec, make_params(), sim.to_data())
-        assert np.allclose(filt.tau, sim.tau, rtol=0, atol=1e-12)
-        assert np.allclose(filt.g, sim.g, rtol=0, atol=1e-12)
-        assert np.allclose(filt.h, sim.h, rtol=0, atol=1e-12)
+        data, true, _ = gm.simulate(spec, make_params(), months=20,
+                                    days_per_month=21, seed=9)
+        filt = gm.filter_volatility(spec, make_params(), data)
+        assert filt.day_slice == true.day_slice
+        assert np.allclose(filt.tau, true.tau, rtol=0, atol=1e-12)
+        assert np.allclose(filt.g, true.g, rtol=0, atol=1e-12)
+        assert np.allclose(filt.h, true.h, rtol=0, atol=1e-12)
 
     def test_rv_window_spec_rejected(self):
         spec = gm.MidasSpec(n_lags=5, mode="rv-window", tau_link="identity")
@@ -384,21 +423,20 @@ class TestSimulate:
 
     def test_same_seed_reproduces(self):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
-        a = gm.simulate(spec, make_params(), months=12, seed=5)
-        b = gm.simulate(spec, make_params(), months=12, seed=5)
-        assert np.array_equal(a.returns, b.returns)
-        assert np.array_equal(a.h, b.h)
+        a_data, a_true, _ = gm.simulate(spec, make_params(), months=12, seed=5)
+        b_data, b_true, _ = gm.simulate(spec, make_params(), months=12, seed=5)
+        assert np.array_equal(a_data.returns, b_data.returns)
+        assert np.array_equal(a_true.h, b_true.h)
 
     def test_multiplier_scales_day_variance(self):
         spec = gm.MidasSpec(n_lags=3, n_covariates=1)
         params = make_params(J=1)
         mult = np.full(8 * 21, 4.0)
-        base = gm.simulate(spec, params, months=8, seed=6)
-        scaled = gm.simulate(spec, params, months=8, seed=6,
-                             day_var_multiplier=mult)
+        _, _, base = gm.simulate(spec, params, months=8, seed=6)
+        _, _, scaled = gm.simulate(spec, params, months=8, seed=6,
+                                   day_var_multiplier=mult)
         # identical randomness, four times the variance on day one
-        assert scaled.day_variance[0] == pytest.approx(
-            4.0 * base.day_variance[0], rel=1e-12)
+        assert scaled[0] == pytest.approx(4.0 * base[0], rel=1e-12)
 
     def test_multiplier_must_be_positive(self):
         spec = gm.MidasSpec(n_lags=3, n_covariates=1)
@@ -413,8 +451,9 @@ class TestFit:
         spec = gm.MidasSpec(n_lags=6, n_covariates=1)
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
-        sim = gm.simulate(spec, true, months=120, days_per_month=21, seed=1)
-        fit = gm.fit(spec, sim.to_data(), n_restarts=2, seed=0)
+        data, _, _ = gm.simulate(spec, true, months=120, days_per_month=21,
+                                 seed=1)
+        fit = gm.fit(spec, data, n_restarts=2, seed=0)
         assert fit.convergence["restarts"] >= 1
         assert abs(fit.params.alpha - true.alpha) < 0.08
         assert abs(fit.params.beta - true.beta) < 0.10
@@ -425,8 +464,8 @@ class TestFit:
         spec = gm.MidasSpec(n_lags=6, n_covariates=1)
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
-        sim = gm.simulate(spec, true, months=60, days_per_month=21, seed=8)
-        data = sim.to_data()
+        data, _, _ = gm.simulate(spec, true, months=60, days_per_month=21,
+                                 seed=8)
         fit = gm.fit(spec, data, n_restarts=2, seed=0)
         assert fit.log_lik >= gm.log_likelihood(spec, true, data) - 1e-6
 
@@ -510,7 +549,7 @@ class TestRestartWorkers:
         true = gm.MidasParams(mu=0.05, alpha=0.08, beta=0.85, m=0.2,
                               theta=np.array([0.7]), w2=np.array([4.0]))
         return gm.simulate(self.SPEC, true, months=20, days_per_month=15,
-                           seed=2).to_data()
+                           seed=2)[0]
 
     @staticmethod
     def on_cpus(monkeypatch, cpus):

@@ -112,17 +112,18 @@ class TestLoadDaily:
         text = "\n".join([",".join(md.DAILY_COLUMNS),
                           daily_line("2021-03-02", 11.0),
                           daily_line("2021-03-01", 10.0)]) + "\n"
-        dates, cols = md.load_daily(write(tmp_path / "d.csv", text))
-        assert dates == ["2021-03-01", "2021-03-02"]
-        assert cols["close"].tolist() == [10.0, 11.0]
-        assert list(cols) == list(md.DAILY_COLUMNS)[1:]
+        daily = md.load_daily(write(tmp_path / "d.csv", text))
+        assert daily.dates == ["2021-03-01", "2021-03-02"]
+        assert daily.n_train == 0
+        assert daily.columns["close"].tolist() == [10.0, 11.0]
+        assert list(daily.columns) == list(md.DAILY_COLUMNS)[1:]
 
     def test_missing_indicator_becomes_nan(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
         line[list(md.DAILY_COLUMNS).index("rsi")] = ""
         text = ",".join(md.DAILY_COLUMNS) + "\n" + ",".join(line) + "\n"
-        _, cols = md.load_daily(write(tmp_path / "d.csv", text))
-        assert math.isnan(cols["rsi"][0])
+        daily = md.load_daily(write(tmp_path / "d.csv", text))
+        assert math.isnan(daily.columns["rsi"][0])
 
     def test_missing_close_rejected(self, tmp_path):
         line = daily_line("2021-03-01").split(",")
@@ -187,9 +188,10 @@ class TestLoadMonthly:
         text = "\n".join([",".join(md.MONTHLY_COLUMNS),
                           monthly_line("2020-12"),
                           monthly_line("2021-01")]) + "\n"
-        months, cols = md.load_monthly(write(tmp_path / "m.csv", text))
-        assert months == ["2020-12", "2021-01"]
-        assert cols["meci"].tolist() == [100.0, 100.0]
+        monthly = md.load_monthly(write(tmp_path / "m.csv", text))
+        assert monthly.dates == ["2020-12", "2021-01"]
+        assert monthly.n_train == 0
+        assert monthly.columns["meci"].tolist() == [100.0, 100.0]
 
     def test_bad_month_format(self, tmp_path):
         text = ",".join(md.MONTHLY_COLUMNS) + "\n" \
@@ -220,11 +222,12 @@ class TestLoadAttention:
         text = "\n".join([",".join(md.ATTENTION_COLUMNS),
                           attention_line("2021-03-02", 600.0),
                           "2021-03-01,1,,3,4,5"]) + "\n"
-        dates, cols = md.load_attention(write(tmp_path / "a.csv", text))
-        assert dates == ["2021-03-01", "2021-03-02"]
-        assert list(cols) == list(md.ATTENTION_COLUMNS)[1:]
-        assert cols["csi300"].tolist() == [1.0, 600.0]
-        assert math.isnan(cols["csi500"][0])
+        att = md.load_attention(write(tmp_path / "a.csv", text))
+        assert att.dates == ["2021-03-01", "2021-03-02"]
+        assert att.n_train == 0
+        assert list(att.columns) == list(md.ATTENTION_COLUMNS)[1:]
+        assert att.columns["csi300"].tolist() == [1.0, 600.0]
+        assert math.isnan(att.columns["csi500"][0])
 
 
 def build_panel(tmp_path, dates, months, att_dates=None, rv_dates=None):
@@ -245,7 +248,7 @@ def build_panel(tmp_path, dates, months, att_dates=None, rv_dates=None):
         ",".join(md.ATTENTION_COLUMNS) + "\n"
         + "\n".join(attention_line(d, 500.0 + i)
                     for i, d in enumerate(att_dates)) + "\n"))
-    rv = (rv_dates, {"rv": np.arange(len(rv_dates), dtype=float)})
+    rv = md.Panel(rv_dates, {"rv": np.arange(len(rv_dates), dtype=float)})
     return md.align_mixed_frequency(daily, attention, monthly, rv)
 
 

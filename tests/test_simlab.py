@@ -109,9 +109,9 @@ class TestFullScenario:
         n_days = SMALL["months"] * SMALL["days_per_month"]
         assert len(intraday.bars) == n_days * SMALL["bars_per_day"]
         assert intraday.dates == scen.dates
-        assert daily[0] == scen.dates
-        assert monthly[0] == scen.months
-        assert att[0] == scen.dates
+        assert daily.dates == scen.dates
+        assert monthly.dates == scen.months
+        assert att.dates == scen.dates
 
     def test_truth_json_refilters_to_same_h(self, scen):
         with open(scen.paths["truth"]) as fh:
@@ -185,8 +185,7 @@ class TestFullScenario:
         # subtracting mean and factor loadings must leave only the
         # _MACRO_NOISE-scaled innovations
         X = np.array(scen.truth["covariates"])
-        _, monthly = md.load_monthly(scen.paths["monthly"])
-        meci = monthly["meci"]
+        meci = md.load_monthly(scen.paths["monthly"]).columns["meci"]
         resid = meci - simlab._MACRO_MEANS[0] \
             - simlab._MACRO_LOAD_1[0] * X[:, 0] \
             - simlab._MACRO_LOAD_2[0] * X[:, 1]

@@ -293,7 +293,6 @@ def test_exit_codes_are_the_whole_error_taxonomy():
     assert derived == {"InputError": "errors.py",
                        "NumericalError": "errors.py",
                        "MalformedRow": "errors.py",
-                       "_BadParameter": "garch_midas.py",
                        "_Exhausted": "garch_midas.py"}
     builtin = {name for name in raised if isinstance(
         getattr(builtins, name, None), type)}
