@@ -324,11 +324,11 @@ def cmd_simulate(o: argparse.Namespace) -> int:
     # every option but --out is a field of the scenario spec
     spec = simlab.ScenarioSpec(**{name: value for name, value
                                   in vars(o).items() if name != "out"})
-    result = simlab.gen_full_scenario(spec, o.out)
+    paths = simlab.gen_full_scenario(spec, o.out)
     print(f"scenario seed={spec.seed}: {spec.months} months x "
           f"{spec.days_per_month} days, {spec.bars_per_day} bars/day")
-    for name in ("intraday", "daily", "monthly", "attention", "truth"):
-        print(f"  wrote {result.paths[name]}")
+    for path in paths.values():
+        print(f"  wrote {path}")
     return 0
 
 

@@ -100,6 +100,12 @@ class ScenarioSpec:
         except ValueError:
             raise InputError(f"start_month must be YYYY-MM with a month from "
                              f"01 to 12, got {self.start_month!r}") from None
+        # a YYYY-MM-DD day, as rv reads it back, lies in 0001 to 9999
+        first = np.datetime64(self.start_month)
+        last = first + (self.months - 1)
+        if first < np.datetime64("0001-01") or last > np.datetime64("9999-12"):
+            raise InputError(f"start_month={first} with months={self.months} "
+                             f"ends at {last}, outside the years 0001-9999")
 
     @property
     def n_days(self) -> int:
@@ -110,30 +116,12 @@ class ScenarioSpec:
                          n_covariates=len(_PARAMS.theta), tau_link="log")
 
 
-@dataclass
-class ScenarioResult:
-    spec: ScenarioSpec
-    dates: list[str]
-    months: list[str]
-    paths: dict[str, str]
-    truth: dict
-
-
 def make_dates(start_month: str, months: int, days_per_month: int
                ) -> tuple[list[str], list[str]]:
     """Synthetic trading calendar: days 1..N within consecutive months."""
-    year, mon = int(start_month[:4]), int(start_month[5:7])
-    dates: list[str] = []
-    labels: list[str] = []
-    for _ in range(months):
-        labels.append(f"{year:04d}-{mon:02d}")
-        for d in range(1, days_per_month + 1):
-            dates.append(f"{year:04d}-{mon:02d}-{d:02d}")
-        mon += 1
-        if mon > 12:
-            mon = 1
-            year += 1
-    return dates, labels
+    labels = np.datetime64(start_month) + np.arange(months)
+    dates = labels.astype("datetime64[D]")[:, None] + np.arange(days_per_month)
+    return dates.ravel().astype(str).tolist(), labels.astype(str).tolist()
 
 
 def gen_intraday(dates: Sequence[str], day_variance: np.ndarray,
@@ -193,12 +181,10 @@ def gen_intraday(dates: Sequence[str], day_variance: np.ndarray,
 # ----------------------------------------------------------------------
 
 def _rolling_mean(x: np.ndarray, window: int) -> np.ndarray:
-    out = np.empty_like(x)
     csum = np.concatenate([[0.0], np.cumsum(x)])
-    for i in range(len(x)):
-        lo = max(0, i - window + 1)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
+    i = np.arange(len(x))
+    return (csum[i + 1] - csum[np.maximum(0, i - window + 1)]) \
+        / np.minimum(i + 1, window)
 
 
 def _ema(x: np.ndarray, span: int) -> np.ndarray:
@@ -214,15 +200,9 @@ def _rsi(close: np.ndarray, window: int = 14) -> np.ndarray:
     delta = np.diff(close, prepend=close[0])
     up = _rolling_mean(np.maximum(delta, 0.0), window)
     down = _rolling_mean(np.maximum(-delta, 0.0), window)
-    out = np.empty_like(close)
-    for i in range(len(close)):
-        if down[i] == 0.0 and up[i] == 0.0:
-            out[i] = 50.0
-        elif down[i] == 0.0:
-            out[i] = 100.0
-        else:
-            out[i] = 100.0 - 100.0 / (1.0 + up[i] / down[i])
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rsi = 100.0 - 100.0 / (1.0 + up / down)
+    return np.where(down != 0.0, rsi, np.where(up != 0.0, 100.0, 50.0))
 
 
 def _daily_columns(series: IntradaySeries, volume: np.ndarray
@@ -254,20 +234,19 @@ def _daily_columns(series: IntradaySeries, volume: np.ndarray
 # Full scenario
 # ----------------------------------------------------------------------
 
-def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
+def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> dict[str, str]:
     """Write intraday/daily/monthly/attention CSVs plus truth.json, all
-    or none of them; ``out_dir`` is made if it does not exist."""
+    or none of them, and return their paths by name; ``out_dir`` is
+    made if it does not exist."""
     ss = np.random.SeedSequence(spec.seed)
     s_mid, s_att, s_intra, s_macro, s_attcols, s_vol = ss.spawn(6)
 
     n_days = spec.n_days
-    rng_att = np.random.default_rng(s_att)
     rho = _ATTENTION_RHO
-    latent = np.empty(n_days)
-    latent[0] = rng_att.standard_normal()
-    innov_sd = math.sqrt(1.0 - rho * rho)
+    latent = np.random.default_rng(s_att).standard_normal(n_days)
+    latent[1:] *= math.sqrt(1.0 - rho * rho)
     for t in range(1, n_days):
-        latent[t] = rho * latent[t - 1] + innov_sd * rng_att.standard_normal()
+        latent[t] += rho * latent[t - 1]
 
     coef = spec.attention_coef
     lagged = np.concatenate([[0.0], latent[:-1]])
@@ -285,21 +264,14 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         bars_per_day=spec.bars_per_day, overnight_frac=spec.overnight_frac,
         start_price=spec.start_price, target_returns=data.returns)
 
-    rng_macro = np.random.default_rng(s_macro)
+    noise = np.random.default_rng(s_macro).standard_normal((spec.months, 10))
     X = data.covariates
-    macro = np.empty((spec.months, 10))
-    for t in range(spec.months):
-        noise = rng_macro.standard_normal(10)
-        macro[t] = _MACRO_MEANS + _MACRO_LOAD_1 * X[t, 0] \
-            + _MACRO_NOISE * noise + _MACRO_LOAD_2 * X[t, 1]
+    macro = _MACRO_MEANS + _MACRO_LOAD_1 * X[:, :1] + _MACRO_NOISE * noise \
+        + _MACRO_LOAD_2 * X[:, 1:]
 
-    rng_attcols = np.random.default_rng(s_attcols)
-    att = np.empty((n_days, 5))
-    for i in range(n_days):
-        noise = rng_attcols.standard_normal(5)
-        att[i] = _ATT_BASE + _ATT_SCALE * (
-            _ATT_LOAD * latent[i] + _ATTENTION_NOISE * noise)
-    att = np.maximum(att, 0.0)
+    noise = np.random.default_rng(s_attcols).standard_normal((n_days, 5))
+    att = np.maximum(_ATT_BASE + _ATT_SCALE * (
+        _ATT_LOAD * latent[:, None] + _ATTENTION_NOISE * noise), 0.0)
 
     rng_vol = np.random.default_rng(s_vol)
     volume = np.exp(15.0 + 0.35 * rng_vol.standard_normal(n_days))
@@ -345,6 +317,4 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> ScenarioResult:
         tables.write(temp["attention"], list(ATTENTION_COLUMNS),
                      [dates, *att.T])
         tables.write_json(temp["truth"], truth)
-
-    return ScenarioResult(spec=spec, dates=dates, months=month_labels,
-                          paths=paths, truth=truth)
+    return paths

@@ -90,16 +90,20 @@ class ModelConfig:
             raise InputError(
                 f"d_model={self.d_model} not divisible by "
                 f"n_heads={self.n_heads}")
-        d, f = self.d_model, self.d_ff
-        # the weight vector's length (see _layout): numpy makes no array
-        # of more bytes than an intp counts
-        if 8 * (self.n_layers * (4 * d * d + 2 * d * f + 5 * d + f) + d * (
-                self.n_features + d + 5) + 1) > np.iinfo(np.intp).max:
+        # numpy makes no array of more bytes than an intp counts
+        if 8 * self.n_weights > np.iinfo(np.intp).max:
             raise InputError("model dimensions too large for an array")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def n_weights(self) -> int:
+        """The length of the one vector that holds every weight."""
+        d, f = self.d_model, self.d_ff
+        return self.n_layers * (4 * d * d + 2 * d * f + 5 * d + f) \
+            + d * (self.n_features + d + 5) + 1
 
 
 @dataclass(frozen=True)
@@ -201,9 +205,8 @@ def weight_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 @functools.lru_cache(maxsize=16)
 def _layout(config: ModelConfig):
     """Where each weight array of a model geometry lives in its vector:
-    the key order, the vector's size and one (start, stop, shape, is a
-    qkv block) slot per array in key order, each layer's heads as one
-    (d, 3d) block."""
+    the key order and one (start, stop, shape, is a qkv block) slot per
+    array in key order, each layer's heads as one (d, 3d) block."""
     shapes, d = weight_shapes(config), config.d_model
     slots, size = [], 0
     for name, shape in shapes.items():
@@ -214,7 +217,7 @@ def _layout(config: ModelConfig):
             shape = (d, 3 * d)
         slots.append((size, size + math.prod(shape), shape, block))
         size += math.prod(shape)
-    return list(shapes), size, slots
+    return list(shapes), slots
 
 
 class Weights(Mapping):
@@ -234,9 +237,10 @@ class Weights(Mapping):
     __slots__ = ("arrays", "vector", "qkv")
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
-        names, size, slots = _layout(config)
         if vector is None:
-            vector = np.empty(size)
+            # before the layout, whose time grows with the array count
+            vector = np.empty(config.n_weights)
+        names, slots = _layout(config)
         d, H, dk = config.d_model, config.n_heads, config.d_head
         values, self.qkv = [], []
         for start, stop, shape, block in slots:

@@ -15,7 +15,8 @@ metrics time ``marketdata.align_mixed_frequency`` and
 ``features.extract_factor_panel`` under a ``pca`` run, and count the
 rows of what ``cli.read_factors`` returns through its ``n_rows``. The
 tracer also wraps ``autodiff.Tensor.__init__``, so ``mfvol.autodiff`` stays as
-an empty class that nothing in the package imports.
+an empty class that nothing in the package imports. It times a
+``simulate`` by its one ``simlab.gen_full_scenario`` span.
 """
 
 import ast
@@ -156,6 +157,25 @@ def test_pca_layers_and_factor_rows_are_traced(tracing, scenario_dir,
     rows = (tmp_path / "factors.csv").read_text().count("\n") - 1
     assert rows > 0
     assert recorder.counts["factor_rows@predict"] == rows
+
+
+def test_simulate_records_one_scenario_span(tracing, tmp_path):
+    # bench/run.py reads simlab.gen_full_scenario_s as the total of these
+    # spans; the tracer wraps the function by name and ignores its result
+    recorder = tracing.Recorder()
+    saved = tracing.install(recorder)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--out", str(tmp_path / "scen"),
+                             "--months", "8", "--n-lags", "4",
+                             "--days-per-month", "6",
+                             "--bars-per-day", "8"]) == 0
+    finally:
+        tracing.restore(saved)
+    [span] = recorder.select("simlab.gen_full_scenario")
+    assert recorder.spans[span].parent == -1
+    assert recorder.total([span]) > 0
+    assert (tmp_path / "scen" / "truth.json").exists()
 
 
 def test_autodiff_is_an_empty_stub_nothing_imports():

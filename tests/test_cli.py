@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,12 @@ class TestConfigFile:
         ("simulate", "start_month = abc\n", "start_month must be YYYY-MM"),
         ("simulate", "start_month = 2015-13\n",
          "start_month must be YYYY-MM with a month from 01 to 12"),
+        # rv cannot read the days back: year 0, and year 10003 after the
+        # default 40 months
+        ("simulate", "start_month = 0000-01\n",
+         "start_month=0000-01 with months=40 ends at 0003-04, outside"),
+        ("simulate", "start_month = 9999-12\n",
+         "start_month=9999-12 with months=40 ends at 10003-03, outside"),
         ("simulate", "start_price = nan\n",
          "start_price must be positive and finite"),
         ("simulate", "attention_coef = nan\n",
@@ -219,7 +226,8 @@ class TestConfigFile:
     ], ids=["bad-int", "bad-float", "bad-choice", "bad-switch",
             "unknown-key", "repeated-key", "not-utf8", "simulate-seed",
             "midas-fit-seed", "train-seed", "ablate-seed",
-            "start-month-text", "start-month-13", "start-price-nan",
+            "start-month-text", "start-month-13", "start-month-year-0",
+            "start-month-past-9999", "start-price-nan",
             "attention-coef-nan"])
     def test_bad_config_exits_2(self, scenario_dir, pipeline, tmp_path,
                                 capsys, command, text, message):
@@ -248,6 +256,7 @@ class TestConfigFile:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_help_shows_each_default(self, capsys):
@@ -1178,7 +1187,8 @@ def mutate(text: str, kind: str, at: int, cell: int) -> str:
 
 MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv", "rv.csv",
                                       "daily.csv", "attention.csv",
-                                      "monthly.csv")
+                                      "monthly.csv", "intraday.csv",
+                                      "pred.csv", "report.csv")
              for kind in ("drop", "duplicate", "swap", "blank", "nan", "text",
                           "flip", "cut", "header")
              if kind != "flip" or name == "factors.csv"]
@@ -1262,6 +1272,38 @@ def test_a_mutated_daily_attention_or_monthly_file_exits_cleanly(
         scenario_dir, pipeline, tmp_path_factory, mutation, at, cell):
     pca_exits_cleanly(scenario_dir, pipeline,
                       tmp_path_factory.mktemp("mutated"), mutation, at, cell)
+
+
+@pytest.fixture(scope="module")
+def report(forecast, tmp_path_factory):
+    """The forecast's report: its transformer and persistence rows."""
+    out = tmp_path_factory.mktemp("report") / "report.csv"
+    assert run(["evaluate", "--pred", str(forecast / "pred.csv"),
+                "--persistence", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["intraday.csv", "pred.csv", "report.csv"])
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_a_mutated_intraday_prediction_or_report_file_exits_cleanly(
+        scenario_dir, forecast, report, tmp_path_factory, name, data, at,
+        cell):
+    _, kind = data.draw(mutations_of(name))
+    top = tmp_path_factory.mktemp("mutated")
+    source = {"intraday.csv": scenario_dir / name,
+              "pred.csv": forecast / name, "report.csv": report}[name]
+    (top / name).write_text(mutate(source.read_text(), kind, at, cell))
+    exits_cleanly(top, {
+        "intraday.csv": ["rv", "--intraday", str(top / name),
+                         "--out-csv", str(top / "rv.csv"),
+                         "--out-sidecar", str(top / "rv.json")],
+        "pred.csv": ["evaluate", "--pred", str(top / name), "--persistence",
+                     "--out", str(top / "report.csv")],
+        # exits_cleanly also holds a failed append to the report's bytes
+        "report.csv": ["evaluate", "--pred", str(forecast / "pred.csv"),
+                       "--append", "--out", str(top / name)],
+    }[name])
 
 
 def json_places(node) -> list:
@@ -1401,13 +1443,18 @@ def test_a_model_file_number_field_takes_only_json_numbers(
     ["train", "--d-model", "100000", "--heads", "1"],
     ["train", "--d-model", str(10 ** 10), "--heads", "1"],
     ["train", "--d-ff", str(10 ** 20)],
+    ["train", "--layers", str(10 ** 7)],
+    ["train", "--heads", str(10 ** 6), "--d-model", str(10 ** 6)],
     ["simulate", "--months", str(10 ** 8)],
     ["simulate", "--months", str(10 ** 21)],
-], ids=["d-model-1e5", "d-model-1e10", "d-ff-1e20", "months-1e8",
-        "months-1e21"])
+], ids=["d-model-1e5", "d-model-1e10", "d-ff-1e20", "layers-1e7",
+        "heads-1e6", "months-1e8", "months-1e21"])
 def test_a_request_too_large_to_allocate_exits_2(pipeline, tmp_path, argv):
     # each used to end in a traceback: a MemoryError, or numpy's
-    # "Maximum allowed dimension exceeded"; run them only under the cap
+    # "Maximum allowed dimension exceeded"; run them only under the cap.
+    # The layers and heads cases laid out one entry per array for 10 s
+    # or more before they allocated the weight vector that cannot exist
+    start = time.perf_counter()
     outputs = {
         "train": ["--factors", str(pipeline / "factors.csv"),
                   "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
@@ -1419,6 +1466,7 @@ def test_a_request_too_large_to_allocate_exits_2(pipeline, tmp_path, argv):
         [sys.executable, "-m", "mfvol", *argv, *outputs],
         capture_output=True, text=True, timeout=60,
         preexec_fn=cap_address_space)
+    assert time.perf_counter() - start < 5.0
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: ")

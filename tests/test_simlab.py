@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfvol import garch_midas as gm
 from mfvol import marketdata as md
@@ -36,9 +39,56 @@ class TestSpecValidation:
                     dict(start_price=math.inf),
                     dict(attention_coef=math.nan),
                     dict(start_month="abc"), dict(start_month="2015-13"),
-                    dict(start_month="2015-00"), dict(start_month="2015-1")):
+                    dict(start_month="2015-00"), dict(start_month="2015-1"),
+                    # days the pipeline cannot read back: year 0 and
+                    # 40 months from 9999-12, which end in year 10003
+                    dict(start_month="0000-01"),
+                    dict(start_month="9999-12")):
             with pytest.raises(InputError, match=next(iter(bad))):
                 ScenarioSpec(**bad)
+
+
+def make_dates_loop(start_month, months, days_per_month):
+    year, mon = int(start_month[:4]), int(start_month[5:7])
+    dates, labels = [], []
+    for _ in range(months):
+        labels.append(f"{year:04d}-{mon:02d}")
+        for d in range(1, days_per_month + 1):
+            dates.append(f"{year:04d}-{mon:02d}-{d:02d}")
+        mon += 1
+        if mon > 12:
+            mon = 1
+            year += 1
+    return dates, labels
+
+
+def rolling_mean_loop(x, window):
+    out = np.empty_like(x)
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    for i in range(len(x)):
+        lo = max(0, i - window + 1)
+        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
+    return out
+
+
+def rsi_loop(close, window):
+    delta = np.diff(close, prepend=close[0])
+    up = rolling_mean_loop(np.maximum(delta, 0.0), window)
+    down = rolling_mean_loop(np.maximum(-delta, 0.0), window)
+    out = np.empty_like(close)
+    for i in range(len(close)):
+        if down[i] == 0.0 and up[i] == 0.0:
+            out[i] = 50.0
+        elif down[i] == 0.0:
+            out[i] = 100.0
+        else:
+            out[i] = 100.0 - 100.0 / (1.0 + up[i] / down[i])
+    return out
+
+
+# runs of (step, count): a zero step is a flat run, a positive one a rise
+step_runs = st.lists(st.tuples(st.floats(-5.0, 5.0), st.integers(1, 30)),
+                     min_size=1, max_size=5)
 
 
 class TestCalendar:
@@ -47,6 +97,43 @@ class TestCalendar:
         assert labels == ["2019-11", "2019-12", "2020-01"]
         assert dates == ["2019-11-01", "2019-11-02", "2019-12-01",
                          "2019-12-02", "2020-01-01", "2020-01-02"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9995), st.integers(1, 12), st.integers(1, 40),
+           st.integers(1, 28))
+    @example(1, 1, 1, 1)
+    @example(9995, 12, 40, 28)
+    def test_make_dates_equals_the_month_by_month_loop(self, year, month,
+                                                       months, days):
+        start = f"{year:04d}-{month:02d}"
+        assert simlab.make_dates(start, months, days) \
+            == make_dates_loop(start, months, days)
+
+
+class TestDerivedColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 60),
+                  elements=st.floats(-1e6, 1e6)), st.integers(1, 80))
+    def test_rolling_mean_equals_the_loop_bit_for_bit(self, x, window):
+        assert simlab._rolling_mean(x, window).tobytes() \
+            == rolling_mean_loop(x, window).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(step_runs, st.integers(1, 40))
+    @example([(0.0, 30)], 14)
+    @example([(0.5, 30)], 14)
+    @example([(1.0, 5), (0.0, 20), (-1.0, 3)], 4)
+    def test_rsi_equals_the_loop_bit_for_bit(self, runs, window):
+        steps, counts = zip(*runs)
+        close = 100.0 + np.cumsum(np.repeat(steps, counts))
+        assert simlab._rsi(close, window).tobytes() \
+            == rsi_loop(close, window).tobytes()
+
+    def test_rsi_is_50_when_flat_and_100_when_rising(self):
+        flat = simlab._rsi(np.full(20, 7.0), 5)
+        rise = simlab._rsi(np.arange(20.0), 5)
+        assert flat.tolist() == [50.0] * 20
+        assert rise.tolist() == [50.0] + [100.0] * 19
 
 
 class TestIntraday:
@@ -94,28 +181,39 @@ class TestIntraday:
                                 np.random.default_rng(0))
 
 
+def read_truth(paths):
+    with open(paths["truth"]) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def scen(tmp_path_factory):
     out = tmp_path_factory.mktemp("scen")
     return simlab.gen_full_scenario(ScenarioSpec(**SMALL), str(out))
 
 
+@pytest.fixture(scope="module")
+def truth(scen):
+    return read_truth(scen)
+
+
 class TestFullScenario:
     def test_files_exist_and_load(self, scen):
-        intraday = md.load_intraday(scen.paths["intraday"])
-        daily = md.load_daily(scen.paths["daily"])
-        monthly = md.load_monthly(scen.paths["monthly"])
-        att = md.load_attention(scen.paths["attention"])
+        intraday = md.load_intraday(scen["intraday"])
+        daily = md.load_daily(scen["daily"])
+        monthly = md.load_monthly(scen["monthly"])
+        att = md.load_attention(scen["attention"])
         n_days = SMALL["months"] * SMALL["days_per_month"]
+        dates, months = simlab.make_dates(ScenarioSpec().start_month,
+                                          SMALL["months"],
+                                          SMALL["days_per_month"])
         assert len(intraday.bars) == n_days * SMALL["bars_per_day"]
-        assert intraday.dates == scen.dates
-        assert daily.dates == scen.dates
-        assert monthly.dates == scen.months
-        assert att.dates == scen.dates
+        assert intraday.dates == dates
+        assert daily.dates == dates
+        assert monthly.dates == months
+        assert att.dates == dates
 
-    def test_truth_json_refilters_to_same_h(self, scen):
-        with open(scen.paths["truth"]) as fh:
-            truth = json.load(fh)
+    def test_truth_json_refilters_to_same_h(self, truth):
         spec = gm.MidasSpec(n_lags=truth["n_lags"], mode=truth["mode"],
                             n_covariates=len(truth["params"]["theta"]),
                             tau_link=truth["tau_link"])
@@ -131,8 +229,7 @@ class TestFullScenario:
         assert np.allclose(filt.h, truth["h"], rtol=1e-12, atol=1e-12)
         assert np.allclose(filt.tau, truth["tau"], rtol=1e-12, atol=1e-12)
 
-    def test_truth_day_variance_combines_h_and_multiplier(self, scen):
-        truth = scen.truth
+    def test_truth_day_variance_combines_h_and_multiplier(self, truth):
         start = truth["modeled_start"]
         h = np.array(truth["h"])
         dv = np.array(truth["day_variance"])[start:]
@@ -142,14 +239,14 @@ class TestFullScenario:
         mult = np.exp(coef * lagged - 0.5 * coef * coef)[start:]
         assert np.allclose(dv, h * mult, rtol=1e-12)
 
-    def test_intraday_reproduces_model_returns(self, scen):
-        series = md.load_intraday(scen.paths["intraday"])
+    def test_intraday_reproduces_model_returns(self, scen, truth):
+        series = md.load_intraday(scen["intraday"])
         out, _ = rv.compute_rv_series(series)
-        want = np.array(scen.truth["returns"])[1:]
+        want = np.array(truth["returns"])[1:]
         assert np.allclose(out.columns["ret"], want, atol=1e-9)
 
     def test_rv_pipeline_accepts_scenario(self, scen):
-        series = md.load_intraday(scen.paths["intraday"])
+        series = md.load_intraday(scen["intraday"])
         out, lam = rv.compute_rv_series(series)
         ret, rv_adj = out.columns["ret"], out.columns["rv_adj"]
         assert lam > 0
@@ -166,26 +263,24 @@ class TestFullScenario:
                      "attention.csv", "truth.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_different_seed_differs(self, scen, tmp_path):
+    def test_different_seed_differs(self, truth, tmp_path):
         other = dict(SMALL, seed=SMALL["seed"] + 1)
         out = simlab.gen_full_scenario(ScenarioSpec(**other), str(tmp_path))
-        with open(out.paths["truth"]) as fh:
-            truth = json.load(fh)
-        assert truth["returns"] != scen.truth["returns"]
+        assert read_truth(out)["returns"] != truth["returns"]
 
     def test_attention_placebo(self, tmp_path):
         # coef 0 switches the volatility channel off: day variance is h
         spec = ScenarioSpec(**dict(SMALL, attention_coef=0.0))
-        out = simlab.gen_full_scenario(spec, str(tmp_path))
-        start = out.truth["modeled_start"]
-        dv = np.array(out.truth["day_variance"])[start:]
-        assert np.array_equal(dv, np.array(out.truth["h"]))
+        truth = read_truth(simlab.gen_full_scenario(spec, str(tmp_path)))
+        start = truth["modeled_start"]
+        dv = np.array(truth["day_variance"])[start:]
+        assert np.array_equal(dv, np.array(truth["h"]))
 
-    def test_monthly_columns_follow_known_loadings(self, scen):
+    def test_monthly_columns_follow_known_loadings(self, scen, truth):
         # subtracting mean and factor loadings must leave only the
         # _MACRO_NOISE-scaled innovations
-        X = np.array(scen.truth["covariates"])
-        meci = md.load_monthly(scen.paths["monthly"]).columns["meci"]
+        X = np.array(truth["covariates"])
+        meci = md.load_monthly(scen["monthly"]).columns["meci"]
         resid = meci - simlab._MACRO_MEANS[0] \
             - simlab._MACRO_LOAD_1[0] * X[:, 0] \
             - simlab._MACRO_LOAD_2[0] * X[:, 1]
