@@ -296,15 +296,27 @@ def _train_config(o: argparse.Namespace) -> tfm.TrainConfig:
         patience=o.patience, optimizer=o.optimizer)
 
 
-def _load_windows(o: argparse.Namespace, feature_names: tuple[str, ...],
-                  window: int) -> tuple[tfm.WindowedDataset, int]:
+def _read_panel(o: argparse.Namespace, feature_names) -> marketdata.Panel:
+    """``--factors``, cut to the days ``--h-file`` covers if one is given."""
     panel = read_factors(o.factors)
-    if o.h_file is not None:
-        panel = join_h(panel, o.h_file)
-    elif "h" in feature_names:
-        raise InputError(
-            "feature list includes 'h' but no --h-file was given")
-    return windowed_split(panel, feature_names, window)
+    if o.h_file is None and "h" in feature_names:
+        raise InputError("feature list includes 'h' but no --h-file was given")
+    return panel if o.h_file is None else join_h(panel, o.h_file)
+
+
+def fit_group(panel: marketdata.Panel, feature_names: tuple[str, ...],
+              train_config: tfm.TrainConfig,
+              model_config: tfm.ModelConfig | None = None
+              ) -> tuple[tfm.TransformerModel, list[float],
+                         tfm.WindowedDataset, tfm.WindowedDataset]:
+    """The one group step of ``train`` and ``ablate``: the model trained
+    on the panel's training windows, its loss history, and its training
+    and test windows."""
+    from . import transformer as tfm
+
+    dataset, n_fit = windowed_split(panel, feature_names, train_config.window)
+    model, history = tfm.train(dataset[:n_fit], model_config, train_config)
+    return model, history, dataset[:n_fit], dataset[n_fit:]
 
 
 def _print_rows(rows: list[evaluation.EvalRow]) -> None:
@@ -447,16 +459,10 @@ def cmd_train(o: argparse.Namespace) -> int:
     """fit the attention regressor on stamped factors"""
     from . import transformer as tfm
 
-    train_config = _train_config(o)
-    dataset, n_fit = _load_windows(o, o.features, train_config.window)
-    train_ds = dataset[:n_fit]
-    if len(train_ds) == 0:
-        raise InputError("no training samples after windowing")
-
-    model_config = tfm.ModelConfig(
-        n_features=len(o.features), d_model=o.d_model, n_heads=o.heads,
-        n_layers=o.layers, d_ff=o.d_ff)
-    model, history = tfm.train(train_ds, model_config, train_config)
+    model, history, train_ds, _ = fit_group(
+        _read_panel(o, o.features), o.features, _train_config(o),
+        tfm.ModelConfig(n_features=len(o.features), d_model=o.d_model,
+                        n_heads=o.heads, n_layers=o.layers, d_ff=o.d_ff))
 
     with tables.all_or_none(o.out_model, o.out_history) as (model_tmp,
                                                            history_tmp):
@@ -477,8 +483,9 @@ def cmd_predict(o: argparse.Namespace) -> int:
     from . import transformer as tfm
 
     model = tfm.load_model(o.model)
-    dataset, n_fit = _load_windows(o, tuple(model.feature_names),
-                                   model.train_config.window)
+    dataset, n_fit = windowed_split(_read_panel(o, model.feature_names),
+                                    model.feature_names,
+                                    model.train_config.window)
     dataset = dataset[{"train": slice(n_fit), "test": slice(n_fit, None),
                        "all": slice(None)}[o.split]]
     if len(dataset) == 0:
@@ -526,53 +533,34 @@ def cmd_ablate(o: argparse.Namespace) -> int:
 
     panel = read_factors(o.factors)
     panel_h = join_h(panel, o.h_file)
-    # every name is resolved before the first group trains
-    group_feats = [evaluation.ablation_features(name) for name in o.groups]
+    # every name is resolved, and a repeat refused, before a group trains
+    group_feats = {name: evaluation.ablation_features(name)
+                   for name in o.groups}
+    if len(group_feats) < len(o.groups):
+        raise InputError(f"--groups names a group twice: {','.join(o.groups)}")
     train_config = _train_config(o)
 
-    preds = []
-    test_dates: list[str] | None = None
-    for name, feats in zip(o.groups, group_feats):
-        source = panel_h if "h" in feats else panel
-        dataset, n_fit = windowed_split(source, feats, train_config.window)
-        model, _ = tfm.train(dataset[:n_fit], None, train_config)
-        test_ds = dataset[n_fit:]
-        if len(test_ds) == 0:
-            raise InputError("no test samples after windowing")
-        if test_dates is None:
-            test_dates, truth = test_ds.dates, test_ds.y
-        elif test_ds.dates != test_dates:
-            raise InputError(
-                f"group {name} evaluates different test dates than "
-                f"{o.groups[0]}; the h file does not cover the test span")
-        preds.append(tfm.predict(model, test_ds))
-
-    # every row is scored on one set of test days: those with a positive
-    # truth, persistence forecast and forecast of every group
-    base_pred = panel.columns["rv"][panel.n_train - 1:-1]
-    keep = (truth > 0) & (base_pred > 0) & (np.min(preds, axis=0) > 0)
-    rows = []
-    for name, pred in zip(o.groups, preds):
-        rows.append(evaluation.evaluate(pred[keep], truth[keep],
-                                        model="transformer", group=name))
-        log.info("group %s: test mse %.6f", name, rows[-1].mse)
-    rows.append(evaluation.evaluate(base_pred[keep], truth[keep],
-                                    model="persistence", group="-"))
-    if not keep.all():
-        log.warning("ablate: scored every row on %d of %d test days, "
-                    "leaving out those with a non-positive value",
-                    int(keep.sum()), len(keep))
-    mse_by_group = {row.group: row.mse for row in rows}
+    test_days, forecasts = panel.dates[panel.n_train:], {}
+    for name, feats in group_feats.items():
+        model, _, _, test_ds = fit_group(panel_h if "h" in feats else panel,
+                                         feats, train_config)
+        if test_ds.dates != test_days or not test_days:
+            raise InputError(f"group {name} forecasts {len(test_ds)} of the "
+                             f"{len(test_days)} test days of {o.factors}")
+        forecasts["transformer", name] = tfm.predict(model, test_ds)
+    forecasts["persistence", "-"] = panel.columns["rv"][panel.n_train - 1:-1]
+    rows = evaluation.score(forecasts, panel.columns["rv"][panel.n_train:])
+    for row in rows[:-1]:
+        log.info("group %s: test mse %.6f", row.group, row.mse)
 
     with tables.all_or_none(o.out) as (out_tmp,):
         evaluation.write_report(rows, out_tmp)
     _print_rows(rows)
-    if "G1" in mse_by_group:
-        for name in ("G3", "G4"):
-            if name in mse_by_group:
-                verdict = "<" if mse_by_group[name] < mse_by_group["G1"] \
-                    else ">="
-                print(f"  mse({name}) {verdict} mse(G1)")
+    mse = {row.group: row.mse for row in rows}
+    for name in ("G3", "G4"):
+        if "G1" in mse and name in mse:
+            print(f"  mse({name}) {'<' if mse[name] < mse['G1'] else '>='} "
+                  "mse(G1)")
     print(f"  wrote {o.out}")
     return 0
 

@@ -1,14 +1,8 @@
 """Forecast accuracy measures and the ablation layout.
 
-All losses compare a forecast series h against realized values rv.
-Except for r2log, lower is better:
-
-    mse   = mean((rv - h)^2)
-    hmse  = mean((1 - h/rv)^2)
-    mae   = mean(|rv - h|)
-    mape  = mean(|1 - h/rv|)
-    qlike = mean(ln h + rv/h)
-    r2log = R^2 of the OLS regression of ln rv on ln h (higher better)
+All losses compare a forecast series h against realized values rv, by
+the formulas of :data:`FORMULA_FOOTER`, which ends every report. Except
+for r2log, lower is better.
 
 The ablation grid fixes four nested feature sets for the regressor:
 technical factors alone (G1), plus the attention factor (G2), plus the
@@ -154,6 +148,23 @@ def evaluate(pred, truth, model: str = "transformer",
         qlike=qlike(pred, truth),
         r2log=r2log(pred, truth),
     )
+
+
+def score(forecasts: dict[tuple[str, str], np.ndarray],
+          truth) -> list[EvalRow]:
+    """One :func:`evaluate` row per ``(model, group): forecast`` entry, in
+    order, all on the days with a positive truth and a positive forecast
+    in every entry; one warning says how many days that leaves."""
+    truth = np.asarray(truth, dtype=float)
+    keep = truth > 0
+    for pred in forecasts.values():
+        keep = keep & (_pair(pred, truth)[0] > 0)
+    if not keep.all():
+        log.warning("score: scored every row on %d of %d days, leaving out "
+                    "those with a non-positive value", keep.sum(), len(keep))
+    return [evaluate(np.asarray(pred, dtype=float)[keep], truth[keep],
+                     model=model, group=group)
+            for (model, group), pred in forecasts.items()]
 
 
 def persistence_baseline(rv) -> tuple[np.ndarray, np.ndarray]:

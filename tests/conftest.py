@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mfvol import simlab
+from mfvol import cli, simlab
 
 # pyproject's pythonpath puts src/ on this process's path; the tests
 # that run "python -m mfvol" in a child process need it there too
@@ -19,6 +19,24 @@ def scenario_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("scenario")
     spec = simlab.ScenarioSpec(seed=7, months=14, n_lags=6)
     simlab.gen_full_scenario(spec, str(out))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pipeline(scenario_dir, tmp_path_factory):
+    """rv + pca + midas-fit artifacts shared by the command tests."""
+    out = tmp_path_factory.mktemp("pipeline")
+    for argv in (["rv", "--intraday", str(scenario_dir / "intraday.csv"),
+                  "--out-csv", str(out / "rv.csv"),
+                  "--out-sidecar", str(out / "rv_lambda.json")],
+                 ["pca", "--daily", str(scenario_dir / "daily.csv"),
+                  "--attention", str(scenario_dir / "attention.csv"),
+                  "--monthly", str(scenario_dir / "monthly.csv"),
+                  "--rv", str(out / "rv.csv"), "--out-dir", str(out)],
+                 ["midas-fit", "--factors", str(out / "factors.csv"),
+                  "--n-lags", "6", "--out-fit", str(out / "midas_fit.json"),
+                  "--out-h", str(out / "h.csv")]):
+        assert cli.main(argv) == 0, argv[0]
     return out
 
 

@@ -16,7 +16,10 @@ metrics time ``marketdata.align_mixed_frequency`` and
 rows of what ``cli.read_factors`` returns through its ``n_rows``. The
 tracer also wraps ``autodiff.Tensor.__init__``, so ``mfvol.autodiff`` stays as
 an empty class that nothing in the package imports. It times a
-``simulate`` by its one ``simlab.gen_full_scenario`` span.
+``simulate`` by its one ``simlab.gen_full_scenario`` span. It checks
+each ablation group from the ``(model, dataset)`` of that group's one
+positional ``tfm.predict`` call, so a traced ``ablate`` reads and joins
+its inputs once and trains, predicts and scores once per group.
 """
 
 import ast
@@ -202,3 +205,50 @@ def test_autodiff_is_an_empty_stub_nothing_imports():
                 continue
             assert not any(n.rsplit(".", 1)[-1] == "autodiff"
                            for n in names), path.name
+
+
+def test_ablate_and_predict_calls_and_captures(tracing, pipeline, tmp_path):
+    # bench/run.py checks each ablation group from its positional
+    # (model, dataset) tfm.predict capture and times the first tfm.gradient
+    # of each training run; ablate and predict must read factors.csv and
+    # join h.csv once, and ablate train and predict once per group
+    inputs = ["--factors", str(pipeline / "factors.csv"),
+              "--h-file", str(pipeline / "h.csv")]
+    model = tmp_path / "weights.json"
+    recorder = tracing.Recorder()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", *inputs, "--epochs", "1",
+                         "--out-model", str(model),
+                         "--out-history", str(tmp_path / "hist.csv")]) == 0
+        saved = tracing.install(recorder)
+        try:
+            with recorder.span("ablate"):
+                assert cli.main(["ablate", *inputs, "--groups", "G1,G3",
+                                 "--epochs", "1",
+                                 "--out", str(tmp_path / "ablation.csv")]) == 0
+            with recorder.span("predict"):
+                assert cli.main(["predict", *inputs, "--model", str(model),
+                                 "--out", str(tmp_path / "pred.csv")]) == 0
+        finally:
+            tracing.restore(saved)
+
+    def captured(name, root):
+        return [(recorder.spans[i].parent, args) for i, args, _
+                in recorder.captures if recorder.spans[i].name == name
+                and recorder.root_of(i) == root]
+
+    for name in ("cli.read_factors", "cli.join_h"):
+        assert len(recorder.select(name, "ablate")) == 1, name
+    trains = recorder.select("tfm.train", "ablate")
+    assert len(trains) == 2
+    assert [parent for parent, _ in captured("tfm.gradient", "ablate")] \
+        == trains
+    panel = cli.read_factors(str(pipeline / "factors.csv"))
+    predicted = captured("tfm.predict", "ablate")
+    assert len(predicted) == 2
+    for _, (group_model, dataset) in predicted:
+        assert isinstance(group_model, tfm.TransformerModel)
+        assert dataset.dates == panel.dates[panel.n_train:]
+    assert len(recorder.select("evaluation.evaluate", "ablate")) == 3
+    for name in ("cli.read_factors", "cli.join_h", "tfm.predict"):
+        assert len(recorder.select(name, "predict")) == 1, name

@@ -23,25 +23,6 @@ def run(argv):
     return cli.main(argv)
 
 
-@pytest.fixture(scope="module")
-def pipeline(scenario_dir, tmp_path_factory):
-    """rv + pca + midas-fit artifacts shared by the command tests."""
-    out = tmp_path_factory.mktemp("pipeline")
-    assert run(["rv", "--intraday", str(scenario_dir / "intraday.csv"),
-                "--out-csv", str(out / "rv.csv"),
-                "--out-sidecar", str(out / "rv_lambda.json")]) == 0
-    assert run(["pca", "--daily", str(scenario_dir / "daily.csv"),
-                "--attention", str(scenario_dir / "attention.csv"),
-                "--monthly", str(scenario_dir / "monthly.csv"),
-                "--rv", str(out / "rv.csv"),
-                "--out-dir", str(out)]) == 0
-    assert run(["midas-fit", "--factors", str(out / "factors.csv"),
-                "--n-lags", "6",
-                "--out-fit", str(out / "midas_fit.json"),
-                "--out-h", str(out / "h.csv")]) == 0
-    return out
-
-
 class TestFactorTableIO:
     def small_table(self):
         return Panel(
@@ -479,17 +460,57 @@ class TestAblate:
         assert rows[0].n == rows[1].n
         assert rows[2].model == "persistence"
 
+    @pytest.mark.parametrize("groups", ["G1,G9", "G1,G1"],
+                             ids=["unknown", "repeated"])
     def test_unknown_group_rejected_before_training(self, pipeline, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, capsys,
+                                                    groups):
         def no_training(*args, **kwargs):
-            raise AssertionError("a group trained before G9 was rejected")
+            raise AssertionError(f"a group trained before {groups} was "
+                                 "rejected")
 
         monkeypatch.setattr(tfm, "train", no_training)
         report = tmp_path / "report.csv"
         assert run(["ablate", "--factors", str(pipeline / "factors.csv"),
                     "--h-file", str(pipeline / "h.csv"),
-                    "--groups", "G1,G9", "--out", str(report)]) == 2
+                    "--groups", groups, "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not report.exists()
+
+    def test_g4_row_is_train_predict_evaluate(self, pipeline, tmp_path,
+                                              monkeypatch):
+        """One path: ablate's G4 model and row are those of train (whose
+        default features are G4's), predict --split test and evaluate,
+        given the same inputs and options."""
+        inputs = ["--factors", str(pipeline / "factors.csv"),
+                  "--h-file", str(pipeline / "h.csv")]
+        options = ["--epochs", "2", "--lr", "0.005"]
+        train, models = tfm.train, []
+
+        def keep_model(*args, **kwargs):
+            result = train(*args, **kwargs)
+            models.append(result[0])
+            return result
+
+        monkeypatch.setattr(tfm, "train", keep_model)
+        ablation = tmp_path / "ablation.csv"
+        assert run(["ablate", *inputs, "--groups", "G4,G1", *options,
+                    "--out", str(ablation)]) == 0
+        monkeypatch.undo()
+        weights, pred, report = (tmp_path / name for name in
+                                 ("weights.json", "pred.csv", "report.csv"))
+        assert run(["train", *inputs, *options, "--out-model", str(weights),
+                    "--out-history", str(tmp_path / "hist.csv")]) == 0
+        assert run(["predict", *inputs, "--model", str(weights),
+                    "--split", "test", "--out", str(pred)]) == 0
+        assert run(["evaluate", "--pred", str(pred), "--out",
+                    str(report)]) == 0
+        tfm.save_model(models[0], str(tmp_path / "g4.json"))
+        assert (tmp_path / "g4.json").read_bytes() == weights.read_bytes()
+        g4 = evaluation.read_report(str(ablation))[0]
+        assert (g4.model, g4.group) == ("transformer", "G4")
+        assert evaluation.read_report(str(report)) == [g4]
 
 
 class TestExitCodes:
@@ -1129,14 +1150,16 @@ def test_linear_fill_reads_no_test_row_for_a_training_row(
 
 def test_ablate_scores_every_row_on_one_set_of_days(pipeline, tmp_path,
                                                     monkeypatch):
+    """ablate's report is evaluation.score of its forecasts, with
+    persistence and truth taken from the panel on every test day."""
     predict = tfm.predict
-    calls = []
+    preds = []
 
     def one_g1_forecast_not_positive(model, dataset):
         pred = predict(model, dataset)
-        if not calls:
+        if not preds:
             pred[3] = 0.0
-        calls.append(model)
+        preds.append(pred)
         return pred
 
     monkeypatch.setattr(tfm, "predict", one_g1_forecast_not_positive)
@@ -1144,18 +1167,14 @@ def test_ablate_scores_every_row_on_one_set_of_days(pipeline, tmp_path,
     assert run(["ablate", "--factors", str(pipeline / "factors.csv"),
                 "--h-file", str(pipeline / "h.csv"), "--groups", "G1,G3",
                 "--epochs", "1", "--out", str(report)]) == 0
-    assert len(calls) == 2
     panel = cli.read_factors(str(pipeline / "factors.csv"))
-    truth = panel.columns["rv"][panel.n_train:]
-    base = panel.columns["rv"][panel.n_train - 1:-1]
-    keep = (truth > 0) & (base > 0)
-    assert keep.all()
-    keep[3] = False
+    rv, n_train = panel.columns["rv"], panel.n_train
+    assert len(preds) == 2 and np.all(rv > 0)
     rows = evaluation.read_report(str(report))
-    assert [(r.group, r.n) for r in rows] == [
-        (g, panel.n_rows - panel.n_train - 1) for g in ("G1", "G3", "-")]
-    assert rows[-1] == evaluation.evaluate(base[keep], truth[keep],
-                                           model="persistence", group="-")
+    assert rows == evaluation.score(
+        {("transformer", "G1"): preds[0], ("transformer", "G3"): preds[1],
+         ("persistence", "-"): rv[n_train - 1:-1]}, rv[n_train:])
+    assert [r.n for r in rows] == [panel.n_rows - n_train - 1] * 3
 
 
 def mutate(text: str, kind: str, at: int, cell: int) -> str:

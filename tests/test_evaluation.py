@@ -125,6 +125,47 @@ class TestEvaluate:
                         np.array([1.0, 1.0, 1.0, 1.0]))
 
 
+class TestScore:
+    def forecasts(self):
+        truth = random_pair(seed=5)[1]
+        return {(f"m{k}", f"G{k}"): random_pair(seed=k)[0]
+                for k in (3, 1, 2)}, truth
+
+    def test_rows_match_evaluate_on_common_days(self, caplog):
+        forecasts, truth = self.forecasts()
+        truth[7] = 0.0
+        forecasts["m1", "G1"][[2, 40]] = [-1.0, 0.0]
+        keep = [t > 0 and all(f[i] > 0 for f in forecasts.values())
+                for i, t in enumerate(truth)]
+        with caplog.at_level(logging.WARNING, logger="mfvol.evaluation"):
+            rows = ev.score(forecasts, truth)
+        assert sum(keep) == len(truth) - 3
+        assert rows == [ev.evaluate(f[keep], truth[keep], model=m, group=g)
+                        for (m, g), f in forecasts.items()]
+        assert [r.n for r in rows] == [len(truth) - 3] * 3
+        assert caplog.text.count("WARNING") == 1
+        assert f"on {len(truth) - 3} of {len(truth)} days" in caplog.text
+
+    def test_a_day_left_out_of_one_row_leaves_every_row(self):
+        forecasts, truth = self.forecasts()
+        whole = ev.score(forecasts, truth)
+        for key in forecasts:
+            drop = {k: f.copy() for k, f in forecasts.items()}
+            drop[key][11] = 0.0
+            rows = ev.score(drop, truth)
+            rest = np.arange(len(truth)) != 11
+            assert [(r.model, r.group) for r in rows] == list(forecasts)
+            assert rows == [ev.evaluate(f[rest], truth[rest], model=m,
+                                        group=g)
+                            for (m, g), f in forecasts.items()]
+            assert all(r.mse != w.mse for r, w in zip(rows, whole))
+
+    def test_lengths_must_match(self):
+        forecasts, truth = self.forecasts()
+        with pytest.raises(InputError, match="pred"):
+            ev.score(forecasts, truth[1:])
+
+
 class TestBaselineAndGroups:
     def test_persistence_shift(self):
         rv = np.array([1.0, 2.0, 3.0, 4.0])
