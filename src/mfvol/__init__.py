@@ -21,6 +21,9 @@ The package splits into layers that mirror the workflow:
     Two-component daily conditional variance: a slow monthly part
     driven by covariate lags and a fast unit-mean GARCH part, with
     maximum-likelihood estimation, filtering and simulation.
+``parallel``
+    Independent items, such as the fit's restarts or the ablation
+    groups, on every usable CPU through forked workers.
 ``transformer``
     The windowed attention regressor: one head-stacked plain-numpy
     forward pass and its hand-derived backward pass.
@@ -44,6 +47,7 @@ __all__ = [
     "features",
     "garch_midas",
     "marketdata",
+    "parallel",
     "realized_vol",
     "simlab",
     "tables",

@@ -17,6 +17,7 @@ stamps are a bad input), so estimation never sees a held-out row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -319,6 +320,22 @@ def fit_group(panel: marketdata.Panel, feature_names: tuple[str, ...],
     return model, history, dataset[:n_fit], dataset[n_fit:]
 
 
+@contextlib.contextmanager
+def _kept_log():
+    """The package's log records of the block, kept in a list instead of
+    shown, so that they can be shown later in the calling process."""
+    records = []
+    keep = logging.Handler()
+    keep.emit = records.append
+    log.addHandler(keep)
+    log.propagate = False
+    try:
+        yield records
+    finally:
+        log.removeHandler(keep)
+        log.propagate = True
+
+
 def _print_rows(rows: list[evaluation.EvalRow]) -> None:
     for row in rows:
         print(f"{row.model}/{row.group}: n={row.n} mse={row.mse:.6f} "
@@ -529,9 +546,12 @@ def cmd_evaluate(o: argparse.Namespace) -> int:
 
 def cmd_ablate(o: argparse.Namespace) -> int:
     """train and score the feature-group ladder"""
+    from . import parallel
     from . import transformer as tfm
 
     panel = read_factors(o.factors)
+    if panel.n_train == panel.n_rows:
+        raise InputError(f"{o.factors} has no test rows; nothing to score")
     panel_h = join_h(panel, o.h_file)
     # every name is resolved, and a repeat refused, before a group trains
     group_feats = {name: evaluation.ablation_features(name)
@@ -539,14 +559,36 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     if len(group_feats) < len(o.groups):
         raise InputError(f"--groups names a group twice: {','.join(o.groups)}")
     train_config = _train_config(o)
+    groups = [(name, feats, panel_h if "h" in feats else panel)
+              for name, feats in group_feats.items()]
+    # each group's test windows, checked before any group trains
+    test_days, tests = panel.dates[panel.n_train:], []
+    for name, feats, group_panel in groups:
+        dataset, n_fit = windowed_split(group_panel, feats,
+                                        train_config.window)
+        tests.append(dataset[n_fit:])
+        if tests[-1].dates != test_days:
+            raise InputError(f"group {name} forecasts {len(tests[-1])} of "
+                             f"the {len(test_days)} test days of {o.factors}")
 
-    test_days, forecasts = panel.dates[panel.n_train:], {}
-    for name, feats in group_feats.items():
-        model, _, _, test_ds = fit_group(panel_h if "h" in feats else panel,
-                                         feats, train_config)
-        if test_ds.dates != test_days or not test_days:
-            raise InputError(f"group {name} forecasts {len(test_ds)} of the "
-                             f"{len(test_days)} test days of {o.factors}")
+    def fit(i: int) -> tuple:
+        """Group i's weight vector, normalization statistics and log
+        records: what a worker sends back, since a pickled ``Weights``
+        would lose its views."""
+        _, feats, group_panel = groups[i]
+        with _kept_log() as records:
+            model, _, _, _ = fit_group(group_panel, feats, train_config)
+        return (model.weights.vector, model.feature_mean, model.feature_std,
+                model.target_mean, model.target_std, records)
+
+    forecasts = {}
+    for (name, feats, _), test_ds, (vector, *stats, records) in zip(
+            groups, tests, parallel.run_all(fit, len(groups))):
+        for record in records:
+            log.handle(record)
+        config = tfm.ModelConfig(n_features=len(feats))
+        model = tfm.TransformerModel(config, tfm.Weights(config, vector),
+                                     list(feats), *stats, train_config)
         forecasts["transformer", name] = tfm.predict(model, test_ds)
     forecasts["persistence", "-"] = panel.columns["rv"][panel.n_train - 1:-1]
     rows = evaluation.score(forecasts, panel.columns["rv"][panel.n_train:])

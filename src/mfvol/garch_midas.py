@@ -24,22 +24,15 @@ Both filter and fit; :func:`simulate` draws the exogenous model only.
 
 Estimation is maximum likelihood over an unconstrained
 reparameterization, optimized with Nelder-Mead simplex search from
-several seeded starting points. The restarts run on every usable CPU:
-the calling process and one forked worker per further CPU take them
-from one queue, and the fit is the same to the bit however many CPUs
-run it.
+several seeded starting points. The restarts run on every usable CPU
+through :func:`mfvol.parallel.run_all`, and the fit is the same to the
+bit however many CPUs run it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
-import os
-import pickle
-import signal
-import struct
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -563,132 +556,6 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel):
     return objective
 
 
-# Restart indices go through the queue as 8-byte records, one write
-# each: a pipe takes a write that small whole or not at all, so a
-# reader never sees part of a record.
-_INDEX = struct.Struct("=Q")
-
-
-def _restart_workers(n_restarts: int) -> int:
-    """How many workers to fork for the restarts: one per usable CPU
-    beyond the calling process's own, at most ``n_restarts - 1``, and
-    none where the platform cannot fork or count its usable CPUs."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 0
-    return max(0, min(len(os.sched_getaffinity(0)) - 1, n_restarts - 1))
-
-
-def _take(queue: int) -> int | None:
-    """The next restart index from the queue, or None at its end."""
-    record = os.read(queue, _INDEX.size)
-    return _INDEX.unpack(record)[0] if len(record) == _INDEX.size else None
-
-
-def _serve(run, queue: int, pipe: int, unused: list[int]):
-    """A worker's whole life: run restarts from the queue and send each
-    ``(index, result)`` through ``pipe``, pickled, until the queue ends.
-    It never returns into the caller's code, and it writes nothing to
-    the caller's stdout or stderr."""
-    status = 1
-    try:
-        for fd in unused:
-            os.close(fd)
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.dup2(null, 2)
-        while (i := _take(queue)) is not None:
-            record = memoryview(pickle.dumps((i, run(i))))
-            while record:
-                record = record[os.write(pipe, record):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _reported(fh, n: int) -> dict:
-    """The results a worker sent, by restart index, up to the end of
-    its pipe or the first record that is cut short or garbled."""
-    found = {}
-    while True:
-        try:
-            i, result = pickle.load(fh)
-        except Exception:       # bytes cut short or garbled raise any kind
-            return found
-        if not (isinstance(i, int) and 0 <= i < n
-                and isinstance(result, _SimplexResult)):
-            return found
-        found[i] = result
-
-
-def _run_restarts(run, n: int) -> list:
-    """``[run(i) for i in range(n)]``, run on the usable CPUs.
-
-    Restarts 1 to ``n - 1`` go into a shared queue, a pipe, as far as it
-    takes them without blocking, and the pipe is closed for writing
-    before any worker is forked (see :func:`_restart_workers`). The
-    calling process runs restart 0 and then takes indices from the
-    queue until it ends, as does each worker. Afterwards the calling
-    process runs every restart that no worker reported: one that did
-    not fit in the queue, a failed fork, a worker that died or a pipe
-    cut short costs time and never changes a result. Every worker is
-    reaped, or killed and reaped, before this returns or raises.
-    """
-    n_workers = _restart_workers(n)
-    if n_workers == 0:
-        return [run(i) for i in range(n)]
-    results = {}
-    workers = []            # [pid, read end of its pipe]; pid 0 once reaped
-    queue, feeder = os.pipe()
-    try:
-        try:
-            os.set_blocking(feeder, False)
-            with contextlib.suppress(BlockingIOError):
-                for i in range(1, n):
-                    os.write(feeder, _INDEX.pack(i))
-        finally:
-            os.close(feeder)        # a read past the last record ends
-        for _ in range(n_workers):
-            pipe, sink = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # CPython 3.12+ warns when it forks a process that
-                    # has threads, such as OpenBLAS's
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(pipe)
-                os.close(sink)
-                break
-            if pid == 0:
-                # a worker keeps only the queue's read end and its sink
-                _serve(run, queue, sink, [pipe, *(p for _, p in workers)])
-            os.close(sink)
-            workers.append([pid, pipe])
-        results[0] = run(0)
-        while (i := _take(queue)) is not None:
-            results[i] = run(i)
-        for worker in workers:
-            # closing the pipe stops a worker that sent a garbled record
-            with open(worker[1], "rb") as fh:
-                worker[1] = -1
-                for i, result in _reported(fh, n).items():
-                    results.setdefault(i, result)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(worker[0], 0)
-            worker[0] = 0
-    finally:
-        for pid, pipe in workers:
-            if pipe >= 0:
-                os.close(pipe)
-            if pid:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                with contextlib.suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-        os.close(queue)
-    return [results[i] if i in results else run(i) for i in range(n)]
-
-
 def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         seed: int = 0, max_iter: int = 5000) -> MidasFit:
     """Maximum-likelihood estimation by seeded Nelder-Mead restarts.
@@ -697,7 +564,8 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     ``n_restarts - 1`` starts perturb it in the unconstrained space
     with a seeded generator. The best converged restart wins;
     ties go to the earlier restart. The restarts run on the usable CPUs
-    (see :func:`_run_restarts`), which changes no bit of the result.
+    (see :func:`mfvol.parallel.run_all`), which changes no bit of the
+    result.
     Each restart's iterations, evaluations and final objective, and how
     far that lies above the best, are logged at INFO.
 
@@ -709,6 +577,8 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     NumericalError
         If no restart converges to a finite optimum.
     """
+    from . import parallel      # loaded by the fit, not by simulate
+
     if n_restarts < 1 or max_iter < 1:
         raise InputError(f"n_restarts and max_iter must be at least 1, got "
                          f"{n_restarts} and {max_iter}")
@@ -730,7 +600,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         return _nelder_mead(objective, starts[i], maxiter=max_iter,
                             maxfev=2 * max_iter, xatol=1e-8, fatol=1e-8)
 
-    results = list(enumerate(_run_restarts(restart, n_restarts)))
+    results = list(enumerate(parallel.run_all(restart, n_restarts)))
 
     usable = [(i, r) for i, r in results if r.success and r.fun < PENALTY / 2]
     if not usable:

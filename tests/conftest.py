@@ -1,5 +1,6 @@
 import os
 import pathlib
+import signal
 import sys
 
 import pytest
@@ -38,6 +39,19 @@ def pipeline(scenario_dir, tmp_path_factory):
                   "--out-h", str(out / "h.csv")]):
         assert cli.main(argv) == 0, argv[0]
     return out
+
+
+@pytest.fixture
+def time_bound():
+    """A hung queue or worker fails its test after two minutes (the
+    calling process then kills and reaps its workers)."""
+    def expire(signum, frame):
+        raise TimeoutError("the test took over 120 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -19,7 +19,11 @@ an empty class that nothing in the package imports. It times a
 ``simulate`` by its one ``simlab.gen_full_scenario`` span. It checks
 each ablation group from the ``(model, dataset)`` of that group's one
 positional ``tfm.predict`` call, so a traced ``ablate`` reads and joins
-its inputs once and trains, predicts and scores once per group.
+its inputs once and predicts and scores once per group, in group order,
+in the calling process. That process trains at least the first group
+itself, so the step metrics have a first ``tfm.gradient`` to time;
+workers may train the others, and on one CPU the tracer sees every
+group's training run.
 """
 
 import ast
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfvol import cli
+from mfvol import cli, evaluation
 from mfvol import garch_midas as gm
 from mfvol import marketdata
 from mfvol import transformer as tfm
@@ -207,48 +211,82 @@ def test_autodiff_is_an_empty_stub_nothing_imports():
                            for n in names), path.name
 
 
+def traced_ablate(tracing, pipeline, tmp_path, recorder, groups):
+    """One traced ``ablate`` of ``groups`` for one epoch, under an
+    ``ablate`` root span; returns its tfm.gradient and tfm.predict
+    captures as (parent span, args)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        saved = tracing.install(recorder)
+        try:
+            with recorder.span("ablate"):
+                assert cli.main(["ablate", "--factors",
+                                 str(pipeline / "factors.csv"),
+                                 "--h-file", str(pipeline / "h.csv"),
+                                 "--groups", ",".join(groups),
+                                 "--epochs", "1",
+                                 "--out", str(tmp_path / "ablation.csv")]) == 0
+        finally:
+            tracing.restore(saved)
+
+    def captured(name):
+        return [(recorder.spans[i].parent, args) for i, args, _
+                in recorder.captures if recorder.spans[i].name == name
+                and recorder.root_of(i) == "ablate"]
+    for name in ("cli.read_factors", "cli.join_h"):
+        assert len(recorder.select(name, "ablate")) == 1, name
+    # one prediction per group, in group order, from the calling process
+    panel = cli.read_factors(str(pipeline / "factors.csv"))
+    predicted = captured("tfm.predict")
+    assert [list(dataset.feature_names) for _, (_, dataset) in predicted] \
+        == [list(evaluation.ablation_features(g)) for g in groups]
+    for _, (group_model, dataset) in predicted:
+        assert isinstance(group_model, tfm.TransformerModel)
+        assert dataset.dates == panel.dates[panel.n_train:]
+    assert len(recorder.select("evaluation.evaluate", "ablate")) \
+        == len(groups) + 1
+    return captured("tfm.gradient")
+
+
 def test_ablate_and_predict_calls_and_captures(tracing, pipeline, tmp_path):
     # bench/run.py checks each ablation group from its positional
     # (model, dataset) tfm.predict capture and times the first tfm.gradient
-    # of each training run; ablate and predict must read factors.csv and
-    # join h.csv once, and ablate train and predict once per group
+    # of each training run the tracer sees; ablate and predict must read
+    # factors.csv and join h.csv once, and ablate predict once per group
+    # in the calling process, which trains at least its first group
+    # itself while workers may train the others
+    recorder = tracing.Recorder()
+    groups = ("G1", "G2", "G3", "G4")
+    stepped = traced_ablate(tracing, pipeline, tmp_path, recorder, groups)
+    trains = recorder.select("tfm.train", "ablate")
+    assert 1 <= len(trains) <= len(groups)
+    assert [parent for parent, _ in stepped] == trains
+
     inputs = ["--factors", str(pipeline / "factors.csv"),
               "--h-file", str(pipeline / "h.csv")]
     model = tmp_path / "weights.json"
-    recorder = tracing.Recorder()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["train", *inputs, "--epochs", "1",
                          "--out-model", str(model),
                          "--out-history", str(tmp_path / "hist.csv")]) == 0
         saved = tracing.install(recorder)
         try:
-            with recorder.span("ablate"):
-                assert cli.main(["ablate", *inputs, "--groups", "G1,G3",
-                                 "--epochs", "1",
-                                 "--out", str(tmp_path / "ablation.csv")]) == 0
             with recorder.span("predict"):
                 assert cli.main(["predict", *inputs, "--model", str(model),
                                  "--out", str(tmp_path / "pred.csv")]) == 0
         finally:
             tracing.restore(saved)
-
-    def captured(name, root):
-        return [(recorder.spans[i].parent, args) for i, args, _
-                in recorder.captures if recorder.spans[i].name == name
-                and recorder.root_of(i) == root]
-
-    for name in ("cli.read_factors", "cli.join_h"):
-        assert len(recorder.select(name, "ablate")) == 1, name
-    trains = recorder.select("tfm.train", "ablate")
-    assert len(trains) == 2
-    assert [parent for parent, _ in captured("tfm.gradient", "ablate")] \
-        == trains
-    panel = cli.read_factors(str(pipeline / "factors.csv"))
-    predicted = captured("tfm.predict", "ablate")
-    assert len(predicted) == 2
-    for _, (group_model, dataset) in predicted:
-        assert isinstance(group_model, tfm.TransformerModel)
-        assert dataset.dates == panel.dates[panel.n_train:]
-    assert len(recorder.select("evaluation.evaluate", "ablate")) == 3
     for name in ("cli.read_factors", "cli.join_h", "tfm.predict"):
         assert len(recorder.select(name, "predict")) == 1, name
+
+
+def test_ablate_on_one_cpu_traces_every_group_step(tracing, pipeline,
+                                                   tmp_path, monkeypatch):
+    # on one CPU nothing forks, and the tracer sees one training run and
+    # one first-step capture per group
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    recorder = tracing.Recorder()
+    groups = ("G1", "G3")
+    stepped = traced_ablate(tracing, pipeline, tmp_path, recorder, groups)
+    trains = recorder.select("tfm.train", "ablate")
+    assert len(trains) == len(groups)
+    assert [parent for parent, _ in stepped] == trains

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -17,6 +19,8 @@ from mfvol import cli, evaluation
 from mfvol import transformer as tfm
 from mfvol.marketdata import Panel
 from mfvol.errors import InputError, MalformedRow
+
+from forks import no_child_left, on_cpus
 
 
 def run(argv):
@@ -511,6 +515,110 @@ class TestAblate:
         g4 = evaluation.read_report(str(ablation))[0]
         assert (g4.model, g4.group) == ("transformer", "G4")
         assert evaluation.read_report(str(report)) == [g4]
+
+    @pytest.fixture(scope="class")
+    def quick_start(self, tmp_path_factory):
+        """The README's quick-start factors.csv and h.csv."""
+        out = tmp_path_factory.mktemp("quick_start")
+        scen = out / "scen"
+        for argv in (["simulate", "--out", str(scen), "--seed", "3",
+                      "--months", "40", "--n-lags", "6"],
+                     ["rv", "--intraday", str(scen / "intraday.csv"),
+                      "--out-csv", str(out / "rv.csv"),
+                      "--out-sidecar", str(out / "rv_lambda.json")],
+                     ["pca", "--daily", str(scen / "daily.csv"),
+                      "--attention", str(scen / "attention.csv"),
+                      "--monthly", str(scen / "monthly.csv"),
+                      "--rv", str(out / "rv.csv"), "--out-dir", str(out)],
+                     ["midas-fit", "--factors", str(out / "factors.csv"),
+                      "--n-lags", "6", "--restarts", "1",
+                      "--out-fit", str(out / "midas_fit.json"),
+                      "--out-h", str(out / "h.csv")]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0, argv[0]
+        return out
+
+    def test_a_panel_without_test_rows_is_refused_before_training(
+            self, quick_start, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a group trained on a panel with no test "
+                                 "rows")
+
+        monkeypatch.setattr(tfm, "train", no_training)
+        forks = on_cpus(monkeypatch, 4)
+        factors = tmp_path / "factors.csv"
+        factors.write_text((quick_start / "factors.csv").read_text()
+                           .replace(",test,", ",train,"))
+        report = tmp_path / "report.csv"
+        assert run(["ablate", "--factors", str(factors),
+                    "--h-file", str(quick_start / "h.csv"),
+                    "--epochs", "60", "--out", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {factors} has no test rows; nothing to score\n")
+        assert forks == [] and not report.exists()
+
+    def test_every_group_keeps_its_verbose_lines_in_order(self, pipeline,
+                                                          tmp_path):
+        """Groups trained in workers log to the caller's stderr, each
+        group's epoch lines together and the groups in order, the same
+        lines on one CPU as on several (the default and three)."""
+        script = ("import os, sys\n"
+                  "cpus = int(sys.argv[1])\n"
+                  "if cpus:\n"
+                  "    os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+                  "from mfvol import cli\n"
+                  "sys.exit(cli.main(sys.argv[2:]))\n")
+        outputs = []
+        for cpus in (1, 0, 3):
+            report = tmp_path / f"report{cpus}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(cpus), "-v", "ablate",
+                 "--factors", str(pipeline / "factors.csv"),
+                 "--h-file", str(pipeline / "h.csv"), "--lr", "0.005",
+                 "--epochs", "3", "--out", str(report)],
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout.replace(str(report), "report.csv"),
+                            re.sub(r", \d+\.\d{3} s$", ", - s", proc.stderr,
+                                   flags=re.M),
+                            report.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        lines = outputs[0][1].splitlines()
+        want = [f"INFO mfvol.transformer: epoch {e}:" for e in (1, 2, 3)] * 4
+        want += [f"INFO mfvol: group G{g}: test mse" for g in (1, 2, 3, 4)]
+        assert len(lines) == len(want)
+        assert [line[:len(w)] for line, w in zip(lines, want)] == want
+
+    def test_an_interrupt_during_a_parallel_ablate_stops_every_worker(
+            self, pipeline, tmp_path, monkeypatch, capfd, time_bound):
+        caller, started = os.getpid(), tmp_path / "worker-started"
+
+        def interrupted_in_the_caller(*args):
+            if os.getpid() != caller:       # a worker waits to be killed
+                started.touch()
+                time.sleep(60)
+                os._exit(1)
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(caller, signal.SIGINT)
+            time.sleep(30)
+
+        monkeypatch.setattr(cli, "fit_group", interrupted_in_the_caller)
+        forks = on_cpus(monkeypatch, 2)
+        report, start = tmp_path / "report.csv", time.monotonic()
+        try:
+            code = run(["ablate", "--factors", str(pipeline / "factors.csv"),
+                        "--h-file", str(pipeline / "h.csv"),
+                        "--out", str(report)])
+        except KeyboardInterrupt:   # would stop the whole pytest run
+            pytest.fail("the interrupt escaped cli.main")
+        # the worker was killed, not waited for
+        assert time.monotonic() - start < 30
+        assert code == 130 and started.exists()
+        assert capfd.readouterr() == ("", "error: interrupted\n")
+        assert len(forks) == 1 and no_child_left()
+        assert list(tmp_path.iterdir()) == [started]
 
 
 class TestExitCodes:
@@ -1101,7 +1209,8 @@ def test_rv_pca_and_midas_fit_never_load_the_encoder(scenario_dir, tmp_path):
         "from mfvol import cli\n"
         "def loaded():\n"
         "    return [m for m in ('mfvol.transformer', 'mfvol.garch_midas',\n"
-        "                        'mfvol.simlab') if m in sys.modules]\n"
+        "                        'mfvol.simlab', 'mfvol.parallel')\n"
+        "            if m in sys.modules]\n"
         "seen = [('import', 0, loaded())]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1112,7 +1221,7 @@ def test_rv_pca_and_midas_fit_never_load_the_encoder(scenario_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["import", 0, []], ["rv", 0, []], ["pca", 0, []],
-        ["midas-fit", 0, ["mfvol.garch_midas"]]]
+        ["midas-fit", 0, ["mfvol.garch_midas", "mfvol.parallel"]]]
 
 
 def test_linear_fill_reads_no_test_row_for_a_training_row(

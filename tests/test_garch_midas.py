@@ -1,13 +1,9 @@
 import datetime
-import io
 import json
 import logging
 import math
 import os
-import pickle
 import re
-import signal
-import time
 import warnings
 
 import numpy as np
@@ -15,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfvol import cli, errors, tables
+from mfvol import cli, errors, parallel, tables
 from mfvol import garch_midas as gm
 
+from forks import no_child_left, on_cpus
 from oracles import (
     beta_weights_naive,
     filter_naive,
@@ -520,29 +517,13 @@ def same_fit(a, b):
     return True
 
 
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
+@pytest.mark.usefixtures("time_bound")
 class TestRestartWorkers:
-    """gm.fit runs its restarts on every usable CPU, in the calling
-    process and in forked workers, and fits the same to the bit."""
+    """gm.fit runs its restarts through parallel.run_all on every usable
+    CPU, in the calling process and in forked workers, and fits the same
+    to the bit (run_all's own tests are in test_parallel.py)."""
 
     SPEC = gm.MidasSpec(n_lags=3, n_covariates=1)
-
-    @pytest.fixture(autouse=True)
-    def time_bound(self):
-        """A hung queue or worker fails its test after two minutes (the
-        calling process then kills and reaps its workers)."""
-        def expire(signum, frame):
-            raise TimeoutError("the restarts took over 120 s")
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(120)
-        yield
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -551,39 +532,27 @@ class TestRestartWorkers:
         return gm.simulate(self.SPEC, true, months=20, days_per_month=15,
                            seed=2)[0]
 
-    @staticmethod
-    def on_cpus(monkeypatch, cpus):
-        """Make ``cpus`` CPUs usable; returns the list each fork of the
-        calling process appends to."""
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        forks, fork = [], os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return fork()
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forks
-
     def fit(self, monkeypatch, data, n_restarts=5):
-        """The fit and its per-restart results."""
-        runs, run_restarts = [], gm._run_restarts
+        """The fit and its per-restart results, which it gets from one
+        call of parallel.run_all."""
+        runs, run_all = [], parallel.run_all
 
         def kept(run, n):
-            runs.append(run_restarts(run, n))
+            runs.append(run_all(run, n))
             return runs[-1]
-        monkeypatch.setattr(gm, "_run_restarts", kept)
+        monkeypatch.setattr(parallel, "run_all", kept)
         result = gm.fit(self.SPEC, data, n_restarts=n_restarts, seed=4)
-        monkeypatch.setattr(gm, "_run_restarts", run_restarts)
+        monkeypatch.setattr(parallel, "run_all", run_all)
+        assert len(runs) == 1
         return result, runs[0]
 
     @pytest.mark.parametrize("cpus, n_restarts, n_forks",
                              [(2, 5, 1), (3, 5, 2), (8, 3, 2)])
     def test_same_fit_as_one_cpu(self, monkeypatch, data, cpus, n_restarts,
                                  n_forks):
-        self.on_cpus(monkeypatch, 1)
+        on_cpus(monkeypatch, 1)
         alone, alone_runs = self.fit(monkeypatch, data, n_restarts)
-        forks = self.on_cpus(monkeypatch, cpus)
+        forks = on_cpus(monkeypatch, cpus)
         shared, shared_runs = self.fit(monkeypatch, data, n_restarts)
         assert len(forks) == n_forks
         assert same_fit(shared, alone)
@@ -598,9 +567,9 @@ class TestRestartWorkers:
     def test_nothing_forks_where_nothing_can_share(self, monkeypatch, data,
                                                    platform):
         n_restarts = 1 if platform == "one-restart" else 3
-        self.on_cpus(monkeypatch, 1)
+        on_cpus(monkeypatch, 1)
         alone, _ = self.fit(monkeypatch, data, n_restarts)
-        forks = self.on_cpus(monkeypatch, 4)
+        forks = on_cpus(monkeypatch, 4)
         if platform == "no-fork":
             monkeypatch.delattr(os, "fork")
         assert same_fit(self.fit(monkeypatch, data, n_restarts)[0], alone)
@@ -608,9 +577,9 @@ class TestRestartWorkers:
 
     def test_a_worker_that_dies_costs_time_not_the_result(self, monkeypatch,
                                                           data):
-        self.on_cpus(monkeypatch, 1)
+        on_cpus(monkeypatch, 1)
         alone, _ = self.fit(monkeypatch, data)
-        forks = self.on_cpus(monkeypatch, 2)
+        forks = on_cpus(monkeypatch, 2)
         caller, search, in_worker = os.getpid(), gm._nelder_mead, []
 
         def dies_after_one_restart(*args, **kwargs):
@@ -625,7 +594,7 @@ class TestRestartWorkers:
 
     def test_logs_one_line_per_restart_in_the_caller(self, monkeypatch,
                                                      data, caplog):
-        self.on_cpus(monkeypatch, 2)
+        on_cpus(monkeypatch, 2)
         caplog.set_level(logging.INFO, logger="mfvol.garch_midas")
         result, runs = self.fit(monkeypatch, data)
         line = re.compile(r"restart (\d+): (\d+) iterations, (\d+) "
@@ -640,68 +609,6 @@ class TestRestartWorkers:
             assert float(m[4]) == pytest.approx(run.fun, abs=1e-6)
             assert float(m[5]) >= 0
         assert float(found[result.convergence["best_restart"]][5]) == 0
-
-    @staticmethod
-    def result(i):
-        """A stand-in restart result that says which process ran it."""
-        return gm._SimplexResult(x=np.array([float(i)]), fun=float(i),
-                                 nit=os.getpid(), nfev=i, success=True,
-                                 final_simplex=(np.zeros((2, 1)),
-                                                np.zeros(2)))
-
-    def test_a_queue_longer_than_a_pipe_holds(self, monkeypatch, tmp_path):
-        # 20,000 eight-byte indices overfill a 64 KiB pipe, and each
-        # worker's results overfill its own pipe before anyone reads them;
-        # three workers share the queue with the caller on any host. What
-        # the queue cannot take, the caller runs at the end.
-        self.on_cpus(monkeypatch, 4)
-        caller, started = os.getpid(), tmp_path / "worker-started"
-        # every process appends each index it runs to one shared file
-        ran = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT
-                      | os.O_APPEND)
-
-        def run(i):
-            os.write(ran, gm._INDEX.pack(i))
-            if os.getpid() != caller:
-                started.touch()
-            elif i == 0:                # let the worker take a share
-                deadline = time.monotonic() + 30
-                while not started.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            return self.result(i)
-        n = 20_000
-        try:
-            results = gm._run_restarts(run, n)
-        finally:
-            os.close(ran)
-        assert [r.nfev for r in results] == list(range(n))
-        assert len({r.nit for r in results}) >= 2 and no_child_left()
-        assert results[-1].nit == caller
-        indices = [i for (i,) in gm._INDEX.iter_unpack(
-            (tmp_path / "ran").read_bytes())]
-        assert sorted(indices) == list(range(n))
-
-    def test_an_error_in_the_caller_kills_the_workers(self, monkeypatch):
-        self.on_cpus(monkeypatch, 3)
-        caller = os.getpid()
-
-        def run(i):
-            if os.getpid() != caller:
-                time.sleep(60)
-            raise KeyboardInterrupt
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            gm._run_restarts(run, 5)
-        assert time.monotonic() - start < 30 and no_child_left()
-
-    def test_a_pipe_cut_short_or_garbled_keeps_what_came_whole(self):
-        whole = pickle.dumps((1, self.result(1)))
-        second = pickle.dumps((2, self.result(2)))
-        for rest in (second[:-3], b"garbled" + second,
-                     pickle.dumps((9, "x")) + second,
-                     pickle.dumps((2, "not a result")) + second):
-            found = gm._reported(io.BytesIO(whole + rest), n=5)
-            assert list(found) == [1] and found[1].nit == os.getpid()
 
     @pytest.fixture(scope="class")
     def factors(self, scenario_dir, tmp_path_factory):
@@ -726,7 +633,7 @@ class TestRestartWorkers:
                                            tmp_path, capfd):
         # CPython 3.12+ warns at a fork of a process with threads, as
         # OpenBLAS's may be; the warning must not reach stderr
-        forks = self.on_cpus(monkeypatch, 2)
+        forks = on_cpus(monkeypatch, 2)
         fork = os.fork
 
         def warning_fork():
@@ -744,7 +651,7 @@ class TestRestartWorkers:
 
     def test_failed_midas_fit_leaves_no_process(self, monkeypatch, factors,
                                                 tmp_path, capfd):
-        forks = self.on_cpus(monkeypatch, 2)
+        forks = on_cpus(monkeypatch, 2)
         assert self.midas_fit(factors, tmp_path, "--max-iter", "1") == 3
         assert capfd.readouterr().err == ("numerical error: no Nelder-Mead "
                                           "restart converged to a finite "
