@@ -70,8 +70,9 @@ def _parse_seed(text: str) -> int:
 
 def _parse_names(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise ValueError(f"expected a comma-separated list, got {text!r}")
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"expected a comma-separated list of distinct "
+                         f"names, got {text!r}")
     return names
 
 
@@ -305,21 +306,6 @@ def _read_panel(o: argparse.Namespace, feature_names) -> marketdata.Panel:
     return panel if o.h_file is None else join_h(panel, o.h_file)
 
 
-def fit_group(panel: marketdata.Panel, feature_names: tuple[str, ...],
-              train_config: tfm.TrainConfig,
-              model_config: tfm.ModelConfig | None = None
-              ) -> tuple[tfm.TransformerModel, list[float],
-                         tfm.WindowedDataset, tfm.WindowedDataset]:
-    """The one group step of ``train`` and ``ablate``: the model trained
-    on the panel's training windows, its loss history, and its training
-    and test windows."""
-    from . import transformer as tfm
-
-    dataset, n_fit = windowed_split(panel, feature_names, train_config.window)
-    model, history = tfm.train(dataset[:n_fit], model_config, train_config)
-    return model, history, dataset[:n_fit], dataset[n_fit:]
-
-
 @contextlib.contextmanager
 def _kept_log():
     """The package's log records of the block, kept in a list instead of
@@ -476,10 +462,12 @@ def cmd_train(o: argparse.Namespace) -> int:
     """fit the attention regressor on stamped factors"""
     from . import transformer as tfm
 
-    model, history, train_ds, _ = fit_group(
-        _read_panel(o, o.features), o.features, _train_config(o),
-        tfm.ModelConfig(n_features=len(o.features), d_model=o.d_model,
-                        n_heads=o.heads, n_layers=o.layers, d_ff=o.d_ff))
+    panel, train_config = _read_panel(o, o.features), _train_config(o)
+    model_config = tfm.ModelConfig(n_features=len(o.features),
+                                   d_model=o.d_model, n_heads=o.heads,
+                                   n_layers=o.layers, d_ff=o.d_ff)
+    dataset, n_fit = windowed_split(panel, o.features, train_config.window)
+    model, history = tfm.train(dataset[:n_fit], model_config, train_config)
 
     with tables.all_or_none(o.out_model, o.out_history) as (model_tmp,
                                                            history_tmp):
@@ -487,8 +475,7 @@ def cmd_train(o: argparse.Namespace) -> int:
         tables.write(history_tmp, ["epoch", "loss"],
                      [range(1, len(history) + 1), history])
 
-    print(f"trained on {len(train_ds)} samples, features "
-          f"{','.join(o.features)}")
+    print(f"trained on {n_fit} samples, features {','.join(o.features)}")
     print(f"  final loss {history[-1]:.6f} after {len(history)} epochs")
     print(f"  wrote {o.out_model}")
     print(f"  wrote {o.out_history}")
@@ -553,42 +540,33 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     if panel.n_train == panel.n_rows:
         raise InputError(f"{o.factors} has no test rows; nothing to score")
     panel_h = join_h(panel, o.h_file)
-    # every name is resolved, and a repeat refused, before a group trains
+    # every name is resolved before a group trains
     group_feats = {name: evaluation.ablation_features(name)
                    for name in o.groups}
-    if len(group_feats) < len(o.groups):
-        raise InputError(f"--groups names a group twice: {','.join(o.groups)}")
     train_config = _train_config(o)
-    groups = [(name, feats, panel_h if "h" in feats else panel)
-              for name, feats in group_feats.items()]
-    # each group's test windows, checked before any group trains
-    test_days, tests = panel.dates[panel.n_train:], []
-    for name, feats, group_panel in groups:
-        dataset, n_fit = windowed_split(group_panel, feats,
-                                        train_config.window)
-        tests.append(dataset[n_fit:])
-        if tests[-1].dates != test_days:
-            raise InputError(f"group {name} forecasts {len(tests[-1])} of "
-                             f"the {len(test_days)} test days of {o.factors}")
+    # each group's training and test windows, which forked workers
+    # inherit, with its test days checked before any group trains
+    test_days, splits = panel.dates[panel.n_train:], []
+    for name, feats in group_feats.items():
+        dataset, n_fit = windowed_split(panel_h if "h" in feats else panel,
+                                        feats, train_config.window)
+        splits.append((dataset[:n_fit], dataset[n_fit:]))
+        if dataset.dates[n_fit:] != test_days:
+            raise InputError(f"group {name} forecasts {len(dataset) - n_fit} "
+                             f"of the {len(test_days)} test days of "
+                             f"{o.factors}")
 
     def fit(i: int) -> tuple:
-        """Group i's weight vector, normalization statistics and log
-        records: what a worker sends back, since a pickled ``Weights``
-        would lose its views."""
-        _, feats, group_panel = groups[i]
+        """Group i's model and log records: what a worker sends back."""
         with _kept_log() as records:
-            model, _, _, _ = fit_group(group_panel, feats, train_config)
-        return (model.weights.vector, model.feature_mean, model.feature_std,
-                model.target_mean, model.target_std, records)
+            model, _ = tfm.train(splits[i][0], None, train_config)
+        return model, records
 
     forecasts = {}
-    for (name, feats, _), test_ds, (vector, *stats, records) in zip(
-            groups, tests, parallel.run_all(fit, len(groups))):
+    for name, (_, test_ds), (model, records) in zip(
+            group_feats, splits, parallel.run_all(fit, len(splits))):
         for record in records:
             log.handle(record)
-        config = tfm.ModelConfig(n_features=len(feats))
-        model = tfm.TransformerModel(config, tfm.Weights(config, vector),
-                                     list(feats), *stats, train_config)
         forecasts["transformer", name] = tfm.predict(model, test_ds)
     forecasts["persistence", "-"] = panel.columns["rv"][panel.n_train - 1:-1]
     rows = evaluation.score(forecasts, panel.columns["rv"][panel.n_train:])

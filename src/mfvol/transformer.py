@@ -231,10 +231,11 @@ class Weights(Mapping):
     writes into the vector, so the views and the vector always agree.
     Each layer's per-head W_q, W_k and W_v are column views of one
     (d, 3d) block, ``qkv[layer]``: every head's W_q, then every W_k,
-    then every W_v.
+    then every W_v. A pickle holds the config and the vector, and
+    unpickling lays the views over the vector again.
     """
 
-    __slots__ = ("arrays", "vector", "qkv")
+    __slots__ = ("config", "arrays", "vector", "qkv")
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
         if vector is None:
@@ -257,7 +258,10 @@ class Weights(Mapping):
             else:
                 values.append(view)
         self.arrays = dict(zip(names, values))
-        self.vector = vector
+        self.config, self.vector = config, vector
+
+    def __reduce__(self):
+        return Weights, (self.config, self.vector)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -551,6 +555,8 @@ def build_windows(dates: Sequence[str], features: np.ndarray,
     targets are strictly chronological and each row is a target at
     most once.
     """
+    if window < 1:
+        raise InputError(f"window must be at least 1, got {window}")
     features = np.asarray(features, dtype=float)
     target = np.asarray(target, dtype=float)
     if features.ndim != 2 or len(features) != len(target) \

@@ -17,7 +17,6 @@ this file doubles as an end-to-end exercise of every subcommand.
 
 import itertools
 import json
-import math
 import time
 from functools import partial
 from pathlib import Path
@@ -37,6 +36,7 @@ from oracles import (
     fd_gradient_stacked,
     garch11_filter,
     loglik_naive,
+    losses_naive,
 )
 
 RESULTS: list[str] = []
@@ -338,27 +338,6 @@ def test_criterion_09_overfit_capability():
 # 10. Loss functions vs brute force
 # ----------------------------------------------------------------------
 
-def _brute_losses(pred, truth):
-    n = len(pred)
-    out = {
-        "mse": sum((p - t) ** 2 for p, t in zip(pred, truth)) / n,
-        "hmse": sum((1.0 - p / t) ** 2 for p, t in zip(pred, truth)) / n,
-        "mae": sum(abs(p - t) for p, t in zip(pred, truth)) / n,
-        "mape": sum(abs((p - t) / t) for p, t in zip(pred, truth)) / n,
-        "qlike": sum(math.log(p) + t / p for p, t in zip(pred, truth)) / n,
-    }
-    x = [math.log(p) for p in pred]
-    y = [math.log(t) for t in truth]
-    xbar, ybar = sum(x) / n, sum(y) / n
-    sxx = sum((xi - xbar) ** 2 for xi in x)
-    slope = sum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y)) / sxx
-    sse = sum((yi - ybar - slope * (xi - xbar)) ** 2
-              for xi, yi in zip(x, y))
-    sst = sum((yi - ybar) ** 2 for yi in y)
-    out["r2log"] = 1.0 - sse / sst
-    return out
-
-
 def test_criterion_10_loss_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(410)
@@ -370,7 +349,7 @@ def test_criterion_10_loss_oracle():
         n = int(rng.integers(10, 120))
         truth = rng.lognormal(0.0, 0.8, n)
         pred = truth * np.exp(rng.normal(0.0, 0.4, n))
-        want = _brute_losses(pred.tolist(), truth.tolist())
+        want = losses_naive(pred.tolist(), truth.tolist())
         for name, fn in measures.items():
             got = fn(pred, truth)
             worst = max(worst, abs(got - want[name])

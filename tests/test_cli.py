@@ -265,7 +265,8 @@ def declared(kind, value):
         return value in kind
     if kind is cli._parse_names:
         return (isinstance(value, tuple) and len(value) > 0
-                and all(isinstance(v, str) and v for v in value))
+                and all(isinstance(v, str) and v for v in value)
+                and len(set(value)) == len(value))
     return type(value) is {cli._parse_bool: bool,
                            cli._parse_seed: int}.get(kind, kind)
 
@@ -589,6 +590,25 @@ class TestAblate:
         assert len(lines) == len(want)
         assert [line[:len(w)] for line, w in zip(lines, want)] == want
 
+    @pytest.mark.parametrize("cpus", [1, None], ids=["one-cpu", "default"])
+    def test_each_group_is_windowed_once_in_the_calling_process(
+            self, pipeline, tmp_path, monkeypatch, cpus):
+        build_windows, caller, built = tfm.build_windows, os.getpid(), []
+
+        def counted(*args, **kwargs):
+            built.append((os.getpid(), tuple(args[4])))
+            return build_windows(*args, **kwargs)
+
+        monkeypatch.setattr(tfm, "build_windows", counted)
+        if cpus:
+            on_cpus(monkeypatch, cpus)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["ablate", "--factors", str(pipeline / "factors.csv"),
+                        "--h-file", str(pipeline / "h.csv"), "--epochs", "1",
+                        "--out", str(tmp_path / "report.csv")]) == 0
+        assert built == [(caller, evaluation.ablation_features(g))
+                         for g in ("G1", "G2", "G3", "G4")]
+
     def test_an_interrupt_during_a_parallel_ablate_stops_every_worker(
             self, pipeline, tmp_path, monkeypatch, capfd, time_bound):
         caller, started = os.getpid(), tmp_path / "worker-started"
@@ -604,7 +624,7 @@ class TestAblate:
             os.kill(caller, signal.SIGINT)
             time.sleep(30)
 
-        monkeypatch.setattr(cli, "fit_group", interrupted_in_the_caller)
+        monkeypatch.setattr(tfm, "train", interrupted_in_the_caller)
         forks = on_cpus(monkeypatch, 2)
         report, start = tmp_path / "report.csv", time.monotonic()
         try:
@@ -703,8 +723,12 @@ class TestExitCodes:
         ["train", "--lr", "nan"],
         ["train", "--lr", "-1"],
         ["train", "--patience", "-1"],
+        ["train", "--window", "-1"],
+        ["ablate", "--window", "-1"],
+        ["train", "--features", "tech1,tech1"],
     ], ids=["heads-0", "d-ff-0", "epochs-0", "group-G9", "train-seed",
-            "ablate-seed", "lr-nan", "lr-negative", "patience-negative"])
+            "ablate-seed", "lr-nan", "lr-negative", "patience-negative",
+            "train-window", "ablate-window", "features-repeated"])
     def test_bad_model_option(self, pipeline, tmp_path, capsys, argv):
         out = tmp_path / "out"
         outputs = (["--out-model", str(out), "--out-history",
@@ -715,13 +739,14 @@ class TestExitCodes:
             "--h-file", str(pipeline / "h.csv")])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--restarts", "-3", "n_restarts"),
         ("--max-iter", "0", "max_iter"),
-    ], ids=["restarts-negative", "max-iter-0"])
+        ("--covariates", "pcm1,pcm1", "--covariates"),
+    ], ids=["restarts-negative", "max-iter-0", "covariates-repeated"])
     def test_bad_fit_option(self, pipeline, tmp_path, capsys, flag, value,
                             named):
         out = tmp_path / "fit.json"
@@ -732,7 +757,7 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, line, cell, value", [
         ("rv.csv", 5, 3, "nan"),
@@ -1322,10 +1347,6 @@ MUTATIONS = [(name, kind) for name in ("factors.csv", "h.csv", "rv.csv",
              if kind != "flip" or name == "factors.csv"]
 
 
-def mutations_of(*names):
-    return st.sampled_from([m for m in MUTATIONS if m[0] in names])
-
-
 def exits_cleanly(top: pathlib.Path, argv: list[str]) -> None:
     """``argv`` in process exits 0, 2 or 3; on 2 or 3 with one line on
     stderr and ``top`` as it was."""
@@ -1341,67 +1362,6 @@ def exits_cleanly(top: pathlib.Path, argv: list[str]) -> None:
         assert tree(top) == before     # no new file, nor a temporary
 
 
-@settings(max_examples=30, deadline=None)
-@given(mutations_of("factors.csv", "h.csv"), st.integers(0, 10 ** 6),
-       st.integers(0, 10 ** 6))
-# both commands take an h.csv that starts a day later, and both refuse
-# a first training row stamped test
-@example(("h.csv", "drop"), 0, 0)
-@example(("factors.csv", "flip"), 0, 0)
-def test_a_mutated_factor_or_h_file_exits_cleanly(pipeline, tmp_path_factory,
-                                                  mutation, at, cell):
-    name, kind = mutation
-    top = tmp_path_factory.mktemp("mutated")
-    for file in ("factors.csv", "h.csv"):
-        text = (pipeline / file).read_text()
-        (top / file).write_text(mutate(text, kind, at, cell)
-                                if file == name else text)
-    out = top / "out"
-    out.mkdir()
-    inputs = ["--factors", str(top / "factors.csv"),
-              "--h-file", str(top / "h.csv"), "--epochs", "1"]
-    exits_cleanly(top, ["train", *inputs,
-                        "--out-model", str(out / "weights.json"),
-                        "--out-history", str(out / "loss_history.csv")])
-    exits_cleanly(top, ["ablate", *inputs, "--groups", "G1,G3",
-                        "--out", str(out / "report.csv")])
-
-
-def pca_exits_cleanly(scenario_dir, pipeline, top, mutation, at, cell):
-    """``pca`` on the scenario's tables and the pipeline's ``rv.csv``,
-    with the one that ``mutation`` names mutated into ``top``, exits
-    cleanly."""
-    name, kind = mutation
-    inputs = {table: scenario_dir / f"{table}.csv"
-              for table in ("daily", "attention", "monthly")}
-    inputs["rv"] = pipeline / "rv.csv"
-    table = name.removesuffix(".csv")
-    (top / name).write_text(mutate(inputs[table].read_text(), kind, at, cell))
-    inputs[table] = top / name
-    exits_cleanly(top, ["pca", *(arg for key, path in inputs.items()
-                                 for arg in (f"--{key}", str(path))),
-                        "--out-dir", str(top / "out")])
-
-
-@settings(max_examples=30, deadline=None)
-@given(mutations_of("rv.csv"), st.integers(0, 10 ** 6),
-       st.integers(0, 10 ** 6))
-def test_a_mutated_rv_file_exits_cleanly(scenario_dir, pipeline,
-                                         tmp_path_factory, mutation, at,
-                                         cell):
-    pca_exits_cleanly(scenario_dir, pipeline,
-                      tmp_path_factory.mktemp("mutated"), mutation, at, cell)
-
-
-@settings(max_examples=30, deadline=None)
-@given(mutations_of("daily.csv", "attention.csv", "monthly.csv"),
-       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-def test_a_mutated_daily_attention_or_monthly_file_exits_cleanly(
-        scenario_dir, pipeline, tmp_path_factory, mutation, at, cell):
-    pca_exits_cleanly(scenario_dir, pipeline,
-                      tmp_path_factory.mktemp("mutated"), mutation, at, cell)
-
-
 @pytest.fixture(scope="module")
 def report(forecast, tmp_path_factory):
     """The forecast's report: its transformer and persistence rows."""
@@ -1409,29 +1369,6 @@ def report(forecast, tmp_path_factory):
     assert run(["evaluate", "--pred", str(forecast / "pred.csv"),
                 "--persistence", "--out", str(out)]) == 0
     return out
-
-
-@pytest.mark.parametrize("name", ["intraday.csv", "pred.csv", "report.csv"])
-@settings(max_examples=30, deadline=None)
-@given(st.data(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-def test_a_mutated_intraday_prediction_or_report_file_exits_cleanly(
-        scenario_dir, forecast, report, tmp_path_factory, name, data, at,
-        cell):
-    _, kind = data.draw(mutations_of(name))
-    top = tmp_path_factory.mktemp("mutated")
-    source = {"intraday.csv": scenario_dir / name,
-              "pred.csv": forecast / name, "report.csv": report}[name]
-    (top / name).write_text(mutate(source.read_text(), kind, at, cell))
-    exits_cleanly(top, {
-        "intraday.csv": ["rv", "--intraday", str(top / name),
-                         "--out-csv", str(top / "rv.csv"),
-                         "--out-sidecar", str(top / "rv.json")],
-        "pred.csv": ["evaluate", "--pred", str(top / name), "--persistence",
-                     "--out", str(top / "report.csv")],
-        # exits_cleanly also holds a failed append to the report's bytes
-        "report.csv": ["evaluate", "--pred", str(forecast / "pred.csv"),
-                       "--append", "--out", str(top / name)],
-    }[name])
 
 
 def json_places(node) -> list:
@@ -1487,21 +1424,90 @@ def mutate_json(text: str, kind: str, at: int, cell: int) -> str:
     return json.dumps(doc)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(JSON_MUTATIONS), st.integers(0, 10 ** 6),
-       st.integers(0, 10 ** 6))
-# place 16 is the first feature name: as a list it used to reach the
-# panel's column lookup and escape as a TypeError
-@example("list", 16, 0)
-def test_a_mutated_model_file_exits_cleanly(pipeline, forecast,
-                                            tmp_path_factory, kind, at, cell):
-    top = tmp_path_factory.mktemp("mutated")
-    (top / "weights.json").write_text(
-        mutate_json((forecast / "weights.json").read_text(), kind, at, cell))
+def train_and_ablate(f, out):
+    inputs = ["--factors", f["factors.csv"], "--h-file", f["h.csv"],
+              "--epochs", "1"]
+    return [["train", *inputs, "--out-model", out / "weights.json",
+             "--out-history", out / "loss_history.csv"],
+            ["ablate", *inputs, "--groups", "G1,G3",
+             "--out", out / "report.csv"]]
+
+
+def pca(f, out):
+    return [["pca", *(arg for table in ("daily", "attention", "monthly", "rv")
+                      for arg in (f"--{table}", f[f"{table}.csv"])),
+             "--out-dir", out]]
+
+
+# each fuzzed file: its mutator, and the commands that read it, given
+# every input's path (the fuzzed one mutated) and an output directory
+FUZZ = {
+    "factors.csv": (mutate, train_and_ablate),
+    "h.csv": (mutate, train_and_ablate),
+    "rv.csv": (mutate, pca),
+    "daily.csv": (mutate, pca),
+    "attention.csv": (mutate, pca),
+    "monthly.csv": (mutate, pca),
+    "intraday.csv": (mutate, lambda f, out: [
+        ["rv", "--intraday", f["intraday.csv"], "--out-csv", out / "rv.csv",
+         "--out-sidecar", out / "rv.json"]]),
+    "pred.csv": (mutate, lambda f, out: [
+        ["evaluate", "--pred", f["pred.csv"], "--persistence",
+         "--out", out / "report.csv"]]),
+    # exits_cleanly also holds a failed append to the report's bytes
+    "report.csv": (mutate, lambda f, out: [
+        ["evaluate", "--pred", f["pred.csv"], "--append",
+         "--out", f["report.csv"]]]),
+    "weights.json": (mutate_json, lambda f, out: [
+        ["predict", "--factors", f["factors.csv"], "--model",
+         f["weights.json"], "--split", "all", "--out", out / "p.csv"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzzed(scenario_dir, pipeline, forecast, report):
+    """The source of each fuzzed file."""
+    return {**{name: scenario_dir / name for name in (
+                "daily.csv", "attention.csv", "monthly.csv", "intraday.csv")},
+            **{name: pipeline / name for name in (
+                "factors.csv", "h.csv", "rv.csv")},
+            "pred.csv": forecast / "pred.csv",
+            "weights.json": forecast / "weights.json", "report.csv": report}
+
+
+def mutated_exits_cleanly(fuzzed, top, name, kind, at, cell):
+    """Every command that reads ``name`` exits cleanly on a copy of it
+    in ``top`` with one mutation of ``kind``."""
+    mutator, commands = FUZZ[name]
+    (top / name).write_text(mutator(fuzzed[name].read_text(), kind, at, cell))
     (top / "out").mkdir()
-    exits_cleanly(top, ["predict", "--factors", str(pipeline / "factors.csv"),
-                        "--model", str(top / "weights.json"),
-                        "--split", "all", "--out", str(top / "out" / "p.csv")])
+    for argv in commands({**fuzzed, name: top / name}, top / "out"):
+        exits_cleanly(top, list(map(str, argv)))
+
+
+@pytest.mark.parametrize("name", list(FUZZ))
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_a_mutated_file_exits_cleanly(fuzzed, tmp_path_factory, name, data,
+                                      at, cell):
+    kinds = (JSON_MUTATIONS if FUZZ[name][0] is mutate_json
+             else [kind for file, kind in MUTATIONS if file == name])
+    mutated_exits_cleanly(fuzzed, tmp_path_factory.mktemp("mutated"), name,
+                          data.draw(st.sampled_from(kinds)), at, cell)
+
+
+@pytest.mark.parametrize("name, kind, at, cell", [
+    # train and ablate take an h.csv that starts a day later, and both
+    # refuse a first training row stamped test
+    ("h.csv", "drop", 0, 0),
+    ("factors.csv", "flip", 0, 0),
+    # place 16 is the first feature name: as a list it used to reach the
+    # panel's column lookup and escape as a TypeError
+    ("weights.json", "list", 16, 0),
+])
+def test_a_pinned_mutation_exits_cleanly(fuzzed, tmp_path, name, kind, at,
+                                         cell):
+    mutated_exits_cleanly(fuzzed, tmp_path, name, kind, at, cell)
 
 
 def cap_address_space():

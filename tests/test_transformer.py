@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import pickle
 import re
 import tracemalloc
 from functools import partial
@@ -125,6 +126,14 @@ class TestWeights:
                 assert np.array_equal(plain[f"layer0.head{j}.{kind}"],
                                       w.qkv[0][:, col:col + dk])
         assert w.qkv[0].shape == (d, 3 * d)
+
+    def test_a_pickle_round_trip_keeps_the_views_on_the_vector(self):
+        w = pickle.loads(pickle.dumps(tf.init_weights(TINY, seed=4)))
+        assert w.config == TINY
+        assert all(np.shares_memory(a, w.vector) for a in w.values())
+        assert all(np.shares_memory(block, w.vector) for block in w.qkv)
+        w["embed.b"] = 5.0
+        assert np.count_nonzero(w.vector == 5.0) == TINY.d_model
 
 
 class TestAttention:
@@ -318,6 +327,12 @@ class TestWindows:
         assert np.array_equal(ds.X[1], feats[1:3])
         assert ds.feature_names == ["a", "b", "c"]
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_1(self, window):
+        with pytest.raises(InputError, match="window must be at least 1"):
+            tf.build_windows(["a", "b", "c"], np.ones((3, 2)), np.ones(3),
+                             window=window, feature_names=["x", "y"])
+
     def test_too_short(self):
         feats = np.ones((3, 2))
         with pytest.raises(InputError,
@@ -495,6 +510,18 @@ class TestPersistence:
         for name in model.weights:
             assert np.array_equal(loaded.weights[name], model.weights[name])
         assert np.array_equal(tf.predict(loaded, ds), tf.predict(model, ds))
+
+    def test_a_pickled_model_predicts_the_same_bytes(self):
+        ds = toy_dataset(n=20)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3)
+        model, _ = tf.train(ds, model_config=TINY, train_config=cfg)
+        text = pickle.dumps(model)
+        back = pickle.loads(text)
+        assert tf.predict(back, ds).tobytes() == tf.predict(model, ds).tobytes()
+        # the pickle holds the weight vector once, and the views lie on it
+        assert len(text) < 1.5 * model.weights.vector.nbytes
+        assert all(np.shares_memory(a, back.weights.vector)
+                   for a in back.weights.values())
 
     def test_reads_per_head_model_file(self, tmp_path):
         # written by the earlier tape-based encoder with toy windows built
