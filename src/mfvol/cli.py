@@ -559,7 +559,8 @@ def cmd_ablate(o: argparse.Namespace) -> int:
     def fit(i: int) -> tuple:
         """Group i's model and log records: what a worker sends back."""
         with _kept_log() as records:
-            model, _ = tfm.train(splits[i][0], None, train_config)
+            model, _ = tfm.train(splits[i][0], None, train_config,
+                                 history=False)
         return model, records
 
     forecasts = {}

@@ -36,9 +36,12 @@ and keeps what the hand-derived backward pass in :func:`gradient`
 reads. The backward writes every gradient into one new vector of the
 same layout, so an optimizer step is a few whole-vector operations.
 A plain mapping of arrays, as a caller may build one, is copied into
-the layout first. A forward over a whole set (each epoch's training
-loss, and prediction) runs in blocks of 64 windows, which bounds its
-working set whatever the set's size.
+the layout first. A forward over a whole set (the training loss, and
+prediction) runs in blocks of 64 windows, which bounds its working set
+whatever the set's size. :func:`train` computes the full-set loss each
+epoch where its history, ``patience`` or ``-v`` reads it, and otherwise
+once after the last epoch, which keeps the divergence check on the
+model it returns.
 """
 
 from __future__ import annotations
@@ -605,7 +608,7 @@ def _keep_freed_heap() -> None:
 
 
 def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
-          train_config: TrainConfig = TrainConfig()
+          train_config: TrainConfig = TrainConfig(), history: bool = True
           ) -> tuple[TransformerModel, list[float]]:
     """Fit the regressor on a windowed dataset.
 
@@ -613,8 +616,13 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
     the statistics ride along in the returned model so predictions are
     reported on the original scale. Batches walk the samples in
     chronological order unless ``shuffle`` asks for a seeded
-    permutation per epoch. The loss history holds the full-dataset
-    normalized MSE after each epoch.
+    permutation per epoch. The returned list holds the full-dataset
+    normalized MSE after each epoch. That loss is computed each epoch
+    where the history, ``patience`` or an INFO-level log (``-v``) reads
+    it, and otherwise once after the last epoch: with ``history=False``
+    and neither of the others, the list holds the last epoch's loss
+    alone. A non-finite loss raises ``NumericalError``; which losses
+    are computed changes no step.
     """
     if len(dataset) == 0:
         raise InputError("no training samples")
@@ -653,10 +661,11 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
         adam_m, adam_v = np.zeros_like(theta), np.zeros_like(theta)
     adam_t = 0
 
-    history: list[float] = []
+    losses: list[float] = []
     best = math.inf
     stale = 0
     verbose = log.isEnabledFor(logging.INFO)
+    every_epoch = history or verbose or train_config.patience is not None
     for epoch in range(train_config.max_epochs):
         if verbose:
             began = time.perf_counter()
@@ -679,11 +688,13 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
                 theta = theta - lr * g
             # a new vector each step: the weights a step saw stay as they were
             weights = Weights(model_config, theta)
+        if not every_epoch and epoch < train_config.max_epochs - 1:
+            continue
         epoch_loss = loss_mse(forward_batch(Xn, weights, model_config), yn)
         if not math.isfinite(epoch_loss):
             raise NumericalError(
-                f"training loss became {epoch_loss} in epoch {epoch}")
-        history.append(epoch_loss)
+                f"training loss became {epoch_loss} in epoch {epoch + 1}")
+        losses.append(epoch_loss)
         if verbose:
             log.info("epoch %d: loss %.6f, last step's gradient norm %.4g, "
                      "%.3f s", epoch + 1, epoch_loss, math.sqrt(g @ g),
@@ -707,7 +718,7 @@ def train(dataset: WindowedDataset, model_config: ModelConfig | None = None,
         target_std=t_std,
         train_config=train_config,
     )
-    return model, history
+    return model, losses
 
 
 def predict(model: TransformerModel, dataset: WindowedDataset) -> np.ndarray:

@@ -23,7 +23,9 @@ its inputs once and predicts and scores once per group, in group order,
 in the calling process. That process trains at least the first group
 itself, so the step metrics have a first ``tfm.gradient`` to time;
 workers may train the others, and on one CPU the tracer sees every
-group's training run.
+group's training run. Each training run it sees calls
+``tfm.forward_batch`` at least once for its loss, because
+``transformer.epoch_forward_ms`` divides by those spans.
 """
 
 import ast
@@ -260,6 +262,10 @@ def test_ablate_and_predict_calls_and_captures(tracing, pipeline, tmp_path):
     trains = recorder.select("tfm.train", "ablate")
     assert 1 <= len(trains) <= len(groups)
     assert [parent for parent, _ in stepped] == trains
+    # the full-set loss forwards that transformer.epoch_forward_ms averages
+    forwards = [recorder.spans[i].parent for i in
+                recorder.select("tfm.forward_batch", "ablate", "tfm.train")]
+    assert all(train in forwards for train in trains)
 
     inputs = ["--factors", str(pipeline / "factors.csv"),
               "--h-file", str(pipeline / "h.csv")]

@@ -613,7 +613,7 @@ class TestAblate:
             self, pipeline, tmp_path, monkeypatch, capfd, time_bound):
         caller, started = os.getpid(), tmp_path / "worker-started"
 
-        def interrupted_in_the_caller(*args):
+        def interrupted_in_the_caller(*args, **kwargs):
             if os.getpid() != caller:       # a worker waits to be killed
                 started.touch()
                 time.sleep(60)
@@ -982,14 +982,23 @@ class TestExitCodes:
           "--epochs", "30"], 3, "numerical error: non-finite gradient for "),
         (["simulate", "--start-price", "1e306"], 2, "error: cannot write "),
         (["evaluate"], 2, "error: only 2 usable pairs left after dropping 2"),
+        # ablate computes no per-epoch loss, so the check on the final
+        # loss catches this divergence; epochs count from 1, as -v does
+        (["ablate", "--groups", "G1,G3", "--epochs", "1", "--batch", "1000",
+          "--lr", "1e200"], 3,
+         "numerical error: training loss became nan in epoch 1\n"),
     ], ids=["train-lr-80", "simulate-start-price-1e306",
-            "evaluate-two-usable-pairs"])
+            "evaluate-two-usable-pairs", "ablate-lr-1e200"])
     def test_a_failure_prints_one_line(self, pipeline, tmp_path, argv, code,
                                        first):
         # numpy's overflow warnings, with paths into the package, used to
         # come before the error line, as did evaluate's count of the pairs
         # it dropped
-        if argv[0] == "train":
+        if argv[0] == "ablate":
+            argv = argv + ["--factors", str(pipeline / "factors.csv"),
+                           "--h-file", str(pipeline / "h.csv"),
+                           "--out", str(tmp_path / "ablation.csv")]
+        elif argv[0] == "train":
             argv = argv + ["--factors", str(pipeline / "factors.csv"),
                            "--out-model", str(tmp_path / "m.json"),
                            "--out-history", str(tmp_path / "h.csv")]

@@ -479,6 +479,39 @@ class TestOptimizers:
         for name, w in weights.items():
             assert model.weights[name].tobytes() == w.tobytes(), name
 
+    @pytest.mark.parametrize("optimizer, shuffle", [
+        ("sgd", False), ("adam", False), ("sgd", True)])
+    def test_skipping_the_history_changes_no_step(self, optimizer, shuffle):
+        ds = toy_dataset(n=45)
+        cfg = TrainConfig(learning_rate=0.02, max_epochs=4, batch_size=16,
+                          shuffle=shuffle, seed=2, optimizer=optimizer)
+        model, history = tf.train(ds, model_config=TINY, train_config=cfg)
+        bare, last = tf.train(ds, model_config=TINY, train_config=cfg,
+                              history=False)
+        assert len(history) == 4
+        assert last == history[-1:]
+        assert bare.weights.vector.tobytes() == model.weights.vector.tobytes()
+
+    def test_patience_and_verbose_read_every_epoch_without_history(
+            self, caplog):
+        ds = toy_dataset(n=20)
+        cfg = TrainConfig(learning_rate=0.0, max_epochs=50, patience=3)
+        _, history = tf.train(ds, model_config=TINY, train_config=cfg)
+        _, bare = tf.train(ds, model_config=TINY, train_config=cfg,
+                           history=False)
+        assert len(history) == 4 and bare == history
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3)
+        logged = []
+        for keep in (True, False):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mfvol"):
+                _, losses = tf.train(ds, model_config=TINY,
+                                     train_config=cfg, history=keep)
+            logged.append([re.sub(r"[0-9.]+ s$", "T s", r.getMessage())
+                           for r in caplog.records])
+            assert len(losses) == 3
+        assert len(logged[0]) == 3 and logged[1] == logged[0]
+
     def test_verbose_logs_one_line_per_epoch(self, caplog):
         ds = toy_dataset(n=20)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=3)
