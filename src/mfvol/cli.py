@@ -514,18 +514,17 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
 def cmd_evaluate(o: argparse.Namespace) -> int:
     """loss table for one forecast file"""
     _, truth, pred = read_predictions(o.pred)
-    new_rows = [evaluation.evaluate(pred, truth, model=o.model_name,
-                                    group=o.group)]
+    new_rows = evaluation.score({(o.model_name, o.group): pred}, truth)
     if o.persistence:
-        base_pred, base_truth = evaluation.persistence_baseline(truth)
-        new_rows.append(evaluation.evaluate(base_pred, base_truth,
-                                            model="persistence",
-                                            group=o.group))
-    rows = new_rows
-    if o.append and os.path.exists(o.out):
-        rows = evaluation.read_report(o.out) + new_rows
+        # every day of pred.csv but its first, which has no previous day
+        base = evaluation.persistence_baseline(truth, 1)
+        new_rows += evaluation.score({("persistence", o.group): base},
+                                     truth[1:])
+    old_rows = evaluation.read_report(o.out) \
+        if o.append and os.path.exists(o.out) else []
     with tables.all_or_none(o.out) as (out_tmp,):
-        evaluation.write_report(rows, out_tmp, footer=not o.no_footer)
+        evaluation.write_report(old_rows + new_rows, out_tmp,
+                                footer=not o.no_footer)
     _print_rows(new_rows)
     print(f"  wrote {o.out}")
     return 0
@@ -569,7 +568,8 @@ def cmd_ablate(o: argparse.Namespace) -> int:
         for record in records:
             log.handle(record)
         forecasts["transformer", name] = tfm.predict(model, test_ds)
-    forecasts["persistence", "-"] = panel.columns["rv"][panel.n_train - 1:-1]
+    forecasts["persistence", "-"] = evaluation.persistence_baseline(
+        panel.columns["rv"], panel.n_train)
     rows = evaluation.score(forecasts, panel.columns["rv"][panel.n_train:])
     for row in rows[:-1]:
         log.info("group %s: test mse %.6f", row.group, row.mse)

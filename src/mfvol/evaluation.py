@@ -122,57 +122,49 @@ class EvalRow:
 
 def evaluate(pred, truth, model: str = "transformer",
              group: str = "G4") -> EvalRow:
-    """All six measures on one forecast series.
-
-    Pairs with non-positive realized value or forecast are dropped
-    with a logged count instead of failing the whole evaluation.
-    """
+    """All six measures of the pairs given. Which days count is
+    :func:`score`'s rule, so a series with a non-positive value is
+    scored through it, as its one entry."""
     pred, truth = _pair(pred, truth)
-    keep = (truth > 0) & (pred > 0)
-    dropped = int(np.sum(~keep))
-    pred, truth = pred[keep], truth[keep]
-    if len(pred) < 3:
-        raise InputError(
-            f"only {len(pred)} usable pairs left after dropping {dropped}")
-    if dropped:
-        log.warning("evaluate: dropped %d of %d non-positive pairs",
-                    dropped, len(keep))
-    return EvalRow(
-        model=model,
-        group=group,
-        n=len(pred),
-        mse=mse(pred, truth),
-        hmse=hmse(pred, truth),
-        mae=mae(pred, truth),
-        mape=mape(pred, truth),
-        qlike=qlike(pred, truth),
-        r2log=r2log(pred, truth),
-    )
+    if not ((truth > 0) & (pred > 0)).all():
+        return score({(model, group): pred}, truth)[0]
+    return EvalRow(model, group, len(pred), *(
+        measure(pred, truth) for measure in (mse, hmse, mae, mape, qlike,
+                                             r2log)))
 
 
 def score(forecasts: dict[tuple[str, str], np.ndarray],
           truth) -> list[EvalRow]:
     """One :func:`evaluate` row per ``(model, group): forecast`` entry, in
     order, all on the days with a positive truth and a positive forecast
-    in every entry; one warning says how many days that leaves."""
+    in every entry: the one rule for which days count. Fewer than 3
+    such days (r2log's minimum) is an error; where days are left out,
+    one warning says how many remain."""
     truth = np.asarray(truth, dtype=float)
     keep = truth > 0
     for pred in forecasts.values():
         keep = keep & (_pair(pred, truth)[0] > 0)
-    if not keep.all():
-        log.warning("score: scored every row on %d of %d days, leaving out "
-                    "those with a non-positive value", keep.sum(), len(keep))
+    labels, kept = ", ".join(f"{m}/{g}" for m, g in forecasts), keep.sum()
+    if kept < 3:
+        raise InputError(f"scoring {labels}: only {kept} of {len(keep)} days "
+                         "have a positive truth and a positive forecast; "
+                         "at least 3 are needed")
+    if kept < len(keep):
+        log.warning("score: scored %s on %d of %d days, leaving out those "
+                    "with a non-positive value", labels, kept, len(keep))
     return [evaluate(np.asarray(pred, dtype=float)[keep], truth[keep],
                      model=model, group=group)
             for (model, group), pred in forecasts.items()]
 
 
-def persistence_baseline(rv) -> tuple[np.ndarray, np.ndarray]:
-    """Yesterday's realized value as today's forecast: (pred, truth)."""
+def persistence_baseline(rv, first: int) -> np.ndarray:
+    """The previous day's realized value as the forecast of rows
+    ``first...`` of ``rv``."""
     rv = np.asarray(rv, dtype=float)
-    if rv.ndim != 1 or len(rv) < 2:
-        raise InputError("persistence baseline needs at least 2 observations")
-    return rv[:-1].copy(), rv[1:].copy()
+    if not 1 <= first < len(rv):
+        raise InputError(f"persistence needs a previous day for rows "
+                         f"{first}... of {len(rv)}")
+    return rv[first - 1:-1]
 
 
 def ablation_features(group: str) -> tuple[str, ...]:
@@ -189,6 +181,12 @@ def ablation_features(group: str) -> tuple[str, ...]:
 
 def write_report(rows: Sequence[EvalRow], path: str,
                  footer: bool = True) -> None:
+    # read_report strips every cell and skips a row that starts with '#'
+    for name in (n for row in rows for n in (row.model, row.group)):
+        if name != name.strip() or name.startswith("#"):
+            raise InputError(f"cannot write {path}: the name {name!r} would "
+                             "not read back, as it starts with '#' or starts "
+                             "or ends with whitespace")
     tables.write(path, list(REPORT_COLUMNS),
                  [[getattr(row, name) for row in rows]
                   for name in REPORT_COLUMNS],

@@ -558,6 +558,24 @@ class TestAblate:
             f"error: {factors} has no test rows; nothing to score\n")
         assert forks == [] and not report.exists()
 
+    def test_forecasts_that_leave_too_few_days_are_refused(
+            self, quick_start, tmp_path, monkeypatch, capsys):
+        # one epoch on 700-day windows leaves every quick-start G1
+        # forecast non-positive, but takes 18 s and 3 GB; this stand-in
+        # for tfm.predict does the same to a cheaper run's forecasts
+        predict = tfm.predict
+        monkeypatch.setattr(tfm, "predict",
+                            lambda *args: -np.abs(predict(*args)))
+        report = tmp_path / "report.csv"
+        assert run(["ablate", "--factors", str(quick_start / "factors.csv"),
+                    "--h-file", str(quick_start / "h.csv"), "--groups", "G1",
+                    "--epochs", "1", "--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: scoring transformer/G1, persistence/-: only 0 of 84 days "
+            "have a positive truth and a positive forecast; at least 3 are "
+            "needed\n"))
+        assert not report.exists()
+
     def test_every_group_keeps_its_verbose_lines_in_order(self, pipeline,
                                                           tmp_path):
         """Groups trained in workers log to the caller's stderr, each
@@ -820,24 +838,68 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert report.read_bytes() == text
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--model-name", "a,b"),
-        ("--group", "G\n4"),
-        ("--model-name", "a\rb"),
-    ], ids=["comma-in-model", "newline-in-group", "return-in-model"])
+    @pytest.mark.parametrize("flag, value, says", [
+        ("--model-name", "a,b", "comma or a line break"),
+        ("--group", "G\n4", "comma or a line break"),
+        ("--model-name", "a\rb", "comma or a line break"),
+        # the next read would skip the row as a comment, or strip the name
+        ("--model-name", "#first", "starts with '#'"),
+        ("--group", " G4 ", "ends with whitespace"),
+    ], ids=["comma-in-model", "newline-in-group", "return-in-model",
+            "model-starting-a-comment", "spaces-around-group"])
     def test_name_that_would_break_the_report(self, tmp_path, capsys, flag,
-                                              value):
+                                              value, says):
         pred = tmp_path / "pred.csv"
         pred.write_text("date,rv_true,rv_pred\n"
                         + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
                                   for d in range(1, 6)))
         report = tmp_path / "report.csv"
-        code = run(["evaluate", "--pred", str(pred), "--persistence",
-                    flag, value, "--out", str(report)])
+        argv = ["evaluate", "--pred", str(pred), "--persistence", flag, value,
+                "--out", str(report)]
+        code = run(argv)
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "comma or a line break" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not report.exists()
+        # nor does an --append run touch the report it would extend
+        assert run(["evaluate", "--pred", str(pred), "--out",
+                    str(report)]) == 0
+        before = report.read_bytes()
+        assert run(argv[:-2] + ["--append", "--out", str(report)]) == 2
+        assert report.read_bytes() == before
+
+    def test_names_read_back_after_an_append(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("date,rv_true,rv_pred\n"
+                        + "".join(f"2020-01-{d:02d},1.{d},1.0\n"
+                                  for d in range(1, 6)))
+        report = tmp_path / "report.csv"
+        names = [("first model", "G#4"), ("m#2", "G 3"), ("-", "-")]
+        for model, group in names:
+            assert run(["evaluate", "--pred", str(pred), "--model-name",
+                        model, "--group", group, "--append",
+                        "--out", str(report)]) == 0
+        assert [(r.model, r.group) for r in
+                evaluation.read_report(str(report))] == names
+
+    def test_persistence_on_too_few_days_names_its_row(self, tmp_path,
+                                                       capsys):
+        # persistence has no forecast for pred.csv's first day, so three
+        # rows leave it two days; the message used to say "after dropping
+        # 0" and name no row
+        pred = tmp_path / "pred.csv"
+        pred.write_text("date,rv_true,rv_pred\n2020-01-01,1.1,1.0\n"
+                        "2020-01-02,1.2,1.0\n2020-01-03,1.3,1.0\n")
+        report = tmp_path / "report.csv"
+        assert run(["evaluate", "--pred", str(pred), "--out",
+                    str(tmp_path / "plain.csv")]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--pred", str(pred), "--persistence",
+                    "--out", str(report)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: scoring persistence/G4: only 2 of 2 days have a positive "
+            "truth and a positive forecast; at least 3 are needed\n"))
         assert not report.exists()
 
     def test_quote_in_a_name_keeps_the_report_readable(self, tmp_path,
@@ -981,7 +1043,9 @@ class TestExitCodes:
         (["train", "--features", "tech1,tech2,tech3", "--lr", "80",
           "--epochs", "30"], 3, "numerical error: non-finite gradient for "),
         (["simulate", "--start-price", "1e306"], 2, "error: cannot write "),
-        (["evaluate"], 2, "error: only 2 usable pairs left after dropping 2"),
+        (["evaluate"], 2, "error: scoring transformer/G4: only 2 of 4 days "
+                          "have a positive truth and a positive forecast; at "
+                          "least 3 are needed\n"),
         # ablate computes no per-epoch loss, so the check on the final
         # loss catches this divergence; epochs count from 1, as -v does
         (["ablate", "--groups", "G1,G3", "--epochs", "1", "--batch", "1000",

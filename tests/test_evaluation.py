@@ -1,11 +1,14 @@
+import ast
 import logging
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfvol
 from mfvol import evaluation as ev
 from mfvol.errors import InputError, MalformedRow
 
@@ -109,20 +112,15 @@ class TestEvaluate:
         assert row.mse == pytest.approx(want["mse"], rel=1e-12)
         assert row.qlike == pytest.approx(want["qlike"], rel=1e-12)
 
-    def test_drops_nonpositive_pairs(self, caplog):
-        pred = np.array([1.0, -1.0, 2.0, 3.0, 4.0])
-        truth = np.array([1.1, 2.0, 0.0, 2.9, 4.2])
+    def test_a_nonpositive_pair_is_scored_by_the_rule_of_score(self,
+                                                                caplog):
+        pred, truth = random_pair(seed=4)
+        pred[3] = -0.1
         with caplog.at_level(logging.WARNING, logger="mfvol.evaluation"):
-            row = ev.evaluate(pred, truth)
-        assert row.n == 3
-        assert "dropped 2" in caplog.text
-        clean = ev.evaluate(pred[[0, 3, 4]], truth[[0, 3, 4]])
-        assert row.mse == clean.mse
-
-    def test_too_few_survivors(self):
-        with pytest.raises(InputError, match="only 2 usable pairs left"):
-            ev.evaluate(np.array([1.0, -1.0, -2.0, 2.0]),
-                        np.array([1.0, 1.0, 1.0, 1.0]))
+            row = ev.evaluate(pred, truth, model="m", group="G2")
+        assert caplog.text.count("WARNING") == 1
+        assert "scored m/G2 on 59 of 60 days" in caplog.text
+        assert [row] == ev.score({("m", "G2"): pred}, truth)
 
 
 class TestScore:
@@ -160,6 +158,34 @@ class TestScore:
                             for (m, g), f in forecasts.items()]
             assert all(r.mse != w.mse for r, w in zip(rows, whole))
 
+    def test_drops_nonpositive_pairs(self, caplog):
+        pred = np.array([1.0, -1.0, 2.0, 3.0, 4.0])
+        truth = np.array([1.1, 2.0, 0.0, 2.9, 4.2])
+        with caplog.at_level(logging.WARNING, logger="mfvol.evaluation"):
+            [row] = ev.score({("transformer", "G4"): pred}, truth)
+        assert row.n == 3
+        assert caplog.text.count("WARNING") == 1
+        assert "scored transformer/G4 on 3 of 5 days" in caplog.text
+        clean = ev.evaluate(pred[[0, 3, 4]], truth[[0, 3, 4]])
+        assert row == clean
+
+    def test_too_few_survivors(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="mfvol.evaluation"), \
+                pytest.raises(InputError) as info:
+            ev.score({("m", "G1"): np.array([1.0, -1.0, -2.0, 2.0])},
+                     np.array([1.0, 1.0, 1.0, 1.0]))
+        assert str(info.value) == (
+            "scoring m/G1: only 2 of 4 days have a positive truth and a "
+            "positive forecast; at least 3 are needed")
+        assert caplog.text == ""
+
+    def test_too_few_days_names_every_row(self):
+        forecasts, truth = self.forecasts()
+        forecasts["m2", "G2"][2:] = 0.0
+        with pytest.raises(InputError, match=(
+                r"^scoring m3/G3, m1/G1, m2/G2: only 2 of 60 days ")):
+            ev.score(forecasts, truth)
+
     def test_lengths_must_match(self):
         forecasts, truth = self.forecasts()
         with pytest.raises(InputError, match="pred"):
@@ -169,13 +195,21 @@ class TestScore:
 class TestBaselineAndGroups:
     def test_persistence_shift(self):
         rv = np.array([1.0, 2.0, 3.0, 4.0])
-        pred, truth = ev.persistence_baseline(rv)
-        assert np.array_equal(pred, [1.0, 2.0, 3.0])
-        assert np.array_equal(truth, [2.0, 3.0, 4.0])
+        assert np.array_equal(ev.persistence_baseline(rv, 1), [1.0, 2.0, 3.0])
+
+    def test_persistence_from_row_first(self):
+        # the forecast of rows first... is rv of rows first-1 ... n-2
+        rv = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        for first in range(1, 5):
+            pred = ev.persistence_baseline(rv, first)
+            assert len(pred) == len(rv[first:])
+            assert np.array_equal(pred, rv[first - 1:-1])
+        assert np.array_equal(ev.persistence_baseline(rv, 3), [3.0, 4.0])
 
     def test_persistence_too_short(self):
-        with pytest.raises(InputError, match="at least 2 observations"):
-            ev.persistence_baseline([1.0])
+        for rv, first in (([1.0], 1), ([1.0, 2.0], 0), ([1.0, 2.0], 2)):
+            with pytest.raises(InputError, match="needs a previous day"):
+                ev.persistence_baseline(rv, first)
 
     def test_ablation_groups(self):
         assert ev.ablation_features("G1") == ("tech1", "tech2", "tech3")
@@ -211,3 +245,16 @@ class TestReportFiles:
         path.write_text("nope\n")
         with pytest.raises(MalformedRow):
             ev.read_report(str(path))
+
+
+def test_only_evaluation_calls_evaluate():
+    # evaluation.score decides which days count; a caller that scored a
+    # row through evaluate itself would fork that rule again
+    callers = set()
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "evaluate" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers <= {"evaluation.py"}
