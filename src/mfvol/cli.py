@@ -221,19 +221,16 @@ def read_factors(path: str) -> marketdata.Panel:
     """The panel of ``factors.csv``, whose ``train`` rows must all
     precede its ``test`` rows: a ``train`` row after a ``test`` row is a
     bad row."""
-    def train_first(cols: dict, lines) -> None:
+    def train_first(cols: dict) -> list:
         train = np.array([s == "train" for s in cols["split"]], dtype=bool)
         after_test = np.zeros(len(train), dtype=bool)
         after_test[1:] = train[1:] & ~train[:-1]
-        tables.first_broken(lines, [(after_test, lambda i, line: MalformedRow(
-            path, line, "train row after a test row; every train row must "
-            "precede every test row"))])
+        return [(after_test, lambda i: "train row after a test row; every "
+                 "train row must precede every test row")]
 
     columns = tables.read(path, FACTORS_COLUMNS, rest=tables.FLOAT,
-                          rule=train_first)
+                          tests=train_first)
     dates, split = columns.pop("date"), columns.pop("split")
-    if not dates:
-        raise MalformedRow(path, 1, "no data rows")
     return marketdata.Panel(dates=dates, columns=columns,
                             n_train=split.count("train"))
 
@@ -253,8 +250,6 @@ def join_h(panel: marketdata.Panel, h_path: str) -> marketdata.Panel:
     means the two files came from different runs.
     """
     h = tables.read(h_path, H_COLUMNS)
-    if not h["date"]:
-        raise MalformedRow(h_path, 1, "no data rows")
     lo = panel.n_rows - len(h["date"])
     if lo < 0 or panel.dates[lo:] != h["date"]:
         raise InputError(
@@ -506,8 +501,6 @@ def cmd_predict(o: argparse.Namespace) -> int:
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     cols = tables.read(path, PRED_COLUMNS)
-    if not cols["date"]:
-        raise MalformedRow(path, 1, "no data rows")
     return cols["date"], cols["rv_true"], cols["rv_pred"]
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tables
-from .errors import InputError, MalformedRow
+from .errors import InputError
 
 # each table's columns and their tables kinds; blank indicator cells are NaN
 INTRADAY_COLUMNS = {"date": tables.DATE, "time_min": tables.INT,
@@ -96,29 +96,26 @@ def load_intraday(path: str) -> IntradaySeries:
     the trading day) and no (date, time) pair repeats. Bars may be
     unordered on disk; the series is sorted by (date, time).
     """
-    numbered = []    # the rule's distinct days and each row's slot
+    numbered = []    # the tests' distinct days and each row's slot
 
-    def rule(cols: dict, lines) -> None:
+    def tests(cols: dict) -> list:
         t, p = np.asarray(cols["time_min"], dtype=np.int64), cols["price"]
         # a day has 48 grid slots, so without repeats it holds <= 48 bars
         days, slot = _day_numbers(cols["date"])
         slot *= MAX_BARS_PER_DAY
         slot += t // BAR_MINUTES
         numbered[:] = days, slot
-        tables.first_broken(lines, [
+        return [
             ((t < 0) | (t % BAR_MINUTES != 0)
              | (t >= MAX_BARS_PER_DAY * BAR_MINUTES),
-             lambda i, line: MalformedRow(
-                 path, line, f"time_min {t[i]} outside 5-minute grid 0..235")),
-            (p <= 0, lambda i, line: MalformedRow(
-                path, line, f"non-positive price {float(p[i])!r}")),
-            (tables.repeats(slot), lambda i, line: MalformedRow(
-                path, line, f"duplicate bar for {cols['date'][i]} at "
-                f"minute {int(t[i])}")),
-        ])
+             lambda i: f"time_min {t[i]} outside 5-minute grid 0..235"),
+            (p <= 0, lambda i: f"non-positive price {float(p[i])!r}"),
+            (tables.repeats(slot), lambda i: f"duplicate bar for "
+             f"{cols['date'][i]} at minute {int(t[i])}"),
+        ]
 
-    cols = tables.read(path, INTRADAY_COLUMNS, rule=rule)
-    # read returns only after its rule passed every row, so each bar is
+    cols = tables.read(path, INTRADAY_COLUMNS, tests=tests)
+    # read returns only after every row passed its tests, so each bar is
     # on the grid and its slot holds its day; each column is dropped as
     # it is copied into the bars
     del cols["date"]
@@ -149,15 +146,11 @@ def _by_key(keys: list[str], columns: dict[str, np.ndarray]) -> Panel:
 def _load_dated(path: str, columns: Mapping[str, object],
                 tests: Callable[[dict], list]) -> Panel:
     """A table keyed by distinct ISO dates, sorted by date; ``tests``
-    gives the table's row tests, for :func:`tables.first_broken`, after
-    its check of repeated dates."""
-    def rule(cols: dict, lines) -> None:
-        tables.first_broken(lines, [
-            (tables.repeats(cols["date"]), lambda i, line: MalformedRow(
-                path, line, f"duplicate date {cols['date'][i]}")),
-            *tests(cols)])
-
-    cols = tables.read(path, columns, rule=rule)
+    gives the table's row tests, for :func:`tables.read`, after its test
+    of repeated dates."""
+    cols = tables.read(path, columns, tests=lambda cols: [
+        (tables.repeats(cols["date"]),
+         lambda i: f"duplicate date {cols['date'][i]}"), *tests(cols)])
     return _by_key(cols.pop("date"), cols)
 
 
@@ -173,16 +166,12 @@ def load_daily(path: str) -> Panel:
                                 ("open", "high", "low", "close")])
         open_, high, low, close = ohlc.T
         return [
-            ((ohlc <= 0).any(axis=1), lambda i, line: MalformedRow(
-                path, line, "non-positive price "
-                f"{float(ohlc[i][np.argmax(ohlc[i] <= 0)])!r}")),
+            ((ohlc <= 0).any(axis=1), lambda i: "non-positive price "
+             f"{float(ohlc[i][np.argmax(ohlc[i] <= 0)])!r}"),
             ((low > np.minimum(open_, close))
              | (high < np.maximum(open_, close)),
-             lambda i, line: MalformedRow(
-                 path, line,
-                 "OHLC out of order (need low <= open,close <= high)")),
-            (cols["volume"] < 0,
-             lambda i, line: MalformedRow(path, line, "negative volume")),
+             lambda i: "OHLC out of order (need low <= open,close <= high)"),
+            (cols["volume"] < 0, lambda i: "negative volume"),
         ]
 
     return _load_dated(path, DAILY_COLUMNS, tests)
@@ -194,29 +183,31 @@ def load_attention(path: str) -> Panel:
 
     def tests(cols: dict) -> list:
         counts = np.column_stack([cols[c] for c in names])
-        return [((counts < 0).any(axis=1), lambda i, line: MalformedRow(
-            path, line,
-            f"negative count for {names[np.argmax(counts[i] < 0)]!r}"))]
+        return [((counts < 0).any(axis=1), lambda i:
+                 f"negative count for {names[np.argmax(counts[i] < 0)]!r}")]
 
     return _load_dated(path, ATTENTION_COLUMNS, tests)
 
 
 def load_monthly(path: str) -> Panel:
     """Load monthly macro indicators; months must be contiguous."""
-    def rule(cols: dict, lines) -> None:
+    def tests(cols: dict) -> list:
         months = cols["month"]
-        ids = [int(m[:4]) * 12 + int(m[5:]) for m in months]
-        # ties stay in file order, so a repeat is named at its later line
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        for prev, i in zip(order, order[1:]):
-            if ids[i] == ids[prev]:
-                raise MalformedRow(path, lines[i],
-                                   f"duplicate month {months[i]}")
-            if ids[i] != ids[prev] + 1:
-                raise MalformedRow(path, lines[i], "months not contiguous: "
-                                   f"{months[prev]} -> {months[i]}")
+        ids = np.array([int(m[:4]) * 12 + int(m[5:]) for m in months],
+                       dtype=np.int64)
+        # each row's predecessor in month order; ties stay in file order,
+        # so a repeat is named at its later line
+        order = np.argsort(ids, kind="stable")
+        prev = np.empty(len(ids), dtype=np.int64)
+        prev[order[1:]] = order[:-1]
+        gap = np.zeros(len(ids), dtype=bool)
+        gap[order[1:]] = np.diff(ids[order]) > 1
+        return [(tables.repeats(ids),
+                 lambda i: f"duplicate month {months[i]}"),
+                (gap, lambda i: "months not contiguous: "
+                 f"{months[prev[i]]} -> {months[i]}")]
 
-    cols = tables.read(path, MONTHLY_COLUMNS, rule=rule)
+    cols = tables.read(path, MONTHLY_COLUMNS, tests=tests)
     return _by_key(cols.pop("month"), cols)
 
 

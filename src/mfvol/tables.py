@@ -14,11 +14,14 @@ cell by its kind:
 * a tuple of strings: one of those choices.
 
 The header must match, blank rows are skipped and every other row has
-the header's field count. Rules that span rows or cells (price order,
-duplicate keys, ...) stay with the table's owner, as ``read``'s
-``rule``: a function over the parsed columns and each row's physical
-line. The first broken rule or bad cell in file order raises
-:class:`MalformedRow` at its line; at one row a bad cell comes first.
+the header's field count. A table with a ``KEY`` column must have a
+data row. Tests that span rows or cells (price order, duplicate keys,
+...) stay with the table's owner, as ``read``'s ``tests``: a function
+from the parsed columns to pairs of a mask, True at each row that
+breaks the test, and the reason of such a row. The owner states only
+reasons: ``read`` raises :class:`MalformedRow` at the line of the first
+broken row or bad cell in file order. At one row the ``KEY`` order
+comes first, then the earlier test, and a bad cell last.
 
 Two tokenizers read a file, and the input decides which. A clean file
 (ASCII, no double quote, blank line or lone carriage return, no
@@ -120,22 +123,20 @@ def _parser(kind) -> Callable[[str], object]:
     return _PARSERS[kind]
 
 
-# rule(columns, lines) raises MalformedRow at the first row that breaks it
-Rule = Callable[[dict, Sequence[int]], None]
-
-
 def read(path: str, schema: Mapping[str, object], *, rest=None,
-         comment: str | None = None, rule: Rule | None = None) -> dict:
+         comment: str | None = None,
+         tests: Callable[[dict], list] | None = None) -> dict:
     """Every column of the file, parsed by ``schema``: ``FLOAT`` and
     ``OPTIONAL`` columns as float arrays, ``INT`` columns as lists of
     ints, the others as lists of strings.
 
     ``rest`` is the kind of any further header columns after the
     schema's. Rows whose first cell starts with ``comment`` are
-    skipped. ``rule(columns, lines)`` gets the parsed columns and each
-    row's physical line, and raises at the first row that breaks it.
-    When a bad cell stops the read at row k, the rules first run on
-    rows 0..k-1, so an earlier broken rule still wins.
+    skipped. ``tests(columns)`` returns ``(bad, reason)`` pairs: a
+    boolean array, True at each row that breaks the test, and a function
+    from such a row's index to its reason. When a bad cell stops the
+    read at row k, the tests see rows 0..k-1, so an earlier broken row
+    still wins.
     """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
@@ -155,21 +156,20 @@ def read(path: str, schema: Mapping[str, object], *, rest=None,
                 or _read_rows(path, reader, found, kinds, comment)
     except UnicodeDecodeError:
         raise utf8_error(path) from None
-    rules = [_increasing(path, name)
-             for name, kind in zip(found, kinds) if kind == KEY]
-    if rule:
-        rules.append(rule)
-    broken = []
-    for check in rules:
-        try:
-            check(columns, lines)
-        except MalformedRow as exc:
-            broken.append(exc)
-    if broken:
-        # min keeps the first of equal lines: at one row, KEY order first
-        raise min(broken, key=lambda exc: exc.line)
+    checks = [_increasing(name, columns[name])
+              for name, kind in zip(found, kinds) if kind == KEY]
+    if tests:
+        checks += tests(columns)
+    # min of (row, k): at one row, KEY order first, then the earlier test
+    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
+              if bad.any()]
+    if firsts:
+        row, k = min(firsts)
+        raise MalformedRow(path, lines[row], checks[k][1](row))
     if error:
         raise error
+    if not lines and KEY in kinds:
+        raise MalformedRow(path, 1, "no data rows")
     return columns
 
 
@@ -263,30 +263,12 @@ def _read_rows(path: str, reader, found: list[str], kinds: list,
     return columns, lines, error
 
 
-def _increasing(path: str, name: str) -> Rule:
-    """The rule of a ``KEY`` column: each date after the row before's."""
-    def rule(columns: dict, lines: Sequence[int]) -> None:
-        dates = columns[name]
-        out_of_order = np.zeros(len(dates), dtype=bool)
-        out_of_order[1:] = [b <= a for a, b in zip(dates, dates[1:])]
-        first_broken(lines, [(out_of_order, lambda i, line: MalformedRow(
-            path, line, f"date {dates[i]!r} repeats or precedes "
-            f"{dates[i - 1]!r} for {name!r}"))])
-    return rule
-
-
-def first_broken(lines: Sequence[int], tests) -> None:
-    """Raise the error of the first row that breaks one of ``tests``.
-
-    Each test is a boolean array, True at every row that breaks it, and
-    a function from such a row's index and physical line to its error.
-    At one row the earlier test wins.
-    """
-    firsts = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(tests)
-              if bad.any()]
-    if firsts:
-        row, k = min(firsts)
-        raise tests[k][1](row, lines[row])
+def _increasing(name: str, dates: list[str]):
+    """The test of a ``KEY`` column: each date after the row before's."""
+    out_of_order = np.zeros(len(dates), dtype=bool)
+    out_of_order[1:] = [b <= a for a, b in zip(dates, dates[1:])]
+    return out_of_order, lambda i: (f"date {dates[i]!r} repeats or precedes "
+                                    f"{dates[i - 1]!r} for {name!r}")
 
 
 def repeats(values) -> np.ndarray:

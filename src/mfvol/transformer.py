@@ -62,8 +62,8 @@ from .errors import InputError, NumericalError
 log = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
-# windows per full-set forward call of _forward: a multiple of the
-# default batch of 32, so a training batch is one block
+# five-day windows per full-set forward call of _forward: a multiple of
+# the default batch of 32, so a training batch is one block
 _BLOCK = 64
 
 
@@ -497,16 +497,19 @@ def forward_batch(x: np.ndarray, weights: Mapping[str, np.ndarray],
     """(..., T, F) -> (...,) predictions without building gradients.
 
     The windows go through :func:`_forward` in consecutive blocks of
-    :data:`_BLOCK`, so the activations it keeps for the backward never
-    span more than one block.
+    :data:`_BLOCK` windows of up to five days, and of fewer longer ones,
+    so the activations it keeps for the backward never span more than
+    one block and a block holds no more attention scores than
+    :data:`_BLOCK` five-day windows do.
     """
     x = np.asarray(x, dtype=float)
     weights = _pack(weights, config)
     windows = x.reshape((-1,) + x.shape[-2:])
+    block = max(1, _BLOCK * 25 // max(x.shape[-2], 5) ** 2)
     out = np.empty(len(windows))
-    for lo in range(0, len(windows), _BLOCK):
-        out[lo:lo + _BLOCK] = _forward(weights, config,
-                                       windows[lo:lo + _BLOCK])[0]
+    for lo in range(0, len(windows), block):
+        out[lo:lo + block] = _forward(weights, config,
+                                      windows[lo:lo + block])[0]
     return out.reshape(x.shape[:-2])
 
 

@@ -815,6 +815,35 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["rv.csv", "factors.csv", "h.csv",
+                                      "pred.csv"])
+    def test_header_only_pipeline_file(self, scenario_dir, pipeline,
+                                       tmp_path, capsys, name):
+        # an empty rv.csv used to say "no trading dates left after
+        # alignment"
+        path = tmp_path / name
+        header = ",".join(cli.PRED_COLUMNS) if name == "pred.csv" \
+            else (pipeline / name).read_text().split("\n")[0]
+        path.write_text(header + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "rv.csv": ["pca", "--daily", str(scenario_dir / "daily.csv"),
+                       "--attention", str(scenario_dir / "attention.csv"),
+                       "--monthly", str(scenario_dir / "monthly.csv"),
+                       "--rv", str(path), "--out-dir", str(out)],
+            "factors.csv": ["midas-fit", "--factors", str(path),
+                            "--n-lags", "6", "--out-fit", str(out),
+                            "--out-h", str(tmp_path / "out-h.csv")],
+            "h.csv": ["train", "--factors", str(pipeline / "factors.csv"),
+                      "--h-file", str(path), "--epochs", "1",
+                      "--out-model", str(out),
+                      "--out-history", str(tmp_path / "hist.csv")],
+            "pred.csv": ["evaluate", "--pred", str(path), "--out", str(out)],
+        }[name]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: no data rows\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
     @pytest.mark.parametrize("text", [
         "model,group,n,mse,hmse,mae,mape,qlike,r2log\ntransformer,G4,84\n",
         "model,group,n,mse,hmse,mae,mape,qlike,r2log\n"

@@ -200,6 +200,16 @@ class TestLoadMonthly:
             md.load_monthly(write(tmp_path / "m.csv", text))
 
 
+    def test_first_gap_in_file_order_is_named(self, tmp_path):
+        text = "\n".join([",".join(md.MONTHLY_COLUMNS),
+                          monthly_line("2020-05"),
+                          monthly_line("2020-01"),
+                          monthly_line("2020-03")]) + "\n"
+        with pytest.raises(errors.MalformedRow) as info:
+            md.load_monthly(write(tmp_path / "m.csv", text))
+        assert (info.value.line, info.value.reason) \
+            == (2, "months not contiguous: 2020-03 -> 2020-05")
+
     def test_duplicate_month_names_later_line(self, tmp_path):
         text = "\n".join([",".join(md.MONTHLY_COLUMNS),
                           monthly_line("2021-02"),

@@ -49,6 +49,40 @@ def test_no_module_imports_scipy():
             if module.split(".")[0] == "scipy"] == []
 
 
+def test_every_imported_name_is_used():
+    # no linter runs here; a name used only in an annotation counts
+    unused = []
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_only_tables_and_load_config_build_a_malformed_row():
+    # a table's owner states reasons and tables.read finds the line; the
+    # config file is not a table, so load_config numbers its own lines
+    builders = set()
+    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "MalformedRow" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    builders.add((path.name, getattr(top, "name", None)))
+    assert {b for b in builders if b[0] != "tables.py"} \
+        == {("cli.py", "load_config")}
+
+
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
@@ -119,32 +153,47 @@ def test_read_options(tmp_path):
         tables.read(str(path), schema)
     seen = []
     back = tables.read(str(path), schema, rest=tables.OPTIONAL, comment="#",
-                       rule=lambda columns, lines: seen.append(
-                           (columns, list(lines))))
+                       tests=lambda columns: seen.append(columns) or [])
     assert list(back) == ["a", "b", "c"]
     assert back["a"] == [1] and back["b"].tolist() == [2.0]
     assert math.isnan(back["c"][0])
-    [(columns, lines)] = seen
-    assert columns is back and lines == [4]
+    [columns] = seen
+    assert columns is back
+    # the one data row is the file's line 4
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), schema, rest=tables.OPTIONAL, comment="#",
+                    tests=lambda columns: [(np.ones(1, dtype=bool),
+                                            lambda i: "broken")])
+    assert (info.value.line, info.value.reason) == (4, "broken")
     with pytest.raises(InputError, match="no such file"):
         tables.read(str(tmp_path / "absent.csv"), schema)
 
 
-def negative(path, name):
-    """A rule that a negative ``name`` cell breaks."""
-    def rule(columns, lines):
-        tables.first_broken(lines, [(columns[name] < 0, lambda i, line:
-                                     MalformedRow(path, line, "negative"))])
-    return rule
+def test_a_key_table_needs_a_data_row(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("k,a\n# note\n\n")
+    with pytest.raises(MalformedRow) as info:
+        tables.read(str(path), {"k": tables.KEY, "a": tables.FLOAT},
+                    comment="#")
+    assert str(info.value) == f"{path}:1: no data rows"
+    # a table without a KEY column may be empty
+    back = tables.read(str(path), {"k": tables.DATE, "a": tables.FLOAT},
+                       comment="#")
+    assert back["k"] == [] and back["a"].size == 0
+
+
+def negative(name):
+    """The row tests that a negative ``name`` cell breaks."""
+    return lambda columns: [(columns[name] < 0, lambda i: "negative")]
 
 
 def test_check_sees_rows_in_file_order(tmp_path):
-    # a rule fails ahead of a later row's bad cell
+    # a broken row fails ahead of a later row's bad cell
     path = tmp_path / "t.csv"
     path.write_text("a\n1\n-1\nx\n")
     with pytest.raises(MalformedRow) as info:
         tables.read(str(path), {"a": tables.FLOAT},
-                    rule=negative(str(path), "a"))
+                    tests=negative("a"))
     assert (info.value.line, info.value.reason) == (3, "negative")
 
 
@@ -164,7 +213,7 @@ def test_earlier_broken_rule_wins(tmp_path, text, line, reason):
     path.write_text(text)
     with pytest.raises(MalformedRow) as info:
         tables.read(str(path), {"k": tables.KEY, "a": tables.FLOAT},
-                    rule=negative(str(path), "a"))
+                    tests=negative("a"))
     assert (info.value.line, info.value.reason) == (line, reason)
 
 

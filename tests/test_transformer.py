@@ -3,6 +3,8 @@ import logging
 import math
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -193,6 +195,22 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_long_windows_forward_in_two_gib(self):
+        # 64 windows of 600 days used to form one block, whose attention
+        # arrays of 527 MiB each ran out of 2 GiB of address space
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "import numpy as np\n"
+            "from mfvol import transformer as tf\n"
+            "cfg = tf.ModelConfig(n_features=4)\n"
+            "out = tf.forward_batch(np.ones((64, 600, 4)),\n"
+            "                       tf.init_weights(cfg, seed=0), cfg)\n"
+            "assert out.shape == (64,) and np.isfinite(out).all()\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
 
     def test_permutation_of_time_steps_is_invisible(self):
         # mean pooling with no positional signal: row order cannot matter
