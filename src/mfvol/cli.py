@@ -106,11 +106,8 @@ OPTIONS = {
         "out_dir": (str, "."),
     },
     "midas-fit": {
-        "factors": (str, REQUIRED),
-        "mode": (("exogenous", "rv-window"), "exogenous"),
-        "covariates": (_parse_names, "pcm1,pcm2"),
-        "link": (("log", "identity"), None), "n_lags": (int, "12"),
-        "free_w1": (_parse_bool, "false"), "restarts": (int, "5"),
+        "factors": (str, REQUIRED), "covariates": (_parse_names, "pcm1,pcm2"),
+        "n_lags": (int, "12"), "restarts": (int, "5"),
         "seed": (_parse_seed, "0"), "max_iter": (int, "5000"),
         "out_fit": (str, "midas_fit.json"), "out_h": (str, "h.csv"),
     },
@@ -413,23 +410,15 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
 
     panel = read_factors(o.factors)
     _, month_index, first_rows = marketdata.month_ids(panel.dates)
-    if o.mode == "exogenous":
-        cov_names = o.covariates
-        missing = [c for c in cov_names if c not in panel.columns]
-        if missing:
-            raise InputError(f"factor panel lacks columns {missing}")
-        covariates = np.column_stack(
-            [panel.columns[c][first_rows] for c in cov_names])
-    else:
-        cov_names = ("rv-window",)
-        covariates = None
-
-    spec = gm.MidasSpec(n_lags=o.n_lags, mode=o.mode,
-                        n_covariates=len(cov_names), tau_link=o.link or "",
-                        free_w1=o.free_w1)
+    missing = [c for c in o.covariates if c not in panel.columns]
+    if missing:
+        raise InputError(f"factor panel lacks columns {missing}")
+    spec = gm.MidasSpec(n_lags=o.n_lags, n_covariates=len(o.covariates))
     data = gm.MidasData(returns=panel.columns["ret"],
                         month_index=month_index,
-                        covariates=covariates)
+                        covariates=np.column_stack(
+                            [panel.columns[c][first_rows]
+                             for c in o.covariates]))
     n_train = panel.n_train
     if n_train < 1:
         raise InputError("factor panel has no training rows")
@@ -442,11 +431,11 @@ def cmd_midas_fit(o: argparse.Namespace) -> int:
         write_h(panel.dates, filtered, h_tmp)
 
     p = result.params
-    print(f"fit on {n_train} train rows ({o.mode}, K={spec.n_lags}, "
+    print(f"fit on {n_train} train rows (exogenous, K={spec.n_lags}, "
           f"link={spec.tau_link}), log-likelihood {result.log_lik:.4f}")
     print(f"  mu={p.mu:.6f} alpha={p.alpha:.6f} beta={p.beta:.6f} "
           f"m={p.m:.6f}")
-    for j, name in enumerate(cov_names):
+    for j, name in enumerate(o.covariates):
         print(f"  {name}: theta={p.theta[j]:.6f} w2={p.w2[j]:.6f}")
     print(f"  wrote {o.out_fit}")
     print(f"  wrote {o.out_h} ({len(filtered.h)} modeled days)")
@@ -591,10 +580,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors, so a bad flag
+    exits 2 with one line, as every other bad input does."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flag per option of :data:`OPTIONS`. A flag keeps its text (a
     switch stores "true") for :func:`resolve` to cast."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfvol",
         description="Mixed-frequency stock-volatility forecasting pipeline.")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -618,11 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s")
         # every stage reports the non-finite values it meets with its own
         # one-line error, so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):

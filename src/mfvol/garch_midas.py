@@ -17,10 +17,13 @@ Using the previous day's innovation keeps the filter causal. The
 intercept is pinned to 1 - alpha - beta so that g has unconditional
 mean one and the level of variance is carried by tau alone.
 
-Two tau links are supported: ``exp`` of the affine combination (the
-default for exogenous covariates, sign-unconstrained) and the identity
-(classic realized-volatility windows, where positivity must hold).
-Both filter and fit; :func:`simulate` draws the exogenous model only.
+The long-run component is log-linear in the lagged covariates,
+
+    tau_t = exp(m + sum_j theta_j * sum_k phi_k(w1_j, w2_j) * X_{t-k, j}),
+
+so it is positive whatever the signs of theta and X. The fit holds
+w1 at 1, so each covariate's weights decay with the lag at a rate set
+by w2. Fit, filter and :func:`simulate` share this one model.
 
 Estimation is maximum likelihood over an unconstrained
 reparameterization, optimized with Nelder-Mead simplex search from
@@ -33,13 +36,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tables
 from .errors import InputError, NumericalError
-from .realized_vol import monthly_rv
 
 log = logging.getLogger(__name__)
 
@@ -51,37 +53,21 @@ MAX_PERSISTENCE = 1.0 - 1e-8
 
 @dataclass(frozen=True)
 class MidasSpec:
-    """Structural choices of the model, fixed before estimation.
-
-    ``mode`` selects the monthly covariates: "exogenous" takes them
-    from the data container, "rv-window" builds them as within-month
-    realized variance of the daily returns themselves. The identity
-    tau link is only permitted in rv-window mode, where the covariate
-    is nonnegative by construction.
-    """
+    """Structural choices of the model, fixed before estimation: the
+    number of monthly lags K and of exogenous covariates J. ``tau_link``
+    names the one link, "log", for callers that state it."""
 
     n_lags: int = 12
-    mode: str = "exogenous"
     n_covariates: int = 1
-    tau_link: str = ""
-    free_w1: bool = False
+    tau_link: str = "log"
 
     def __post_init__(self):
-        if self.mode not in ("exogenous", "rv-window"):
-            raise InputError(f"unknown mode {self.mode!r}")
         if self.n_lags < 1:
             raise InputError(f"n_lags must be >= 1, got {self.n_lags}")
-        if self.mode == "rv-window" and self.n_covariates != 1:
-            raise InputError("rv-window mode implies a single covariate")
         if self.n_covariates < 1:
             raise InputError("need at least one covariate")
-        link = self.tau_link or ("identity" if self.mode == "rv-window"
-                                 else "log")
-        if link not in ("log", "identity"):
-            raise InputError(f"unknown tau link {link!r}")
-        if link == "identity" and self.mode != "rv-window":
-            raise InputError("identity tau link requires rv-window mode")
-        object.__setattr__(self, "tau_link", link)
+        if self.tau_link != "log":
+            raise InputError(f"unknown tau link {self.tau_link!r}")
 
 
 @dataclass
@@ -122,8 +108,6 @@ class MidasParams:
         if J != spec.n_covariates:
             raise InputError(
                 f"expected {spec.n_covariates} covariates, got {J}")
-        if spec.tau_link == "identity" and self.m <= 0:
-            raise InputError("identity link requires a positive intercept m")
 
     def to_json(self) -> dict:
         return {
@@ -138,13 +122,13 @@ class MidasData:
     """Daily returns with month structure and monthly covariates.
 
     ``month_index`` maps each day to a 0-based contiguous month id in
-    chronological order. ``covariates`` has one row per month and is
-    required in exogenous mode (ignored in rv-window mode).
+    chronological order. ``covariates`` has one row per month and one
+    column per covariate.
     """
 
     returns: np.ndarray
     month_index: np.ndarray
-    covariates: np.ndarray | None = None
+    covariates: np.ndarray
 
     def __post_init__(self):
         self.returns = np.asarray(self.returns, dtype=float)
@@ -157,13 +141,12 @@ class MidasData:
         if self.month_index[0] != 0 or np.any(steps < 0) or np.any(steps > 1):
             raise InputError(
                 "month_index must be 0-based, sorted and contiguous")
-        if self.covariates is not None:
-            self.covariates = np.atleast_2d(
-                np.asarray(self.covariates, dtype=float))
-            if self.covariates.shape[0] != self.n_months:
-                raise InputError(
-                    f"covariates have {self.covariates.shape[0]} rows, "
-                    f"panel spans {self.n_months} months")
+        self.covariates = np.atleast_2d(
+            np.asarray(self.covariates, dtype=float))
+        if self.covariates.shape[0] != self.n_months:
+            raise InputError(
+                f"covariates have {self.covariates.shape[0]} rows, "
+                f"panel spans {self.n_months} months")
 
     @property
     def n_months(self) -> int:
@@ -178,8 +161,7 @@ class MidasData:
         return MidasData(
             returns=self.returns[:n_days].copy(),
             month_index=idx.copy(),
-            covariates=None if self.covariates is None
-            else self.covariates[:n_months].copy(),
+            covariates=self.covariates[:n_months].copy(),
         )
 
 
@@ -272,7 +254,11 @@ class _Panel:
 
 
 def _panel(spec: MidasSpec, data: MidasData) -> _Panel:
-    lagged = _stacked_lags(_covariate_matrix(spec, data), spec.n_lags)
+    if data.covariates.shape[1] != spec.n_covariates:
+        raise InputError(
+            f"data carries {data.covariates.shape[1]} covariates, "
+            f"spec wants {spec.n_covariates}")
+    lagged = _stacked_lags(data.covariates, spec.n_lags)
     start = int(np.searchsorted(data.month_index, spec.n_lags))
     if start >= len(data.returns):
         raise InputError("no days left after the lag warm-up")
@@ -282,20 +268,10 @@ def _panel(spec: MidasSpec, data: MidasData) -> _Panel:
                   grid=_lag_grid(spec.n_lags))
 
 
-def _long_run_tau(spec: MidasSpec, params: MidasParams,
-                  panel: _Panel) -> np.ndarray:
-    """Monthly long-run variance of the modeled months. Under the
-    identity link any non-positive tau raises NumericalError; the log
-    link exponentiates instead."""
+def _long_run_tau(params: MidasParams, panel: _Panel) -> np.ndarray:
+    """Monthly long-run variance of the modeled months."""
     phi = _weights(panel.grid, params.w1, params.w2)
-    acc = panel.lagged @ (phi * params.theta).ravel() + params.m
-    if spec.tau_link == "log":
-        return np.exp(acc)
-    if (acc <= 0).any():
-        bad = int(np.flatnonzero(acc <= 0)[0])
-        raise NumericalError(
-            f"tau non-positive at modeled month {bad} ({acc[bad]:.6g})")
-    return acc
+    return np.exp(panel.lagged @ (phi * params.theta).ravel() + params.m)
 
 
 # The short-run scan runs on blocks of B days. It raises beta to the
@@ -343,10 +319,10 @@ def _short_run(alpha: float, beta: float, shocks: np.ndarray) -> np.ndarray:
     return _linear_scan(x, beta)[:n]
 
 
-def _components(spec: MidasSpec, params: MidasParams, panel: _Panel):
+def _components(params: MidasParams, panel: _Panel):
     """tau and g by modeled day, and the modeled days' squared
     innovations, for validated parameters."""
-    tau = _long_run_tau(spec, params, panel)[panel.month]
+    tau = _long_run_tau(params, panel)[panel.month]
     sq = (panel.returns - params.mu) ** 2
     g = _short_run(params.alpha, params.beta, sq / tau)
     return tau, g, sq
@@ -357,22 +333,9 @@ def filter_volatility(spec: MidasSpec, params: MidasParams,
     """Run the full two-component filter over the modeled days."""
     params.validate(spec)
     panel = _panel(spec, data)
-    tau, g, _ = _components(spec, params, panel)
+    tau, g, _ = _components(params, panel)
     return MidasFiltered(day_slice=slice(panel.start, len(data.returns)),
                          tau=tau, g=g, h=tau * g)
-
-
-def _covariate_matrix(spec: MidasSpec, data: MidasData) -> np.ndarray:
-    if spec.mode == "rv-window":
-        rv = monthly_rv(data.returns, data.month_index)
-        return rv[:, None]
-    if data.covariates is None:
-        raise InputError("exogenous mode needs a covariate matrix")
-    if data.covariates.shape[1] != spec.n_covariates:
-        raise InputError(
-            f"data carries {data.covariates.shape[1]} covariates, "
-            f"spec wants {spec.n_covariates}")
-    return data.covariates
 
 
 def log_likelihood(spec: MidasSpec, params: MidasParams,
@@ -383,7 +346,7 @@ def log_likelihood(spec: MidasSpec, params: MidasParams,
     params.validate(spec)
     if panel is None:
         panel = _panel(spec, data)
-    tau, g, sq = _components(spec, params, panel)
+    tau, g, sq = _components(params, panel)
     h = tau * g
     ll = -0.5 * (len(h) * LOG_2PI + float(np.log(h).sum())
                  + float((sq / h).sum()))
@@ -396,42 +359,33 @@ def log_likelihood(spec: MidasSpec, params: MidasParams,
 # Estimation
 # ----------------------------------------------------------------------
 
-def _pack(params: MidasParams, spec: MidasSpec) -> np.ndarray:
+def _pack(params: MidasParams) -> np.ndarray:
     p = params.alpha + params.beta
     p = min(max(p, MIN_PERSISTENCE), MAX_PERSISTENCE)
     share = params.alpha / p if p > 0 else 0.5
     share = min(max(share, MIN_PERSISTENCE), 1.0 - MIN_PERSISTENCE)
-    u = [params.mu,
-         math.log(p / (1.0 - p)),
-         math.log(share / (1.0 - share)),
-         math.log(params.m) if spec.tau_link == "identity" else params.m]
+    u = [params.mu, math.log(p / (1.0 - p)),
+         math.log(share / (1.0 - share)), params.m]
     u.extend(params.theta.tolist())
     u.extend(math.log(max(w2 - 1.0, 1e-10)) for w2 in params.w2)
-    if spec.free_w1:
-        u.extend(math.log(max(w1 - 1.0, 1e-10)) for w1 in params.w1)
     return np.array(u, dtype=float)
 
 
-def _unpack(u: np.ndarray, spec: MidasSpec) -> MidasParams:
-    J = spec.n_covariates
+def _unpack(u: np.ndarray) -> MidasParams:
+    J = (len(u) - 4) // 2
     mu, persistence, share, m = u[:4].tolist()
     p = 1.0 / (1.0 + math.exp(-min(max(persistence, -40.0), 40.0)))
     p = min(max(p, MIN_PERSISTENCE), MAX_PERSISTENCE)
     share = 1.0 / (1.0 + math.exp(-min(max(share, -40.0), 40.0)))
-    if spec.tau_link == "identity":
-        m = math.exp(min(m, 60.0))
     theta = u[4:4 + J].copy()
     w2 = 1.0 + np.exp(np.minimum(u[4 + J:4 + 2 * J], 30.0))
-    w1 = 1.0 + np.exp(np.minimum(u[4 + 2 * J:4 + 3 * J], 30.0)) \
-        if spec.free_w1 else np.ones(J)
     return MidasParams(mu=mu, alpha=p * share, beta=p * (1 - share),
-                       m=m, theta=theta, w2=w2, w1=w1)
+                       m=m, theta=theta, w2=w2)
 
 
 def _default_init(spec: MidasSpec, data: MidasData) -> MidasParams:
     r = data.returns
-    var = float(np.var(r))
-    m = max(var, 1e-8) if spec.tau_link == "identity" else math.log(max(var, 1e-8))
+    m = math.log(max(float(np.var(r)), 1e-8))
     J = spec.n_covariates
     return MidasParams(mu=float(np.mean(r)), alpha=0.05, beta=0.90, m=m,
                        theta=np.full(J, 0.1), w2=np.full(J, 3.0))
@@ -546,7 +500,7 @@ def _objective(spec: MidasSpec, data: MidasData, panel: _Panel):
     the unconstrained vector ``u``, or PENALTY where it is undefined."""
     def objective(u: np.ndarray) -> float:
         try:
-            params = _unpack(u, spec)
+            params = _unpack(u)
             return -log_likelihood(spec, params, data, panel)
         # a vector outside the model's domain is an input error to a
         # caller, and a PENALTY value inside the search
@@ -588,7 +542,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
     # the lags before any optimizer work
     panel = _panel(spec, data)
 
-    start = _pack(_default_init(spec, data), spec)
+    start = _pack(_default_init(spec, data))
     objective = _objective(spec, data, panel)
     rng = np.random.default_rng(seed)
     scale = 0.25 * np.ones_like(start)
@@ -611,7 +565,7 @@ def fit(spec: MidasSpec, data: MidasData, n_restarts: int = 5,
         log.info("restart %d: %d iterations, %d evaluations, objective "
                  "%.6f, %.3g above the best%s", i, r.nit, r.nfev, r.fun,
                  r.fun - best.fun, "" if r.success else " (not converged)")
-    params = _unpack(best.x, spec)
+    params = _unpack(best.x)
     params.validate(spec)
     fsim = best.final_simplex[1]
     return MidasFit(
@@ -637,8 +591,8 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
              days_per_month: int = 21, seed: int = 0, cov_rho: float = 0.8,
              day_var_multiplier: np.ndarray | None = None
              ) -> tuple[MidasData, MidasFiltered, np.ndarray]:
-    """Draw a panel from the exogenous log-link model: the panel, its
-    true tau/g/h over the modeled days, and each day's variance.
+    """Draw a panel from the model: the panel, its true tau/g/h over
+    the modeled days, and each day's variance.
 
     The first ``spec.n_lags`` months are warm-up: their returns are
     drawn at the covariate-free variance level exp(m) and exist so
@@ -652,9 +606,6 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
     implied by the realized returns, so refiltering the returns
     reproduces them exactly.
     """
-    if spec.mode != "exogenous":
-        raise InputError(
-            f"only exogenous mode is simulated, got {spec.mode!r}")
     params.validate(spec)
     if months <= spec.n_lags:
         raise InputError(
@@ -733,8 +684,15 @@ def simulate(spec: MidasSpec, params: MidasParams, months: int,
 # ----------------------------------------------------------------------
 
 def write_fit(fit_result: MidasFit, path: str) -> None:
+    """The fit as JSON. Its ``spec`` record keeps the keys and order
+    that fit files have always had; ``mode``, ``tau_link`` and the w1
+    flag now hold the one model's fixed values, so readers of older
+    files read these alike."""
+    spec = fit_result.spec
     tables.write_json(path, {
-        "spec": asdict(fit_result.spec),
+        "spec": {"n_lags": spec.n_lags, "mode": "exogenous",
+                 "n_covariates": spec.n_covariates, "tau_link": "log",
+                 "free_w1": False},
         "params": fit_result.params.to_json(),
         "log_likelihood": fit_result.log_lik,
         "convergence": fit_result.convergence,

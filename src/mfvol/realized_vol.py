@@ -50,28 +50,6 @@ def adjust_rv(rv: np.ndarray, lam: float) -> np.ndarray:
     return np.asarray(rv, dtype=float) * lam
 
 
-def monthly_rv(daily_returns: np.ndarray, month_index: np.ndarray) -> np.ndarray:
-    """Sum squared daily returns within each month.
-
-    ``month_index`` holds 0-based contiguous month ids per day; every
-    id in ``0..max`` must occur at least once.
-    """
-    daily_returns = np.asarray(daily_returns, dtype=float)
-    month_index = np.asarray(month_index, dtype=np.int64)
-    if daily_returns.shape != month_index.shape or daily_returns.ndim != 1:
-        raise InputError(
-            f"returns {daily_returns.shape} vs month index {month_index.shape}")
-    if daily_returns.size == 0:
-        raise InputError("no days at all")
-    n_months = int(month_index.max()) + 1
-    counts = np.bincount(month_index, minlength=n_months)
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise InputError(f"month id {missing} has no trading days")
-    return np.bincount(month_index, weights=daily_returns * daily_returns,
-                       minlength=n_months)
-
-
 def compute_rv_series(series: IntradaySeries) -> tuple[Panel, float]:
     """Full pipeline from validated bars to the daily ``ret``, ``rv`` and
     ``rv_adj`` table, and the scale parameter lambda.

@@ -112,8 +112,7 @@ class ScenarioSpec:
         return self.months * self.days_per_month
 
     def midas_spec(self) -> MidasSpec:
-        return MidasSpec(n_lags=self.n_lags, mode="exogenous",
-                         n_covariates=len(_PARAMS.theta), tau_link="log")
+        return MidasSpec(n_lags=self.n_lags, n_covariates=len(_PARAMS.theta))
 
 
 def make_dates(start_month: str, months: int, days_per_month: int
@@ -286,7 +285,7 @@ def gen_full_scenario(spec: ScenarioSpec, out_dir: str) -> dict[str, str]:
         "days_per_month": spec.days_per_month,
         "bars_per_day": spec.bars_per_day,
         "n_lags": spec.n_lags,
-        "mode": midas_spec.mode,
+        "mode": "exogenous",
         "tau_link": midas_spec.tau_link,
         "params": _PARAMS.to_json(),
         "cov_rho": spec.cov_rho,

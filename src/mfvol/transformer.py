@@ -787,7 +787,8 @@ def load_model(path: str) -> TransformerModel:
             target_std=float(doc["target_std"]),
             train_config=TrainConfig(**doc["train_config"]),
         )
-    except (AttributeError, InputError, KeyError, TypeError,
+    # json raises RecursionError on arrays or objects nested too deep
+    except (AttributeError, InputError, KeyError, RecursionError, TypeError,
             ValueError) as exc:
         raise InputError(f"{path}: not a model file ({exc!r})") from None
     n = (config.n_features,)

@@ -22,7 +22,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mfvol import cli, evaluation, realized_vol
 from mfvol import features as feat
@@ -159,17 +158,20 @@ def test_criterion_04_garch11_reduction():
     data = gm.MidasData(
         returns=rng.normal(0.02, 1.1, months * days),
         month_index=np.repeat(np.arange(months), days),
+        covariates=rng.standard_normal((months, 1)),
     )
-    spec = gm.MidasSpec(n_lags=n_lags, mode="rv-window", tau_link="identity")
+    spec = gm.MidasSpec(n_lags=n_lags, n_covariates=1)
     worst = 0.0
     n_days = 0
-    for m in (0.6, 1.4):
-        params = gm.MidasParams(mu=0.02, alpha=0.08, beta=0.88, m=m,
-                                theta=np.array([0.0]), w2=np.array([2.0]))
+    for level in (0.6, 1.4):
+        # theta = 0 leaves tau at exp(m) every month
+        params = gm.MidasParams(mu=0.02, alpha=0.08, beta=0.88,
+                                m=float(np.log(level)), theta=np.array([0.0]),
+                                w2=np.array([2.0]))
         filt = gm.filter_volatility(spec, params, data)
         r = data.returns[filt.day_slice]
         n_days = len(r)
-        omega = m * (1.0 - params.alpha - params.beta)
+        omega = float(np.exp(params.m)) * (1.0 - params.alpha - params.beta)
         plain = garch11_filter(params.mu, omega, params.alpha, params.beta,
                                r.tolist())
         worst = max(worst, float(np.max(np.abs(filt.h - np.array(plain)))))
@@ -187,8 +189,7 @@ def test_criterion_04_garch11_reduction():
 
 def test_criterion_05_parameter_recovery():
     t0 = time.perf_counter()
-    spec = gm.MidasSpec(n_lags=12, mode="exogenous", n_covariates=1,
-                        tau_link="log")
+    spec = gm.MidasSpec(n_lags=12, n_covariates=1)
     true = gm.MidasParams(mu=0.05, alpha=0.07, beta=0.91, m=-0.5,
                           theta=[0.35], w2=[4.0])
     hits = 0

@@ -208,12 +208,15 @@ class TestConfigFile:
          "start_price must be positive and finite"),
         ("simulate", "attention_coef = nan\n",
          "attention_coef must be finite"),
+        # the fit has one model and no option that chose among others
+        ("midas-fit", "mode = exogenous\n",
+         "midas-fit takes no option 'mode'"),
     ], ids=["bad-int", "bad-float", "bad-choice", "bad-switch",
             "unknown-key", "repeated-key", "not-utf8", "simulate-seed",
             "midas-fit-seed", "train-seed", "ablate-seed",
             "start-month-text", "start-month-13", "start-month-year-0",
             "start-month-past-9999", "start-price-nan",
-            "attention-coef-nan"])
+            "attention-coef-nan", "midas-fit-mode"])
     def test_bad_config_exits_2(self, scenario_dir, pipeline, tmp_path,
                                 capsys, command, text, message):
         cfg = tmp_path / "bad.cfg"
@@ -295,7 +298,7 @@ def resolve_with(cfg_dir, command, name, text, by_flag):
                              for n in table]),
        text=st.one_of(st.text(), st.sampled_from(
            ["1", "-2", "0.5", "nan", "1e400", "true", "off", "a,b", " , ",
-            "log", "test", "sgd", "ffill", "rv-window", "x # y", "a\nb"])))
+            "test", "sgd", "ffill", "x # y", "a\nb"])))
 def test_any_option_text_resolves_or_is_an_input_error(tmp_path_factory,
                                                        case, text):
     command, name = case
@@ -338,6 +341,15 @@ class TestPipeline:
         assert meta["n_train"] == math.floor(table.n_rows * 0.9)
         assert table.n_train == meta["n_train"]
         assert meta["boundary_date"] == table.dates[table.n_train - 1]
+
+    def test_fit_record_keeps_the_spec_keys_the_benchmark_reads(
+            self, pipeline):
+        # bench/reference.check_midas reads mode, tau_link and n_lags
+        spec = json.loads((pipeline / "midas_fit.json").read_text())["spec"]
+        assert list(spec) == ["n_lags", "mode", "n_covariates", "tau_link",
+                              "free_w1"]
+        assert spec["mode"] == "exogenous" and spec["tau_link"] == "log"
+        assert spec["free_w1"] is False
 
     def test_h_joins_cleanly(self, pipeline):
         table = cli.read_factors(str(pipeline / "factors.csv"))
@@ -423,33 +435,6 @@ class TestPipeline:
         for name in ("rv.csv", "factors.csv", "h.csv", "midas_fit.json"):
             assert (out / name).read_bytes() \
                 == (pipeline / name).read_bytes(), name
-
-
-class TestFreeW1:
-    def test_flag_and_config_fit_free_w1(self, pipeline, tmp_path):
-        from mfvol import garch_midas as gm
-
-        common = ["midas-fit", "--factors", str(pipeline / "factors.csv"),
-                  "--n-lags", "6", "--restarts", "1",
-                  "--out-h", str(tmp_path / "h.csv")]
-        by_flag = tmp_path / "flag.json"
-        assert run(common + ["--free-w1", "--out-fit", str(by_flag)]) == 0
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text("free_w1 = true\n")
-        by_config = tmp_path / "config.json"
-        assert run(common + ["--config", str(cfg),
-                             "--out-fit", str(by_config)]) == 0
-        assert by_config.read_bytes() == by_flag.read_bytes()
-
-        doc = json.loads(by_flag.read_text())
-        spec = gm.MidasSpec(**doc["spec"])
-        params = gm.MidasParams(**doc["params"])
-        assert doc["spec"]["free_w1"] is True
-        assert np.all(params.w1 >= 1.0)
-        # _pack floors w1 - 1 at 1e-10, so a w1 fitted onto its bound
-        # of 1 comes back 1e-10 above it
-        back = gm._unpack(gm._pack(params, spec), spec)
-        np.testing.assert_allclose(back.w1, params.w1, rtol=1e-9)
 
 
 class TestAblate:
@@ -1110,6 +1095,28 @@ class TestExitCodes:
         assert proc.stderr.startswith(first), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "exogenous"],
+         "mfvol: unrecognized arguments: --mode exogenous"),
+        (["--link", "log"], "mfvol: unrecognized arguments: --link log"),
+        (["--free-w1"], "mfvol: unrecognized arguments: --free-w1"),
+        (["--bogus", "1"], "mfvol: unrecognized arguments: --bogus 1"),
+        (["--factors"],
+         "mfvol midas-fit: argument --factors: expected one argument"),
+        (None, "mfvol: the following arguments are required: command"),
+    ], ids=["mode", "link", "free-w1", "unknown-flag", "flag-without-value",
+            "no-subcommand"])
+    def test_a_bad_flag_prints_one_line(self, pipeline, tmp_path, capsys,
+                                        flags, message):
+        # one `error: ` line and no usage block, as every other exit 2
+        argv = [] if flags is None else [
+            "midas-fit", "--factors", str(pipeline / "factors.csv"),
+            "--out-fit", str(tmp_path / "fit.json"),
+            "--out-h", str(tmp_path / "h.csv"), *flags]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_train_leaves_no_output(self, pipeline, tmp_path, capsys):
         model = tmp_path / "out" / "weights.json"
         history = tmp_path / "missing" / "loss_history.csv"
@@ -1487,7 +1494,7 @@ def json_places(node) -> list:
 
 
 JSON_MUTATIONS = ("drop", "shape", "nan", "inf", "text", "true", "null",
-                  "list", "count", "cut", "wrap")
+                  "list", "count", "cut", "wrap", "deep")
 
 
 def mutate_json(text: str, kind: str, at: int, cell: int) -> str:
@@ -1496,6 +1503,8 @@ def mutate_json(text: str, kind: str, at: int, cell: int) -> str:
     the value ``cell`` picks where the kind takes one."""
     if kind == "cut":
         return text[:cell % len(text)]
+    if kind == "deep":
+        return "[" * 200_000
     doc = json.loads(text)
     if kind == "wrap":
         return json.dumps([doc])
@@ -1606,6 +1615,9 @@ def test_a_mutated_file_exits_cleanly(fuzzed, tmp_path_factory, name, data,
     # place 16 is the first feature name: as a list it used to reach the
     # panel's column lookup and escape as a TypeError
     ("weights.json", "list", 16, 0),
+    # nested past the recursion limit: json.load used to escape with a
+    # RecursionError
+    ("weights.json", "deep", 0, 0),
 ])
 def test_a_pinned_mutation_exits_cleanly(fuzzed, tmp_path, name, kind, at,
                                          cell):

@@ -21,7 +21,6 @@ from oracles import (
     garch11_filter,
     garch11_loglik,
     loglik_naive,
-    monthly_rv_naive,
 )
 
 
@@ -92,28 +91,18 @@ class TestLagStructure:
 
 
 class TestFilter:
-    @pytest.mark.parametrize("J,link,mode", [
-        (1, "log", "exogenous"),
-        (2, "log", "exogenous"),
-        (1, "identity", "rv-window"),
-        (1, "log", "rv-window"),
-    ])
-    def test_matches_loop_oracle(self, J, link, mode):
+    @pytest.mark.parametrize("J", [1, 2], ids=lambda J: f"{J}-log-exogenous")
+    def test_matches_loop_oracle(self, J):
         K = 6
         data = make_data(J=J, K=K)
-        params = make_params(J=J, m=0.4 if link == "identity" else 0.1)
-        spec = gm.MidasSpec(n_lags=K, mode=mode, n_covariates=J,
-                            tau_link=link)
+        params = make_params(J=J)
+        spec = gm.MidasSpec(n_lags=K, n_covariates=J)
         filt = gm.filter_volatility(spec, params, data)
-        if mode == "rv-window":
-            X = [[v] for v in monthly_rv_naive(
-                data.returns.tolist(), data.month_index.tolist())]
-        else:
-            X = data.covariates.tolist()
         days, tau, g, h = filter_naive(
             params.mu, params.alpha, params.beta, params.m,
             params.theta.tolist(), params.w1.tolist(), params.w2.tolist(),
-            data.returns.tolist(), data.month_index.tolist(), X, K, link)
+            data.returns.tolist(), data.month_index.tolist(),
+            data.covariates.tolist(), K, "log")
         assert filt.day_slice == slice(days[0], days[-1] + 1)
         assert np.allclose(filt.tau, tau, rtol=1e-10, atol=1e-12)
         assert np.allclose(filt.g, g, rtol=1e-10, atol=1e-12)
@@ -130,14 +119,6 @@ class TestFilter:
         g = gm._short_run(params.alpha, params.beta, np.zeros(3900))
         omega = 1.0 - params.alpha - params.beta
         assert g[-1] == pytest.approx(omega / (1.0 - params.beta), rel=1e-9)
-
-    def test_identity_link_rejects_nonpositive_tau(self):
-        data = make_data(J=1)
-        params = make_params(J=1, m=0.01)
-        params.theta = np.array([-50.0])
-        spec = gm.MidasSpec(n_lags=6, mode="rv-window", tau_link="identity")
-        with pytest.raises(errors.NumericalError, match="tau non-positive"):
-            gm.filter_volatility(spec, params, data)
 
 
     @pytest.mark.parametrize("field, value", [
@@ -261,7 +242,7 @@ class TestNelderMead:
         data, _, _ = gm.simulate(spec, true, months=14, days_per_month=15,
                                  seed=2)
         objective = gm._objective(spec, data, gm._panel(spec, data))
-        start = gm._pack(gm._default_init(spec, data), spec)
+        start = gm._pack(gm._default_init(spec, data))
         res = self.same_as_scipy(objective, start, maxiter=3000,
                                  maxfev=6000, xatol=1e-8, fatol=1e-8)
         assert res.success
@@ -286,7 +267,7 @@ class TestObjective:
     def setup(self):
         data = make_data(J=1, K=3)
         objective = gm._objective(self.SPEC, data, gm._panel(self.SPEC, data))
-        start = gm._pack(gm._default_init(self.SPEC, data), self.SPEC)
+        start = gm._pack(gm._default_init(self.SPEC, data))
         return data, objective, start
 
     def test_a_nan_vector_costs_the_penalty(self, setup):
@@ -301,7 +282,7 @@ class TestObjective:
         u = start.copy()
         u[5] = 30.0     # w2's logit: 1 - k/K raised to about 1e13 is 0
         with pytest.raises(errors.InputError, match="degenerate weights"):
-            gm.log_likelihood(self.SPEC, gm._unpack(u, self.SPEC), data)
+            gm.log_likelihood(self.SPEC, gm._unpack(u), data)
         assert objective(u) == gm.PENALTY
 
     def test_any_other_error_propagates(self, setup, monkeypatch):
@@ -349,14 +330,15 @@ class TestNestedGarch:
     def test_theta_zero_filter_equals_plain_garch(self):
         K = 4
         data = make_data(months=14, days=12, J=1, K=K, seed=5)
-        spec = gm.MidasSpec(n_lags=K, mode="rv-window", tau_link="identity")
-        for m in (0.3, 0.8, 1.7):
-            params = gm.MidasParams(mu=0.02, alpha=0.09, beta=0.85, m=m,
-                                    theta=np.array([0.0]),
+        spec = gm.MidasSpec(n_lags=K, n_covariates=1)
+        for level in (0.3, 0.8, 1.7):
+            # theta = 0 leaves tau at exp(m) every month
+            params = gm.MidasParams(mu=0.02, alpha=0.09, beta=0.85,
+                                    m=math.log(level), theta=np.array([0.0]),
                                     w2=np.array([2.0]))
             filt = gm.filter_volatility(spec, params, data)
             r = data.returns[filt.day_slice]
-            omega = m * (1.0 - params.alpha - params.beta)
+            omega = math.exp(params.m) * (1.0 - params.alpha - params.beta)
             h_plain = garch11_filter(params.mu, omega, params.alpha,
                                      params.beta, r)
             assert np.allclose(filt.h, h_plain, rtol=0, atol=1e-12)
@@ -370,10 +352,12 @@ class TestData:
     def test_month_index_must_be_contiguous(self):
         with pytest.raises(errors.InputError, match="sorted and contiguous"):
             gm.MidasData(returns=np.ones(4),
-                         month_index=np.array([0, 0, 2, 2]))
+                         month_index=np.array([0, 0, 2, 2]),
+                         covariates=np.ones((3, 1)))
         with pytest.raises(errors.InputError, match="sorted and contiguous"):
             gm.MidasData(returns=np.ones(4),
-                         month_index=np.array([1, 1, 2, 2]))
+                         month_index=np.array([1, 1, 2, 2]),
+                         covariates=np.ones((3, 1)))
 
     def test_covariate_rows_must_match_months(self):
         with pytest.raises(errors.InputError,
@@ -410,13 +394,6 @@ class TestSimulate:
         assert np.allclose(filt.tau, true.tau, rtol=0, atol=1e-12)
         assert np.allclose(filt.g, true.g, rtol=0, atol=1e-12)
         assert np.allclose(filt.h, true.h, rtol=0, atol=1e-12)
-
-    def test_rv_window_spec_rejected(self):
-        spec = gm.MidasSpec(n_lags=5, mode="rv-window", tau_link="identity")
-        params = make_params(J=1, m=0.9)
-        with pytest.raises(errors.InputError,
-                           match="only exogenous mode is simulated"):
-            gm.simulate(spec, params, months=12, days_per_month=8, seed=4)
 
     def test_same_seed_reproduces(self):
         spec = gm.MidasSpec(n_lags=6, n_covariates=2)
@@ -668,9 +645,7 @@ class TestPersistenceFiles:
         gm.write_fit(fit, path)
         with open(path) as fh:
             doc = json.load(fh)
-        spec2 = gm.MidasSpec(**doc["spec"])
         params2 = gm.MidasParams(**doc["params"])
-        assert spec2 == spec
         assert params2.alpha == fit.params.alpha
         assert params2.theta.tolist() == fit.params.theta.tolist()
         assert doc["log_likelihood"] == fit.log_lik

@@ -114,17 +114,6 @@ class TestPieces:
                            match=r"returns \(1,\) vs rv \(2,\)"):
             rvmod.scale_parameter(np.array([1.0]), np.array([1.0, 2.0]))
 
-    def test_monthly_rv_groups_by_month(self):
-        rets = np.array([1.0, 2.0, 3.0, 4.0])
-        idx = np.array([0, 0, 1, 1])
-        out = rvmod.monthly_rv(rets, idx)
-        assert out.tolist() == [5.0, 25.0]
-
-    def test_monthly_rv_gap_rejected(self):
-        with pytest.raises(errors.InputError,
-                           match="month id 1 has no trading days"):
-            rvmod.monthly_rv(np.array([1.0, 2.0]), np.array([0, 2]))
-
 
 class TestPersistence:
     def test_roundtrip_is_exact(self, tmp_path):

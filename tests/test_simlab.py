@@ -214,7 +214,8 @@ class TestFullScenario:
         assert att.dates == dates
 
     def test_truth_json_refilters_to_same_h(self, truth):
-        spec = gm.MidasSpec(n_lags=truth["n_lags"], mode=truth["mode"],
+        assert truth["mode"] == "exogenous"
+        spec = gm.MidasSpec(n_lags=truth["n_lags"],
                             n_covariates=len(truth["params"]["theta"]),
                             tau_link=truth["tau_link"])
         params = gm.MidasParams(**truth["params"])

@@ -52,7 +52,9 @@ def test_no_module_imports_scipy():
 def test_every_imported_name_is_used():
     # no linter runs here; a name used only in an annotation counts
     unused = []
-    for path in sorted(pathlib.Path(mfvol.__file__).parent.glob("*.py")):
+    paths = [*pathlib.Path(mfvol.__file__).parent.glob("*.py"),
+             *pathlib.Path(__file__).parent.glob("*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         imported, used = {}, set()
         for node in ast.walk(tree):
